@@ -14,7 +14,7 @@ from fractions import Fraction
 from importlib import resources
 
 from .errors import ConfigError
-from .layers import LayerConfig, MethodKind, block_shapes
+from .layers import FACTORED_KINDS, KET_KINDS, LayerConfig, MethodKind
 
 # Tolerance for matching values published in millions at two (or three)
 # decimal places: half of the coarsest printed unit.
@@ -56,10 +56,10 @@ def _summary(config: LayerConfig, M: int | None) -> str:
     parts = [f"V={config.vocab_size}", f"d={config.embed_dim}"]
     if config.kind is not MethodKind.ORIGINAL:
         parts.append(f"r={config.rank}")
-    if config.kind in (MethodKind.WORD2KET, MethodKind.MORPHTE, MethodKind.WORD2KET_RSHARE):
+    if config.kind in KET_KINDS:
         parts.append(f"n={config.order}")
         parts.append(f"q={config.effective_subdim()}")
-    if config.kind in (MethodKind.TENSOR_TRAIN, MethodKind.WORD2KETXS):
+    if config.kind in FACTORED_KINDS:
         parts.append("dV=" + "x".join(str(v) for v in config.vocab_factors))
         parts.append("dd=" + "x".join(str(d) for d in config.dim_factors))
     if M is not None:
@@ -115,22 +115,6 @@ def count_params_morphlstm(vocab_size: int, embed_dim: int, morpheme_vocab_size:
     ratio = Fraction(vocab_size * embed_dim, trainable)
     summary = f"V={vocab_size} d={embed_dim} M={morpheme_vocab_size}"
     return AuditRow("morphlstm", summary, trainable, 0, ratio)
-
-
-def built_layer_trainable_count(config: LayerConfig) -> int:
-    """Size of the blocks a built layer would allocate (no allocation)."""
-    return sum(rows * cols for _, (rows, cols) in block_shapes(config))
-
-
-def equal_split_word2ketxs(vocab_size: int, embed_dim: int, order: int, rank: int) -> float:
-    """Idealised real-valued count with all axes split to the n-th root."""
-    return rank * order * vocab_size ** (1 / order) * embed_dim ** (1 / order)
-
-
-def equal_split_tensor_train(vocab_size: int, embed_dim: int, order: int, rank: int) -> float:
-    """Idealised real-valued count with all axes split to the n-th root."""
-    n, r = order, rank
-    return ((n - 2) * r * r + 2 * r) * vocab_size ** (1 / n) * embed_dim ** (1 / n)
 
 
 def savings_ratio_vs_word2ket(vocab_size: int, morpheme_vocab_size: int, order: int) -> Fraction:

@@ -24,8 +24,8 @@ import struct
 
 import numpy as np
 
-from .errors import CheckpointError
-from .layers import EmbeddingLayer, LayerConfig, MethodKind
+from .errors import CheckpointError, ConfigError
+from .layers import EmbeddingLayer, LayerConfig, MethodKind, block_shapes
 from .morphology import IndexMatrix, MorphemeVocab
 
 MAGIC = b"TENBEDCK"
@@ -130,13 +130,27 @@ def parse_layer(fh) -> EmbeddingLayer:
         morpheme_vocab_size=meta["morpheme_vocab_size"],
         seed=meta["seed"],
     )
+    try:
+        config.validate()
+        shapes = block_shapes(config)
+    except ConfigError as exc:
+        raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
+    if meta["blocks"] != [name for name, _ in shapes]:
+        raise CheckpointError(
+            f"blocks {meta['blocks']} do not match {config.kind.value}'s "
+            f"{[name for name, _ in shapes]}"
+        )
     params: dict[str, np.ndarray] = {}
-    for expected_name in meta["blocks"]:
+    for expected_name, shape in shapes:
         name = _read_bytes(fh).decode("utf-8")
         if name != expected_name:
             raise CheckpointError(f"block order mismatch: {name!r} vs {expected_name!r}")
         rows = _read_u64(fh)
         cols = _read_u64(fh)
+        if (rows, cols) != shape:
+            raise CheckpointError(
+                f"block {name!r} has shape {(rows, cols)}, the config implies {shape}"
+            )
         raw = fh.read(rows * cols * 8)
         if len(raw) != rows * cols * 8:
             raise CheckpointError(f"truncated block {name!r}")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import click
@@ -28,6 +29,8 @@ from .errors import (
     WordLookupError,
 )
 from .layers import (
+    FACTORED_KINDS,
+    KET_KINDS,
     LayerConfig,
     MethodKind,
     MORPHOLOGICAL_KINDS,
@@ -202,10 +205,18 @@ def load_index_tsv(path) -> IndexMatrix:
     return IndexMatrix(np.array(rows, dtype=np.int64), words)
 
 
+SIMILARITY_TASKS = ("similarity", "word_similarity")
+
+
 def _morphology_for(
-    config: LayerConfig, values: dict[str, str], vocab_dir: str | None, seed: int
+    config: LayerConfig, values: dict[str, str], vocab_dir: str | None, seed: int,
+    synthetic_morphology: tuple[MorphemeVocab, IndexMatrix] | None = None,
 ):
-    """Vocab/index for a morphological kind: from artifacts or synthesised."""
+    """Vocab/index for a morphological kind: from artifacts or synthesised.
+
+    ``synthetic_morphology`` stands in for the default ``make_morphology``
+    draw when the task's labels come from a morphology of their own.
+    """
     if config.kind not in MORPHOLOGICAL_KINDS:
         return None, None, config
     if config.kind is MethodKind.WORD2KET_RSHARE:
@@ -213,38 +224,22 @@ def _morphology_for(
             m = int(values.get("morphemes", 0))
             if m < 1:
                 raise ConfigError("word2ket_rshare needs morpheme_vocab_size or morphemes=")
-            config = LayerConfig(
-                config.kind,
-                config.vocab_size,
-                config.embed_dim,
-                order=config.order,
-                rank=config.rank,
-                subdim=config.subdim,
-                morpheme_vocab_size=m + 1,
-                seed=config.seed,
-            )
+            config = replace(config, morpheme_vocab_size=m + 1)
         return None, None, config
     if vocab_dir is not None:
         vocab = load_vocab_tsv(Path(vocab_dir) / "morphemes.tsv")
         index = load_index_tsv(Path(vocab_dir) / "index.tsv")
-        config = LayerConfig(
-            config.kind,
-            vocab_size=index.vocab_size,
-            embed_dim=config.embed_dim,
-            order=index.order,
-            rank=config.rank,
-            subdim=config.subdim,
-            seed=config.seed,
+        return vocab, index, replace(config, vocab_size=index.vocab_size, order=index.order)
+    if synthetic_morphology is None:
+        morphemes = int(values.get("morphemes", 0))
+        if morphemes < 1:
+            raise ConfigError(
+                f"{config.kind.value} needs either --vocab-dir or a 'morphemes=' config entry"
+            )
+        synthetic_morphology = synthetic.make_morphology(
+            config.vocab_size, morphemes, config.order, seed=seed
         )
-        return vocab, index, config
-    morphemes = int(values.get("morphemes", 0))
-    if morphemes < 1:
-        raise ConfigError(
-            f"{config.kind.value} needs either --vocab-dir or a 'morphemes=' config entry"
-        )
-    vocab, index = synthetic.make_morphology(
-        config.vocab_size, morphemes, config.order, seed=seed
-    )
+    vocab, index = synthetic_morphology
     return vocab, index, config
 
 
@@ -422,21 +417,12 @@ def cmd_gradcheck(method, vocab_size, embed_dim, order, rank, subdim, vocab_fact
             embed_dim=embed_dim,
             order=order,
             rank=rank,
-            subdim=subdim if kind in (MethodKind.WORD2KET, MethodKind.MORPHTE,
-                                      MethodKind.WORD2KET_RSHARE) else None,
-            vocab_factors=_parse_factor_list(vocab_factors)
-            if kind in (MethodKind.TENSOR_TRAIN, MethodKind.WORD2KETXS) else None,
-            dim_factors=_parse_factor_list(dim_factors)
-            if kind in (MethodKind.TENSOR_TRAIN, MethodKind.WORD2KETXS) else None,
+            subdim=subdim if kind in KET_KINDS else None,
+            vocab_factors=_parse_factor_list(vocab_factors) if kind in FACTORED_KINDS else None,
+            dim_factors=_parse_factor_list(dim_factors) if kind in FACTORED_KINDS else None,
             seed=seed_value,
         )
         vocab, index, config = _morphology_for(config, values, None, seed_value)
-        if kind in (MethodKind.TENSOR_TRAIN, MethodKind.WORD2KETXS):
-            covered = int(np.prod(config.vocab_factors))
-            if covered < config.vocab_size:
-                raise ConfigError(
-                    f"vocab_factors cover {covered} < vocab_size {config.vocab_size}"
-                )
         layer = build(config, vocab=vocab, index=index)
         rng = np.random.default_rng(seed_value)
         click.echo("word_id\tentries_checked\tmax_rel_error\tstatus")
@@ -459,12 +445,32 @@ def cmd_gradcheck(method, vocab_size, embed_dim, order, rank, subdim, vocab_fact
 
 
 def _build_layer_from_config_file(config_path, vocab_dir, seed_override):
+    """The layer a config file describes, its values, seed and morpheme sets.
+
+    The similarity task labels word pairs by the morphemes they share, so its
+    per-word morpheme sets and a morphological layer's vocab and index come
+    from one ``make_sharing_task`` draw; for other tasks the sets are None.
+    """
     values = parse_kv_config(config_path)
     seed_value = resolve_seed(seed_override, values.get("seed"))
     config = layer_config_from_mapping(values, seed_value)
-    vocab, index, config = _morphology_for(config, values, vocab_dir, seed_value)
+    sharing = morph_sets = None
+    if values.get("task") in SIMILARITY_TASKS:
+        if vocab_dir is not None:
+            raise ConfigError(
+                "the similarity task labels pairs from a synthetic morphology; "
+                "it cannot train on --vocab-dir"
+            )
+        morphemes = int(values.get("morphemes", 0))
+        if morphemes < 1:
+            raise ConfigError("similarity task needs a 'morphemes=' config entry")
+        vocab, index, morph_sets = synthetic.make_sharing_task(
+            config.vocab_size, morphemes, config.order, seed=seed_value
+        )
+        sharing = (vocab, index)
+    vocab, index, config = _morphology_for(config, values, vocab_dir, seed_value, sharing)
     layer = build(config, vocab=vocab, index=index)
-    return layer, values, seed_value
+    return layer, values, seed_value, morph_sets
 
 
 @main.command("train")
@@ -477,7 +483,9 @@ def cmd_train(config_path, out_dir, vocab_dir, seed):
     """Fit a layer on a desk-scale task; write history, checkpoint, manifest."""
 
     def body():
-        layer, values, seed_value = _build_layer_from_config_file(config_path, vocab_dir, seed)
+        layer, values, seed_value, morph_sets = _build_layer_from_config_file(
+            config_path, vocab_dir, seed
+        )
         task_name = values.get("task", "reconstruct")
         epochs = int(values.get("epochs", 100))
         batch = int(values.get("batch", 32))
@@ -488,30 +496,13 @@ def cmd_train(config_path, out_dir, vocab_dir, seed):
         eval_accuracy = None
         if task_name in ("reconstruct", "reconstruct_table"):
             donor_seed = int(values.get("target_seed", seed_value + 1000))
-            donor_cfg = LayerConfig(
-                layer.config.kind,
-                layer.config.vocab_size,
-                layer.config.embed_dim,
-                order=layer.config.order,
-                rank=layer.config.rank,
-                subdim=layer.config.subdim,
-                vocab_factors=layer.config.vocab_factors,
-                dim_factors=layer.config.dim_factors,
-                morpheme_vocab_size=layer.config.morpheme_vocab_size,
-                seed=donor_seed,
-            )
+            donor_cfg = replace(layer.config, seed=donor_seed)
             donor = build(donor_cfg, vocab=layer.vocab, index=layer.index)
             targets = np.stack([forward(donor, j) for j in range(layer.config.vocab_size)])
             task = training.TrainTask("reconstruct_table", targets=targets)
-        elif task_name in ("similarity", "word_similarity"):
+        elif task_name in SIMILARITY_TASKS:
             n_train = int(values.get("pairs_train", 1000))
             n_eval = int(values.get("pairs_eval", 400))
-            morphemes = int(values.get("morphemes", 0))
-            if morphemes < 1:
-                raise ConfigError("similarity task needs a 'morphemes=' config entry")
-            _, _, morph_sets = synthetic.make_sharing_task(
-                layer.config.vocab_size, morphemes, layer.config.order, seed=seed_value
-            )
             pairs_train, pairs_eval = synthetic.make_sharing_pairs(
                 morph_sets, n_train, n_eval, seed=seed_value + 1
             )
@@ -522,7 +513,7 @@ def cmd_train(config_path, out_dir, vocab_dir, seed):
             raise ConfigError(f"unknown task {task_name!r}")
 
         history = training.train(layer, task, opt, epochs=epochs, batch_size=batch, seed=seed_value)
-        if task_name in ("similarity", "word_similarity"):
+        if task_name in SIMILARITY_TASKS:
             eval_accuracy = training.eval_similarity(layer, pairs_eval)
 
         out = Path(out_dir)
@@ -556,7 +547,7 @@ def cmd_export(config_path, out_path, vocab_dir, seed):
     """Build a freshly initialised layer and write it as a checkpoint."""
 
     def body():
-        layer, values, seed_value = _build_layer_from_config_file(config_path, vocab_dir, seed)
+        layer, values, seed_value, _ = _build_layer_from_config_file(config_path, vocab_dir, seed)
         checkpoint.save_layer(layer, out_path)
         manifest = RunManifest(
             command="export",

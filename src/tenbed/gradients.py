@@ -1,22 +1,31 @@
 """Hand-derived reverse-mode gradients for every layer's forward map.
 
-Each forward map is a shallow fixed-shape multilinear expression, so every
-method ships its own adjoint instead of a general autodiff graph.  Truncation
-to the embedding dimension is adjointed by zero-padding the upstream vector
-back to the full product length.  When a word references the same parameter
-row several times (repeated morphemes), the positional contributions are
-summed, which is the correct total derivative.
+Each forward map is a shallow fixed-shape multilinear expression, so the
+adjoints are written out instead of built as a general autodiff graph; the
+four tensor-product kinds share one, over the row views of ``_ket_groups``.
+Truncation to the embedding dimension is adjointed by zero-padding the
+upstream vector back to the full product length.  When a word references the
+same parameter row several times (repeated morphemes), the positional
+contributions are summed, which is the correct total derivative.
 """
 
 from __future__ import annotations
 
+import math
 import string
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, WordLookupError
-from .layers import EmbeddingLayer, MethodKind, mixed_radix_digits
+from .layers import (
+    TENSOR_PRODUCT_KINDS,
+    EmbeddingLayer,
+    MethodKind,
+    _ket_groups,
+    _tensor_train_chain,
+    mixed_radix_digits,
+)
 
 _AXIS_LETTERS = string.ascii_lowercase
 
@@ -91,25 +100,12 @@ def backward(layer: EmbeddingLayer, word_id: int, upstream: np.ndarray) -> list[
         grads["factor_left"][word_id] = b @ u
         grads["factor_right"] += np.outer(a, u)
 
-    elif kind is MethodKind.WORD2KET:
-        q, n, r = cfg.effective_subdim(), cfg.order, cfg.rank
-        u_full = _pad_upstream(u, q**n)
-        row = layer.params["word_factors"][word_id].reshape(r, n, q)
-        grad_row = grads["word_factors"][word_id].reshape(r, n, q)
-        for i in range(r):
-            for k, g in enumerate(_chain_grads([row[i, k] for k in range(n)], u_full)):
-                grad_row[i, k] += g
-
-    elif kind in (MethodKind.MORPHTE, MethodKind.WORD2KET_RSHARE):
-        q, n, r = cfg.effective_subdim(), cfg.order, cfg.rank
-        u_full = _pad_upstream(u, q**n)
-        ids = layer.index.row(word_id)
-        for i in range(r):
-            f = layer.params[f"morpheme_embed_{i}"]
-            vecs = [f[m] for m in ids]
-            g = grads[f"morpheme_embed_{i}"]
-            for k, gk in enumerate(_chain_grads(vecs, u_full)):
-                g[ids[k]] += gk  # repeated ids accumulate
+    elif kind in TENSOR_PRODUCT_KINDS:
+        groups = _ket_groups(layer, layer.params, word_id)
+        u_full = _pad_upstream(u, math.prod(v.size for v in groups[0]))
+        for vecs, views in zip(groups, _ket_groups(layer, grads, word_id)):
+            for view, g in zip(views, _chain_grads(vecs, u_full)):
+                view += g  # a repeated morpheme's views share a row and accumulate
 
     elif kind is MethodKind.MORPHSUM:
         ids = layer.index.row(word_id)
@@ -121,14 +117,6 @@ def backward(layer: EmbeddingLayer, word_id: int, upstream: np.ndarray) -> list[
     elif kind is MethodKind.TENSOR_TRAIN:
         _tensor_train_backward(layer, word_id, u, grads)
 
-    elif kind is MethodKind.WORD2KETXS:
-        digits = mixed_radix_digits(word_id, cfg.vocab_factors)
-        u_full = _pad_upstream(u, int(np.prod(cfg.dim_factors)))
-        for i in range(cfg.rank):
-            rows = [layer.params[f"xs_factor_{i}_{j}"][digits[j]] for j in range(cfg.order)]
-            for j, gj in enumerate(_chain_grads(rows, u_full)):
-                grads[f"xs_factor_{i}_{j}"][digits[j]] += gj
-
     else:
         raise ConfigError(f"unknown method kind {kind!r}")
 
@@ -138,24 +126,17 @@ def backward(layer: EmbeddingLayer, word_id: int, upstream: np.ndarray) -> list[
 def _tensor_train_backward(layer, word_id, u, grads):
     cfg = layer.config
     digits = mixed_radix_digits(word_id, cfg.vocab_factors)
-    r, df, n = cfg.rank, cfg.dim_factors, cfg.order
-    u_full = _pad_upstream(u, int(np.prod(df)))
-
-    # forward pass intermediates: carry after absorbing cores 0..k
-    carries = [layer.params["tt_core_0"][digits[0]].reshape(df[0], r)]
-    for k in range(1, n - 1):
-        core = layer.params[f"tt_core_{k}"][digits[k]].reshape(r, df[k] * r)
-        carries.append((carries[-1] @ core).reshape(-1, r))
-    last = layer.params[f"tt_core_{n - 1}"][digits[n - 1]].reshape(r, df[n - 1])
+    df, n = cfg.dim_factors, cfg.order
+    u_full = _pad_upstream(u, math.prod(df))
+    cores, carries = _tensor_train_chain(layer, digits)
 
     u_mat = u_full.reshape(-1, df[n - 1])
     grads[f"tt_core_{n - 1}"][digits[n - 1]] += (carries[-1].T @ u_mat).ravel()
-    grad_carry = u_mat @ last.T
+    grad_carry = u_mat @ cores[-1].T
     for k in range(n - 2, 0, -1):
-        grad_flat = grad_carry.reshape(-1, df[k] * r)
-        core = layer.params[f"tt_core_{k}"][digits[k]].reshape(r, df[k] * r)
+        grad_flat = grad_carry.reshape(-1, cores[k].shape[1])
         grads[f"tt_core_{k}"][digits[k]] += (carries[k - 1].T @ grad_flat).ravel()
-        grad_carry = grad_flat @ core.T
+        grad_carry = grad_flat @ cores[k].T
     grads["tt_core_0"][digits[0]] += grad_carry.ravel()
 
 

@@ -30,13 +30,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, WordLookupError
 from .morphology import IndexMatrix, MorphemeVocab
+# tensor_product is not called here, but perfbench/tracing.py wraps each
+# tensor op through its name in this module, so the name must stay.
 from .tensor_ops import entangled_sum, tensor_product, truncate_to
 
 
@@ -58,6 +59,8 @@ KET_KINDS = frozenset(
     {MethodKind.WORD2KET, MethodKind.MORPHTE, MethodKind.WORD2KET_RSHARE}
 )
 FACTORED_KINDS = frozenset({MethodKind.TENSOR_TRAIN, MethodKind.WORD2KETXS})
+# rank-r sums of tensor products of n rows, truncated to d
+TENSOR_PRODUCT_KINDS = KET_KINDS | {MethodKind.WORD2KETXS}
 
 
 def smallest_subdim(embed_dim: int, order: int) -> int:
@@ -279,8 +282,10 @@ def build(
         index = None
         vocab = None
 
-    if index is not None and int(index.rows.max(initial=0)) >= (config.morpheme_vocab_size or 0):
-        raise ConfigError("index references morpheme ids outside the vocabulary")
+    if index is not None and index.rows.size:
+        M = config.morpheme_vocab_size or 0
+        if int(index.rows.min()) < 0 or int(index.rows.max()) >= M:
+            raise ConfigError(f"index references morpheme ids outside [0, {M})")
 
     rng = np.random.default_rng(config.seed)
     params: dict[str, np.ndarray] = {}
@@ -290,18 +295,49 @@ def build(
     return EmbeddingLayer(config=config, params=params, index=index, vocab=vocab)
 
 
-def _ket_groups(layer: EmbeddingLayer, word_id: int) -> list[list[np.ndarray]]:
-    """The r groups of n small vectors whose entangled sum is the embedding."""
+def _ket_groups(
+    layer: EmbeddingLayer, blocks: dict[str, np.ndarray], word_id: int
+) -> list[list[np.ndarray]]:
+    """The r groups of n row views of ``blocks`` whose entangled sum embeds a word.
+
+    ``blocks`` is ``layer.params`` or a gradient dict of the same shapes, so
+    the views serve both to read a word's factors and to accumulate into
+    their gradients.  Within a group the views have one length per axis
+    (q for the ket kinds, ``dim_factors`` for word2ketxs).  A morpheme that
+    fills several slots yields several views of the same row.
+    """
     cfg = layer.config
-    q, n, r = cfg.effective_subdim(), cfg.order, cfg.rank
+    n, r = cfg.order, cfg.rank
     if cfg.kind is MethodKind.WORD2KET:
-        row = layer.params["word_factors"][word_id].reshape(r, n, q)
-        return [[row[i, k] for k in range(n)] for i in range(r)]
-    ids = layer.index.row(word_id)
-    return [
-        [layer.params[f"morpheme_embed_{i}"][m] for m in ids]
-        for i in range(r)
-    ]
+        return [list(group) for group in blocks["word_factors"][word_id].reshape(r, n, -1)]
+    if cfg.kind is MethodKind.WORD2KETXS:
+        digits = mixed_radix_digits(word_id, cfg.vocab_factors)
+        return [[blocks[f"xs_factor_{i}_{j}"][digits[j]] for j in range(n)] for i in range(r)]
+    ids = layer.index.row(word_id).tolist()
+    factors = [blocks[f"morpheme_embed_{i}"] for i in range(r)]
+    return [[f[m] for m in ids] for f in factors]
+
+
+def _tensor_train_chain(
+    layer: EmbeddingLayer, digits: Sequence[int]
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """One word's TT core rows and the carries that contract them left to right.
+
+    Returns ``(cores, carries)``: ``cores[k]`` is core k's row reshaped to
+    ``(d_0, r)``, ``(r, d_k * r)`` or ``(r, d_{n-1})`` for the first, middle
+    and last core, and ``carries[k]`` is the ``(d_0 ... d_k, r)`` product of
+    cores 0..k, for k < n - 1.  The embedding is ``carries[-1] @ cores[-1]``.
+    """
+    params, r, n = layer.params, layer.config.rank, layer.config.order
+    carry = params["tt_core_0"][digits[0]].reshape(-1, r)
+    cores, carries = [carry], [carry]
+    for k in range(1, n - 1):
+        core = params[f"tt_core_{k}"][digits[k]].reshape(r, -1)
+        carry = (carry @ core).reshape(-1, r)
+        cores.append(core)
+        carries.append(carry)
+    cores.append(params[f"tt_core_{n - 1}"][digits[n - 1]].reshape(r, -1))
+    return cores, carries
 
 
 def forward(layer: EmbeddingLayer, word_id: int) -> np.ndarray:
@@ -317,8 +353,9 @@ def forward(layer: EmbeddingLayer, word_id: int) -> np.ndarray:
     if kind is MethodKind.MATRIX_FACTOR:
         return layer.params["factor_left"][word_id] @ layer.params["factor_right"]
 
-    if kind in KET_KINDS:
-        return truncate_to(entangled_sum(_ket_groups(layer, word_id)), cfg.embed_dim)
+    if kind in TENSOR_PRODUCT_KINDS:
+        groups = _ket_groups(layer, layer.params, word_id)
+        return truncate_to(entangled_sum(groups), cfg.embed_dim)
 
     if kind is MethodKind.MORPHSUM:
         ids = layer.index.row(word_id)
@@ -329,25 +366,8 @@ def forward(layer: EmbeddingLayer, word_id: int) -> np.ndarray:
         return out
 
     if kind is MethodKind.TENSOR_TRAIN:
-        digits = mixed_radix_digits(word_id, cfg.vocab_factors)
-        r, df = cfg.rank, cfg.dim_factors
-        n = cfg.order
-        carry = layer.params["tt_core_0"][digits[0]].reshape(df[0], r)
-        for k in range(1, n - 1):
-            core = layer.params[f"tt_core_{k}"][digits[k]].reshape(r, df[k] * r)
-            carry = (carry @ core).reshape(-1, r)
-        last = layer.params[f"tt_core_{n - 1}"][digits[n - 1]].reshape(r, df[n - 1])
-        return truncate_to((carry @ last).ravel(), cfg.embed_dim)
-
-    if kind is MethodKind.WORD2KETXS:
-        # per-axis dims may differ, so fold the two-argument product directly
-        digits = mixed_radix_digits(word_id, cfg.vocab_factors)
-        out = None
-        for i in range(cfg.rank):
-            rows = [layer.params[f"xs_factor_{i}_{j}"][digits[j]] for j in range(cfg.order)]
-            term = reduce(tensor_product, rows)
-            out = term if out is None else out + term
-        return truncate_to(out, cfg.embed_dim)
+        cores, carries = _tensor_train_chain(layer, mixed_radix_digits(word_id, cfg.vocab_factors))
+        return truncate_to((carries[-1] @ cores[-1]).ravel(), cfg.embed_dim)
 
     raise ConfigError(f"unknown method kind {kind!r}")
 

@@ -56,24 +56,27 @@ def cumulative_tensor_product(vectors: Sequence) -> Vector:
 
 
 def entangled_sum(groups: Sequence[Sequence]) -> Vector:
-    """Sum of cumulative tensor products, one per group.
+    """Sum of left-folded tensor products, one per group.
 
-    ``groups`` holds r groups of n equal-length vectors; the result is the
-    elementwise sum of the r simple tensors.  Rank-1 input reduces to
-    :func:`cumulative_tensor_product`.
+    ``groups`` holds r groups of n vectors; the result is the elementwise sum
+    of the r simple tensors.  Vector lengths may differ within a group (one
+    length per axis, as in per-axis factor matrices) as long as every group
+    yields the same product length.  Rank-1 input with equal lengths reduces
+    to :func:`cumulative_tensor_product`.
     """
     if len(groups) == 0:
         raise ValueError("need at least one group")
-    first = groups[0]
-    n = len(first)
-    out = cumulative_tensor_product(first)
-    for g, group in enumerate(groups[1:], start=1):
+    n = len(groups[0])
+    if n == 0:
+        raise ValueError("need at least one vector per group")
+    out = None
+    for g, group in enumerate(groups):
         if len(group) != n:
             raise ValueError(f"group {g} has {len(group)} vectors, expected {n}")
-        term = cumulative_tensor_product(group)
-        if term.size != out.size:
+        term = reduce(tensor_product, group) if n > 1 else _check_vector(group[0])
+        if out is not None and term.size != out.size:
             raise ValueError(f"group {g} produces length {term.size}, expected {out.size}")
-        out = out + term
+        out = term if out is None else out + term
     return out
 
 

@@ -7,8 +7,6 @@ from conftest import ALL_KINDS, random_config_and_context
 from tenbed.audit import (
     count_params,
     count_params_morphlstm,
-    equal_split_tensor_train,
-    equal_split_word2ketxs,
     load_reference_rows,
     reproduce_paper_tables,
     savings_ratio_vs_word2ket,
@@ -95,31 +93,6 @@ def test_missing_morpheme_vocab_size_is_config_error():
     cfg = LayerConfig(MethodKind.MORPHTE, vocab_size=10, embed_dim=8, order=3, subdim=2)
     with pytest.raises(ConfigError):
         count_params(cfg)
-
-
-def test_equal_split_closed_forms_match_explicit_at_exact_roots():
-    # when the axis splits are exact n-th roots the two paths agree
-    V, d, n, r = 8**3, 4**3, 3, 5
-    cfg = LayerConfig(
-        MethodKind.WORD2KETXS,
-        vocab_size=V,
-        embed_dim=d,
-        order=n,
-        rank=r,
-        vocab_factors=(8, 8, 8),
-        dim_factors=(4, 4, 4),
-    )
-    assert count_params(cfg).trainable == round(equal_split_word2ketxs(V, d, n, r))
-    cfg_tt = LayerConfig(
-        MethodKind.TENSOR_TRAIN,
-        vocab_size=V,
-        embed_dim=d,
-        order=n,
-        rank=r,
-        vocab_factors=(8, 8, 8),
-        dim_factors=(4, 4, 4),
-    )
-    assert count_params(cfg_tt).trainable == round(equal_split_tensor_train(V, d, n, r))
 
 
 def test_savings_ratio_examples():

@@ -1,4 +1,6 @@
 import io
+import json
+import struct
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ from tenbed.checkpoint import (
     save_layer,
 )
 from tenbed.errors import CheckpointError
-from tenbed.layers import forward
+from tenbed.layers import LayerConfig, MethodKind, build, forward
 
 
 def roundtrip_bytes(layer) -> bytes:
@@ -79,3 +81,30 @@ def test_rejects_non_finite_parameters():
     layer.params["weight"][0, 0] = np.nan
     with pytest.raises(CheckpointError, match="non-finite"):
         loads_layer(roundtrip_bytes(layer))
+
+
+def with_meta(data: bytes, **changes) -> bytes:
+    """The checkpoint ``data`` with ``changes`` written into its JSON meta."""
+    start = len(MAGIC) + 8
+    (length,) = struct.unpack("<Q", data[start : start + 8])
+    meta = json.loads(data[start + 8 : start + 8 + length])
+    meta.update(changes)
+    raw = json.dumps(meta, sort_keys=True).encode("utf-8")
+    return data[:start] + struct.pack("<Q", len(raw)) + raw + data[start + 8 + length :]
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"embed_dim": 64}, "covers only 8 < embed_dim 64"),  # q=2, n=3 cannot reach d=64
+        ({"vocab_size": 6}, "has shape"),
+        ({"kind": "original"}, "do not match"),
+    ],
+    ids=["embed_dim", "vocab_size", "kind"],
+)
+def test_rejects_meta_that_disagrees_with_blocks(changes, message):
+    cfg = LayerConfig(MethodKind.WORD2KET, vocab_size=5, embed_dim=8, order=3, rank=1, subdim=2)
+    data = roundtrip_bytes(build(cfg))
+    assert loads_layer(with_meta(data)).config == cfg
+    with pytest.raises(CheckpointError, match=message):
+        loads_layer(with_meta(data, **changes))

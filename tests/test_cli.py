@@ -5,6 +5,7 @@ from click.testing import CliRunner
 from tenbed.cli import main
 from tenbed.checkpoint import load_layer
 from tenbed.layers import forward
+from tenbed.synthetic import make_sharing_task
 
 
 @pytest.fixture
@@ -213,6 +214,36 @@ def test_train_similarity_task(runner, tmp_path):
     assert "eval accuracy" in res.stderr
 
 
+def test_train_similarity_layer_uses_the_labels_morphology(runner, tmp_path):
+    cfg = make_train_config(
+        tmp_path, task="similarity", vocab_size="40", morphemes="12",
+        pairs_train="20", pairs_eval="10", epochs="1",
+    )
+    out = tmp_path / "run"
+    res = runner.invoke(main, ["train", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 0, res.output + str(res.exception)
+    vocab, index, _ = make_sharing_task(40, 12, 3, seed=3)
+    layer = load_layer(out / "checkpoint.bin")
+    np.testing.assert_array_equal(layer.index.rows, index.rows)
+    assert layer.index.words == index.words
+    assert layer.vocab.tokens == vocab.tokens
+
+
+def test_train_similarity_rejects_vocab_dir(runner, tmp_path):
+    vocab_dir = tmp_path / "vocab"
+    seg = write_segs(tmp_path)
+    assert runner.invoke(main, ["build-vocab", str(seg), "-o", str(vocab_dir)]).exit_code == 0
+    cfg = make_train_config(
+        tmp_path, task="similarity", vocab_size="5", pairs_train="2", pairs_eval="2", epochs="1"
+    )
+    res = runner.invoke(
+        main, ["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+               "--vocab-dir", str(vocab_dir)]
+    )
+    assert res.exit_code == 2
+    assert "--vocab-dir" in res.stderr
+
+
 def test_export_then_eval_roundtrip(runner, tmp_path):
     cfg = make_train_config(tmp_path)
     ckpt = tmp_path / "layer.bin"
@@ -284,3 +315,36 @@ def test_vocab_dir_flow(runner, tmp_path):
     assert layer.index.words[0] == "unkindly"
     res = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--words", "unkindness"])
     assert res.exit_code == 0
+
+
+def test_vocab_dir_keeps_config_morpheme_vocab_size(runner, tmp_path):
+    seg = write_segs(tmp_path)
+    vocab_dir = tmp_path / "vocab"
+    assert runner.invoke(main, ["build-vocab", str(seg), "-o", str(vocab_dir)]).exit_code == 0
+    # 8 morphemes plus the pad row
+    for size, code in (("9", 0), ("5", 2)):
+        cfg = make_train_config(tmp_path, vocab_size="5", morpheme_vocab_size=size)
+        res = runner.invoke(
+            main, ["export", "--config", str(cfg), "--out", str(tmp_path / "l.bin"),
+                   "--vocab-dir", str(vocab_dir)]
+        )
+        assert res.exit_code == code, res.output
+    assert "morpheme_vocab_size 5 != vocab size 9" in res.stderr
+
+
+def test_export_rejects_negative_morpheme_id(runner, tmp_path):
+    seg = write_segs(tmp_path)
+    vocab_dir = tmp_path / "vocab"
+    assert runner.invoke(main, ["build-vocab", str(seg), "-o", str(vocab_dir)]).exit_code == 0
+    index_path = vocab_dir / "index.tsv"
+    lines = index_path.read_text(encoding="utf-8").splitlines()
+    word = lines[0].split("\t")[0]
+    lines[0] = f"{word}\t0 -1 1"
+    index_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = make_train_config(tmp_path, vocab_size="5")
+    res = runner.invoke(
+        main, ["export", "--config", str(cfg), "--out", str(tmp_path / "l.bin"),
+               "--vocab-dir", str(vocab_dir)]
+    )
+    assert res.exit_code == 2
+    assert "outside [0, 9)" in res.stderr

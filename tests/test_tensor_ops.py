@@ -142,6 +142,16 @@ def test_entangled_sum_rejects_ragged_groups():
         entangled_sum([g1, g3])
 
 
+def test_entangled_sum_per_axis_lengths_against_oracle():
+    # lengths may differ within a group as long as every group's product is 24 long
+    rng = np.random.default_rng(7)
+    groups = [[rng.standard_normal(q) for q in (2, 3, 4)] for _ in range(3)]
+    expected = sum(naive_cumulative(group) for group in groups)
+    np.testing.assert_array_equal(entangled_sum(groups), expected)
+    with pytest.raises(ValueError):
+        entangled_sum([groups[0], [np.ones(2), np.ones(3), np.ones(5)]])
+
+
 def test_truncate_to():
     v = np.arange(8, dtype=float)
     np.testing.assert_array_equal(truncate_to(v, 8), v)
