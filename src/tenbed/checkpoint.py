@@ -4,9 +4,9 @@ Layout (all integers unsigned 64-bit little-endian):
 
     magic   8 bytes  b"TENBEDCK"
     version u64      currently 1
-    meta    u64 length + UTF-8 JSON: method kind, every config field, seed,
-                     block names in order, optional word list and morpheme
-                     token list
+    meta    u64 length + UTF-8 JSON: every ``LayerConfig`` field (method
+                     kind, shape, seed), block names in order, whether an
+                     index follows, optional word list and morpheme token list
     blocks  for each parameter block, in meta order:
                name u64 length + UTF-8 bytes
                rows u64, cols u64
@@ -21,15 +21,18 @@ from __future__ import annotations
 import io
 import json
 import struct
+from dataclasses import fields
 
 import numpy as np
 
 from .errors import CheckpointError, ConfigError
-from .layers import EmbeddingLayer, LayerConfig, MethodKind, block_shapes
+from .layers import EmbeddingLayer, LayerConfig, block_shapes, check_morpheme_ids
 from .morphology import IndexMatrix, MorphemeVocab
 
 MAGIC = b"TENBEDCK"
 FORMAT_VERSION = 1
+_CONFIG_FIELDS = fields(LayerConfig)
+_META_KEYS = [f.name for f in _CONFIG_FIELDS] + ["blocks", "has_index", "words", "morphemes"]
 
 
 def _write_u64(fh, value: int) -> None:
@@ -62,23 +65,14 @@ def save_layer(layer: EmbeddingLayer, path) -> None:
 
 
 def dump_layer(layer: EmbeddingLayer, fh) -> None:
-    cfg = layer.config
-    meta = {
-        "kind": cfg.kind.value,
-        "vocab_size": cfg.vocab_size,
-        "embed_dim": cfg.embed_dim,
-        "order": cfg.order,
-        "rank": cfg.rank,
-        "subdim": cfg.subdim,
-        "vocab_factors": list(cfg.vocab_factors) if cfg.vocab_factors else None,
-        "dim_factors": list(cfg.dim_factors) if cfg.dim_factors else None,
-        "morpheme_vocab_size": cfg.morpheme_vocab_size,
-        "seed": cfg.seed,
-        "blocks": list(layer.params),
-        "has_index": layer.index is not None,
-        "words": list(layer.index.words) if layer.index is not None else None,
-        "morphemes": list(layer.vocab.tokens[:-1]) if layer.vocab is not None else None,
-    }
+    # json writes the str-valued kind as its value and tuples as lists
+    meta = {f.name: getattr(layer.config, f.name) for f in _CONFIG_FIELDS}
+    meta.update(
+        blocks=list(layer.params),
+        has_index=layer.index is not None,
+        words=list(layer.index.words) if layer.index is not None else None,
+        morphemes=list(layer.vocab.tokens[:-1]) if layer.vocab is not None else None,
+    )
     fh.write(MAGIC)
     _write_u64(fh, FORMAT_VERSION)
     _write_bytes(fh, json.dumps(meta, sort_keys=True).encode("utf-8"))
@@ -118,22 +112,16 @@ def parse_layer(fh) -> EmbeddingLayer:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint metadata: {exc}") from exc
 
-    config = LayerConfig(
-        MethodKind(meta["kind"]),
-        vocab_size=meta["vocab_size"],
-        embed_dim=meta["embed_dim"],
-        order=meta["order"],
-        rank=meta["rank"],
-        subdim=meta["subdim"],
-        vocab_factors=tuple(meta["vocab_factors"]) if meta["vocab_factors"] else None,
-        dim_factors=tuple(meta["dim_factors"]) if meta["dim_factors"] else None,
-        morpheme_vocab_size=meta["morpheme_vocab_size"],
-        seed=meta["seed"],
-    )
+    if not isinstance(meta, dict):
+        raise CheckpointError("checkpoint metadata is not a JSON object")
+    missing = [key for key in _META_KEYS if key not in meta]
+    if missing:
+        raise CheckpointError(f"checkpoint metadata lacks {', '.join(missing)}")
     try:
+        config = LayerConfig(**{f.name: meta[f.name] for f in _CONFIG_FIELDS})
         config.validate()
         shapes = block_shapes(config)
-    except ConfigError as exc:
+    except (TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
     if meta["blocks"] != [name for name, _ in shapes]:
         raise CheckpointError(
@@ -159,17 +147,25 @@ def parse_layer(fh) -> EmbeddingLayer:
             raise CheckpointError(f"block {name!r} contains non-finite values")
         params[name] = block
 
-    index = None
-    vocab = None
+    index = vocab = None
     if meta["has_index"]:
         rows = _read_u64(fh)
         cols = _read_u64(fh)
+        if (rows, cols) != (config.vocab_size, config.order):
+            raise CheckpointError(
+                f"index has shape {(rows, cols)}, the config implies "
+                f"{(config.vocab_size, config.order)}"
+            )
         raw = fh.read(rows * cols * 8)
         if len(raw) != rows * cols * 8:
             raise CheckpointError("truncated index block")
         ids = np.frombuffer(raw, dtype="<i8").reshape(rows, cols)
         words = meta["words"] or [f"w{j}" for j in range(rows)]
         index = IndexMatrix(ids, words)
+        try:
+            check_morpheme_ids(index, config.morpheme_vocab_size)
+        except ConfigError as exc:
+            raise CheckpointError(f"invalid checkpoint index: {exc}") from exc
     if meta["morphemes"] is not None:
         vocab = MorphemeVocab(meta["morphemes"])
     return EmbeddingLayer(config=config, params=params, index=index, vocab=vocab)

@@ -3,7 +3,7 @@
 Subcommands: build-vocab, audit, gradcheck, train, eval, export.  All machine
 output is TSV/CSV on stdout with fixed column orders; progress and summaries
 go to stderr.  Exit codes: 0 success, 2 validation/configuration error,
-3 I/O error, 4 failed check (gradient check or audit mismatch).
+3 I/O error, 4 failed check (gradient check, audit mismatch, diverged training).
 
 The environment variable ``TENBED_SEED`` overrides every other seed source.
 """
@@ -26,27 +26,19 @@ from .errors import (
     DuplicateWordError,
     SegmentationParseError,
     TenbedError,
+    TrainingDivergedError,
     WordLookupError,
 )
-from .layers import (
-    FACTORED_KINDS,
-    KET_KINDS,
-    LayerConfig,
-    MethodKind,
-    MORPHOLOGICAL_KINDS,
-    build,
-    forward,
-)
+from .layers import LayerConfig, MethodKind, MORPHOLOGICAL_KINDS, build, forward
 from .manifest import RunManifest
 from .morphology import (
-    IndexMatrix,
-    MorphemeVocab,
-    PAD_TOKEN,
     STATS_HEADER,
     build_vocab_and_index,
     load_segmentations,
+    load_vocab_dir,
     morpheme_stats,
     random_seg,
+    write_vocab_dir,
 )
 
 EXIT_OK = 0
@@ -71,7 +63,7 @@ class CheckFailed(TenbedError):
 def _run(fn):
     try:
         fn()
-    except CheckFailed as exc:
+    except (CheckFailed, TrainingDivergedError) as exc:
         click.echo(f"check failed: {exc}", err=True)
         sys.exit(EXIT_CHECK_FAILED)
     except _CONFIG_ERRORS as exc:
@@ -122,7 +114,12 @@ def _float_cell(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def layer_config_from_mapping(values: dict[str, str], seed: int) -> LayerConfig:
+def layer_config_from_mapping(values: dict, seed: int) -> LayerConfig:
+    """The config that config-file keys or same-named CLI flags describe.
+
+    A key whose value is None counts as absent.
+    """
+    values = {k: v for k, v in values.items() if v is not None}
     try:
         kind = MethodKind(values["method"])
     except KeyError:
@@ -150,97 +147,51 @@ def layer_config_from_mapping(values: dict[str, str], seed: int) -> LayerConfig:
     )
 
 
-# --- morphology artifact files --------------------------------------------
-
-def write_vocab_tsv(vocab: MorphemeVocab, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for i, tok in enumerate(vocab.tokens):
-            fh.write(f"{tok}\t{i}\n")
-
-
-def load_vocab_tsv(path) -> MorphemeVocab:
-    tokens: list[tuple[int, str]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{line_no}: expected 'morpheme<TAB>id'")
-            tokens.append((int(parts[1]), parts[0]))
-    tokens.sort()
-    ordered = [tok for _, tok in tokens]
-    if not ordered or ordered[-1] != PAD_TOKEN:
-        raise ConfigError(f"{path}: last id must be the pad sentinel {PAD_TOKEN!r}")
-    if [i for i, _ in tokens] != list(range(len(tokens))):
-        raise ConfigError(f"{path}: morpheme ids must be dense from 0")
-    return MorphemeVocab(ordered[:-1])
-
-
-def write_index_tsv(index: IndexMatrix, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for word, row in zip(index.words, index.rows):
-            fh.write(word + "\t" + " ".join(str(int(i)) for i in row) + "\n")
-
-
-def load_index_tsv(path) -> IndexMatrix:
-    words: list[str] = []
-    rows: list[list[int]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{line_no}: expected 'word<TAB>ids'")
-            words.append(parts[0])
-            rows.append([int(x) for x in parts[1].split()])
-    if not rows:
-        raise ConfigError(f"{path}: empty index")
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ConfigError(f"{path}: inconsistent row widths {sorted(widths)}")
-    return IndexMatrix(np.array(rows, dtype=np.int64), words)
-
-
 SIMILARITY_TASKS = ("similarity", "word_similarity")
 
 
-def _morphology_for(
-    config: LayerConfig, values: dict[str, str], vocab_dir: str | None, seed: int,
-    synthetic_morphology: tuple[MorphemeVocab, IndexMatrix] | None = None,
-):
-    """Vocab/index for a morphological kind: from artifacts or synthesised.
+def _build_layer(values: dict, vocab_dir: str | None, seed: int):
+    """The layer ``values`` describe, and each word's morpheme set or None.
 
-    ``synthetic_morphology`` stands in for the default ``make_morphology``
-    draw when the task's labels come from a morphology of their own.
+    The similarity task labels word pairs by the morphemes they share, so its
+    per-word morpheme sets and a morphological layer's vocab and index come
+    from one ``make_sharing_task`` draw; for other tasks the sets are None.
+    Other morphological layers read ``vocab_dir`` or draw ``make_morphology``.
     """
-    if config.kind not in MORPHOLOGICAL_KINDS:
-        return None, None, config
-    if config.kind is MethodKind.WORD2KET_RSHARE:
-        if config.morpheme_vocab_size is None:
-            m = int(values.get("morphemes", 0))
-            if m < 1:
-                raise ConfigError("word2ket_rshare needs morpheme_vocab_size or morphemes=")
-            config = replace(config, morpheme_vocab_size=m + 1)
-        return None, None, config
-    if vocab_dir is not None:
-        vocab = load_vocab_tsv(Path(vocab_dir) / "morphemes.tsv")
-        index = load_index_tsv(Path(vocab_dir) / "index.tsv")
-        return vocab, index, replace(config, vocab_size=index.vocab_size, order=index.order)
-    if synthetic_morphology is None:
-        morphemes = int(values.get("morphemes", 0))
-        if morphemes < 1:
+    config = layer_config_from_mapping(values, seed)
+
+    def morphemes(error: str) -> int:
+        count = int(values.get("morphemes", 0))
+        if count < 1:
+            raise ConfigError(error)
+        return count
+
+    vocab = index = morph_sets = None
+    if values.get("task") in SIMILARITY_TASKS:
+        if vocab_dir is not None:
             raise ConfigError(
-                f"{config.kind.value} needs either --vocab-dir or a 'morphemes=' config entry"
+                "the similarity task labels pairs from a synthetic morphology; "
+                "it cannot train on --vocab-dir"
             )
-        synthetic_morphology = synthetic.make_morphology(
-            config.vocab_size, morphemes, config.order, seed=seed
+        need = "similarity task needs a 'morphemes=' config entry"
+        vocab, index, morph_sets = synthetic.make_sharing_task(
+            config.vocab_size, morphemes(need), config.order, seed=seed
         )
-    vocab, index = synthetic_morphology
-    return vocab, index, config
+    if config.kind is MethodKind.WORD2KET_RSHARE:
+        # the random-sharing control: build draws its index from the seed
+        vocab = index = None
+        if config.morpheme_vocab_size is None:
+            m = morphemes("word2ket_rshare needs morpheme_vocab_size or morphemes=")
+            config = replace(config, morpheme_vocab_size=m + 1)
+    elif config.kind in MORPHOLOGICAL_KINDS and vocab_dir is not None:
+        vocab, index = load_vocab_dir(vocab_dir)
+        config = replace(config, vocab_size=index.vocab_size, order=index.order)
+    elif config.kind in MORPHOLOGICAL_KINDS and index is None:
+        need = f"{config.kind.value} needs either --vocab-dir or a 'morphemes=' config entry"
+        vocab, index = synthetic.make_morphology(
+            config.vocab_size, morphemes(need), config.order, seed=seed
+        )
+    return build(config, vocab=vocab, index=index), morph_sets
 
 
 @click.group()
@@ -276,8 +227,7 @@ def cmd_build_vocab(seg_file, order, out_dir, use_random_seg, seed):
 
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        write_vocab_tsv(vocab, out / "morphemes.tsv")
-        write_index_tsv(index, out / "index.tsv")
+        write_vocab_dir(vocab, index, out)
         caps = [None, 4, 3, 2, 1]
         if order not in caps:
             caps.append(order)
@@ -309,37 +259,28 @@ def cmd_build_vocab(seg_file, order, out_dir, use_random_seg, seed):
 @click.option("--embed-dim", type=int)
 @click.option("--order", type=int, default=3, show_default=True)
 @click.option("--rank", type=int, default=1, show_default=True)
-@click.option("--q", "subdim", type=int, default=None)
+@click.option("--q", type=int, default=None)
 @click.option("--vocab-factors", default=None, help="Comma or x separated, e.g. 18,20,25.")
 @click.option("--dim-factors", default=None, help="Comma or x separated, e.g. 8,8,8.")
 @click.option("--morpheme-vocab-size", type=int, default=None)
-def cmd_audit(paper_tables, method, vocab_size, embed_dim, order, rank, subdim,
-              vocab_factors, dim_factors, morpheme_vocab_size):
+def cmd_audit(paper_tables, **flags):
     """Exact parameter counts and compression ratios."""
 
+    # every flag but --paper-tables is named after its config key
     def body():
         if paper_tables:
             _audit_reference_tables()
             return
-        if method is None or vocab_size is None or embed_dim is None:
+        if None in (flags["method"], flags["vocab_size"], flags["embed_dim"]):
             raise ConfigError("need --method, --vocab-size and --embed-dim (or --paper-tables)")
-        if method == "morphlstm":
-            if morpheme_vocab_size is None:
+        if flags["method"] == "morphlstm":
+            if flags["morpheme_vocab_size"] is None:
                 raise ConfigError("morphlstm needs --morpheme-vocab-size")
-            row = audit_mod.count_params_morphlstm(vocab_size, embed_dim, morpheme_vocab_size)
-        else:
-            config = LayerConfig(
-                MethodKind(method),
-                vocab_size=vocab_size,
-                embed_dim=embed_dim,
-                order=order,
-                rank=rank,
-                subdim=subdim,
-                vocab_factors=_parse_factor_list(vocab_factors),
-                dim_factors=_parse_factor_list(dim_factors),
-                morpheme_vocab_size=morpheme_vocab_size,
+            row = audit_mod.count_params_morphlstm(
+                flags["vocab_size"], flags["embed_dim"], flags["morpheme_vocab_size"]
             )
-            row = audit_mod.count_params(config, morpheme_vocab_size)
+        else:
+            row = audit_mod.count_params(layer_config_from_mapping(flags, seed=0))
         click.echo(audit_mod.AUDIT_HEADER)
         click.echo(row.as_tsv())
 
@@ -394,7 +335,7 @@ def _audit_reference_tables():
 @click.option("--embed-dim", type=int, default=8, show_default=True)
 @click.option("--order", type=int, default=3, show_default=True)
 @click.option("--rank", type=int, default=2, show_default=True)
-@click.option("--q", "subdim", type=int, default=2)
+@click.option("--q", type=int, default=2)
 @click.option("--vocab-factors", default="2,3,4")
 @click.option("--dim-factors", default="2,2,2")
 @click.option("--morphemes", type=int, default=6, show_default=True,
@@ -403,33 +344,20 @@ def _audit_reference_tables():
 @click.option("--seed", type=int, default=None)
 @click.option("--epsilon", type=float, default=1e-5, show_default=True)
 @click.option("--tolerance", type=float, default=1e-5, show_default=True)
-def cmd_gradcheck(method, vocab_size, embed_dim, order, rank, subdim, vocab_factors,
-                  dim_factors, morphemes, trials, seed, epsilon, tolerance):
+def cmd_gradcheck(trials, seed, epsilon, tolerance, **flags):
     """Finite-difference check of the analytic gradients on random words."""
 
+    # the layer flags are named after their config keys; a kind ignores the
+    # shape fields it does not use
     def body():
-        kind = MethodKind(method)
         seed_value = resolve_seed(seed)
-        values = {"morphemes": str(morphemes)}
-        config = LayerConfig(
-            kind,
-            vocab_size=vocab_size,
-            embed_dim=embed_dim,
-            order=order,
-            rank=rank,
-            subdim=subdim if kind in KET_KINDS else None,
-            vocab_factors=_parse_factor_list(vocab_factors) if kind in FACTORED_KINDS else None,
-            dim_factors=_parse_factor_list(dim_factors) if kind in FACTORED_KINDS else None,
-            seed=seed_value,
-        )
-        vocab, index, config = _morphology_for(config, values, None, seed_value)
-        layer = build(config, vocab=vocab, index=index)
+        layer, _ = _build_layer(flags, None, seed_value)
         rng = np.random.default_rng(seed_value)
         click.echo("word_id\tentries_checked\tmax_rel_error\tstatus")
         worst = 0.0
         any_failed = False
         for _ in range(trials):
-            word_id = int(rng.integers(0, config.vocab_size))
+            word_id = int(rng.integers(0, layer.config.vocab_size))
             report = gradients.finite_diff_check(
                 layer, word_id, epsilon=epsilon, tolerance=tolerance, seed=int(rng.integers(2**31))
             )
@@ -444,35 +372,6 @@ def cmd_gradcheck(method, vocab_size, embed_dim, order, rank, subdim, vocab_fact
     _run(body)
 
 
-def _build_layer_from_config_file(config_path, vocab_dir, seed_override):
-    """The layer a config file describes, its values, seed and morpheme sets.
-
-    The similarity task labels word pairs by the morphemes they share, so its
-    per-word morpheme sets and a morphological layer's vocab and index come
-    from one ``make_sharing_task`` draw; for other tasks the sets are None.
-    """
-    values = parse_kv_config(config_path)
-    seed_value = resolve_seed(seed_override, values.get("seed"))
-    config = layer_config_from_mapping(values, seed_value)
-    sharing = morph_sets = None
-    if values.get("task") in SIMILARITY_TASKS:
-        if vocab_dir is not None:
-            raise ConfigError(
-                "the similarity task labels pairs from a synthetic morphology; "
-                "it cannot train on --vocab-dir"
-            )
-        morphemes = int(values.get("morphemes", 0))
-        if morphemes < 1:
-            raise ConfigError("similarity task needs a 'morphemes=' config entry")
-        vocab, index, morph_sets = synthetic.make_sharing_task(
-            config.vocab_size, morphemes, config.order, seed=seed_value
-        )
-        sharing = (vocab, index)
-    vocab, index, config = _morphology_for(config, values, vocab_dir, seed_value, sharing)
-    layer = build(config, vocab=vocab, index=index)
-    return layer, values, seed_value, morph_sets
-
-
 @main.command("train")
 @click.option("--config", "config_path", required=True, type=click.Path())
 @click.option("--out", "out_dir", required=True, type=click.Path())
@@ -483,9 +382,9 @@ def cmd_train(config_path, out_dir, vocab_dir, seed):
     """Fit a layer on a desk-scale task; write history, checkpoint, manifest."""
 
     def body():
-        layer, values, seed_value, morph_sets = _build_layer_from_config_file(
-            config_path, vocab_dir, seed
-        )
+        values = parse_kv_config(config_path)
+        seed_value = resolve_seed(seed, values.get("seed"))
+        layer, morph_sets = _build_layer(values, vocab_dir, seed_value)
         task_name = values.get("task", "reconstruct")
         epochs = int(values.get("epochs", 100))
         batch = int(values.get("batch", 32))
@@ -547,7 +446,9 @@ def cmd_export(config_path, out_path, vocab_dir, seed):
     """Build a freshly initialised layer and write it as a checkpoint."""
 
     def body():
-        layer, values, seed_value, _ = _build_layer_from_config_file(config_path, vocab_dir, seed)
+        values = parse_kv_config(config_path)
+        seed_value = resolve_seed(seed, values.get("seed"))
+        layer, _ = _build_layer(values, vocab_dir, seed_value)
         checkpoint.save_layer(layer, out_path)
         manifest = RunManifest(
             command="export",

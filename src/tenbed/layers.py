@@ -241,6 +241,13 @@ def mixed_radix_digits(value: int, radices: Sequence[int]) -> list[int]:
     return digits
 
 
+def check_morpheme_ids(index: IndexMatrix, morpheme_vocab_size: int | None) -> None:
+    """Reject an index that references a row outside ``[0, morpheme_vocab_size)``."""
+    M = morpheme_vocab_size or 0
+    if index.rows.size and (int(index.rows.min()) < 0 or int(index.rows.max()) >= M):
+        raise ConfigError(f"index references morpheme ids outside [0, {M})")
+
+
 def build(
     config: LayerConfig,
     vocab: MorphemeVocab | None = None,
@@ -282,10 +289,8 @@ def build(
         index = None
         vocab = None
 
-    if index is not None and index.rows.size:
-        M = config.morpheme_vocab_size or 0
-        if int(index.rows.min()) < 0 or int(index.rows.max()) >= M:
-            raise ConfigError(f"index references morpheme ids outside [0, {M})")
+    if index is not None:
+        check_morpheme_ids(index, config.morpheme_vocab_size)
 
     rng = np.random.default_rng(config.seed)
     params: dict[str, np.ndarray] = {}

@@ -9,19 +9,26 @@ list is normalised to a fixed number of slots ``n``: short lists are padded
 with a reserved sentinel, long lists keep their first ``n-1`` morphemes and
 concatenate the tail into a single synthetic morpheme.  The per-word slot ids
 form the index table used by the sharing-based embedding layers.
+
+A vocab directory stores a vocabulary and its index as two UTF-8 TSV files:
+``morphemes.tsv`` (``morpheme<TAB>id``, ids dense from 0, the pad last) and
+``index.tsv`` (``word<TAB>id id ...``, one row of ``n`` ids per word).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DuplicateWordError, SegmentationParseError, WordLookupError
+from .errors import ConfigError, DuplicateWordError, SegmentationParseError, WordLookupError
 
 PAD_TOKEN = "<pad>"
+_VOCAB_FILE = "morphemes.tsv"
+_INDEX_FILE = "index.tsv"
 
 
 @dataclass(frozen=True)
@@ -162,6 +169,57 @@ def load_segmentations(path) -> list[Segmentation]:
     return segs
 
 
+def write_vocab_dir(vocab: MorphemeVocab, index: IndexMatrix, out) -> None:
+    """Write ``vocab`` and ``index`` as a vocab directory into existing ``out``."""
+    with open(Path(out) / _VOCAB_FILE, "w", encoding="utf-8") as fh:
+        for i, tok in enumerate(vocab.tokens):
+            fh.write(f"{tok}\t{i}\n")
+    with open(Path(out) / _INDEX_FILE, "w", encoding="utf-8") as fh:
+        for word, row in zip(index.words, index.rows):
+            fh.write(word + "\t" + " ".join(str(int(i)) for i in row) + "\n")
+
+
+def _read_pairs(path: Path, expected: str) -> list[tuple[str, str]]:
+    """The two tab-separated fields of every non-empty line of ``path``."""
+    pairs = []
+    with open(path, encoding="utf-8") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise ConfigError(f"{path}:{line_no}: expected '{expected}'")
+            pairs.append((parts[0], parts[1]))
+    return pairs
+
+
+def load_vocab_dir(directory) -> tuple[MorphemeVocab, IndexMatrix]:
+    """Read a vocab directory written by ``write_vocab_dir``.
+
+    Malformed content raises ``ConfigError`` (or ``ValueError`` for a cell
+    that is not an integer); a missing file raises ``OSError``.
+    """
+    path = Path(directory) / _VOCAB_FILE
+    tokens = sorted((int(i), tok) for tok, i in _read_pairs(path, "morpheme<TAB>id"))
+    ordered = [tok for _, tok in tokens]
+    if not ordered or ordered[-1] != PAD_TOKEN:
+        raise ConfigError(f"{path}: last id must be the pad sentinel {PAD_TOKEN!r}")
+    if [i for i, _ in tokens] != list(range(len(tokens))):
+        raise ConfigError(f"{path}: morpheme ids must be dense from 0")
+    vocab = MorphemeVocab(ordered[:-1])
+
+    path = Path(directory) / _INDEX_FILE
+    pairs = _read_pairs(path, "word<TAB>ids")
+    if not pairs:
+        raise ConfigError(f"{path}: empty index")
+    rows = [[int(x) for x in ids.split()] for _, ids in pairs]
+    widths = {len(r) for r in rows}
+    if len(widths) != 1:
+        raise ConfigError(f"{path}: inconsistent row widths {sorted(widths)}")
+    return vocab, IndexMatrix(np.array(rows, dtype=np.int64), [w for w, _ in pairs])
+
+
 def truncate_pad(morphemes: Sequence[str], n: int) -> list[str]:
     """Normalise a morpheme list to exactly ``n`` slots.
 
@@ -170,19 +228,14 @@ def truncate_pad(morphemes: Sequence[str], n: int) -> list[str]:
     """
     if n < 1:
         raise ValueError(f"slot count must be >= 1, got {n}")
-    morphemes = list(morphemes)
     if not morphemes:
         raise ValueError("morpheme list must be non-empty")
-    l = len(morphemes)
-    if l < n:
-        return morphemes + [PAD_TOKEN] * (n - l)
-    if l == n:
-        return morphemes
-    return morphemes[: n - 1] + ["".join(morphemes[n - 1 :])]
+    slots = _truncate_no_pad(morphemes, n)
+    return slots + [PAD_TOKEN] * (n - len(slots))
 
 
 def _truncate_no_pad(morphemes: Sequence[str], cap: int | None) -> list[str]:
-    # truncation only; used for statistics where pads are not morphemes
+    # truncation only; statistics use it directly because pads are not morphemes
     if cap is None or len(morphemes) <= cap:
         return list(morphemes)
     return list(morphemes[: cap - 1]) + ["".join(morphemes[cap - 1 :])]

@@ -10,30 +10,23 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .morphology import IndexMatrix, MorphemeVocab, Segmentation, build_vocab_and_index
 
 
 def make_segmentations(
-    num_words: int,
-    num_morphemes: int,
-    order: int,
-    seed: int,
-    min_len: int = 1,
-    max_len: int | None = None,
+    num_words: int, num_morphemes: int, order: int, seed: int
 ) -> list[Segmentation]:
     """Random words over a synthetic morpheme pool ``m0..m{num_morphemes-1}``.
 
-    Word j is a unique sequence of morphemes with length drawn uniformly in
-    ``[min_len, max_len]`` (default max is ``order``), so some words exercise
-    the pad branch and, when ``max_len > order``, the concat branch.
+    Word j is a sequence of morphemes with length drawn uniformly in
+    ``[1, order]``, so some words exercise the pad branch.
     """
-    if max_len is None:
-        max_len = order
     rng = np.random.default_rng(seed)
     pool = [f"m{i}" for i in range(num_morphemes)]
     segs: list[Segmentation] = []
     for j in range(num_words):
-        length = int(rng.integers(min_len, max_len + 1))
+        length = int(rng.integers(1, order + 1))
         morphs = tuple(pool[i] for i in rng.integers(0, num_morphemes, size=length))
         # word names are unique by index; sequences may repeat across words
         segs.append(Segmentation(f"w{j}_" + "-".join(morphs), morphs))
@@ -87,7 +80,7 @@ def make_sharing_task(
     while len(segs) < num_words:
         attempts += 1
         if attempts > 100 * num_words:
-            raise ValueError("morpheme pools too small for the requested word count")
+            raise ConfigError("morpheme pools too small for the requested word count")
         morphs = tuple(pool[int(rng.integers(0, len(pool)))] for pool in pools)
         if morphs in seen:
             continue
@@ -119,8 +112,12 @@ def make_sharing_pairs(
 
     used: set[tuple[int, int]] = set()
 
+    # the attempt cap consumes no draws, so satisfiable requests are unchanged
+    attempts = range(100 * n_words)
+    too_few = f"{n_words} words cannot supply {num_train} train and {num_eval} eval pairs"
+
     def draw_positive():
-        while True:
+        for _ in attempts:
             a = int(rng.integers(0, n_words))
             m = ordered_sets[a][int(rng.integers(0, len(ordered_sets[a])))]
             peers = by_morpheme[m]
@@ -129,14 +126,16 @@ def make_sharing_pairs(
             if a != b and key not in used:
                 used.add(key)
                 return (a, b, 1)
+        raise ConfigError(too_few)
 
     def draw_negative():
-        while True:
+        for _ in attempts:
             a, b = (int(x) for x in rng.integers(0, n_words, size=2))
             key = (min(a, b), max(a, b))
             if a != b and key not in used and not (morph_sets[a] & morph_sets[b]):
                 used.add(key)
                 return (a, b, 0)
+        raise ConfigError(too_few)
 
     def draw_block(total):
         pairs = [draw_positive() for _ in range(total // 2)]

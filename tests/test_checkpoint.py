@@ -83,11 +83,14 @@ def test_rejects_non_finite_parameters():
         loads_layer(roundtrip_bytes(layer))
 
 
-def with_meta(data: bytes, **changes) -> bytes:
-    """The checkpoint ``data`` with ``changes`` written into its JSON meta."""
+def with_meta(data: bytes, *drop, **changes) -> bytes:
+    """The checkpoint ``data`` with the ``drop`` keys deleted from its JSON
+    meta and ``changes`` written into it."""
     start = len(MAGIC) + 8
     (length,) = struct.unpack("<Q", data[start : start + 8])
     meta = json.loads(data[start + 8 : start + 8 + length])
+    for key in drop:
+        del meta[key]
     meta.update(changes)
     raw = json.dumps(meta, sort_keys=True).encode("utf-8")
     return data[:start] + struct.pack("<Q", len(raw)) + raw + data[start + 8 + length :]
@@ -108,3 +111,39 @@ def test_rejects_meta_that_disagrees_with_blocks(changes, message):
     assert loads_layer(with_meta(data)).config == cfg
     with pytest.raises(CheckpointError, match=message):
         loads_layer(with_meta(data, **changes))
+
+
+META_KEYS = [
+    "kind", "vocab_size", "embed_dim", "order", "rank", "subdim", "vocab_factors",
+    "dim_factors", "morpheme_vocab_size", "seed", "blocks", "has_index", "words", "morphemes",
+]
+
+
+@pytest.mark.parametrize("key", META_KEYS)
+def test_rejects_meta_without_a_key(key):
+    data = roundtrip_bytes(random_layer("morphte", np.random.default_rng(4)))
+    with pytest.raises(CheckpointError, match=f"lacks {key}"):
+        loads_layer(with_meta(data, key))
+
+
+def morphte_checkpoint():
+    """A morphte checkpoint and the offset of its index block header."""
+    layer = random_layer("morphte", np.random.default_rng(6))
+    data = roundtrip_bytes(layer)
+    return layer, data, len(data) - 16 - layer.index.rows.size * 8
+
+
+def test_rejects_index_header_that_disagrees_with_config():
+    layer, data, at = morphte_checkpoint()
+    assert struct.unpack("<QQ", data[at : at + 16]) == layer.index.rows.shape
+    bad = data[:at] + struct.pack("<Q", 2**62) + data[at + 8 :]
+    with pytest.raises(CheckpointError, match="index has shape"):
+        loads_layer(bad)
+
+
+@pytest.mark.parametrize("morpheme_id", [999, -1])
+def test_rejects_index_ids_outside_the_morpheme_table(morpheme_id):
+    layer, data, at = morphte_checkpoint()
+    bad = data[: at + 16] + struct.pack("<q", morpheme_id) + data[at + 24 :]
+    with pytest.raises(CheckpointError, match="outside"):
+        loads_layer(bad)

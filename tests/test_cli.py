@@ -244,6 +244,22 @@ def test_train_similarity_rejects_vocab_dir(runner, tmp_path):
     assert "--vocab-dir" in res.stderr
 
 
+def test_train_similarity_with_too_few_words_exit_2(runner, tmp_path):
+    cfg = make_train_config(tmp_path, task="similarity", vocab_size="5", morphemes="8")
+    res = runner.invoke(main, ["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert res.exit_code == 2, res.output
+    assert "cannot supply" in res.stderr
+
+
+def test_train_diverged_exit_4(runner, tmp_path):
+    cfg = make_train_config(
+        tmp_path, method="matrix_factor", optimizer="sgd", lr="1e12", epochs="50"
+    )
+    res = runner.invoke(main, ["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    assert res.exit_code == 4, res.output + str(res.exception)
+    assert "non-finite loss" in res.stderr
+
+
 def test_export_then_eval_roundtrip(runner, tmp_path):
     cfg = make_train_config(tmp_path)
     ckpt = tmp_path / "layer.bin"
@@ -330,6 +346,33 @@ def test_vocab_dir_keeps_config_morpheme_vocab_size(runner, tmp_path):
         )
         assert res.exit_code == code, res.output
     assert "morpheme_vocab_size 5 != vocab size 9" in res.stderr
+
+
+@pytest.mark.parametrize(
+    "name, text, message",
+    [
+        ("morphemes.tsv", "<pad>\t0\nun\t1\n", "last id must be the pad sentinel"),
+        ("morphemes.tsv", "un\t0\n<pad>\t2\n", "dense from 0"),
+        ("morphemes.tsv", "un 0\n<pad>\t1\n", "expected 'morpheme<TAB>id'"),
+        ("index.tsv", "unkindly 0 1 2\n", "expected 'word<TAB>ids'"),
+        ("index.tsv", "unkindly\t0 1 2\ncook\t6 8\n", "inconsistent row widths [2, 3]"),
+        ("index.tsv", "\n", "empty index"),
+    ],
+    ids=["pad-not-last", "ids-not-dense", "vocab-no-tab", "index-no-tab", "row-widths",
+         "empty-index"],
+)
+def test_export_rejects_malformed_vocab_dir(runner, tmp_path, name, text, message):
+    seg = write_segs(tmp_path)
+    vocab_dir = tmp_path / "vocab"
+    assert runner.invoke(main, ["build-vocab", str(seg), "-o", str(vocab_dir)]).exit_code == 0
+    (vocab_dir / name).write_text(text, encoding="utf-8")
+    cfg = make_train_config(tmp_path, vocab_size="5")
+    res = runner.invoke(
+        main, ["export", "--config", str(cfg), "--out", str(tmp_path / "l.bin"),
+               "--vocab-dir", str(vocab_dir)]
+    )
+    assert res.exit_code == 2, res.output + str(res.exception)
+    assert message in res.stderr
 
 
 def test_export_rejects_negative_morpheme_id(runner, tmp_path):

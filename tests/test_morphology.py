@@ -9,9 +9,11 @@ from tenbed.morphology import (
     Segmentation,
     build_vocab_and_index,
     load_segmentations,
+    load_vocab_dir,
     morpheme_stats,
     random_seg,
     truncate_pad,
+    write_vocab_dir,
 )
 
 
@@ -111,6 +113,20 @@ def test_index_roundtrip_decodes_to_truncate_pad():
     for j, seg in enumerate(segs):
         decoded = [vocab.morpheme_of(int(i)) for i in index.rows[j]]
         assert decoded == truncate_pad(list(seg.morphemes), 3)
+
+
+def test_vocab_dir_roundtrip(tmp_path):
+    segs = [
+        Segmentation("unfeelingly", ("un", "feel", "ing", "ly")),
+        Segmentation("cook", ("cook",)),
+        Segmentation("unkind", ("un", "kind")),
+    ]
+    vocab, index = build_vocab_and_index(segs, 3)
+    write_vocab_dir(vocab, index, tmp_path)
+    loaded_vocab, loaded_index = load_vocab_dir(tmp_path)
+    assert loaded_vocab.tokens == vocab.tokens
+    np.testing.assert_array_equal(loaded_index.rows, index.rows)
+    assert loaded_index.words == index.words
 
 
 def test_index_rows_are_read_only():

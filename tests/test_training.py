@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,16 @@ def test_sharing_task_pairs_are_balanced_and_disjoint():
     assert not (train_keys & eval_keys)
     for a, b, label in train_pairs + eval_pairs:
         assert label == int(bool(morph_sets[a] & morph_sets[b]))
+
+
+def test_sharing_pairs_beyond_what_the_words_allow_raise():
+    from tenbed.errors import ConfigError
+
+    _, _, morph_sets = make_sharing_task(5, 8, 3, seed=3)
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="5 words cannot supply"):
+        make_sharing_pairs(morph_sets, 1000, 400, seed=4)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_nan_loss_aborts():
