@@ -13,7 +13,9 @@ Layout (all integers unsigned 64-bit little-endian):
                rows*cols float64 little-endian, row-major
     index   only if the meta says so: rows u64, cols u64, int64 LE data
 
-Parameters round-trip bit-exactly; loaders reject unknown versions.
+Parameters round-trip bit-exactly.  The loader rejects unknown versions,
+a meta, block or index that disagrees with the config (through ``build``'s
+own checks) and bytes after the last block.
 """
 
 from __future__ import annotations
@@ -25,8 +27,8 @@ from dataclasses import fields
 
 import numpy as np
 
-from .errors import CheckpointError, ConfigError
-from .layers import EmbeddingLayer, LayerConfig, block_shapes, check_morpheme_ids
+from .errors import CheckpointError
+from .layers import EmbeddingLayer, LayerConfig, block_shapes, check_parts
 from .morphology import IndexMatrix, MorphemeVocab
 
 MAGIC = b"TENBEDCK"
@@ -149,6 +151,7 @@ def parse_layer(fh) -> EmbeddingLayer:
 
     index = vocab = None
     if meta["has_index"]:
+        # checked before the read, because the header sizes the allocation
         rows = _read_u64(fh)
         cols = _read_u64(fh)
         if (rows, cols) != (config.vocab_size, config.order):
@@ -159,13 +162,15 @@ def parse_layer(fh) -> EmbeddingLayer:
         raw = fh.read(rows * cols * 8)
         if len(raw) != rows * cols * 8:
             raise CheckpointError("truncated index block")
-        ids = np.frombuffer(raw, dtype="<i8").reshape(rows, cols)
-        words = meta["words"] or [f"w{j}" for j in range(rows)]
-        index = IndexMatrix(ids, words)
-        try:
-            check_morpheme_ids(index, config.morpheme_vocab_size)
-        except ConfigError as exc:
-            raise CheckpointError(f"invalid checkpoint index: {exc}") from exc
-    if meta["morphemes"] is not None:
-        vocab = MorphemeVocab(meta["morphemes"])
+    try:
+        if meta["has_index"]:
+            ids = np.frombuffer(raw, dtype="<i8").reshape(rows, cols)
+            index = IndexMatrix(ids, meta["words"] or [f"w{j}" for j in range(rows)])
+        if meta["morphemes"] is not None:
+            vocab = MorphemeVocab(meta["morphemes"])
+        check_parts(config, vocab, index)
+    except (TypeError, ValueError) as exc:
+        raise CheckpointError(f"invalid checkpoint index or vocab: {exc}") from exc
+    if fh.read(1):
+        raise CheckpointError("trailing bytes after the last block")
     return EmbeddingLayer(config=config, params=params, index=index, vocab=vocab)

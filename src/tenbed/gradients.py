@@ -1,8 +1,10 @@
 """Hand-derived reverse-mode gradients for every layer's forward map.
 
 Each forward map is a shallow fixed-shape multilinear expression, so the
-adjoints are written out instead of built as a general autodiff graph; the
-four tensor-product kinds share one, over the row views of ``_ket_groups``.
+adjoints are written out instead of built as a general autodiff graph.
+``layers.gather`` gives the rows a word reads and, over a zeroed gradient
+dict, views of the same rows to add into; one adjoint per family of
+combine steps fills those views, and the four tensor-product kinds share one.
 Truncation to the embedding dimension is adjointed by zero-padding the
 upstream vector back to the full product length.  When a word references the
 same parameter row several times (repeated morphemes), the positional
@@ -17,14 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, WordLookupError
 from .layers import (
     TENSOR_PRODUCT_KINDS,
     EmbeddingLayer,
     MethodKind,
     _ket_groups,
     _tensor_train_chain,
-    mixed_radix_digits,
+    gather,
 )
 
 _AXIS_LETTERS = string.ascii_lowercase
@@ -38,14 +39,10 @@ class GradSlot:
     grad: np.ndarray
 
 
-def _pad_upstream(upstream: np.ndarray, full_size: int) -> np.ndarray:
-    u = np.asarray(upstream, dtype=np.float64)
-    if u.ndim != 1:
-        raise ValueError(f"upstream must be 1-D, got shape {u.shape}")
+def _pad_upstream(u: np.ndarray, full_size: int) -> np.ndarray:
+    """``u`` zero-padded to ``full_size``: the adjoint of truncating to its length."""
     if u.size == full_size:
         return u
-    if u.size > full_size:
-        raise ValueError(f"upstream length {u.size} exceeds product size {full_size}")
     padded = np.zeros(full_size)
     padded[: u.size] = u
     return padded
@@ -86,87 +83,50 @@ def backward(layer: EmbeddingLayer, word_id: int, upstream: np.ndarray) -> list[
     u = np.asarray(upstream, dtype=np.float64)
     if u.ndim != 1 or u.size != cfg.embed_dim:
         raise ValueError(f"upstream must have length {cfg.embed_dim}, got shape {u.shape}")
-    if not 0 <= word_id < cfg.vocab_size:
-        raise WordLookupError(f"word id {word_id} out of range [0, {cfg.vocab_size})")
     kind = cfg.kind
+    rows = gather(layer, layer.params, word_id)
     grads = {name: np.zeros_like(p) for name, p in layer.params.items()}
+    views = gather(layer, grads, word_id)
 
-    if kind is MethodKind.ORIGINAL:
-        grads["weight"][word_id] = u
-
-    elif kind is MethodKind.MATRIX_FACTOR:
-        a = layer.params["factor_left"][word_id]
-        b = layer.params["factor_right"]
-        grads["factor_left"][word_id] = b @ u
-        grads["factor_right"] += np.outer(a, u)
-
-    elif kind in TENSOR_PRODUCT_KINDS:
-        groups = _ket_groups(layer, layer.params, word_id)
+    if kind in TENSOR_PRODUCT_KINDS:
+        groups = _ket_groups(layer, rows)
         u_full = _pad_upstream(u, math.prod(v.size for v in groups[0]))
-        for vecs, views in zip(groups, _ket_groups(layer, grads, word_id)):
-            for view, g in zip(views, _chain_grads(vecs, u_full)):
+        for vecs, group_views in zip(groups, _ket_groups(layer, views)):
+            for view, g in zip(group_views, _chain_grads(vecs, u_full)):
                 view += g  # a repeated morpheme's views share a row and accumulate
 
-    elif kind is MethodKind.MORPHSUM:
-        ids = layer.index.row(word_id)
-        grads["surface_embed"][word_id] = u
-        g = grads["morpheme_embed"]
-        for m in ids:
-            g[m] += u
+    elif kind is MethodKind.MATRIX_FACTOR:
+        (left,), (right,) = rows
+        (grad_left,), (grad_right,) = views
+        grad_left += right @ u
+        grad_right += np.outer(left, u)
 
     elif kind is MethodKind.TENSOR_TRAIN:
-        _tensor_train_backward(layer, word_id, u, grads)
+        df, n = cfg.dim_factors, cfg.order
+        cores, carries = _tensor_train_chain(layer, rows)
+        g = [view for (view,) in views]
+        u_mat = _pad_upstream(u, math.prod(df)).reshape(-1, df[n - 1])
+        g[n - 1] += (carries[-1].T @ u_mat).ravel()
+        grad_carry = u_mat @ cores[-1].T
+        for k in range(n - 2, 0, -1):
+            grad_flat = grad_carry.reshape(-1, cores[k].shape[1])
+            g[k] += (carries[k - 1].T @ grad_flat).ravel()
+            grad_carry = grad_flat @ cores[k].T
+        g[0] += grad_carry.ravel()
 
-    else:
-        raise ConfigError(f"unknown method kind {kind!r}")
+    else:  # original, morphsum: the forward is the sum of the rows read
+        for block_views in views:
+            for view in block_views:
+                view += u
 
     return [GradSlot(name, grads[name]) for name in layer.params]
 
 
-def _tensor_train_backward(layer, word_id, u, grads):
-    cfg = layer.config
-    digits = mixed_radix_digits(word_id, cfg.vocab_factors)
-    df, n = cfg.dim_factors, cfg.order
-    u_full = _pad_upstream(u, math.prod(df))
-    cores, carries = _tensor_train_chain(layer, digits)
-
-    u_mat = u_full.reshape(-1, df[n - 1])
-    grads[f"tt_core_{n - 1}"][digits[n - 1]] += (carries[-1].T @ u_mat).ravel()
-    grad_carry = u_mat @ cores[-1].T
-    for k in range(n - 2, 0, -1):
-        grad_flat = grad_carry.reshape(-1, cores[k].shape[1])
-        grads[f"tt_core_{k}"][digits[k]] += (carries[k - 1].T @ grad_flat).ravel()
-        grad_carry = grad_flat @ cores[k].T
-    grads["tt_core_0"][digits[0]] += grad_carry.ravel()
-
-
 def touched_rows(layer: EmbeddingLayer, word_id: int) -> dict[str, list[int]]:
     """Rows of each parameter block that participate in one word's forward."""
-    cfg = layer.config
-    kind = cfg.kind
-    if kind is MethodKind.ORIGINAL:
-        return {"weight": [word_id]}
-    if kind is MethodKind.MATRIX_FACTOR:
-        return {"factor_left": [word_id], "factor_right": list(range(cfg.rank))}
-    if kind is MethodKind.WORD2KET:
-        return {"word_factors": [word_id]}
-    if kind in (MethodKind.MORPHTE, MethodKind.WORD2KET_RSHARE):
-        ids = sorted({int(m) for m in layer.index.row(word_id)})
-        return {f"morpheme_embed_{i}": ids for i in range(cfg.rank)}
-    if kind is MethodKind.MORPHSUM:
-        ids = sorted({int(m) for m in layer.index.row(word_id)})
-        return {"surface_embed": [word_id], "morpheme_embed": ids}
-    if kind is MethodKind.TENSOR_TRAIN:
-        digits = mixed_radix_digits(word_id, cfg.vocab_factors)
-        return {f"tt_core_{k}": [digits[k]] for k in range(cfg.order)}
-    if kind is MethodKind.WORD2KETXS:
-        digits = mixed_radix_digits(word_id, cfg.vocab_factors)
-        return {
-            f"xs_factor_{i}_{j}": [digits[j]]
-            for i in range(cfg.rank)
-            for j in range(cfg.order)
-        }
-    raise ConfigError(f"unknown method kind {kind!r}")
+    ids = {name: range(len(p)) for name, p in layer.params.items()}
+    reads = gather(layer, ids, word_id)
+    return {name: np.unique(np.hstack(read)).tolist() for name, read in zip(ids, reads)}
 
 
 @dataclass

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -55,9 +55,7 @@ class MethodKind(str, Enum):
 MORPHOLOGICAL_KINDS = frozenset(
     {MethodKind.MORPHTE, MethodKind.MORPHSUM, MethodKind.WORD2KET_RSHARE}
 )
-KET_KINDS = frozenset(
-    {MethodKind.WORD2KET, MethodKind.MORPHTE, MethodKind.WORD2KET_RSHARE}
-)
+KET_KINDS = frozenset({MethodKind.WORD2KET, MethodKind.MORPHTE, MethodKind.WORD2KET_RSHARE})
 FACTORED_KINDS = frozenset({MethodKind.TENSOR_TRAIN, MethodKind.WORD2KETXS})
 # rank-r sums of tensor products of n rows, truncated to d
 TENSOR_PRODUCT_KINDS = KET_KINDS | {MethodKind.WORD2KETXS}
@@ -140,11 +138,9 @@ class LayerConfig:
                     f"dim_factors {self.dim_factors} cover only "
                     f"{math.prod(self.dim_factors)} < embed_dim {self.embed_dim}"
                 )
-        if self.kind in MORPHOLOGICAL_KINDS and self.morpheme_vocab_size is not None:
-            if self.morpheme_vocab_size < 1:
-                raise ConfigError(
-                    f"morpheme_vocab_size must be >= 1, got {self.morpheme_vocab_size}"
-                )
+        M = self.morpheme_vocab_size
+        if self.kind in MORPHOLOGICAL_KINDS and M is not None and M < 1:
+            raise ConfigError(f"morpheme_vocab_size must be >= 1, got {M}")
 
     def effective_subdim(self) -> int:
         if self.subdim is not None:
@@ -156,6 +152,9 @@ def block_shapes(config: LayerConfig) -> list[tuple[str, tuple[int, int]]]:
     """Named parameter blocks in their canonical (and serialisation) order."""
     kind = config.kind
     V, d, n, r = config.vocab_size, config.embed_dim, config.order, config.rank
+    M = config.morpheme_vocab_size
+    if kind in MORPHOLOGICAL_KINDS and M is None:
+        raise ConfigError(f"{kind.value} requires morpheme_vocab_size")
     if kind is MethodKind.ORIGINAL:
         return [("weight", (V, d))]
     if kind is MethodKind.MATRIX_FACTOR:
@@ -165,27 +164,15 @@ def block_shapes(config: LayerConfig) -> list[tuple[str, tuple[int, int]]]:
         return [("word_factors", (V, r * n * q))]
     if kind in (MethodKind.MORPHTE, MethodKind.WORD2KET_RSHARE):
         q = config.effective_subdim()
-        M = config.morpheme_vocab_size
-        if M is None:
-            raise ConfigError(f"{kind.value} requires morpheme_vocab_size")
         return [(f"morpheme_embed_{i}", (M, q)) for i in range(r)]
     if kind is MethodKind.MORPHSUM:
-        M = config.morpheme_vocab_size
-        if M is None:
-            raise ConfigError("morphsum requires morpheme_vocab_size")
         return [("surface_embed", (V, d)), ("morpheme_embed", (M, d))]
     if kind is MethodKind.TENSOR_TRAIN:
-        vf, df = config.vocab_factors, config.dim_factors
-        shapes = []
-        for k, (v, dk) in enumerate(zip(vf, df)):
-            if k == 0:
-                cols = dk * r
-            elif k == len(vf) - 1:
-                cols = r * dk
-            else:
-                cols = r * dk * r
-            shapes.append((f"tt_core_{k}", (v, cols)))
-        return shapes
+        # a core row is an (r, d_k, r) slice, without the outer r at either end
+        return [
+            (f"tt_core_{k}", (v, (r if k > 0 else 1) * dk * (r if k < n - 1 else 1)))
+            for k, (v, dk) in enumerate(zip(config.vocab_factors, config.dim_factors))
+        ]
     if kind is MethodKind.WORD2KETXS:
         vf, df = config.vocab_factors, config.dim_factors
         return [
@@ -241,9 +228,30 @@ def mixed_radix_digits(value: int, radices: Sequence[int]) -> list[int]:
     return digits
 
 
-def check_morpheme_ids(index: IndexMatrix, morpheme_vocab_size: int | None) -> None:
-    """Reject an index that references a row outside ``[0, morpheme_vocab_size)``."""
-    M = morpheme_vocab_size or 0
+def check_parts(
+    config: LayerConfig, vocab: MorphemeVocab | None, index: IndexMatrix | None
+) -> None:
+    """Check that a layer has the vocab and index its kind reads, and that they fit.
+
+    morphte and morphsum need both, word2ket_rshare an index, the rest neither.
+    """
+    kind = config.kind
+    needs = (kind in (MethodKind.MORPHTE, MethodKind.MORPHSUM), kind in MORPHOLOGICAL_KINDS)
+    if (vocab is not None, index is not None) != needs:
+        raise ConfigError(
+            f"{kind.value} requires {'a' if needs[0] else 'no'} morpheme vocab "
+            f"and {'an' if needs[1] else 'no'} index"
+        )
+    if index is None:
+        return
+    M = config.morpheme_vocab_size
+    if index.rows.shape != (config.vocab_size, config.order):
+        raise ConfigError(
+            f"index has shape {index.rows.shape}, the config implies "
+            f"{(config.vocab_size, config.order)}"
+        )
+    if vocab is not None and vocab.size != M:
+        raise ConfigError(f"morpheme_vocab_size {M} != vocab size {vocab.size}")
     if index.rows.size and (int(index.rows.min()) < 0 or int(index.rows.max()) >= M):
         raise ConfigError(f"index references morpheme ids outside [0, {M})")
 
@@ -256,41 +264,27 @@ def build(
     """Allocate and initialise a layer's parameter blocks.
 
     Morphological kinds need a vocabulary and index; the random-sharing kind
-    synthesises its index from the config seed when none is supplied.
+    synthesises its index from the config seed when none is supplied.  Every
+    other kind drops the vocab and index it is given.
     """
     config.validate()
     kind = config.kind
 
     if kind in (MethodKind.MORPHTE, MethodKind.MORPHSUM):
-        if vocab is None or index is None:
-            raise ConfigError(f"{kind.value} requires a morpheme vocab and index")
-        if index.vocab_size != config.vocab_size:
-            raise ConfigError(
-                f"index covers {index.vocab_size} words, config says {config.vocab_size}"
-            )
-        if index.order != config.order:
-            raise ConfigError(f"index order {index.order} != config order {config.order}")
-        if config.morpheme_vocab_size is None:
+        if vocab is not None and config.morpheme_vocab_size is None:
             config = replace(config, morpheme_vocab_size=vocab.size)
-        elif config.morpheme_vocab_size != vocab.size:
-            raise ConfigError(
-                f"morpheme_vocab_size {config.morpheme_vocab_size} != vocab size {vocab.size}"
-            )
     elif kind is MethodKind.WORD2KET_RSHARE:
+        vocab = None
         if config.morpheme_vocab_size is None:
             raise ConfigError("word2ket_rshare requires morpheme_vocab_size")
         if index is None:
             index = build_rshare_index(
                 config.vocab_size, config.morpheme_vocab_size, config.order, config.seed
             )
-        if index.vocab_size != config.vocab_size or index.order != config.order:
-            raise ConfigError("supplied index does not match config dimensions")
     else:
         index = None
         vocab = None
-
-    if index is not None:
-        check_morpheme_ids(index, config.morpheme_vocab_size)
+    check_parts(config, vocab, index)
 
     rng = np.random.default_rng(config.seed)
     params: dict[str, np.ndarray] = {}
@@ -300,48 +294,75 @@ def build(
     return EmbeddingLayer(config=config, params=params, index=index, vocab=vocab)
 
 
-def _ket_groups(
-    layer: EmbeddingLayer, blocks: dict[str, np.ndarray], word_id: int
-) -> list[list[np.ndarray]]:
-    """The r groups of n row views of ``blocks`` whose entangled sum embeds a word.
+def gather(layer: EmbeddingLayer, blocks: Mapping[str, Any], word_id: int) -> list[list]:
+    """``blocks[name][row]`` for every row one word reads, one list per block.
 
-    ``blocks`` is ``layer.params`` or a gradient dict of the same shapes, so
-    the views serve both to read a word's factors and to accumulate into
-    their gradients.  Within a group the views have one length per axis
-    (q for the ket kinds, ``dim_factors`` for word2ketxs).  A morpheme that
-    fills several slots yields several views of the same row.
+    The one place that maps a word id to parameter rows.  ``blocks`` holds
+    every block in block order: ``layer.params`` gives the rows, a gradient
+    dict of the same shapes views to add into, ``{name: range(rows)}`` the
+    row ids.  A slot id that fills several slots is read once per slot, and
+    matrix_factor's right factor is read whole.
     """
     cfg = layer.config
-    n, r = cfg.order, cfg.rank
-    if cfg.kind is MethodKind.WORD2KET:
-        return [list(group) for group in blocks["word_factors"][word_id].reshape(r, n, -1)]
-    if cfg.kind is MethodKind.WORD2KETXS:
+    if not 0 <= word_id < cfg.vocab_size:
+        raise WordLookupError(f"word id {word_id} out of range [0, {cfg.vocab_size})")
+    kind = cfg.kind
+    tables = blocks.values()
+    if kind in FACTORED_KINDS:
+        n = cfg.order
         digits = mixed_radix_digits(word_id, cfg.vocab_factors)
-        return [[blocks[f"xs_factor_{i}_{j}"][digits[j]] for j in range(n)] for i in range(r)]
-    ids = layer.index.row(word_id).tolist()
-    factors = [blocks[f"morpheme_embed_{i}"] for i in range(r)]
-    return [[f[m] for m in ids] for f in factors]
+        return [[t[digits[k % n]]] for k, t in enumerate(tables)]
+    if kind in MORPHOLOGICAL_KINDS:
+        ids = layer.index.row(word_id).tolist()
+        if kind in KET_KINDS:
+            return [[t[m] for m in ids] for t in tables]
+        surface, morphemes = tables
+        return [[surface[word_id]], [morphemes[m] for m in ids]]
+    if kind is MethodKind.MATRIX_FACTOR:
+        left, right = tables
+        return [[left[word_id]], [right]]
+    (own,) = tables  # original, word2ket
+    return [[own[word_id]]]
+
+
+def _ket_groups(layer: EmbeddingLayer, rows: list[list]) -> list[list[np.ndarray]]:
+    """The r groups of n vectors whose entangled sum embeds a word.
+
+    ``rows`` is ``gather``'s output over the params or a gradient dict, so
+    the groups serve both to read a word's factors and to add into their
+    gradients.  Within a group the vectors have one length per axis.
+    """
+    cfg = layer.config
+    if cfg.kind is MethodKind.WORD2KET:
+        ((row,),) = rows
+        return [list(group) for group in row.reshape(cfg.rank, cfg.order, -1)]
+    if cfg.kind is MethodKind.WORD2KETXS:
+        n = cfg.order
+        return [[row for (row,) in rows[i : i + n]] for i in range(0, len(rows), n)]
+    return rows  # morphte, word2ket_rshare: block i's slot rows are group i
 
 
 def _tensor_train_chain(
-    layer: EmbeddingLayer, digits: Sequence[int]
+    layer: EmbeddingLayer, rows: list[list]
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """One word's TT core rows and the carries that contract them left to right.
 
-    Returns ``(cores, carries)``: ``cores[k]`` is core k's row reshaped to
+    ``rows`` is ``gather``'s output for a tensor_train layer.  Returns
+    ``(cores, carries)``: ``cores[k]`` is core k's row reshaped to
     ``(d_0, r)``, ``(r, d_k * r)`` or ``(r, d_{n-1})`` for the first, middle
     and last core, and ``carries[k]`` is the ``(d_0 ... d_k, r)`` product of
     cores 0..k, for k < n - 1.  The embedding is ``carries[-1] @ cores[-1]``.
     """
-    params, r, n = layer.params, layer.config.rank, layer.config.order
-    carry = params["tt_core_0"][digits[0]].reshape(-1, r)
+    r = layer.config.rank
+    (first,), *middle, (last,) = rows
+    carry = first.reshape(-1, r)
     cores, carries = [carry], [carry]
-    for k in range(1, n - 1):
-        core = params[f"tt_core_{k}"][digits[k]].reshape(r, -1)
+    for (row,) in middle:
+        core = row.reshape(r, -1)
         carry = (carry @ core).reshape(-1, r)
         cores.append(core)
         carries.append(carry)
-    cores.append(params[f"tt_core_{n - 1}"][digits[n - 1]].reshape(r, -1))
+    cores.append(last.reshape(r, -1))
     return cores, carries
 
 
@@ -353,28 +374,26 @@ def forward(layer: EmbeddingLayer, word_id: int) -> np.ndarray:
     kind = cfg.kind
 
     if kind is MethodKind.ORIGINAL:
+        # gather's one row, read directly: this copy of about a microsecond
+        # is the whole forward, and going through gather doubles its time
         return layer.params["weight"][word_id].copy()
 
-    if kind is MethodKind.MATRIX_FACTOR:
-        return layer.params["factor_left"][word_id] @ layer.params["factor_right"]
-
+    # one combine per family, told apart by the kind sets: on Python 3.11 a
+    # MethodKind.X lookup costs about 0.2 us, a tenth of some forwards
+    rows = gather(layer, layer.params, word_id)
     if kind in TENSOR_PRODUCT_KINDS:
-        groups = _ket_groups(layer, layer.params, word_id)
-        return truncate_to(entangled_sum(groups), cfg.embed_dim)
-
-    if kind is MethodKind.MORPHSUM:
-        ids = layer.index.row(word_id)
-        out = layer.params["surface_embed"][word_id].copy()
-        morph = layer.params["morpheme_embed"]
-        for m in ids:
-            out += morph[m]
-        return out
-
-    if kind is MethodKind.TENSOR_TRAIN:
-        cores, carries = _tensor_train_chain(layer, mixed_radix_digits(word_id, cfg.vocab_factors))
+        return truncate_to(entangled_sum(_ket_groups(layer, rows)), cfg.embed_dim)
+    if kind in FACTORED_KINDS:  # tensor_train
+        cores, carries = _tensor_train_chain(layer, rows)
         return truncate_to((carries[-1] @ cores[-1]).ravel(), cfg.embed_dim)
-
-    raise ConfigError(f"unknown method kind {kind!r}")
+    if kind in MORPHOLOGICAL_KINDS:  # morphsum: the sum of the rows read
+        (surface,), morphemes = rows
+        out = surface.copy()
+        for row in morphemes:
+            out += row
+        return out
+    (left,), (right,) = rows  # matrix_factor
+    return left @ right
 
 
 def forward_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> list[np.ndarray]:

@@ -138,7 +138,8 @@ def train(
     """Optimise the layer in place; returns the per-epoch mean loss.
 
     Losses are recorded before each batch's update, so an already-perfect
-    model reports zero from the first epoch.  A non-finite loss aborts.
+    model reports zero from the first epoch.  A non-finite batch loss aborts
+    before that batch's update, so the parameters stay as they were.
     """
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
@@ -162,6 +163,8 @@ def train(
                 batch_loss += loss
                 for word_id, upstream in contribs:
                     _accumulate(grads, backward(layer, word_id, upstream))
+            if not np.isfinite(batch_loss):
+                raise TrainingDivergedError(epoch, batch_loss)
             scale = 1.0 / len(batch)
             for name in grads:
                 grads[name] *= scale

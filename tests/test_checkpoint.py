@@ -147,3 +147,30 @@ def test_rejects_index_ids_outside_the_morpheme_table(morpheme_id):
     bad = data[: at + 16] + struct.pack("<q", morpheme_id) + data[at + 24 :]
     with pytest.raises(CheckpointError, match="outside"):
         loads_layer(bad)
+
+
+@pytest.mark.parametrize(
+    "kind, changes",
+    [
+        ("morphte", lambda layer: {"has_index": False}),
+        ("word2ket_rshare", lambda layer: {"has_index": False}),
+        ("morphte", lambda layer: {"words": list(layer.index.words[:-1])}),
+        ("morphte", lambda layer: {"words": [layer.index.words[0]] * layer.config.vocab_size}),
+        ("morphte", lambda layer: {"morphemes": list(layer.vocab.tokens[:1])}),
+        ("morphte", lambda layer: {"morphemes": None}),
+    ],
+    ids=["morphte-no-index", "rshare-no-index", "words-short", "words-repeated",
+         "one-morpheme", "morphemes-null"],
+)
+def test_rejects_index_or_vocab_that_build_would_refuse(kind, changes):
+    layer = random_layer(kind, np.random.default_rng(stable_seed("parts", kind)))
+    with pytest.raises(CheckpointError):
+        loads_layer(with_meta(roundtrip_bytes(layer), **changes(layer)))
+
+
+@pytest.mark.parametrize("kind", ["original", "morphte"])
+def test_rejects_trailing_bytes(kind):
+    data = roundtrip_bytes(random_layer(kind, np.random.default_rng(5)))
+    loads_layer(data)
+    with pytest.raises(CheckpointError, match="trailing"):
+        loads_layer(data + b"\0")

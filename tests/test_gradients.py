@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_KINDS, random_layer, stable_seed
+from tenbed.errors import WordLookupError
 from tenbed.gradients import backward, finite_diff_check, touched_rows
 from tenbed.layers import LayerConfig, MethodKind, build, forward
 from tenbed.morphology import IndexMatrix, MorphemeVocab
@@ -173,3 +174,35 @@ def test_finite_diff_detects_corrupted_gradient(monkeypatch):
     monkeypatch.setattr(gradients, "backward", corrupted)
     report = gradients.finite_diff_check(layer, 1, epsilon=1e-5, tolerance=1e-5, seed=0)
     assert not report.passed
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_forward_reads_only_touched_rows(kind):
+    """Rewriting every row outside touched_rows leaves forward byte-identical."""
+    rng = np.random.default_rng(stable_seed("touched", kind.value))
+    for _ in range(4):
+        layer = random_layer(kind, rng)
+        for word_id in range(layer.config.vocab_size):
+            before = forward(layer, word_id).tobytes()
+            saved = {name: p.copy() for name, p in layer.params.items()}
+            touched = touched_rows(layer, word_id)
+            assert list(touched) == list(layer.params)
+            for name, rows in touched.items():
+                untouched = np.setdiff1d(np.arange(len(saved[name])), rows)
+                layer.params[name][untouched] = rng.standard_normal(
+                    (len(untouched), saved[name].shape[1])
+                )
+            assert forward(layer, word_id).tobytes() == before, (kind, word_id)
+            for name, p in saved.items():
+                layer.params[name][...] = p
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_out_of_range_word_ids_raise(kind):
+    layer = random_layer(kind, np.random.default_rng(stable_seed("range", kind.value)))
+    V = layer.config.vocab_size
+    for word_id in (-1, V):
+        with pytest.raises(WordLookupError):
+            touched_rows(layer, word_id)
+        with pytest.raises(WordLookupError):
+            backward(layer, word_id, np.ones(layer.config.embed_dim))

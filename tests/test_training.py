@@ -200,3 +200,20 @@ def test_task_validation_errors():
             OptimizerState(),
             epochs=0,
         )
+
+
+def test_divergence_raises_before_the_batch_is_applied():
+    from tenbed.errors import TrainingDivergedError
+
+    layer = build(LayerConfig(MethodKind.MATRIX_FACTOR, vocab_size=40, embed_dim=8, rank=2, seed=0))
+    targets = np.random.default_rng(0).standard_normal((40, 8))
+    with pytest.raises(TrainingDivergedError, match="non-finite loss"):
+        train(
+            layer,
+            TrainTask("reconstruct_table", targets=targets),
+            OptimizerState(kind="sgd", lr=1e12),
+            epochs=3,
+            batch_size=4,
+            seed=0,
+        )
+    assert all(np.all(np.isfinite(p)) for p in layer.params.values())
