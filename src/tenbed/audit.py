@@ -98,12 +98,10 @@ def count_params(config: LayerConfig, morpheme_vocab_size: int | None = None) ->
             raise ConfigError(f"{kind.value} audit requires the morpheme vocabulary size")
         trainable = M * config.effective_subdim() * r
         constant = V * n  # stored word->morpheme index
-    elif kind is MethodKind.MORPHSUM:
+    else:  # morphsum
         if M is None:
             raise ConfigError("morphsum audit requires the morpheme vocabulary size")
         trainable, constant = (V + M) * d, 0
-    else:
-        raise ConfigError(f"unknown method kind {kind!r}")
 
     ratio = Fraction(V * d, trainable + constant)
     return AuditRow(kind.value, _summary(config, M), trainable, constant, ratio)
@@ -111,6 +109,8 @@ def count_params(config: LayerConfig, morpheme_vocab_size: int | None = None) ->
 
 def count_params_morphlstm(vocab_size: int, embed_dim: int, morpheme_vocab_size: int) -> AuditRow:
     """Morpheme embeddings fed through a recurrent composer: |M|d + 8d^2."""
+    if min(vocab_size, embed_dim, morpheme_vocab_size) < 1:
+        raise ConfigError("vocab_size, embed_dim and morpheme_vocab_size must be >= 1")
     trainable = morpheme_vocab_size * embed_dim + 8 * embed_dim * embed_dim
     ratio = Fraction(vocab_size * embed_dim, trainable)
     summary = f"V={vocab_size} d={embed_dim} M={morpheme_vocab_size}"

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
-The CLI maps these onto process exit codes, so new error conditions should
-reuse one of the classes below rather than raising bare builtins.
+The CLI maps these onto process exit codes and treats any other exception as
+a bug, so every check on input from outside the program (a flag, a config
+value, an input file, a checkpoint) raises one of the classes below.  A check
+on arguments that only the program itself supplies raises ``ValueError``.
 """
 
 
@@ -10,7 +12,7 @@ class TenbedError(Exception):
 
 
 class ConfigError(TenbedError, ValueError):
-    """A layer or command configuration is structurally invalid."""
+    """A config value, flag or input file is malformed or out of range."""
 
 
 class SegmentationParseError(TenbedError, ValueError):

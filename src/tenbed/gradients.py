@@ -19,10 +19,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
 from .layers import (
+    _MATRIX_FACTOR,
+    _TENSOR_TRAIN,
     TENSOR_PRODUCT_KINDS,
     EmbeddingLayer,
-    MethodKind,
     _ket_groups,
     _tensor_train_chain,
     gather,
@@ -95,13 +97,13 @@ def backward(layer: EmbeddingLayer, word_id: int, upstream: np.ndarray) -> list[
             for view, g in zip(group_views, _chain_grads(vecs, u_full)):
                 view += g  # a repeated morpheme's views share a row and accumulate
 
-    elif kind is MethodKind.MATRIX_FACTOR:
+    elif kind is _MATRIX_FACTOR:
         (left,), (right,) = rows
         (grad_left,), (grad_right,) = views
         grad_left += right @ u
         grad_right += np.outer(left, u)
 
-    elif kind is MethodKind.TENSOR_TRAIN:
+    elif kind is _TENSOR_TRAIN:
         df, n = cfg.dim_factors, cfg.order
         cores, carries = _tensor_train_chain(layer, rows)
         g = [view for (view,) in views]
@@ -157,8 +159,8 @@ def finite_diff_check(
     analytic slot value via the Jacobian-vector identity.  Exceeding the
     tolerance is recorded in the report, never raised.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    if not 0 < epsilon < math.inf:
+        raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
     cfg = layer.config
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(cfg.embed_dim)

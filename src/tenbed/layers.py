@@ -59,6 +59,12 @@ KET_KINDS = frozenset({MethodKind.WORD2KET, MethodKind.MORPHTE, MethodKind.WORD2
 FACTORED_KINDS = frozenset({MethodKind.TENSOR_TRAIN, MethodKind.WORD2KETXS})
 # rank-r sums of tensor products of n rows, truncated to d
 TENSOR_PRODUCT_KINDS = KET_KINDS | {MethodKind.WORD2KETXS}
+# the members that per-word code tests, bound once: on Python 3.11 every
+# MethodKind.X lookup costs about 0.2 us, a tenth of some forwards
+_ORIGINAL, _MATRIX_FACTOR, _TENSOR_TRAIN, _WORD2KET, _WORD2KETXS = (
+    MethodKind.ORIGINAL, MethodKind.MATRIX_FACTOR, MethodKind.TENSOR_TRAIN,
+    MethodKind.WORD2KET, MethodKind.WORD2KETXS,
+)
 
 
 def smallest_subdim(embed_dim: int, order: int) -> int:
@@ -98,14 +104,10 @@ class LayerConfig:
             object.__setattr__(self, "dim_factors", tuple(int(v) for v in self.dim_factors))
 
     def validate(self) -> None:
-        if self.vocab_size < 1:
-            raise ConfigError(f"vocab_size must be >= 1, got {self.vocab_size}")
-        if self.embed_dim < 1:
-            raise ConfigError(f"embed_dim must be >= 1, got {self.embed_dim}")
-        if self.rank < 1:
-            raise ConfigError(f"rank must be >= 1, got {self.rank}")
-        if self.order < 1:
-            raise ConfigError(f"order must be >= 1, got {self.order}")
+        lows = {"vocab_size": 1, "embed_dim": 1, "rank": 1, "order": 1, "seed": 0}
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if self.kind in KET_KINDS:
             q = self.effective_subdim()
             if q < 1:
@@ -173,14 +175,12 @@ def block_shapes(config: LayerConfig) -> list[tuple[str, tuple[int, int]]]:
             (f"tt_core_{k}", (v, (r if k > 0 else 1) * dk * (r if k < n - 1 else 1)))
             for k, (v, dk) in enumerate(zip(config.vocab_factors, config.dim_factors))
         ]
-    if kind is MethodKind.WORD2KETXS:
-        vf, df = config.vocab_factors, config.dim_factors
-        return [
-            (f"xs_factor_{i}_{j}", (vf[j], df[j]))
-            for i in range(r)
-            for j in range(len(vf))
-        ]
-    raise ConfigError(f"unknown method kind {kind!r}")
+    vf, df = config.vocab_factors, config.dim_factors  # word2ketxs
+    return [
+        (f"xs_factor_{i}_{j}", (vf[j], df[j]))
+        for i in range(r)
+        for j in range(len(vf))
+    ]
 
 
 @dataclass
@@ -318,7 +318,7 @@ def gather(layer: EmbeddingLayer, blocks: Mapping[str, Any], word_id: int) -> li
             return [[t[m] for m in ids] for t in tables]
         surface, morphemes = tables
         return [[surface[word_id]], [morphemes[m] for m in ids]]
-    if kind is MethodKind.MATRIX_FACTOR:
+    if kind is _MATRIX_FACTOR:
         left, right = tables
         return [[left[word_id]], [right]]
     (own,) = tables  # original, word2ket
@@ -333,10 +333,10 @@ def _ket_groups(layer: EmbeddingLayer, rows: list[list]) -> list[list[np.ndarray
     gradients.  Within a group the vectors have one length per axis.
     """
     cfg = layer.config
-    if cfg.kind is MethodKind.WORD2KET:
+    if cfg.kind is _WORD2KET:
         ((row,),) = rows
         return [list(group) for group in row.reshape(cfg.rank, cfg.order, -1)]
-    if cfg.kind is MethodKind.WORD2KETXS:
+    if cfg.kind is _WORD2KETXS:
         n = cfg.order
         return [[row for (row,) in rows[i : i + n]] for i in range(0, len(rows), n)]
     return rows  # morphte, word2ket_rshare: block i's slot rows are group i
@@ -373,13 +373,12 @@ def forward(layer: EmbeddingLayer, word_id: int) -> np.ndarray:
         raise WordLookupError(f"word id {word_id} out of range [0, {cfg.vocab_size})")
     kind = cfg.kind
 
-    if kind is MethodKind.ORIGINAL:
+    if kind is _ORIGINAL:
         # gather's one row, read directly: this copy of about a microsecond
         # is the whole forward, and going through gather doubles its time
         return layer.params["weight"][word_id].copy()
 
-    # one combine per family, told apart by the kind sets: on Python 3.11 a
-    # MethodKind.X lookup costs about 0.2 us, a tenth of some forwards
+    # one combine per family, told apart by the kind sets
     rows = gather(layer, layer.params, word_id)
     if kind in TENSOR_PRODUCT_KINDS:
         return truncate_to(entangled_sum(_ket_groups(layer, rows)), cfg.embed_dim)

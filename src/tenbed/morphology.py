@@ -20,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -38,11 +38,11 @@ class Segmentation:
 
     def __post_init__(self):
         if not self.word:
-            raise ValueError("word must be non-empty")
+            raise ConfigError("word must be non-empty")
         if len(self.morphemes) == 0:
-            raise ValueError(f"word {self.word!r} has no morphemes")
+            raise ConfigError(f"word {self.word!r} has no morphemes")
         if any(not m for m in self.morphemes):
-            raise ValueError(f"word {self.word!r} has an empty morpheme")
+            raise ConfigError(f"word {self.word!r} has an empty morpheme")
 
 
 class MorphemeVocab:
@@ -55,9 +55,9 @@ class MorphemeVocab:
     def __init__(self, real_morphemes: Sequence[str]):
         tokens = list(real_morphemes)
         if PAD_TOKEN in tokens:
-            raise ValueError(f"{PAD_TOKEN!r} is reserved and cannot be a real morpheme")
+            raise ConfigError(f"{PAD_TOKEN!r} is reserved and cannot be a real morpheme")
         if len(set(tokens)) != len(tokens):
-            raise ValueError("duplicate morphemes in vocabulary input")
+            raise ConfigError("duplicate morphemes in vocabulary input")
         tokens.append(PAD_TOKEN)
         self._tokens: tuple[str, ...] = tuple(tokens)
         self._id_of: dict[str, int] = {m: i for i, m in enumerate(self._tokens)}
@@ -98,9 +98,9 @@ class IndexMatrix:
     def __init__(self, rows: np.ndarray, words: Sequence[str]):
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         if rows.ndim != 2:
-            raise ValueError(f"rows must be 2-D, got shape {rows.shape}")
+            raise ConfigError(f"rows must be 2-D, got shape {rows.shape}")
         if rows.shape[0] != len(words):
-            raise ValueError("one word per row required")
+            raise ConfigError("one word per row required")
         rows.setflags(write=False)  # shared read-only across layers/threads
         self._rows = rows
         self._words = tuple(words)
@@ -136,36 +136,44 @@ class IndexMatrix:
             raise WordLookupError(f"unknown word {word!r}") from None
 
 
+def read_lines(path) -> Iterator[tuple[int, str]]:
+    """(line number, line) of each line of the UTF-8 file ``path``; other bytes raise ``ConfigError``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from enumerate(fh, start=1)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def load_segmentations(path) -> list[Segmentation]:
     """Parse a segmentation TSV file; order of lines is preserved."""
     segs: list[Segmentation] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise SegmentationParseError(
-                    f"expected 'word<TAB>morphemes', got {line!r}", line_no, str(path)
-                )
-            word, morph_field = parts[0].strip(), parts[1]
-            morphemes = tuple(morph_field.split())
-            if not word or not morphemes:
-                raise SegmentationParseError(
-                    f"empty word or morpheme list in {line!r}", line_no, str(path)
-                )
-            if PAD_TOKEN in morphemes:
-                raise SegmentationParseError(
-                    f"{PAD_TOKEN!r} is reserved and may not appear as a morpheme",
-                    line_no,
-                    str(path),
-                )
-            if word in seen:
-                raise DuplicateWordError(f"duplicate word {word!r} at line {line_no}")
-            seen.add(word)
-            segs.append(Segmentation(word, morphemes))
+    for line_no, raw in read_lines(path):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise SegmentationParseError(
+                f"expected 'word<TAB>morphemes', got {line!r}", line_no, str(path)
+            )
+        word, morph_field = parts[0].strip(), parts[1]
+        morphemes = tuple(morph_field.split())
+        if not word or not morphemes:
+            raise SegmentationParseError(
+                f"empty word or morpheme list in {line!r}", line_no, str(path)
+            )
+        if PAD_TOKEN in morphemes:
+            raise SegmentationParseError(
+                f"{PAD_TOKEN!r} is reserved and may not appear as a morpheme",
+                line_no,
+                str(path),
+            )
+        if word in seen:
+            raise DuplicateWordError(f"duplicate word {word!r} at line {line_no}")
+        seen.add(word)
+        segs.append(Segmentation(word, morphemes))
     return segs
 
 
@@ -179,29 +187,28 @@ def write_vocab_dir(vocab: MorphemeVocab, index: IndexMatrix, out) -> None:
             fh.write(word + "\t" + " ".join(str(int(i)) for i in row) + "\n")
 
 
-def _read_pairs(path: Path, expected: str) -> list[tuple[str, str]]:
-    """The two tab-separated fields of every non-empty line of ``path``."""
+def _read_pairs(path: Path, expected: str, parse) -> list[tuple[str, object]]:
+    """The first field and ``parse`` of the second of every non-empty line of ``path``."""
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise ConfigError(f"{path}:{line_no}: expected '{expected}'")
-            pairs.append((parts[0], parts[1]))
+    for line_no, raw in read_lines(path):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        try:  # ValueError: not two fields, or a second field parse rejects
+            first, second = line.split("\t")
+            pairs.append((first, parse(second)))
+        except ValueError:
+            raise ConfigError(f"{path}:{line_no}: expected '{expected}'") from None
     return pairs
 
 
 def load_vocab_dir(directory) -> tuple[MorphemeVocab, IndexMatrix]:
     """Read a vocab directory written by ``write_vocab_dir``.
 
-    Malformed content raises ``ConfigError`` (or ``ValueError`` for a cell
-    that is not an integer); a missing file raises ``OSError``.
+    Malformed content raises ``ConfigError``; a missing file raises ``OSError``.
     """
     path = Path(directory) / _VOCAB_FILE
-    tokens = sorted((int(i), tok) for tok, i in _read_pairs(path, "morpheme<TAB>id"))
+    tokens = sorted((i, tok) for tok, i in _read_pairs(path, "morpheme<TAB>id", int))
     ordered = [tok for _, tok in tokens]
     if not ordered or ordered[-1] != PAD_TOKEN:
         raise ConfigError(f"{path}: last id must be the pad sentinel {PAD_TOKEN!r}")
@@ -210,10 +217,10 @@ def load_vocab_dir(directory) -> tuple[MorphemeVocab, IndexMatrix]:
     vocab = MorphemeVocab(ordered[:-1])
 
     path = Path(directory) / _INDEX_FILE
-    pairs = _read_pairs(path, "word<TAB>ids")
+    pairs = _read_pairs(path, "word<TAB>ids", lambda ids: [int(x) for x in ids.split()])
     if not pairs:
         raise ConfigError(f"{path}: empty index")
-    rows = [[int(x) for x in ids.split()] for _, ids in pairs]
+    rows = [ids for _, ids in pairs]
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ConfigError(f"{path}: inconsistent row widths {sorted(widths)}")
@@ -227,9 +234,9 @@ def truncate_pad(morphemes: Sequence[str], n: int) -> list[str]:
     morphemes and concatenate the remainder into one synthetic morpheme.
     """
     if n < 1:
-        raise ValueError(f"slot count must be >= 1, got {n}")
+        raise ConfigError(f"slot count must be >= 1, got {n}")
     if not morphemes:
-        raise ValueError("morpheme list must be non-empty")
+        raise ConfigError("morpheme list must be non-empty")
     slots = _truncate_no_pad(morphemes, n)
     return slots + [PAD_TOKEN] * (n - len(slots))
 
@@ -250,7 +257,7 @@ def build_vocab_and_index(
     tails included) plus the pad sentinel; its size therefore counts the pad.
     """
     if not segs:
-        raise ValueError("need at least one segmentation")
+        raise ConfigError("need at least one segmentation")
     order: list[str] = []
     seen: set[str] = set()
     slot_lists: list[list[str]] = []
@@ -278,8 +285,6 @@ def random_seg(word: str, rng_seed: int) -> Segmentation:
     per-word stream derived from ``rng_seed`` so a corpus-level seed still
     cuts different words differently.  Characters are unicode scalar values.
     """
-    if not word:
-        raise ValueError("word must be non-empty")
     length = len(word)
     if length <= 3:
         return Segmentation(word, (word,))
@@ -314,11 +319,11 @@ def morpheme_stats(segs: Sequence[Segmentation], caps: Iterable[int | None]) -> 
     morpheme strings only; pad slots are not morphemes.
     """
     if not segs:
-        raise ValueError("need at least one segmentation")
+        raise ConfigError("need at least one segmentation")
     out = []
     for cap in caps:
         if cap is not None and cap < 1:
-            raise ValueError(f"cap must be >= 1, got {cap}")
+            raise ConfigError(f"cap must be >= 1, got {cap}")
         buckets = [0, 0, 0, 0, 0]  # N=1..4, N>4
         distinct: set[str] = set()
         for seg in segs:

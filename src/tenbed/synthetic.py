@@ -65,7 +65,7 @@ def make_sharing_task(
     style), so a shared morpheme always occupies the same slot in both words.
     """
     if num_morphemes < order:
-        raise ValueError("need at least one morpheme per slot")
+        raise ConfigError("need at least one morpheme per slot")
     rng = np.random.default_rng(seed)
     base, extra = divmod(num_morphemes, order)
     pools: list[list[str]] = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import TrainingDivergedError
+from .errors import ConfigError, TrainingDivergedError
 from .gradients import backward
 from .layers import EmbeddingLayer, forward
 
@@ -28,17 +28,17 @@ class TrainTask:
     def validate(self, layer: EmbeddingLayer) -> None:
         if self.kind == "reconstruct_table":
             if self.targets is None:
-                raise ValueError("reconstruct_table needs a target table")
+                raise ConfigError("reconstruct_table needs a target table")
             expected = (layer.config.vocab_size, layer.config.embed_dim)
             if self.targets.shape != expected:
-                raise ValueError(f"target table shape {self.targets.shape} != {expected}")
+                raise ConfigError(f"target table shape {self.targets.shape} != {expected}")
         elif self.kind == "word_similarity":
             if not self.pairs:
-                raise ValueError("word_similarity needs labelled pairs")
+                raise ConfigError("word_similarity needs labelled pairs")
             if any(label not in (0, 1) for _, _, label in self.pairs):
-                raise ValueError("labels must be 0 or 1")
+                raise ConfigError("labels must be 0 or 1")
         else:
-            raise ValueError(f"unknown task kind {self.kind!r}")
+            raise ConfigError(f"unknown task kind {self.kind!r}")
 
 
 @dataclass
@@ -53,13 +53,17 @@ class OptimizerState:
     moments_m: dict[str, np.ndarray] = field(default_factory=dict)
     moments_v: dict[str, np.ndarray] = field(default_factory=dict)
 
+    def __post_init__(self):
+        if self.kind not in ("sgd", "adam"):
+            raise ConfigError(f"unknown optimizer kind {self.kind!r}")
+        if not 0 < self.lr < np.inf:
+            raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
+
     def apply(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
         if self.kind == "sgd":
             for name, g in grads.items():
                 params[name] -= self.lr * g
             return
-        if self.kind != "adam":
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
         self.step_count += 1
         b1, b2 = self.betas
         for name, g in grads.items():
@@ -142,9 +146,9 @@ def train(
     before that batch's update, so the parameters stay as they were.
     """
     if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
+        raise ConfigError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
-        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     task.validate(layer)
     n_examples = (
         layer.config.vocab_size if task.kind == "reconstruct_table" else len(task.pairs)
@@ -180,7 +184,7 @@ def train(
 def eval_similarity(layer: EmbeddingLayer, pairs: list[tuple[int, int, int]]) -> float:
     """Accuracy of thresholding the cosine at 0.5 against the pair labels."""
     if not pairs:
-        raise ValueError("need at least one pair")
+        raise ConfigError("need at least one pair")
     correct = 0
     for a_id, b_id, label in pairs:
         cos = _cosine(forward(layer, a_id), forward(layer, b_id))

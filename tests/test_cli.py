@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from click.testing import CliRunner
@@ -357,9 +359,11 @@ def test_vocab_dir_keeps_config_morpheme_vocab_size(runner, tmp_path):
         ("index.tsv", "unkindly 0 1 2\n", "expected 'word<TAB>ids'"),
         ("index.tsv", "unkindly\t0 1 2\ncook\t6 8\n", "inconsistent row widths [2, 3]"),
         ("index.tsv", "\n", "empty index"),
+        ("morphemes.tsv", "un\tx\n<pad>\t1\n", "morphemes.tsv:1: expected 'morpheme<TAB>id'"),
+        ("index.tsv", "unkindly\t0 x 2\n", "index.tsv:1: expected 'word<TAB>ids'"),
     ],
     ids=["pad-not-last", "ids-not-dense", "vocab-no-tab", "index-no-tab", "row-widths",
-         "empty-index"],
+         "empty-index", "vocab-id-not-int", "index-id-not-int"],
 )
 def test_export_rejects_malformed_vocab_dir(runner, tmp_path, name, text, message):
     seg = write_segs(tmp_path)
@@ -391,3 +395,91 @@ def test_export_rejects_negative_morpheme_id(runner, tmp_path):
     )
     assert res.exit_code == 2
     assert "outside [0, 9)" in res.stderr
+
+
+def _train_args(tmp_path, **overrides):
+    cfg = make_train_config(tmp_path, **overrides)
+    return ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
+
+
+def _build_vocab_args(tmp_path, data: bytes, *flags):
+    seg = tmp_path / "segs.tsv"
+    seg.write_bytes(data)
+    return ["build-vocab", str(seg), "-o", str(tmp_path / "out"), *flags]
+
+
+def _eval_word_ids_args(tmp_path):
+    cfg = make_train_config(tmp_path, method="original")
+    ckpt = tmp_path / "layer.bin"
+    assert CliRunner().invoke(main, ["export", "--config", str(cfg), "--out", str(ckpt)]).exit_code == 0
+    return ["eval", "--checkpoint", str(ckpt), "--word-ids", "0,abc"]
+
+
+def _non_utf8_config_args(tmp_path):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_bytes(b"method = morphte\nlr = 0.02\xff\n")
+    return ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
+
+
+SIMILARITY = dict(task="similarity", vocab_size="40", morphemes="12", pairs_train="20",
+                  pairs_eval="10")
+NUMERIC_KEYS = ("vocab_size", "embed_dim", "order", "rank", "q", "morpheme_vocab_size",
+                "morphemes", "epochs", "batch", "lr", "seed", "target_seed", "vocab_factors",
+                "dim_factors")
+MALFORMED_INPUTS = [
+    *(pytest.param(lambda p, key=key: _train_args(p, **{key: "abc"}), key, id=f"{key}=abc")
+      for key in NUMERIC_KEYS),
+    *(pytest.param(lambda p, key=key, value=value: _train_args(p, **{**SIMILARITY, key: value}),
+                   key, id=f"{key}={value}")
+      for key in ("pairs_train", "pairs_eval") for value in ("abc", "0")),
+    pytest.param(lambda p: _train_args(p, method="foo"), "method", id="method=foo"),
+    pytest.param(lambda p: _train_args(p, task="foo"), "task", id="task=foo"),
+    pytest.param(lambda p: _train_args(p, optimizer="foo"), "optimizer", id="optimizer=foo"),
+    pytest.param(lambda p: _train_args(p, lr="nan"), "lr", id="lr=nan"),
+    pytest.param(lambda p: _train_args(p, order="0"), "order", id="order=0"),
+    pytest.param(lambda p: _train_args(p, seed="-1"), "seed", id="seed=-1"),
+    pytest.param(_eval_word_ids_args, "--word-ids", id="word-ids"),
+    pytest.param(lambda p: ["gradcheck", "--method", "original", "--epsilon", "0"], "epsilon",
+                 id="epsilon"),
+    pytest.param(lambda p: ["gradcheck", "--method", "tensor_train", "--vocab-factors", "2,a"],
+                 "vocab_factors", id="vocab-factors"),
+    pytest.param(lambda p: ["audit", "--method", "morphlstm", "--vocab-size", "9", "--embed-dim",
+                            "0", "--morpheme-vocab-size", "5"], "embed_dim", id="morphlstm-d=0"),
+    pytest.param(lambda p: _build_vocab_args(p, SEG_TEXT.encode(), "-n", "0"), "--order",
+                 id="n=0"),
+    pytest.param(lambda p: _build_vocab_args(p, b""), "segs.tsv", id="empty-segmentation"),
+    pytest.param(lambda p: _build_vocab_args(p, b"un\xffkind\tun kind\n"), "segs.tsv",
+                 id="non-utf8-segmentation"),
+    pytest.param(_non_utf8_config_args, "train.cfg", id="non-utf8-config"),
+]
+
+
+@pytest.mark.parametrize("make_args, named", MALFORMED_INPUTS)
+def test_malformed_input_exits_2_naming_its_key_or_file(runner, tmp_path, monkeypatch,
+                                                        make_args, named):
+    import tenbed.training as training
+
+    args = make_args(tmp_path)
+
+    def refuse(*_, **__):
+        raise AssertionError("malformed input reached training.train")
+
+    monkeypatch.setattr(training, "train", refuse)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2, res.output + repr(res.exception)
+    # the key or file as a whole word: "q" must not match inside another word
+    assert re.search(rf"(?<![\w-]){re.escape(named)}(?!\w)", res.stderr), res.stderr
+    assert res.stdout == ""
+
+
+def test_bug_in_a_command_exits_1_with_its_exception(runner, tmp_path, monkeypatch):
+    import tenbed.cli as cli
+
+    def broken(*_, **__):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr(cli, "build_vocab_and_index", broken)
+    res = runner.invoke(main, ["build-vocab", str(write_segs(tmp_path)), "-o", str(tmp_path / "o")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, ValueError)
+    assert str(res.exception) == "a bug, not bad input"
