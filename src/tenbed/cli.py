@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import click
@@ -104,8 +104,12 @@ def resolve_seed(flag: int | None, values: dict | None = None) -> int:
     return config_value(values or {}, "seed", default=0)
 
 
-def parse_kv_config(path) -> dict[str, str]:
-    """Minimal key=value config file: one pair per line, '#' comments."""
+def parse_kv_config(path, keys: frozenset[str]) -> dict[str, str]:
+    """Minimal key=value config file: one pair per line, '#' comments.
+
+    A key outside ``keys``, the keys the reading command knows, raises
+    ``ConfigError`` naming it, so a misspelt key is never dropped.
+    """
     values: dict[str, str] = {}
     for line_no, raw in read_lines(path):
         line = raw.strip()
@@ -114,7 +118,12 @@ def parse_kv_config(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{line_no}: expected key=value, got {line!r}")
         key, _, value = line.partition("=")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in keys:
+            raise ConfigError(
+                f"{path}:{line_no}: unknown key {key!r}; known keys: {', '.join(sorted(keys))}"
+            )
+        values[key] = value.strip()
     return values
 
 
@@ -146,6 +155,14 @@ def layer_config_from_mapping(values: dict, seed: int) -> LayerConfig:
 
 
 SIMILARITY_TASKS = ("similarity", "word_similarity")
+# the keys of a train config: LayerConfig's fields under their config names,
+# the synthetic morphology's size, then the task's keys.  export reads train
+# configs too, to write the layer a run starts from.
+TRAIN_KEYS = frozenset(
+    {f.name for f in fields(LayerConfig)} - {"kind", "subdim"}
+    | {"method", "q", "morphemes"}
+    | {"task", "epochs", "batch", "optimizer", "lr", "pairs_train", "pairs_eval", "target_seed"}
+)
 
 
 def _build_layer(values: dict, vocab_dir: str | None, seed: int):
@@ -375,7 +392,7 @@ def cmd_gradcheck(trials, seed, epsilon, tolerance, **flags):
 @exit_codes
 def cmd_train(config_path, out_dir, vocab_dir, seed):
     """Fit a layer on a desk-scale task; write history, checkpoint, manifest."""
-    values = parse_kv_config(config_path)
+    values = parse_kv_config(config_path, TRAIN_KEYS)
     get = functools.partial(config_value, values)
     seed_value = resolve_seed(seed, values)
     task_name = values.get("task", "reconstruct")
@@ -434,7 +451,7 @@ def cmd_train(config_path, out_dir, vocab_dir, seed):
 @exit_codes
 def cmd_export(config_path, out_path, vocab_dir, seed):
     """Build a freshly initialised layer and write it as a checkpoint."""
-    values = parse_kv_config(config_path)
+    values = parse_kv_config(config_path, TRAIN_KEYS)
     seed_value = resolve_seed(seed, values)
     layer, _ = _build_layer(values, vocab_dir, seed_value)
     checkpoint.save_layer(layer, out_path)

@@ -2,13 +2,14 @@
 
 Each forward map is a shallow fixed-shape multilinear expression, so the
 adjoints are written out instead of built as a general autodiff graph.
-``layers.gather`` gives the rows a word reads and, over a zeroed gradient
-dict, views of the same rows to add into; one adjoint per family of
-combine steps fills those views, and the four tensor-product kinds share one.
-Truncation to the embedding dimension is adjointed by zero-padding the
-upstream vector back to the full product length.  When a word references the
-same parameter row several times (repeated morphemes), the positional
-contributions are summed, which is the correct total derivative.
+``layers.gather`` gives the rows a word reads and, over a gradient dict
+(a caller's batch buffer or a fresh zeroed one), views of the same rows to
+add into; one adjoint per family of combine steps fills those views, and the
+four tensor-product kinds share one.  Truncation to the embedding dimension
+is adjointed by zero-padding the upstream vector back to the full product
+length.  When a word references the same parameter row several times
+(repeated morphemes), the positional contributions are summed first and the
+sum is added once, which is the correct total derivative.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ from .errors import ConfigError
 from .layers import (
     _MATRIX_FACTOR,
     _TENSOR_TRAIN,
+    KET_KINDS,
+    MORPHOLOGICAL_KINDS,
     TENSOR_PRODUCT_KINDS,
     EmbeddingLayer,
     _ket_groups,
@@ -75,27 +78,41 @@ def _chain_grads(vectors: list[np.ndarray], u_full: np.ndarray) -> list[np.ndarr
     return grads
 
 
-def backward(layer: EmbeddingLayer, word_id: int, upstream: np.ndarray) -> list[GradSlot]:
+def backward(
+    layer: EmbeddingLayer,
+    word_id: int,
+    upstream: np.ndarray,
+    into: dict[str, np.ndarray] | None = None,
+) -> list[GradSlot]:
     """Gradient of ``<upstream, forward(layer, word_id)>`` per parameter block.
 
-    Returns one slot per block in the block order used at build time; rows
-    not referenced by the word are exactly zero.
+    Returns one slot per block in the block order used at build time.  With
+    ``into``, a gradient dict of the params' shapes, the word's gradient is
+    added into it and the slots hold its arrays; this allocates nothing of
+    a block's size, so a trainer sums a batch in one buffer.  Without it, the
+    same adds go into a fresh zeroed dict, so rows the word does not read
+    are exactly zero.
+
+    A row the word reads in several slots (a pad, a repeated morpheme or a
+    repeated random id) gets the sum of its slot gradients, taken in slot
+    order from zero, added once: ``into + (0 + g1 + g2)``.
     """
     cfg = layer.config
     u = np.asarray(upstream, dtype=np.float64)
     if u.ndim != 1 or u.size != cfg.embed_dim:
         raise ValueError(f"upstream must have length {cfg.embed_dim}, got shape {u.shape}")
     kind = cfg.kind
+    grads = into if into is not None else {n: np.zeros_like(p) for n, p in layer.params.items()}
     rows = gather(layer, layer.params, word_id)
-    grads = {name: np.zeros_like(p) for name, p in layer.params.items()}
     views = gather(layer, grads, word_id)
+    repeated = _sum_repeated_slots(layer, word_id, views) if kind in MORPHOLOGICAL_KINDS else ()
 
     if kind in TENSOR_PRODUCT_KINDS:
         groups = _ket_groups(layer, rows)
         u_full = _pad_upstream(u, math.prod(v.size for v in groups[0]))
         for vecs, group_views in zip(groups, _ket_groups(layer, views)):
             for view, g in zip(group_views, _chain_grads(vecs, u_full)):
-                view += g  # a repeated morpheme's views share a row and accumulate
+                view += g
 
     elif kind is _MATRIX_FACTOR:
         (left,), (right,) = rows
@@ -121,7 +138,33 @@ def backward(layer: EmbeddingLayer, word_id: int, upstream: np.ndarray) -> list[
             for view in block_views:
                 view += u
 
+    for targets, sums in repeated:
+        for target, total in zip(targets, sums):
+            target += total
     return [GradSlot(name, grads[name]) for name in layer.params]
+
+
+def _sum_repeated_slots(layer: EmbeddingLayer, word_id: int, views: list[list]) -> list:
+    """Rewire a word's morpheme slots to one zeroed sum row per distinct row.
+
+    Only when some row fills several slots: ``views`` is ``gather``'s output
+    over a gradient dict for a morphological kind, and the slot lists of its
+    morpheme blocks are replaced in place by rows of a small zeroed array.
+    Returns ``(targets, sums)`` per rewired block; once the adjoint has
+    filled ``sums``, each sum row is added into its target row of the
+    gradient dict.  A word whose slots read different rows costs one set.
+    """
+    ids = layer.index.row(word_id).tolist()
+    if len(set(ids)) == len(ids):
+        return []
+    distinct = list(dict.fromkeys(ids))  # in first-slot order
+    repeated = []
+    for slots in views if layer.config.kind in KET_KINDS else views[1:]:
+        sums = np.zeros((len(distinct), slots[0].size))
+        targets = [slots[ids.index(m)] for m in distinct]
+        slots[:] = [sums[distinct.index(m)] for m in ids]
+        repeated.append((targets, sums))
+    return repeated
 
 
 def touched_rows(layer: EmbeddingLayer, word_id: int) -> dict[str, list[int]]:

@@ -18,6 +18,7 @@ A vocab directory stores a vocabulary and its index as two UTF-8 TSV files:
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -57,7 +58,8 @@ class MorphemeVocab:
         if PAD_TOKEN in tokens:
             raise ConfigError(f"{PAD_TOKEN!r} is reserved and cannot be a real morpheme")
         if len(set(tokens)) != len(tokens):
-            raise ConfigError("duplicate morphemes in vocabulary input")
+            twice = next(m for m, count in Counter(tokens).items() if count > 1)
+            raise ConfigError(f"duplicate morpheme {twice!r} in vocabulary input")
         tokens.append(PAD_TOKEN)
         self._tokens: tuple[str, ...] = tuple(tokens)
         self._id_of: dict[str, int] = {m: i for i, m in enumerate(self._tokens)}
@@ -187,8 +189,22 @@ def write_vocab_dir(vocab: MorphemeVocab, index: IndexMatrix, out) -> None:
             fh.write(word + "\t" + " ".join(str(int(i)) for i in row) + "\n")
 
 
+_INT64 = np.iinfo(np.int64)
+
+
+def _parse_id(text: str) -> int:
+    """An index id, which must fit the int64 index array."""
+    value = int(text)
+    if not _INT64.min <= value <= _INT64.max:
+        raise ConfigError(f"id {value} is outside the int64 range")
+    return value
+
+
 def _read_pairs(path: Path, expected: str, parse) -> list[tuple[str, object]]:
-    """The first field and ``parse`` of the second of every non-empty line of ``path``."""
+    """The first field and ``parse`` of the second of every non-empty line of ``path``.
+
+    A ``ConfigError`` from ``parse`` is reported with the file and line.
+    """
     pairs = []
     for line_no, raw in read_lines(path):
         line = raw.rstrip("\n")
@@ -197,6 +213,8 @@ def _read_pairs(path: Path, expected: str, parse) -> list[tuple[str, object]]:
         try:  # ValueError: not two fields, or a second field parse rejects
             first, second = line.split("\t")
             pairs.append((first, parse(second)))
+        except ConfigError as exc:
+            raise ConfigError(f"{path}:{line_no}: {exc}") from None
         except ValueError:
             raise ConfigError(f"{path}:{line_no}: expected '{expected}'") from None
     return pairs
@@ -214,10 +232,13 @@ def load_vocab_dir(directory) -> tuple[MorphemeVocab, IndexMatrix]:
         raise ConfigError(f"{path}: last id must be the pad sentinel {PAD_TOKEN!r}")
     if [i for i, _ in tokens] != list(range(len(tokens))):
         raise ConfigError(f"{path}: morpheme ids must be dense from 0")
-    vocab = MorphemeVocab(ordered[:-1])
+    try:
+        vocab = MorphemeVocab(ordered[:-1])
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
     path = Path(directory) / _INDEX_FILE
-    pairs = _read_pairs(path, "word<TAB>ids", lambda ids: [int(x) for x in ids.split()])
+    pairs = _read_pairs(path, "word<TAB>ids", lambda ids: [_parse_id(x) for x in ids.split()])
     if not pairs:
         raise ConfigError(f"{path}: empty index")
     rows = [ids for _, ids in pairs]

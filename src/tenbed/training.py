@@ -2,9 +2,10 @@
 
 Two tasks: reproduce a target embedding table under mean squared error, or
 separate labelled word pairs with a cosine contrastive loss.  Gradients come
-from the per-method adjoints; per-example slots are summed over a minibatch
-and applied in one optimizer step.  Everything is deterministic given the
-seed.
+from the per-method adjoints, which add each word's gradient straight into
+one zeroed buffer per minibatch; the optimizer step scales that sum by the
+batch size and applies it in row slices.  Everything is deterministic given
+the seed.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import numpy as np
 from .errors import ConfigError, TrainingDivergedError
 from .gradients import backward
 from .layers import EmbeddingLayer, forward
+
+SLICE_FLOATS = 32768  # floats per optimizer slice: 256 KB, cache-sized
 
 
 @dataclass
@@ -59,35 +62,58 @@ class OptimizerState:
         if not 0 < self.lr < np.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
 
-    def apply(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]) -> None:
-        if self.kind == "sgd":
-            for name, g in grads.items():
-                params[name] -= self.lr * g
-            return
-        self.step_count += 1
-        b1, b2 = self.betas
+    def apply(
+        self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], scale: float = 1.0
+    ) -> None:
+        """One step along ``scale * grads``, taken in row slices of each block.
+
+        A slice of about ``SLICE_FLOATS`` floats goes through the scale and
+        every operation of the step, in place or into two slice-sized scratch
+        buffers, so no temporary is as large as a block.  Every element still
+        takes every operation, in the order of the whole-array formulas, so
+        Adam stays dense: the moments of rows without gradient decay too.
+        """
+        adam = self.kind == "adam"
+        if adam:
+            self.step_count += 1
+            b1, b2 = self.betas
+            bias1, bias2 = 1 - b1**self.step_count, 1 - b2**self.step_count
         for name, g in grads.items():
-            if name not in self.moments_m:
+            p = params[name]
+            if adam and name not in self.moments_m:
                 self.moments_m[name] = np.zeros_like(g)
                 self.moments_v[name] = np.zeros_like(g)
-            m = self.moments_m[name]
-            v = self.moments_v[name]
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1**self.step_count)
-            v_hat = v / (1 - b2**self.step_count)
-            params[name] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            rows = max(1, SLICE_FLOATS // g.shape[1])  # blocks are matrices
+            scratch_g, scratch = np.empty((2, min(rows, len(g)), g.shape[1]))
+            for lo in range(0, len(g), rows):
+                hi = min(lo + rows, len(g))
+                gs = np.multiply(g[lo:hi], scale, out=scratch_g[: hi - lo])
+                t = scratch[: hi - lo]
+                if not adam:
+                    np.multiply(gs, self.lr, out=t)
+                    p[lo:hi] -= t
+                    continue
+                m, v = self.moments_m[name][lo:hi], self.moments_v[name][lo:hi]
+                m *= b1
+                np.multiply(gs, 1 - b1, out=t)
+                m += t
+                v *= b2
+                np.multiply(gs, 1 - b2, out=t)
+                t *= gs
+                v += t
+                np.divide(m, bias1, out=t)  # m_hat
+                t *= self.lr
+                v_hat = np.divide(v, bias2, out=gs)
+                np.sqrt(v_hat, out=v_hat)
+                v_hat += self.eps
+                t /= v_hat
+                p[lo:hi] -= t
 
 
 def _zero_grads(layer: EmbeddingLayer) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(p) for name, p in layer.params.items()}
-
-
-def _accumulate(total: dict[str, np.ndarray], slots) -> None:
-    for slot in slots:
-        total[slot.param_name] += slot.grad
+    # np.zeros, unlike zeros_like, writes no page: a batch's words write a
+    # few rows of a block that may be 169 MB
+    return {name: np.zeros(p.shape) for name, p in layer.params.items()}
 
 
 def _cosine(a: np.ndarray, b: np.ndarray) -> float:
@@ -166,14 +192,11 @@ def train(
                 loss, contribs = _example_loss_and_slots(layer, task, int(ex))
                 batch_loss += loss
                 for word_id, upstream in contribs:
-                    _accumulate(grads, backward(layer, word_id, upstream))
+                    backward(layer, word_id, upstream, into=grads)
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch, batch_loss)
-            scale = 1.0 / len(batch)
-            for name in grads:
-                grads[name] *= scale
             epoch_loss += batch_loss
-            opt.apply(layer.params, grads)
+            opt.apply(layer.params, grads, scale=1.0 / len(batch))
         epoch_loss /= n_examples
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch, epoch_loss)

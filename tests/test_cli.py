@@ -361,9 +361,14 @@ def test_vocab_dir_keeps_config_morpheme_vocab_size(runner, tmp_path):
         ("index.tsv", "\n", "empty index"),
         ("morphemes.tsv", "un\tx\n<pad>\t1\n", "morphemes.tsv:1: expected 'morpheme<TAB>id'"),
         ("index.tsv", "unkindly\t0 x 2\n", "index.tsv:1: expected 'word<TAB>ids'"),
+        ("index.tsv", "unkindly\t0 1 2\ncook\t0 99999999999999999999 2\n",
+         "index.tsv:2: id 99999999999999999999 is outside the int64 range"),
+        ("morphemes.tsv", "un\t0\nun\t1\n<pad>\t2\n",
+         "morphemes.tsv: duplicate morpheme 'un'"),
     ],
     ids=["pad-not-last", "ids-not-dense", "vocab-no-tab", "index-no-tab", "row-widths",
-         "empty-index", "vocab-id-not-int", "index-id-not-int"],
+         "empty-index", "vocab-id-not-int", "index-id-not-int", "index-id-beyond-int64",
+         "duplicate-morpheme"],
 )
 def test_export_rejects_malformed_vocab_dir(runner, tmp_path, name, text, message):
     seg = write_segs(tmp_path)
@@ -451,6 +456,9 @@ MALFORMED_INPUTS = [
     pytest.param(lambda p: _build_vocab_args(p, b"un\xffkind\tun kind\n"), "segs.tsv",
                  id="non-utf8-segmentation"),
     pytest.param(_non_utf8_config_args, "train.cfg", id="non-utf8-config"),
+    pytest.param(lambda p: _train_args(p, epoch="1"), "epoch", id="misspelt-key-train"),
+    pytest.param(lambda p: ["export", "--config", str(make_train_config(p, rnak="2")),
+                            "--out", str(p / "l.bin")], "rnak", id="misspelt-key-export"),
 ]
 
 

@@ -1,0 +1,124 @@
+"""Golden outputs: sha256 of what the CLI and the trainer produce, per kind.
+
+``golden.json`` holds the hashes recorded by ``regen`` and the numpy, BLAS and
+Python versions they were recorded with.  Any refactor or speed-up must leave
+every hash unchanged; a change that alters numerics on purpose regenerates
+the file and gives the numeric reason in CHANGES.md.
+
+Regenerate with ``PYTHONPATH=src python tests/test_golden.py regen``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import platform
+import sys
+from pathlib import Path
+
+import numpy as np
+from click.testing import CliRunner
+
+from conftest import ALL_KINDS, random_layer, stable_seed
+from tenbed.cli import main
+from tenbed.training import OptimizerState, TrainTask, train
+
+GOLDEN_PATH = Path(__file__).with_name("golden.json")
+
+# the golden morphte reconstruct run, unchanged since the first refactor
+GOLDEN_TRAIN_CONFIG = (
+    "method=morphte\ntask=reconstruct\nvocab_size=200\nembed_dim=64\norder=3\nq=4\n"
+    "rank=4\nmorphemes=40\nepochs=10\nbatch=32\nlr=0.02\noptimizer=adam\nseed=3\n"
+)
+LAYERS_PER_KIND = 5
+OPTIMIZERS = (("sgd", 0.05), ("adam", 0.01))
+
+
+def environment() -> dict[str, str]:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "python": platform.python_version(),
+    }
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _invoke(args: list[str]):
+    res = CliRunner().invoke(main, args, env={"TENBED_SEED": None})
+    assert res.exit_code == 0, (args, res.output, res.exception)
+    return res
+
+
+def _train_hash(kind) -> str:
+    """One hash over SGD and Adam reconstruction trains of seeded random layers."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(stable_seed("golden", kind.value))
+    for _ in range(LAYERS_PER_KIND):
+        layer = random_layer(kind, rng)
+        start = {name: p.copy() for name, p in layer.params.items()}
+        targets = rng.standard_normal((layer.config.vocab_size, layer.config.embed_dim))
+        task = TrainTask("reconstruct_table", targets=targets)
+        for opt_kind, lr in OPTIMIZERS:
+            for name, p in start.items():
+                layer.params[name][...] = p
+            history = train(
+                layer, task, OptimizerState(kind=opt_kind, lr=lr), epochs=2, batch_size=4, seed=1
+            )
+            h.update(np.array(history).tobytes())
+            for name, p in layer.params.items():
+                h.update(name.encode())
+                h.update(p.tobytes())
+    return h.hexdigest()
+
+
+def golden_hashes(tmp_dir: Path) -> dict[str, str]:
+    hashes = {}
+    for kind in ALL_KINDS:
+        res = _invoke(["gradcheck", "--method", kind.value, "--trials", "3", "--seed", "1"])
+        hashes[f"gradcheck/{kind.value}"] = _sha256(res.stdout.encode())
+    config = tmp_dir / "golden.cfg"
+    config.write_text(GOLDEN_TRAIN_CONFIG, encoding="utf-8")
+    run = tmp_dir / "run"
+    _invoke(["train", "--config", str(config), "--out", str(run)])
+    for name in ("history.csv", "checkpoint.bin"):
+        hashes[f"train_morphte/{name}"] = _sha256((run / name).read_bytes())
+    for kind in ALL_KINDS:
+        hashes[f"train_random_layers/{kind.value}"] = _train_hash(kind)
+    return hashes
+
+
+def test_golden_outputs_unchanged(tmp_path):
+    recorded = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    observed = golden_hashes(tmp_path)
+    changed = sorted(
+        name for name in recorded["hashes"].keys() | observed.keys()
+        if recorded["hashes"].get(name) != observed.get(name)
+    )
+    if changed:
+        env, now = recorded["environment"], environment()
+        differs = [f"{k}: recorded {env.get(k)}, here {now[k]}" for k in now if env.get(k) != now[k]]
+        raise AssertionError(
+            f"golden outputs changed: {', '.join(changed)}; environment "
+            + ("differences: " + "; ".join(differs) if differs else "matches the recording")
+        )
+
+
+def regen() -> None:
+    """Rewrite golden.json from the code as it is now."""
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        hashes = golden_hashes(Path(tmp))
+    record = {"environment": environment(), "hashes": hashes}
+    GOLDEN_PATH.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(hashes)} hashes -> {GOLDEN_PATH}")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["regen"]:
+        sys.exit("usage: python tests/test_golden.py regen")
+    regen()

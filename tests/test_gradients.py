@@ -206,3 +206,32 @@ def test_out_of_range_word_ids_raise(kind):
             touched_rows(layer, word_id)
         with pytest.raises(WordLookupError):
             backward(layer, word_id, np.ones(layer.config.embed_dim))
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_backward_into_a_batch_buffer_equals_summed_dense_backwards(kind):
+    """Adding words into one buffer gives the bytes of summing dense per-word slots.
+
+    A row a word reads in several slots must reach the buffer as one sum,
+    ``total + (0 + g1 + g2)``, not slot by slot.
+    """
+    rng = np.random.default_rng(stable_seed("backward-into", kind.value))
+    repeating = 0
+    for _ in range(4):
+        layer = random_layer(kind, rng)
+        V, d = layer.config.vocab_size, layer.config.embed_dim
+        if layer.index is not None:
+            repeating += sum(len(set(r)) < len(r) for r in layer.index.rows.tolist())
+        words = rng.integers(0, V, size=2 * V)  # every batch revisits words
+        upstreams = rng.standard_normal((len(words), d))
+        dense = {name: np.zeros_like(p) for name, p in layer.params.items()}
+        into = {name: np.zeros_like(p) for name, p in layer.params.items()}
+        for word_id, u in zip(words.tolist(), upstreams):
+            for slot in backward(layer, word_id, u):
+                dense[slot.param_name] += slot.grad
+            slots = backward(layer, word_id, u, into=into)
+            assert all(slot.grad is into[slot.param_name] for slot in slots)
+        for name in layer.params:
+            assert dense[name].tobytes() == into[name].tobytes(), (kind, name)
+    if kind.value in ("morphte", "morphsum", "word2ket_rshare"):
+        assert repeating > 0, "no word repeats a row; the case is not covered"

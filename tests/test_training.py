@@ -3,10 +3,10 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ALL_KINDS, random_layer
+from conftest import ALL_KINDS, random_layer, stable_seed
 from tenbed.layers import LayerConfig, MethodKind, build, forward
 from tenbed.synthetic import make_morphology, make_sharing_pairs, make_sharing_task
-from tenbed.training import OptimizerState, TrainTask, eval_similarity, train
+from tenbed.training import SLICE_FLOATS, OptimizerState, TrainTask, eval_similarity, train
 
 
 def test_reconstructing_own_table_gives_zero_loss():
@@ -80,6 +80,53 @@ def test_adam_matches_hand_computed_scalar_trace():
         opt.apply(params, {"w": np.array([[1.0]])})
         observed.append(float(params["w"][0, 0]))
     np.testing.assert_allclose(observed, expected, rtol=1e-15)
+
+
+def _whole_array_step(opt, params, grads, scale, moments):
+    """The optimizer step as whole-array formulas: the reference for ``apply``."""
+    b1, b2 = opt.betas
+    for name, g in grads.items():
+        g = g * scale
+        if opt.kind == "sgd":
+            params[name] -= opt.lr * g
+            continue
+        m, v = moments.setdefault(name, (np.zeros_like(g), np.zeros_like(g)))
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        m_hat = m / (1 - b1**opt.step_count)
+        v_hat = v / (1 - b2**opt.step_count)
+        params[name] -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_sliced_step_is_byte_identical_to_whole_array_formulas(kind):
+    rng = np.random.default_rng(stable_seed("sliced-step", kind))
+    # more than one slice with a ragged last one; a row wider than a slice;
+    # a block within one slice
+    shapes = {
+        "tall": (3 * SLICE_FLOATS // 7 + 5, 7),
+        "wide": (3, SLICE_FLOATS + 11),
+        "small": (4, 3),
+    }
+    for name, (rows, cols) in shapes.items():
+        assert (rows * cols > SLICE_FLOATS) == (name != "small")
+    params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    reference = {name: p.copy() for name, p in params.items()}
+    opt = OptimizerState(kind=kind, lr=0.03)
+    moments = {}
+    for _ in range(4):
+        grads = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+        for g in grads.values():
+            g[rng.random(len(g)) < 0.5] = 0.0  # rows no word read
+        opt.apply(params, grads, scale=1.0 / 3)
+        _whole_array_step(opt, reference, grads, 1.0 / 3, moments)
+        for name in shapes:
+            assert params[name].tobytes() == reference[name].tobytes(), name
+            if kind == "adam":
+                assert opt.moments_m[name].tobytes() == moments[name][0].tobytes(), name
+                assert opt.moments_v[name].tobytes() == moments[name][1].tobytes(), name
 
 
 def test_training_never_mutates_index_or_vocab():
