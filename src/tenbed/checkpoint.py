@@ -13,15 +13,18 @@ Layout (all integers unsigned 64-bit little-endian):
                rows*cols float64 little-endian, row-major
     index   only if the meta says so: rows u64, cols u64, int64 LE data
 
-Parameters round-trip bit-exactly.  The loader rejects unknown versions,
-a meta, block or index that disagrees with the config (through ``build``'s
-own checks) and bytes after the last block.
+Parameters round-trip bit-exactly; arrays are written from their memory and
+read in place into their final arrays.  The loader checks every length
+against the bytes left in its input before it reads or allocates anything.
+It rejects unknown versions, a meta, block or index that disagrees with the
+config (through ``build``'s own checks) and bytes after the last block.
 """
 
 from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 from dataclasses import fields
 
@@ -35,17 +38,12 @@ MAGIC = b"TENBEDCK"
 FORMAT_VERSION = 1
 _CONFIG_FIELDS = fields(LayerConfig)
 _META_KEYS = [f.name for f in _CONFIG_FIELDS] + ["blocks", "has_index", "words", "morphemes"]
+# the on-disk dtypes, made once: parsing a dtype string costs more than a small read
+_BYTE, _U64, _F64, _I64 = (np.dtype(t) for t in ("u1", "<u8", "<f8", "<i8"))
 
 
-def _write_u64(fh, value: int) -> None:
-    fh.write(struct.pack("<Q", value))
-
-
-def _read_u64(fh) -> int:
-    raw = fh.read(8)
-    if len(raw) != 8:
-        raise CheckpointError("truncated checkpoint: expected 8-byte integer")
-    return struct.unpack("<Q", raw)[0]
+def _write_u64(fh, *values: int) -> None:
+    fh.write(struct.pack(f"<{len(values)}Q", *values))
 
 
 def _write_bytes(fh, data: bytes) -> None:
@@ -53,12 +51,35 @@ def _write_bytes(fh, data: bytes) -> None:
     fh.write(data)
 
 
-def _read_bytes(fh) -> bytes:
-    length = _read_u64(fh)
-    data = fh.read(length)
-    if len(data) != length:
-        raise CheckpointError(f"truncated checkpoint: expected {length} bytes")
-    return data
+class _Reader:
+    """Reads ``fh``, of which ``left`` bytes remain, checking every length
+    against them before anything is allocated or read."""
+
+    def __init__(self, fh, left: int):
+        self.fh, self.left = fh, left
+
+    def read(self, count: int, dtype: np.dtype, what: str) -> np.ndarray:
+        """The next ``count`` items of ``dtype``, read in place into a new array."""
+        need = count * dtype.itemsize
+        if need > self.left:
+            raise CheckpointError(f"truncated checkpoint: {what} is {need} bytes, {self.left} left")
+        self.left -= need
+        out = np.empty(count, dtype)
+        if self.fh.readinto(out) != need:
+            raise CheckpointError(f"checkpoint shrank while {what} was read")
+        return out
+
+    def chunk(self, what: str) -> bytes:
+        """A u64 length and that many bytes."""
+        (length,) = self.read(1, _U64, f"{what} length").tolist()
+        return self.read(length, _BYTE, what).tobytes()
+
+    def matrix(self, what: str, shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
+        """A rows, cols header, checked against ``shape``, and the data."""
+        got = tuple(self.read(2, _U64, f"{what} shape").tolist())
+        if got != shape:
+            raise CheckpointError(f"{what} has shape {got}, the config implies {shape}")
+        return self.read(got[0] * got[1], dtype, what).reshape(got)
 
 
 def save_layer(layer: EmbeddingLayer, path) -> None:
@@ -80,37 +101,35 @@ def dump_layer(layer: EmbeddingLayer, fh) -> None:
     _write_bytes(fh, json.dumps(meta, sort_keys=True).encode("utf-8"))
     for name, block in layer.params.items():
         _write_bytes(fh, name.encode("utf-8"))
-        rows, cols = block.shape
-        _write_u64(fh, rows)
-        _write_u64(fh, cols)
-        fh.write(np.ascontiguousarray(block, dtype="<f8").tobytes())
+        _write_u64(fh, *block.shape)
+        fh.write(np.ascontiguousarray(block, dtype=_F64))
     if layer.index is not None:
-        rows, cols = layer.index.rows.shape
-        _write_u64(fh, rows)
-        _write_u64(fh, cols)
-        fh.write(np.ascontiguousarray(layer.index.rows, dtype="<i8").tobytes())
+        _write_u64(fh, *layer.index.rows.shape)
+        fh.write(np.ascontiguousarray(layer.index.rows, dtype=_I64))
 
 
 def load_layer(path) -> EmbeddingLayer:
     with open(path, "rb") as fh:
-        return parse_layer(fh)
+        return parse_layer(fh, os.fstat(fh.fileno()).st_size)
 
 
 def loads_layer(data: bytes) -> EmbeddingLayer:
-    return parse_layer(io.BytesIO(data))
+    return parse_layer(io.BytesIO(data), len(data))
 
 
-def parse_layer(fh) -> EmbeddingLayer:
-    magic = fh.read(len(MAGIC))
+def parse_layer(fh, size: int) -> EmbeddingLayer:
+    """The layer in ``fh``, which holds ``size`` bytes from its position on."""
+    reader = _Reader(fh, size)
+    magic = reader.read(min(len(MAGIC), size), _BYTE, "magic").tobytes()
     if magic != MAGIC:
         raise CheckpointError(f"not a checkpoint file (magic {magic!r})")
-    version = _read_u64(fh)
+    (version,) = reader.read(1, _U64, "version").tolist()
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint format version {version}, expected {FORMAT_VERSION}"
         )
     try:
-        meta = json.loads(_read_bytes(fh).decode("utf-8"))
+        meta = json.loads(reader.chunk("metadata").decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"unreadable checkpoint metadata: {exc}") from exc
 
@@ -132,45 +151,25 @@ def parse_layer(fh) -> EmbeddingLayer:
         )
     params: dict[str, np.ndarray] = {}
     for expected_name, shape in shapes:
-        name = _read_bytes(fh).decode("utf-8")
+        name = reader.chunk("block name").decode("utf-8", "replace")
         if name != expected_name:
             raise CheckpointError(f"block order mismatch: {name!r} vs {expected_name!r}")
-        rows = _read_u64(fh)
-        cols = _read_u64(fh)
-        if (rows, cols) != shape:
-            raise CheckpointError(
-                f"block {name!r} has shape {(rows, cols)}, the config implies {shape}"
-            )
-        raw = fh.read(rows * cols * 8)
-        if len(raw) != rows * cols * 8:
-            raise CheckpointError(f"truncated block {name!r}")
-        block = np.frombuffer(raw, dtype="<f8").reshape(rows, cols).copy()
+        block = reader.matrix(f"block {name!r}", shape, _F64)
         if not np.all(np.isfinite(block)):
             raise CheckpointError(f"block {name!r} contains non-finite values")
         params[name] = block
 
     index = vocab = None
     if meta["has_index"]:
-        # checked before the read, because the header sizes the allocation
-        rows = _read_u64(fh)
-        cols = _read_u64(fh)
-        if (rows, cols) != (config.vocab_size, config.order):
-            raise CheckpointError(
-                f"index has shape {(rows, cols)}, the config implies "
-                f"{(config.vocab_size, config.order)}"
-            )
-        raw = fh.read(rows * cols * 8)
-        if len(raw) != rows * cols * 8:
-            raise CheckpointError("truncated index block")
+        ids = reader.matrix("index", (config.vocab_size, config.order), _I64)
     try:
         if meta["has_index"]:
-            ids = np.frombuffer(raw, dtype="<i8").reshape(rows, cols)
-            index = IndexMatrix(ids, meta["words"] or [f"w{j}" for j in range(rows)])
+            index = IndexMatrix(ids, meta["words"] or [f"w{j}" for j in range(len(ids))])
         if meta["morphemes"] is not None:
             vocab = MorphemeVocab(meta["morphemes"])
         check_parts(config, vocab, index)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint index or vocab: {exc}") from exc
-    if fh.read(1):
+    if reader.left:
         raise CheckpointError("trailing bytes after the last block")
     return EmbeddingLayer(config=config, params=params, index=index, vocab=vocab)

@@ -15,7 +15,6 @@ sum is added once, which is the correct total derivative.
 from __future__ import annotations
 
 import math
-import string
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,10 +29,9 @@ from .layers import (
     EmbeddingLayer,
     _ket_groups,
     _tensor_train_chain,
+    forward,
     gather,
 )
-
-_AXIS_LETTERS = string.ascii_lowercase
 
 
 @dataclass
@@ -62,19 +60,13 @@ def _chain_grads(vectors: list[np.ndarray], u_full: np.ndarray) -> list[np.ndarr
     n = len(vectors)
     if n == 1:
         return [u_full.copy()]
-    letters = _AXIS_LETTERS[:n]
     shaped = u_full.reshape(tuple(v.size for v in vectors))
+    axes = list(range(n))
     grads = []
     for k in range(n):
-        others = [vectors[m] for m in range(n) if m != k]
-        spec = (
-            letters
-            + ","
-            + ",".join(letters[m] for m in range(n) if m != k)
-            + "->"
-            + letters[k]
-        )
-        grads.append(np.einsum(spec, shaped, *others))
+        # einsum's sublist form: each operand followed by its axis numbers
+        others = [x for m in axes if m != k for x in (vectors[m], [m])]
+        grads.append(np.einsum(shaped, axes, *others, [k]))
     return grads
 
 
@@ -219,9 +211,9 @@ def finite_diff_check(
                 theta = block[row, col]
                 hi, lo = theta + epsilon, theta - epsilon
                 block[row, col] = hi
-                y_hi = layer.forward(word_id)
+                y_hi = forward(layer, word_id)
                 block[row, col] = lo
-                y_lo = layer.forward(word_id)
+                y_lo = forward(layer, word_id)
                 block[row, col] = theta
                 # divide by the realised step, the exact adjoint of the
                 # perturbation actually applied

@@ -21,8 +21,11 @@ All parameters are float64 matrices initialised Xavier-uniform with bound
 ``sqrt(6 / (rows + cols))`` per block, drawn in block order from a generator
 seeded by the config, so identical configs rebuild bit-identical layers.
 
-``forward``/``forward_batch`` only read the parameter blocks and are safe to
-call concurrently; mutating parameters (training) requires exclusive access.
+An ``EmbeddingLayer`` is data: a config, its blocks and, for the
+morphological kinds, a vocab and an index.  The module functions
+``forward``/``forward_batch`` embed through it; they only read the parameter
+blocks and are safe to call concurrently; mutating parameters (training)
+requires exclusive access.
 """
 
 from __future__ import annotations
@@ -192,12 +195,6 @@ class EmbeddingLayer:
 
     def trainable_param_count(self) -> int:
         return sum(int(p.size) for p in self.params.values())
-
-    def forward(self, word_id: int) -> np.ndarray:
-        return forward(self, word_id)
-
-    def forward_batch(self, word_ids: Sequence[int]) -> list[np.ndarray]:
-        return forward_batch(self, word_ids)
 
 
 def build_rshare_index(

@@ -108,7 +108,8 @@ class IndexMatrix:
         self._words = tuple(words)
         self._row_of_word = {w: i for i, w in enumerate(self._words)}
         if len(self._row_of_word) != len(self._words):
-            raise DuplicateWordError("duplicate words in index")
+            twice = next(w for w, count in Counter(self._words).items() if count > 1)
+            raise DuplicateWordError(f"duplicate word {twice!r} in index")
 
     @property
     def order(self) -> int:
@@ -245,7 +246,10 @@ def load_vocab_dir(directory) -> tuple[MorphemeVocab, IndexMatrix]:
     widths = {len(r) for r in rows}
     if len(widths) != 1:
         raise ConfigError(f"{path}: inconsistent row widths {sorted(widths)}")
-    return vocab, IndexMatrix(np.array(rows, dtype=np.int64), [w for w, _ in pairs])
+    try:
+        return vocab, IndexMatrix(np.array(rows, dtype=np.int64), [w for w, _ in pairs])
+    except DuplicateWordError as exc:
+        raise DuplicateWordError(f"{path}: {exc}") from None
 
 
 def truncate_pad(morphemes: Sequence[str], n: int) -> list[str]:

@@ -174,3 +174,62 @@ def test_rejects_trailing_bytes(kind):
     loads_layer(data)
     with pytest.raises(CheckpointError, match="trailing"):
         loads_layer(data + b"\0")
+
+
+def field_offsets(layer, data: bytes) -> tuple[list[int], list[int]]:
+    """Where ``data``, the checkpoint of ``layer``, holds a u64 length or
+    shape, and the offsets of its block names' bytes."""
+    at = len(MAGIC)
+    (meta_length,) = struct.unpack_from("<Q", data, at + 8)
+    u64s, names = [at, at + 8], []  # version, meta length
+    at += 16 + meta_length
+    for name, block in layer.params.items():
+        u64s += [at, at + 8 + len(name), at + 16 + len(name)]  # name length, rows, cols
+        names += range(at + 8, at + 8 + len(name))
+        at += 24 + len(name) + block.nbytes
+    u64s += [at, at + 8]  # index rows, cols
+    assert at + 16 + layer.index.rows.nbytes == len(data)
+    return u64s, names
+
+
+def test_mutated_checkpoints_load_or_raise_checkpoint_error(tmp_path):
+    """Seeded mutations of a small morphte checkpoint file: a truncation at
+    every offset, every u64 length or shape field set to 0, 2**40 and 2**63,
+    and three random single-byte flips at every offset of the header, the
+    meta and the block names.  Each load either returns a layer or raises
+    CheckpointError; anything else, such as a MemoryError from an unchecked
+    length or a UnicodeDecodeError from a name, fails."""
+    layer = random_layer("morphte", np.random.default_rng(stable_seed("fuzz")))
+    data = roundtrip_bytes(layer)
+    path = tmp_path / "mutant.bin"
+
+    def load(mutant: bytes):
+        path.write_bytes(mutant)
+        return load_layer(path)
+
+    load(data)
+    for end in range(len(data)):
+        with pytest.raises(CheckpointError):
+            load(data[:end])
+
+    u64s, names = field_offsets(layer, data)
+    mutants = [
+        data[:at] + struct.pack("<Q", value) + data[at + 8 :]
+        for at in u64s
+        for value in (0, 2**40, 2**63)
+    ]
+    rng = np.random.default_rng(stable_seed("fuzz", "flips"))
+    (meta_length,) = struct.unpack_from("<Q", data, len(MAGIC) + 8)
+    for at in [*range(len(MAGIC) + 16 + meta_length), *names]:
+        for flip in rng.integers(1, 256, size=3):
+            mutant = bytearray(data)
+            mutant[at] ^= int(flip)
+            mutants.append(bytes(mutant))
+    loaded = 0
+    for mutant in mutants:
+        try:
+            load(mutant)
+            loaded += 1
+        except CheckpointError:
+            pass
+    assert 0 < loaded < len(mutants)

@@ -1,4 +1,6 @@
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -304,6 +306,34 @@ def test_eval_unknown_word_exit_2_missing_file_exit_3(runner, tmp_path):
     assert res.exit_code == 3
 
 
+def _oversized_checkpoint(path, case: str) -> None:
+    """Rewrite the ``original`` checkpoint (d=1) at ``path`` to claim more
+    bytes than it holds: a 2**40-byte meta, or a meta and a block header
+    that agree on a 2**37 x 1 table."""
+    data = path.read_bytes()
+    (length,) = struct.unpack_from("<Q", data, 16)
+    if case == "meta-length":
+        path.write_bytes(data[:16] + struct.pack("<Q", 2**40) + data[24:])
+        return
+    meta = json.loads(data[24 : 24 + length])
+    meta["vocab_size"] = 2**37
+    raw = json.dumps(meta, sort_keys=True).encode("utf-8")
+    rows_at = 24 + length + 8 + len("weight")
+    path.write_bytes(data[:16] + struct.pack("<Q", len(raw)) + raw + data[24 + length : rows_at]
+                     + struct.pack("<Q", 2**37) + data[rows_at + 8 :])
+
+
+@pytest.mark.parametrize("case", ["meta-length", "table-rows"])
+def test_eval_rejects_checkpoint_lengths_beyond_the_file(runner, tmp_path, case):
+    cfg = make_train_config(tmp_path, method="original", vocab_size="7", embed_dim="1")
+    ckpt = tmp_path / "orig.bin"
+    assert runner.invoke(main, ["export", "--config", str(cfg), "--out", str(ckpt)]).exit_code == 0
+    _oversized_checkpoint(ckpt, case)
+    res = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--word-ids", "0"])
+    assert res.exit_code == 2, res.output + repr(res.exception)
+    assert "error: truncated checkpoint" in res.stderr
+
+
 def test_env_seed_overrides_config(runner, tmp_path, monkeypatch):
     cfg = make_train_config(tmp_path, method="original", vocab_size="5", embed_dim="4", seed="3")
     c1, c2, c3 = (tmp_path / f"{n}.bin" for n in "abc")
@@ -365,10 +395,12 @@ def test_vocab_dir_keeps_config_morpheme_vocab_size(runner, tmp_path):
          "index.tsv:2: id 99999999999999999999 is outside the int64 range"),
         ("morphemes.tsv", "un\t0\nun\t1\n<pad>\t2\n",
          "morphemes.tsv: duplicate morpheme 'un'"),
+        ("index.tsv", "cook\t0 1 2\nunkindly\t0 1 2\ncook\t2 1 0\n",
+         "index.tsv: duplicate word 'cook' in index"),
     ],
     ids=["pad-not-last", "ids-not-dense", "vocab-no-tab", "index-no-tab", "row-widths",
          "empty-index", "vocab-id-not-int", "index-id-not-int", "index-id-beyond-int64",
-         "duplicate-morpheme"],
+         "duplicate-morpheme", "duplicate-word"],
 )
 def test_export_rejects_malformed_vocab_dir(runner, tmp_path, name, text, message):
     seg = write_segs(tmp_path)

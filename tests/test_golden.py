@@ -30,6 +30,19 @@ GOLDEN_TRAIN_CONFIG = (
     "method=morphte\ntask=reconstruct\nvocab_size=200\nembed_dim=64\norder=3\nq=4\n"
     "rank=4\nmorphemes=40\nepochs=10\nbatch=32\nlr=0.02\noptimizer=adam\nseed=3\n"
 )
+# one small export per kind, so every block layout goes through the writer
+EXPORT_CONFIGS = {
+    "original": "vocab_size=30\nembed_dim=8\n",
+    "matrix_factor": "vocab_size=30\nembed_dim=8\nrank=3\n",
+    "tensor_train": "vocab_size=30\nembed_dim=8\norder=3\nrank=2\n"
+                    "vocab_factors=2,4,4\ndim_factors=2,2,2\n",
+    "word2ket": "vocab_size=30\nembed_dim=8\norder=3\nrank=2\nq=2\n",
+    "word2ketxs": "vocab_size=30\nembed_dim=8\norder=3\nrank=2\n"
+                  "vocab_factors=2,4,4\ndim_factors=2,2,2\n",
+    "morphte": "vocab_size=30\nembed_dim=8\norder=3\nrank=2\nq=2\nmorphemes=12\n",
+    "morphsum": "vocab_size=30\nembed_dim=8\norder=3\nmorphemes=12\n",
+    "word2ket_rshare": "vocab_size=30\nembed_dim=8\norder=3\nrank=2\nq=2\nmorphemes=12\n",
+}
 LAYERS_PER_KIND = 5
 OPTIMIZERS = (("sgd", 0.05), ("adam", 0.01))
 
@@ -86,6 +99,14 @@ def golden_hashes(tmp_dir: Path) -> dict[str, str]:
     _invoke(["train", "--config", str(config), "--out", str(run)])
     for name in ("history.csv", "checkpoint.bin"):
         hashes[f"train_morphte/{name}"] = _sha256((run / name).read_bytes())
+    res = _invoke(["eval", "--checkpoint", str(run / "checkpoint.bin"), "--all"])
+    hashes["train_morphte/eval_all"] = _sha256(res.stdout.encode())
+    hashes["audit/paper_tables"] = _sha256(_invoke(["audit", "--paper-tables"]).stdout.encode())
+    for kind in ALL_KINDS:
+        config.write_text(f"method={kind.value}\n{EXPORT_CONFIGS[kind.value]}seed=5\n")
+        out = tmp_dir / f"export_{kind.value}.bin"
+        _invoke(["export", "--config", str(config), "--out", str(out)])
+        hashes[f"export/{kind.value}"] = _sha256(out.read_bytes())
     for kind in ALL_KINDS:
         hashes[f"train_random_layers/{kind.value}"] = _train_hash(kind)
     return hashes
