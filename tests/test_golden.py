@@ -21,6 +21,8 @@ from click.testing import CliRunner
 
 from conftest import ALL_KINDS, random_layer, stable_seed
 from tenbed.cli import main
+from tenbed.gradients import backward, touched_rows
+from tenbed.layers import LayerConfig, MethodKind, build, forward, forward_batch
 from tenbed.training import OptimizerState, TrainTask, train
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
@@ -45,6 +47,27 @@ EXPORT_CONFIGS = {
 }
 LAYERS_PER_KIND = 5
 OPTIMIZERS = (("sgd", 0.05), ("adam", 0.01))
+# one layer per factored kind with a length-1 dim factor, which reshapes a
+# product axis to length 1
+UNIT_DIM_FACTOR_CONFIGS = {
+    MethodKind.TENSOR_TRAIN: LayerConfig(
+        MethodKind.TENSOR_TRAIN, 20, 6, order=3, rank=2, vocab_factors=(2, 3, 4),
+        dim_factors=(1, 2, 3), seed=7),
+    MethodKind.WORD2KETXS: LayerConfig(
+        MethodKind.WORD2KETXS, 20, 6, order=3, rank=2, vocab_factors=(3, 2, 4),
+        dim_factors=(2, 1, 3), seed=7),
+}
+# 2-epoch cosine-pair trains through the CLI, one per kind listed
+SIMILARITY_CONFIG = (
+    "task=similarity\nvocab_size=40\nembed_dim=16\norder=3\nrank=2\nmorphemes=12\n"
+    "pairs_train=60\npairs_eval=20\nepochs=2\nbatch=8\nlr=0.05\noptimizer=adam\nseed=4\n"
+)
+SIMILARITY_LAYERS = {
+    "morphte": "q=3\n",
+    "morphsum": "",
+    "word2ket_rshare": "q=3\n",
+    "tensor_train": "vocab_factors=2,4,5\ndim_factors=2,2,4\n",
+}
 
 
 def environment() -> dict[str, str]:
@@ -88,6 +111,38 @@ def _train_hash(kind) -> str:
     return h.hexdigest()
 
 
+def _layer_hash(kind) -> str:
+    """One hash over what seeded layers of a kind compute, word by word.
+
+    Per layer: the forward of every word, ``forward_batch`` on a batch that
+    repeats words, the dense ``backward`` slots of every word, ``backward``
+    into one buffer over that batch, and ``touched_rows`` of every word.
+    """
+    h = hashlib.sha256()
+    rng = np.random.default_rng(stable_seed("golden-layers", kind.value))
+    layers = [random_layer(kind, rng) for _ in range(LAYERS_PER_KIND)]
+    if kind in UNIT_DIM_FACTOR_CONFIGS:
+        layers.append(build(UNIT_DIM_FACTOR_CONFIGS[kind]))
+    for layer in layers:
+        V, d = layer.config.vocab_size, layer.config.embed_dim
+        batch = [int(w) for w in rng.integers(0, V, 2 * V)]  # 2V draws of V ids repeat
+        for w in range(V):
+            h.update(forward(layer, w).tobytes())
+        h.update(np.asarray(forward_batch(layer, batch)).tobytes())
+        for w in range(V):
+            for slot in backward(layer, w, rng.standard_normal(d)):
+                h.update(slot.param_name.encode())
+                h.update(slot.grad.tobytes())
+        grads = {name: np.zeros_like(p) for name, p in layer.params.items()}
+        for w in batch:
+            backward(layer, w, rng.standard_normal(d), into=grads)
+        for name, g in grads.items():
+            h.update(name.encode())
+            h.update(g.tobytes())
+        h.update(json.dumps([touched_rows(layer, w) for w in range(V)]).encode())
+    return h.hexdigest()
+
+
 def golden_hashes(tmp_dir: Path) -> dict[str, str]:
     hashes = {}
     for kind in ALL_KINDS:
@@ -109,6 +164,14 @@ def golden_hashes(tmp_dir: Path) -> dict[str, str]:
         hashes[f"export/{kind.value}"] = _sha256(out.read_bytes())
     for kind in ALL_KINDS:
         hashes[f"train_random_layers/{kind.value}"] = _train_hash(kind)
+        hashes[f"layers/{kind.value}"] = _layer_hash(kind)
+    for kind, layer_keys in SIMILARITY_LAYERS.items():
+        config.write_text(f"method={kind}\n{SIMILARITY_CONFIG}{layer_keys}", encoding="utf-8")
+        run = tmp_dir / f"similarity_{kind}"
+        res = _invoke(["train", "--config", str(config), "--out", str(run)])
+        for name in ("history.csv", "checkpoint.bin"):
+            hashes[f"train_similarity_{kind}/{name}"] = _sha256((run / name).read_bytes())
+        hashes[f"train_similarity_{kind}/summary"] = _sha256(res.stderr.encode())
     return hashes
 
 
