@@ -17,7 +17,7 @@ from .errors import (
     TrainingDivergedError,
     WordLookupError,
 )
-from .gradients import GradSlot, backward, finite_diff_check
+from .gradients import GradSlot, backward, backward_batch, finite_diff_check
 from .layers import (
     EmbeddingLayer,
     LayerConfig,
@@ -26,6 +26,7 @@ from .layers import (
     build_rshare_index,
     forward,
     forward_batch,
+    gather_batch,
 )
 from .morphology import (
     PAD_TOKEN,
@@ -68,6 +69,7 @@ __all__ = [
     "TrainingDivergedError",
     "WordLookupError",
     "backward",
+    "backward_batch",
     "build",
     "build_rshare_index",
     "build_vocab_and_index",
@@ -79,6 +81,7 @@ __all__ = [
     "finite_diff_check",
     "forward",
     "forward_batch",
+    "gather_batch",
     "load_layer",
     "load_segmentations",
     "morpheme_stats",

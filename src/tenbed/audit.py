@@ -44,9 +44,17 @@ class AuditRow:
                 str(self.trainable),
                 str(self.constant),
                 str(self.total),
-                f"{float(self.ratio):.2f}",
+                _ratio_cell(self.ratio),
             ]
         )
+
+
+def _ratio_cell(ratio: Fraction) -> str:
+    """The ratio to two decimals, exactly where it is beyond a float's range."""
+    if ratio < 2**1023:
+        return f"{float(ratio):.2f}"
+    whole, cents = divmod(round(ratio * 100), 100)
+    return f"{whole}.{cents:02d}"
 
 
 AUDIT_HEADER = "method\tconfig\ttrainable\tconstant\ttotal\tratio"

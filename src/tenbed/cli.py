@@ -26,7 +26,8 @@ import numpy as np
 from . import audit as audit_mod
 from . import checkpoint, gradients, synthetic, training
 from .errors import ConfigError, TenbedError, TrainingDivergedError
-from .layers import LayerConfig, MethodKind, MORPHOLOGICAL_KINDS, build, forward
+from .layers import LayerConfig, MethodKind, MORPHOLOGICAL_KINDS, build, forward_batch, gather_batch
+from .layers import forward  # noqa: F401  (unused; perfbench/tracing.py wraps this name)
 from .manifest import RunManifest
 from .morphology import (
     STATS_HEADER,
@@ -155,6 +156,7 @@ def layer_config_from_mapping(values: dict, seed: int) -> LayerConfig:
 
 
 SIMILARITY_TASKS = ("similarity", "word_similarity")
+EVAL_WORDS = 1024  # words per forward_batch in `eval`, which bounds its temporaries
 # the keys of a train config: LayerConfig's fields under their config names,
 # the synthetic morphology's size, then the task's keys.  export reads train
 # configs too, to write the layer a run starts from.
@@ -418,7 +420,7 @@ def cmd_train(config_path, out_dir, vocab_dir, seed):
         task = training.TrainTask("word_similarity", pairs=pairs_train, loss="cosine_contrastive")
     else:
         donor = build(replace(layer.config, seed=donor_seed), vocab=layer.vocab, index=layer.index)
-        targets = np.stack([forward(donor, j) for j in range(layer.config.vocab_size)])
+        targets = forward_batch(donor, np.arange(layer.config.vocab_size))
         task = training.TrainTask("reconstruct_table", targets=targets)
 
     history = training.train(layer, task, opt, epochs=epochs, batch_size=batch, seed=seed_value)
@@ -490,9 +492,12 @@ def cmd_eval(ckpt_path, words, word_ids, emit_all):
             targets.append((w, layer.index.row_of_word(w)))
     if not targets:
         raise ConfigError("nothing to do: pass --words, --word-ids or --all")
-    for name, j in targets:
-        vec = forward(layer, j)
-        click.echo(name + "\t" + "\t".join(_float_cell(x) for x in vec))
+    ids = [j for _, j in targets]
+    gather_batch(layer, ids)  # checks every id before the first line is written
+    for start in range(0, len(ids), EVAL_WORDS):
+        vectors = forward_batch(layer, ids[start : start + EVAL_WORDS])
+        for (name, _), vec in zip(targets[start : start + EVAL_WORDS], vectors):
+            click.echo(name + "\t" + "\t".join(_float_cell(x) for x in vec))
 
 
 if __name__ == "__main__":

@@ -40,7 +40,9 @@ class CheckpointError(TenbedError, ValueError):
 class TrainingDivergedError(TenbedError, RuntimeError):
     """Training hit a non-finite loss and was aborted."""
 
-    def __init__(self, epoch: int, loss: float):
+    def __init__(self, epoch: int, loss: float, batch: int | None = None):
         self.epoch = epoch
         self.loss = loss
-        super().__init__(f"non-finite loss {loss!r} at epoch {epoch}; aborting")
+        self.batch = batch
+        at = "" if batch is None else f", batch {batch}"
+        super().__init__(f"non-finite loss {loss!r} at epoch {epoch}{at}; aborting")

@@ -2,35 +2,35 @@
 
 Each forward map is a shallow fixed-shape multilinear expression, so the
 adjoints are written out instead of built as a general autodiff graph.
-``layers.gather`` gives the rows a word reads and, over a gradient dict
-(a caller's batch buffer or a fresh zeroed one), views of the same rows to
-add into; one adjoint per family of combine steps fills those views, and the
-four tensor-product kinds share one.  Truncation to the embedding dimension
-is adjointed by zero-padding the upstream vector back to the full product
-length.  When a word references the same parameter row several times
-(repeated morphemes), the positional contributions are summed first and the
-sum is added once, which is the correct total derivative.
+``backward_batch`` takes a batch of word ids and one upstream row per word:
+``layers.gather_batch`` gives the rows each word reads, one adjoint per family
+of combine steps computes every word's gradient per slot at once (the four
+tensor-product kinds share one), and each block's slot gradients are added
+into a caller's gradient dict in batch order.  Truncation to the embedding
+dimension is adjointed by zero-padding the upstream back to the full product
+length.  When a word references the same parameter row in several slots
+(repeated morphemes), its slot gradients are summed first and the sum is
+added once, which is the correct total derivative.  ``backward`` and
+``touched_rows`` are the same for a batch of one word.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .layers import (
-    _MATRIX_FACTOR,
-    _TENSOR_TRAIN,
-    KET_KINDS,
-    MORPHOLOGICAL_KINDS,
     TENSOR_PRODUCT_KINDS,
     EmbeddingLayer,
-    _ket_groups,
-    _tensor_train_chain,
+    MethodKind,
+    _factor_layout,
+    _tt_chain,
     forward,
-    gather,
+    gather_batch,
 )
 
 
@@ -42,32 +42,119 @@ class GradSlot:
     grad: np.ndarray
 
 
-def _pad_upstream(u: np.ndarray, full_size: int) -> np.ndarray:
-    """``u`` zero-padded to ``full_size``: the adjoint of truncating to its length."""
-    if u.size == full_size:
-        return u
-    padded = np.zeros(full_size)
-    padded[: u.size] = u
+def _pad_upstream(U: np.ndarray, full_size: int) -> np.ndarray:
+    """``U``'s rows zero-padded to ``full_size``: the adjoint of truncating to their length."""
+    if U.shape[1] == full_size:
+        return U
+    padded = np.zeros((len(U), full_size))
+    padded[:, : U.shape[1]] = U
     return padded
 
 
-def _chain_grads(vectors: list[np.ndarray], u_full: np.ndarray) -> list[np.ndarray]:
-    """Gradients of <u, v1 x ... x vn> w.r.t. each vk.
+def _product_grads(vectors: list[np.ndarray], U_full: np.ndarray) -> list[np.ndarray]:
+    """Per word b, the gradients of ``<U_full[b], v1[b] x ... x vn[b]>`` w.r.t. each vk[b].
 
-    Contracts the upstream tensor with every vector except the one being
-    differentiated; works for heterogeneous factor lengths.
+    Contracts each word's upstream tensor with every other vector.  One
+    einsum over the batch sums each word as einsum sums it alone, except for
+    a length-1 factor, whose gradient reduces every axis of the word: the
+    batched einsum sums that in another order, so it goes word by word.
     """
-    n = len(vectors)
+    n, B = len(vectors), len(U_full)
     if n == 1:
-        return [u_full.copy()]
-    shaped = u_full.reshape(tuple(v.size for v in vectors))
-    axes = list(range(n))
+        return [U_full.copy()]
+    shaped = U_full.reshape((B,) + tuple(v.shape[1] for v in vectors))
+    axes = list(range(1, n + 1))
     grads = []
     for k in range(n):
         # einsum's sublist form: each operand followed by its axis numbers
-        others = [x for m in axes if m != k for x in (vectors[m], [m])]
-        grads.append(np.einsum(shaped, axes, *others, [k]))
+        if vectors[k].shape[1] > 1:
+            others = [x for m in range(n) if m != k for x in (vectors[m], [0, m + 1])]
+            grads.append(np.einsum(shaped, [0] + axes, *others, [0, k + 1]))
+            continue
+        word = [[x for m in range(n) if m != k for x in (vectors[m][b], [m + 1])] for b in range(B)]
+        grads.append(np.stack([np.einsum(shaped[b], axes, *word[b], [k + 1]) for b in range(B)]))
     return grads
+
+
+def _add_rows(target: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
+    """Add ``grads[b, s]`` into ``target[rows[b, s]]``, word by word in batch order.
+
+    A word that reads some row in several slots gets, in every row it reads,
+    the sum of its slot gradients taken in slot order from zero, added once:
+    ``target + (0 + g1 + g2)``.  Any other word adds its slot gradients as
+    they are.
+    """
+    # first[b, s]: the first slot of word b that reads row rows[b, s]
+    first = (rows[:, :, None] == rows[:, None, :]).argmax(axis=2)
+    later = first != np.arange(rows.shape[1])
+    repeats = np.flatnonzero(later.any(axis=1))
+    if len(repeats):
+        sums = grads.copy()
+        sums[repeats] = 0.0
+        for s in range(rows.shape[1]):
+            sums[repeats, first[repeats, s]] += grads[repeats, s]
+        grads = sums
+    np.add.at(target, rows[~later], grads[~later])
+
+
+def backward_batch(
+    layer: EmbeddingLayer,
+    word_ids: Sequence[int],
+    upstream: np.ndarray,
+    into: dict[str, np.ndarray],
+) -> None:
+    """Add the gradient of ``sum_b <upstream[b], forward(layer, word_ids[b])>`` into ``into``.
+
+    ``into`` is a gradient dict of the params' shapes, ``upstream`` one
+    length-d row per word.  Words are added in batch order, so ``into`` ends
+    as adding each word's ``backward`` in turn would leave it.
+    """
+    cfg = layer.config
+    rows = gather_batch(layer, word_ids)
+    B = len(rows[0])
+    U = np.ascontiguousarray(upstream, dtype=np.float64)
+    if U.shape != (B, cfg.embed_dim):
+        raise ValueError(f"upstream must have shape {(B, cfg.embed_dim)}, got {U.shape}")
+    if B == 0:
+        return
+    kind = cfg.kind
+
+    if kind in TENSOR_PRODUCT_KINDS:
+        gathered = [p[ids] for p, ids in zip(layer.params.values(), rows)]
+        grads = [np.empty_like(g) for g in gathered]
+        layout = _factor_layout(cfg)
+        groups = [[gathered[block][:, slot, cols] for block, slot, cols in group]
+                  for group in layout]
+        U_full = _pad_upstream(U, math.prod(v.shape[1] for v in groups[0]))
+        for group, vectors in zip(layout, groups):
+            for (block, slot, cols), g in zip(group, _product_grads(vectors, U_full)):
+                grads[block][:, slot, cols] = g
+
+    elif kind is MethodKind.MATRIX_FACTOR:
+        left, right = layer.params.values()
+        left_rows = left[rows[0][:, 0]]
+        grads = [np.matmul(right, U[:, :, None]).reshape(B, 1, -1),
+                 left_rows[:, :, None] * U[:, None, :]]
+
+    elif kind is MethodKind.TENSOR_TRAIN:
+        df, n = cfg.dim_factors, cfg.order
+        cores, carries = _tt_chain(layer, rows)
+        grads = [None] * n
+        u_mat = _pad_upstream(U, math.prod(df)).reshape(B, -1, df[n - 1])
+        grads[n - 1] = np.matmul(carries[-1].transpose(0, 2, 1), u_mat)
+        grad_carry = np.matmul(u_mat, cores[-1].transpose(0, 2, 1))
+        for k in range(n - 2, 0, -1):
+            grad_flat = grad_carry.reshape(B, -1, cores[k].shape[2])
+            grads[k] = np.matmul(carries[k - 1].transpose(0, 2, 1), grad_flat)
+            grad_carry = np.matmul(grad_flat, cores[k].transpose(0, 2, 1))
+        grads[0] = grad_carry
+        grads = [g.reshape(B, 1, -1) for g in grads]
+
+    else:  # original, morphsum: the forward is the sum of the rows read
+        grads = [np.broadcast_to(U[:, None, :], (B, ids.shape[1], U.shape[1])) for ids in rows]
+
+    for target, ids, g in zip(into.values(), rows, grads):
+        _add_rows(target, ids, g)
 
 
 def backward(
@@ -80,90 +167,18 @@ def backward(
 
     Returns one slot per block in the block order used at build time.  With
     ``into``, a gradient dict of the params' shapes, the word's gradient is
-    added into it and the slots hold its arrays; this allocates nothing of
-    a block's size, so a trainer sums a batch in one buffer.  Without it, the
-    same adds go into a fresh zeroed dict, so rows the word does not read
-    are exactly zero.
-
-    A row the word reads in several slots (a pad, a repeated morpheme or a
-    repeated random id) gets the sum of its slot gradients, taken in slot
-    order from zero, added once: ``into + (0 + g1 + g2)``.
+    added into it and the slots hold its arrays.  Without it, into a fresh
+    zeroed dict.  This is ``backward_batch`` on a batch of one.
     """
-    cfg = layer.config
-    u = np.asarray(upstream, dtype=np.float64)
-    if u.ndim != 1 or u.size != cfg.embed_dim:
-        raise ValueError(f"upstream must have length {cfg.embed_dim}, got shape {u.shape}")
-    kind = cfg.kind
     grads = into if into is not None else {n: np.zeros_like(p) for n, p in layer.params.items()}
-    rows = gather(layer, layer.params, word_id)
-    views = gather(layer, grads, word_id)
-    repeated = _sum_repeated_slots(layer, word_id, views) if kind in MORPHOLOGICAL_KINDS else ()
-
-    if kind in TENSOR_PRODUCT_KINDS:
-        groups = _ket_groups(layer, rows)
-        u_full = _pad_upstream(u, math.prod(v.size for v in groups[0]))
-        for vecs, group_views in zip(groups, _ket_groups(layer, views)):
-            for view, g in zip(group_views, _chain_grads(vecs, u_full)):
-                view += g
-
-    elif kind is _MATRIX_FACTOR:
-        (left,), (right,) = rows
-        (grad_left,), (grad_right,) = views
-        grad_left += right @ u
-        grad_right += np.outer(left, u)
-
-    elif kind is _TENSOR_TRAIN:
-        df, n = cfg.dim_factors, cfg.order
-        cores, carries = _tensor_train_chain(layer, rows)
-        g = [view for (view,) in views]
-        u_mat = _pad_upstream(u, math.prod(df)).reshape(-1, df[n - 1])
-        g[n - 1] += (carries[-1].T @ u_mat).ravel()
-        grad_carry = u_mat @ cores[-1].T
-        for k in range(n - 2, 0, -1):
-            grad_flat = grad_carry.reshape(-1, cores[k].shape[1])
-            g[k] += (carries[k - 1].T @ grad_flat).ravel()
-            grad_carry = grad_flat @ cores[k].T
-        g[0] += grad_carry.ravel()
-
-    else:  # original, morphsum: the forward is the sum of the rows read
-        for block_views in views:
-            for view in block_views:
-                view += u
-
-    for targets, sums in repeated:
-        for target, total in zip(targets, sums):
-            target += total
+    backward_batch(layer, [word_id], np.asarray(upstream, dtype=np.float64)[None], grads)
     return [GradSlot(name, grads[name]) for name in layer.params]
-
-
-def _sum_repeated_slots(layer: EmbeddingLayer, word_id: int, views: list[list]) -> list:
-    """Rewire a word's morpheme slots to one zeroed sum row per distinct row.
-
-    Only when some row fills several slots: ``views`` is ``gather``'s output
-    over a gradient dict for a morphological kind, and the slot lists of its
-    morpheme blocks are replaced in place by rows of a small zeroed array.
-    Returns ``(targets, sums)`` per rewired block; once the adjoint has
-    filled ``sums``, each sum row is added into its target row of the
-    gradient dict.  A word whose slots read different rows costs one set.
-    """
-    ids = layer.index.row(word_id).tolist()
-    if len(set(ids)) == len(ids):
-        return []
-    distinct = list(dict.fromkeys(ids))  # in first-slot order
-    repeated = []
-    for slots in views if layer.config.kind in KET_KINDS else views[1:]:
-        sums = np.zeros((len(distinct), slots[0].size))
-        targets = [slots[ids.index(m)] for m in distinct]
-        slots[:] = [sums[distinct.index(m)] for m in ids]
-        repeated.append((targets, sums))
-    return repeated
 
 
 def touched_rows(layer: EmbeddingLayer, word_id: int) -> dict[str, list[int]]:
     """Rows of each parameter block that participate in one word's forward."""
-    ids = {name: range(len(p)) for name, p in layer.params.items()}
-    reads = gather(layer, ids, word_id)
-    return {name: np.unique(np.hstack(read)).tolist() for name, read in zip(ids, reads)}
+    rows = gather_batch(layer, [word_id])
+    return {name: np.unique(ids).tolist() for name, ids in zip(layer.params, rows)}
 
 
 @dataclass

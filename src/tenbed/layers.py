@@ -22,10 +22,12 @@ All parameters are float64 matrices initialised Xavier-uniform with bound
 seeded by the config, so identical configs rebuild bit-identical layers.
 
 An ``EmbeddingLayer`` is data: a config, its blocks and, for the
-morphological kinds, a vocab and an index.  The module functions
-``forward``/``forward_batch`` embed through it; they only read the parameter
-blocks and are safe to call concurrently; mutating parameters (training)
-requires exclusive access.
+morphological kinds, a vocab and an index.  ``forward_batch`` embeds a batch
+of word ids through it: ``gather_batch`` checks every id and gives the row
+ids each block is read at, then one combine per family of kinds computes
+every word at once; ``forward`` is a batch of one.  Both only read the
+parameter blocks and are safe to call concurrently; mutating parameters
+(training) requires exclusive access.
 """
 
 from __future__ import annotations
@@ -33,15 +35,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Any, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError, WordLookupError
 from .morphology import IndexMatrix, MorphemeVocab
-# tensor_product is not called here, but perfbench/tracing.py wraps each
-# tensor op through its name in this module, so the name must stay.
-from .tensor_ops import entangled_sum, tensor_product, truncate_to
+# unused here; perfbench/tracing.py wraps each tensor op through its name in this module
+from .tensor_ops import entangled_sum, tensor_product, truncate_to  # noqa: F401
 
 
 class MethodKind(str, Enum):
@@ -62,20 +63,20 @@ KET_KINDS = frozenset({MethodKind.WORD2KET, MethodKind.MORPHTE, MethodKind.WORD2
 FACTORED_KINDS = frozenset({MethodKind.TENSOR_TRAIN, MethodKind.WORD2KETXS})
 # rank-r sums of tensor products of n rows, truncated to d
 TENSOR_PRODUCT_KINDS = KET_KINDS | {MethodKind.WORD2KETXS}
-# the members that per-word code tests, bound once: on Python 3.11 every
-# MethodKind.X lookup costs about 0.2 us, a tenth of some forwards
-_ORIGINAL, _MATRIX_FACTOR, _TENSOR_TRAIN, _WORD2KET, _WORD2KETXS = (
-    MethodKind.ORIGINAL, MethodKind.MATRIX_FACTOR, MethodKind.TENSOR_TRAIN,
-    MethodKind.WORD2KET, MethodKind.WORD2KETXS,
-)
+
+
+def _covers(q: int, order: int, target: int) -> bool:
+    """``q**order >= target``; true without the power when q >= 2 and order >= its bit length."""
+    return (q >= 2 and order >= target.bit_length()) or q**order >= target
 
 
 def smallest_subdim(embed_dim: int, order: int) -> int:
-    """Smallest q with q**order >= embed_dim (integer search, no fp roots)."""
-    q = max(1, int(round(embed_dim ** (1.0 / order))) - 2)
-    while q**order < embed_dim:
-        q += 1
-    return q
+    """Smallest q >= 1 with q**order >= embed_dim (integer bisection, no fp roots)."""
+    lo, hi = 1, 2 ** -(-embed_dim.bit_length() // order)  # hi**order > embed_dim
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _covers(mid, order, embed_dim) else (mid + 1, hi)
+    return lo
 
 
 @dataclass(frozen=True)
@@ -115,7 +116,7 @@ class LayerConfig:
             q = self.effective_subdim()
             if q < 1:
                 raise ConfigError(f"subdim must be >= 1, got {q}")
-            if q**self.order < self.embed_dim:
+            if not _covers(q, self.order, self.embed_dim):
                 raise ConfigError(
                     f"subdim {q} with order {self.order} covers only "
                     f"{q ** self.order} < embed_dim {self.embed_dim}"
@@ -213,18 +214,6 @@ def build_rshare_index(
     return IndexMatrix(rows, words)
 
 
-def mixed_radix_digits(value: int, radices: Sequence[int]) -> list[int]:
-    """Decompose a non-negative value, most-significant digit first."""
-    digits = [0] * len(radices)
-    rem = value
-    for k in range(len(radices) - 1, -1, -1):
-        digits[k] = rem % radices[k]
-        rem //= radices[k]
-    if rem != 0:
-        raise WordLookupError(f"value {value} out of range for radices {tuple(radices)}")
-    return digits
-
-
 def check_parts(
     config: LayerConfig, vocab: MorphemeVocab | None, index: IndexMatrix | None
 ) -> None:
@@ -291,106 +280,115 @@ def build(
     return EmbeddingLayer(config=config, params=params, index=index, vocab=vocab)
 
 
-def gather(layer: EmbeddingLayer, blocks: Mapping[str, Any], word_id: int) -> list[list]:
-    """``blocks[name][row]`` for every row one word reads, one list per block.
+def gather_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> list[np.ndarray]:
+    """The parameter rows a batch of words reads: one ``(B, slots)`` array per block.
 
-    The one place that maps a word id to parameter rows.  ``blocks`` holds
-    every block in block order: ``layer.params`` gives the rows, a gradient
-    dict of the same shapes views to add into, ``{name: range(rows)}`` the
-    row ids.  A slot id that fills several slots is read once per slot, and
-    matrix_factor's right factor is read whole.
+    The one place that maps word ids to rows: ``rows[k][b, s]`` is the row
+    of block k (in block order) that word b reads in its slot s.  Every id
+    is checked before any row is looked up.  Morpheme slots come from the
+    index rows, the factored kinds' rows from the mixed-radix digits of the
+    id (most significant first), and every other block's row is the id
+    itself, except that matrix_factor's right factor is read whole.
     """
-    cfg = layer.config
-    if not 0 <= word_id < cfg.vocab_size:
-        raise WordLookupError(f"word id {word_id} out of range [0, {cfg.vocab_size})")
-    kind = cfg.kind
-    tables = blocks.values()
-    if kind in FACTORED_KINDS:
-        n = cfg.order
-        digits = mixed_radix_digits(word_id, cfg.vocab_factors)
-        return [[t[digits[k % n]]] for k, t in enumerate(tables)]
+    cfg, ids, V = layer.config, np.asarray(word_ids), layer.config.vocab_size
+    if ids.ndim != 1:
+        raise ValueError(f"word ids must be a sequence, got shape {ids.shape}")
+    if ids.dtype.kind in "iu":
+        bad = ids[(ids < 0) | (ids >= V)].tolist()
+    else:  # an empty list, non-integers, or Python ints beyond int64
+        bad = [w for w in ids.tolist() if not isinstance(w, (int, np.integer)) or not 0 <= w < V]
+    if bad:
+        raise WordLookupError(f"word id {bad[0]} out of range [0, {V})")
+    ids = ids.astype(np.intp, copy=False)
+    kind, own = cfg.kind, ids[:, None]
+    if kind in FACTORED_KINDS:  # C order: the most significant digit first
+        digits = np.unravel_index(ids, cfg.vocab_factors)
+        return [digits[k % cfg.order][:, None] for k in range(len(layer.params))]
     if kind in MORPHOLOGICAL_KINDS:
-        ids = layer.index.row(word_id).tolist()
-        if kind in KET_KINDS:
-            return [[t[m] for m in ids] for t in tables]
-        surface, morphemes = tables
-        return [[surface[word_id]], [morphemes[m] for m in ids]]
-    if kind is _MATRIX_FACTOR:
-        left, right = tables
-        return [[left[word_id]], [right]]
-    (own,) = tables  # original, word2ket
-    return [[own[word_id]]]
+        slots = layer.index.rows[ids]
+        return [slots] * cfg.rank if kind in KET_KINDS else [own, slots]
+    if kind is MethodKind.MATRIX_FACTOR:
+        return [own, np.broadcast_to(np.arange(cfg.rank), (len(ids), cfg.rank))]
+    return [own]  # original, word2ket
 
 
-def _ket_groups(layer: EmbeddingLayer, rows: list[list]) -> list[list[np.ndarray]]:
-    """The r groups of n vectors whose entangled sum embeds a word.
+def _factor_layout(cfg: LayerConfig) -> list[list[tuple[int, int, slice]]]:
+    """Factor j of group i of a tensor-product kind, as ``(block, slot, columns)``.
 
-    ``rows`` is ``gather``'s output over the params or a gradient dict, so
-    the groups serve both to read a word's factors and to add into their
-    gradients.  Within a group the vectors have one length per axis.
+    The columns of the row ``gather_batch`` gives for that block and slot: one
+    layout serves to read a word's factors and to place their gradients.
     """
-    cfg = layer.config
-    if cfg.kind is _WORD2KET:
-        ((row,),) = rows
-        return [list(group) for group in row.reshape(cfg.rank, cfg.order, -1)]
-    if cfg.kind is _WORD2KETXS:
-        n = cfg.order
-        return [[row for (row,) in rows[i : i + n]] for i in range(0, len(rows), n)]
-    return rows  # morphte, word2ket_rshare: block i's slot rows are group i
+    r, n = cfg.rank, cfg.order
+    if cfg.kind is MethodKind.WORD2KET:  # one row holds the r*n vectors
+        q = cfg.effective_subdim()
+        return [[(0, 0, slice(j * q, (j + 1) * q)) for j in range(i * n, (i + 1) * n)]
+                for i in range(r)]
+    if cfg.kind is MethodKind.WORD2KETXS:
+        return [[(i * n + j, 0, slice(None)) for j in range(n)] for i in range(r)]
+    return [[(i, j, slice(None)) for j in range(n)] for i in range(r)]  # morphte, rshare
 
 
-def _tensor_train_chain(
-    layer: EmbeddingLayer, rows: list[list]
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """One word's TT core rows and the carries that contract them left to right.
+def _tt_chain(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[list, list]:
+    """A batch's TT core rows and the carries that contract them left to right.
 
-    ``rows`` is ``gather``'s output for a tensor_train layer.  Returns
-    ``(cores, carries)``: ``cores[k]`` is core k's row reshaped to
-    ``(d_0, r)``, ``(r, d_k * r)`` or ``(r, d_{n-1})`` for the first, middle
-    and last core, and ``carries[k]`` is the ``(d_0 ... d_k, r)`` product of
-    cores 0..k, for k < n - 1.  The embedding is ``carries[-1] @ cores[-1]``.
+    ``cores[k]`` is core k's row per word, shaped ``(B, d_0, r)``, ``(B, r,
+    d_k * r)`` or ``(B, r, d_{n-1})`` for the first, middle and last core;
+    ``carries[k]`` is the ``(B, d_0 ... d_k, r)`` product of cores 0..k, for
+    k < n - 1.  Stacked matmuls compute each word as a lone 2-D product does.
     """
-    r = layer.config.rank
-    (first,), *middle, (last,) = rows
-    carry = first.reshape(-1, r)
+    r, B = layer.config.rank, len(rows[0])
+    tables = [p[ids[:, 0]] for p, ids in zip(layer.params.values(), rows)]
+    carry = tables[0].reshape(B, -1, r)
     cores, carries = [carry], [carry]
-    for (row,) in middle:
-        core = row.reshape(r, -1)
-        carry = (carry @ core).reshape(-1, r)
+    for table in tables[1:-1]:
+        core = table.reshape(B, r, -1)
+        carry = np.matmul(carry, core).reshape(B, -1, r)
         cores.append(core)
         carries.append(carry)
-    cores.append(last.reshape(r, -1))
+    cores.append(tables[-1].reshape(B, r, -1))
     return cores, carries
+
+
+def forward_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> np.ndarray:
+    """Embed a batch of word ids: a fresh ``(B, d)`` float64 array.
+
+    One ``gather_batch`` and one combine per family of kinds.  Each row is
+    computed with the arithmetic, in the order, of embedding its word alone:
+    products of factors by broadcasting, summed in rank order; stacked
+    matmuls for tensor_train and matrix_factor; morphsum's rows summed in
+    slot order.  An empty batch gives shape ``(0, d)``.
+    """
+    cfg = layer.config
+    rows = gather_batch(layer, word_ids)
+    B, d, kind = len(rows[0]), cfg.embed_dim, cfg.kind
+    if B == 0:
+        return np.empty((0, d))
+    if kind is MethodKind.MORPHSUM:  # the sum of the rows read
+        (surface, morphemes), (own, slots) = layer.params.values(), rows
+        out = surface[own[:, 0]]
+        for s in range(slots.shape[1]):
+            out += morphemes[slots[:, s]]
+        return out
+    if kind is MethodKind.MATRIX_FACTOR:
+        left, right = layer.params.values()
+        return np.matmul(left[rows[0]], right).reshape(B, d)
+    if kind is MethodKind.TENSOR_TRAIN:
+        cores, carries = _tt_chain(layer, rows)
+        full = np.matmul(carries[-1], cores[-1]).reshape(B, -1)
+    elif kind in TENSOR_PRODUCT_KINDS:
+        gathered = [p[ids] for p, ids in zip(layer.params.values(), rows)]
+        full = None  # each product is fresh, or a view of the fresh gathered rows
+        for group in _factor_layout(cfg):
+            term = None
+            for block, slot, cols in group:
+                v = gathered[block][:, slot, cols]
+                term = v if term is None else (term[:, :, None] * v[:, None, :]).reshape(B, -1)
+            full = term if full is None else np.add(full, term, out=full)
+    else:  # original
+        return layer.params["weight"][rows[0][:, 0]]
+    return full if full.shape[1] == d else full[:, :d].copy()
 
 
 def forward(layer: EmbeddingLayer, word_id: int) -> np.ndarray:
     """Embed one word id; always returns a fresh length-d float64 vector."""
-    cfg = layer.config
-    if not 0 <= word_id < cfg.vocab_size:
-        raise WordLookupError(f"word id {word_id} out of range [0, {cfg.vocab_size})")
-    kind = cfg.kind
-
-    if kind is _ORIGINAL:
-        # gather's one row, read directly: this copy of about a microsecond
-        # is the whole forward, and going through gather doubles its time
-        return layer.params["weight"][word_id].copy()
-
-    # one combine per family, told apart by the kind sets
-    rows = gather(layer, layer.params, word_id)
-    if kind in TENSOR_PRODUCT_KINDS:
-        return truncate_to(entangled_sum(_ket_groups(layer, rows)), cfg.embed_dim)
-    if kind in FACTORED_KINDS:  # tensor_train
-        cores, carries = _tensor_train_chain(layer, rows)
-        return truncate_to((carries[-1] @ cores[-1]).ravel(), cfg.embed_dim)
-    if kind in MORPHOLOGICAL_KINDS:  # morphsum: the sum of the rows read
-        (surface,), morphemes = rows
-        out = surface.copy()
-        for row in morphemes:
-            out += row
-        return out
-    (left,), (right,) = rows  # matrix_factor
-    return left @ right
-
-
-def forward_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> list[np.ndarray]:
-    return [forward(layer, int(w)) for w in word_ids]
+    return forward_batch(layer, [word_id])[0]

@@ -1,11 +1,13 @@
 """Desk-scale trainer proving the compressed layers actually fit things.
 
 Two tasks: reproduce a target embedding table under mean squared error, or
-separate labelled word pairs with a cosine contrastive loss.  Gradients come
-from the per-method adjoints, which add each word's gradient straight into
-one zeroed buffer per minibatch; the optimizer step scales that sum by the
-batch size and applies it in row slices.  Everything is deterministic given
-the seed.
+separate labelled word pairs with a cosine contrastive loss.  Each minibatch
+is one ``forward_batch`` over every word its examples read, the per-example
+losses and upstreams computed for the whole batch at once, and one
+``backward_batch`` that adds every word's gradient into one zeroed buffer;
+the optimizer step scales that sum by the batch size and applies it in row
+slices.  The batch loss is summed example by example, in example order.
+Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -15,10 +17,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError
-from .gradients import backward
-from .layers import EmbeddingLayer, forward
+from .gradients import backward_batch
+from .layers import EmbeddingLayer, forward_batch
+from .gradients import backward  # noqa: F401  (unused; perfbench/tracing.py wraps these names)
+from .layers import forward  # noqa: F401
 
 SLICE_FLOATS = 32768  # floats per optimizer slice: 256 KB, cache-sized
+EVAL_PAIRS = 256  # pairs per forward_batch in eval_similarity
 
 
 @dataclass
@@ -116,45 +121,43 @@ def _zero_grads(layer: EmbeddingLayer) -> dict[str, np.ndarray]:
     return {name: np.zeros(p.shape) for name, p in layer.params.items()}
 
 
-def _cosine(a: np.ndarray, b: np.ndarray) -> float:
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b) / (na * nb)
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a[i] @ b[i]`` for every row: a stacked matmul sums each row as a lone dot does."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def _pair_loss_and_grads(layer, a_id, b_id, label):
-    """Contrastive loss on the cosine and the upstreams for both words."""
-    ya, yb = forward(layer, a_id), forward(layer, b_id)
-    na, nb = np.linalg.norm(ya), np.linalg.norm(yb)
-    if na == 0.0 or nb == 0.0:
-        return (1.0 if label == 1 else 0.0), None, None
-    cos = float(ya @ yb) / (na * nb)
-    if label == 1:
-        loss, dcos = 1.0 - cos, -1.0
-    elif cos > 0.0:
-        loss, dcos = cos, 1.0
-    else:
-        return 0.0, None, None
+def _cosines(ya: np.ndarray, yb: np.ndarray):
+    """Row norms of both sides and the rows' cosines, NaN where a norm is zero."""
+    na, nb = np.sqrt(_row_dots(ya, ya)), np.sqrt(_row_dots(yb, yb))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return na, nb, _row_dots(ya, yb) / (na * nb)
+
+
+def _reconstruct_batch(layer, task, batch):
+    """Mean squared error per example, and each example's word and upstream."""
+    y = forward_batch(layer, batch)
+    diff = y - task.targets[batch]
+    d = y.shape[1]
+    return _row_dots(diff, diff) / d, batch, (2.0 / d) * diff
+
+
+def _pair_batch(layer, pairs, batch):
+    """Contrastive loss on the cosine per pair, and the words and upstreams of
+    the pairs with a gradient: word a then word b, in example order."""
+    a, b, label = pairs[batch].T
+    y = forward_batch(layer, np.concatenate([a, b]))
+    ya, yb = y[: len(batch)], y[len(batch) :]
+    na, nb, cos = _cosines(ya, yb)
+    zero, positive = (na == 0.0) | (nb == 0.0), label == 1
+    hinge = np.where(cos > 0.0, cos, 0.0)
+    losses = np.where(zero, positive * 1.0, np.where(positive, 1.0 - cos, hinge))
+    i = np.flatnonzero(~zero & (positive | (cos > 0.0)))
+    dcos = np.where(positive[i], -1.0, 1.0)[:, None]
+    ya, yb, na, nb, cos = ya[i], yb[i], na[i, None], nb[i, None], cos[i, None]
     grad_a = dcos * (yb / (na * nb) - cos * ya / (na * na))
     grad_b = dcos * (ya / (na * nb) - cos * yb / (nb * nb))
-    return loss, grad_a, grad_b
-
-
-def _example_loss_and_slots(layer, task, example):
-    """Per-example loss plus (word_id, upstream) contributions."""
-    if task.kind == "reconstruct_table":
-        word_id = example
-        y = forward(layer, word_id)
-        diff = y - task.targets[word_id]
-        d = y.size
-        return float(diff @ diff) / d, [(word_id, (2.0 / d) * diff)]
-    a_id, b_id, label = task.pairs[example]
-    loss, grad_a, grad_b = _pair_loss_and_grads(layer, a_id, b_id, label)
-    contribs = []
-    if grad_a is not None:
-        contribs = [(a_id, grad_a), (b_id, grad_b)]
-    return loss, contribs
+    words = np.stack([a[i], b[i]], axis=1).reshape(-1)
+    return losses, words, np.stack([grad_a, grad_b], axis=1).reshape(len(words), y.shape[1])
 
 
 def train(
@@ -179,22 +182,25 @@ def train(
     n_examples = (
         layer.config.vocab_size if task.kind == "reconstruct_table" else len(task.pairs)
     )
+    pairs = np.asarray(task.pairs) if task.kind == "word_similarity" else None
     rng = np.random.default_rng(seed)
     history: list[float] = []
     for epoch in range(epochs):
         order = rng.permutation(n_examples)
         epoch_loss = 0.0
-        for start in range(0, n_examples, batch_size):
+        for k, start in enumerate(range(0, n_examples, batch_size)):
             batch = order[start : start + batch_size]
-            grads = _zero_grads(layer)
+            if pairs is None:
+                losses, words, upstreams = _reconstruct_batch(layer, task, batch)
+            else:
+                losses, words, upstreams = _pair_batch(layer, pairs, batch)
             batch_loss = 0.0
-            for ex in batch:
-                loss, contribs = _example_loss_and_slots(layer, task, int(ex))
+            for loss in losses.tolist():
                 batch_loss += loss
-                for word_id, upstream in contribs:
-                    backward(layer, word_id, upstream, into=grads)
             if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(epoch, batch_loss)
+                raise TrainingDivergedError(epoch, batch_loss, batch=k)
+            grads = _zero_grads(layer)
+            backward_batch(layer, words, upstreams, grads)
             epoch_loss += batch_loss
             opt.apply(layer.params, grads, scale=1.0 / len(batch))
         epoch_loss /= n_examples
@@ -205,12 +211,19 @@ def train(
 
 
 def eval_similarity(layer: EmbeddingLayer, pairs: list[tuple[int, int, int]]) -> float:
-    """Accuracy of thresholding the cosine at 0.5 against the pair labels."""
+    """Accuracy of thresholding the cosine at 0.5 against the pair labels.
+
+    Pairs are embedded ``EVAL_PAIRS`` at a time, which bounds the size of
+    ``forward_batch``'s temporaries however many pairs there are.
+    """
     if not pairs:
         raise ConfigError("need at least one pair")
+    pairs = np.asarray(pairs)
     correct = 0
-    for a_id, b_id, label in pairs:
-        cos = _cosine(forward(layer, a_id), forward(layer, b_id))
-        predicted = 1 if cos > 0.5 else 0
-        correct += predicted == label
+    for start in range(0, len(pairs), EVAL_PAIRS):
+        a, b, label = pairs[start : start + EVAL_PAIRS].T
+        y = forward_batch(layer, np.concatenate([a, b]))
+        _, _, cos = _cosines(y[: len(a)], y[len(a) :])
+        # a zero-norm side has cosine NaN, so it predicts 0 like any cosine <= 0.5
+        correct += int(np.sum(np.where(cos > 0.5, 1, 0) == label))
     return correct / len(pairs)

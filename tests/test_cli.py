@@ -284,16 +284,38 @@ def test_export_then_eval_roundtrip(runner, tmp_path):
     np.testing.assert_array_equal(emitted, forward(layer, 4))
 
 
-def test_eval_all_and_ids(runner, tmp_path):
+def test_eval_all_and_ids(runner, tmp_path, monkeypatch):
     cfg = make_train_config(tmp_path, method="original", vocab_size="7", embed_dim="4")
     ckpt = tmp_path / "orig.bin"
     assert runner.invoke(main, ["export", "--config", str(cfg), "--out", str(ckpt)]).exit_code == 0
     res = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--all"])
     assert res.exit_code == 0
     assert len(res.stdout.splitlines()) == 7
+    monkeypatch.setattr("tenbed.cli.EVAL_WORDS", 3)  # three batches print the same lines
+    assert runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--all"]).stdout == res.stdout
     res = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--word-ids", "0,3"])
     assert res.exit_code == 0
     assert len(res.stdout.splitlines()) == 2
+
+
+def test_eval_bad_word_id_exits_2_before_printing_any_line(runner, tmp_path):
+    cfg = make_train_config(tmp_path, method="original", vocab_size="7", embed_dim="4")
+    ckpt = tmp_path / "orig.bin"
+    assert runner.invoke(main, ["export", "--config", str(cfg), "--out", str(ckpt)]).exit_code == 0
+    res = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--word-ids", "0,3,7"])
+    assert res.exit_code == 2
+    assert res.stdout == ""
+    assert "word id 7 out of range [0, 7)" in res.stderr
+
+
+@pytest.mark.parametrize("digits", [401, 1000])
+def test_audit_of_an_embed_dim_beyond_float_range_is_exact(runner, digits):
+    embed_dim = 10**digits - 1
+    res = runner.invoke(main, ["audit", "--method", "morphte", "--vocab-size", "10",
+                               "--embed-dim", str(embed_dim), "--morpheme-vocab-size", "5"])
+    assert res.exit_code == 0, res.output + repr(res.exception)
+    q = int(re.search(r" q=(\d+) ", res.stdout).group(1))
+    assert q**3 >= embed_dim > (q - 1) ** 3
 
 
 def test_eval_unknown_word_exit_2_missing_file_exit_3(runner, tmp_path):

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import ALL_KINDS, random_layer, stable_seed
 from tenbed.errors import WordLookupError
-from tenbed.gradients import backward, finite_diff_check, touched_rows
+from tenbed.gradients import backward, backward_batch, finite_diff_check, touched_rows
 from tenbed.layers import LayerConfig, MethodKind, build, forward
 from tenbed.morphology import IndexMatrix, MorphemeVocab
 
@@ -235,3 +235,44 @@ def test_backward_into_a_batch_buffer_equals_summed_dense_backwards(kind):
             assert dense[name].tobytes() == into[name].tobytes(), (kind, name)
     if kind.value in ("morphte", "morphsum", "word2ket_rshare"):
         assert repeating > 0, "no word repeats a row; the case is not covered"
+
+
+def _length_one_factor_layers():
+    """Layers whose product has an axis of length 1: a dim factor of 1, or q=1."""
+    return [
+        build(LayerConfig(MethodKind.WORD2KETXS, 20, 6, order=3, rank=2,
+                          vocab_factors=(3, 2, 4), dim_factors=(2, 1, 3), seed=1)),
+        build(LayerConfig(MethodKind.WORD2KETXS, 12, 3, order=2, rank=3,
+                          vocab_factors=(4, 3), dim_factors=(3, 1), seed=2)),
+        build(LayerConfig(MethodKind.TENSOR_TRAIN, 20, 6, order=3, rank=2,
+                          vocab_factors=(2, 3, 4), dim_factors=(1, 2, 3), seed=3)),
+        build(LayerConfig(MethodKind.WORD2KET, 9, 1, order=2, rank=2, subdim=1, seed=4)),
+    ]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_backward_batch_equals_word_by_word_backward(kind):
+    """One batched backward adds the bytes of each word's backward in batch order."""
+    rng = np.random.default_rng(stable_seed("backward-batch", kind.value))
+    layers = [random_layer(kind, rng) for _ in range(4)]
+    layers += [layer for layer in _length_one_factor_layers() if layer.config.kind is kind]
+    for layer in layers:
+        V, d = layer.config.vocab_size, layer.config.embed_dim
+        words = rng.integers(0, V, size=3 * V)
+        upstreams = rng.standard_normal((len(words), d))
+        batched = {name: np.zeros_like(p) for name, p in layer.params.items()}
+        backward_batch(layer, words, upstreams, batched)
+        word_by_word = {name: np.zeros_like(p) for name, p in layer.params.items()}
+        for word_id, u in zip(words.tolist(), upstreams):
+            backward(layer, word_id, u, into=word_by_word)
+        for name in layer.params:
+            assert batched[name].tobytes() == word_by_word[name].tobytes(), (layer.config, name)
+
+
+def test_backward_batch_rejects_a_mismatched_upstream():
+    layer = build(LayerConfig(MethodKind.ORIGINAL, vocab_size=5, embed_dim=3, seed=0))
+    grads = {"weight": np.zeros((5, 3))}
+    with pytest.raises(ValueError, match="upstream must have shape"):
+        backward_batch(layer, [0, 1], np.ones((3, 3)), grads)
+    backward_batch(layer, [], np.ones((0, 3)), grads)
+    assert not grads["weight"].any()

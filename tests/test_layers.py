@@ -1,8 +1,10 @@
 import itertools
+import time
 
 import numpy as np
 import pytest
 
+from conftest import random_layer, stable_seed
 from tenbed.errors import ConfigError, WordLookupError
 from tenbed.layers import (
     LayerConfig,
@@ -12,7 +14,7 @@ from tenbed.layers import (
     build_rshare_index,
     forward,
     forward_batch,
-    mixed_radix_digits,
+    gather_batch,
     smallest_subdim,
 )
 from tenbed.morphology import MorphemeVocab, IndexMatrix, Segmentation, build_vocab_and_index
@@ -44,7 +46,7 @@ def naive_tt_row(layer, word_id):
     """Contract the tensor-train cores with explicit loops over rank edges."""
     cfg = layer.config
     vf, df, r, n = cfg.vocab_factors, cfg.dim_factors, cfg.rank, cfg.order
-    digits = mixed_radix_digits(word_id, vf)
+    digits = np.unravel_index(word_id, vf)
     slices = []
     for k in range(n):
         row = layer.params[f"tt_core_{k}"][digits[k]]
@@ -69,11 +71,13 @@ def naive_tt_row(layer, word_id):
 
 
 def test_mixed_radix_most_significant_first():
-    assert mixed_radix_digits(0, (3, 4, 5)) == [0, 0, 0]
-    assert mixed_radix_digits(59, (3, 4, 5)) == [2, 3, 4]
-    assert mixed_radix_digits(23, (3, 4, 5)) == [1, 0, 3]  # 1*20 + 0*5 + 3
+    """The factored kinds read core k at digit k of the word id, most significant first."""
+    layer = build(LayerConfig(MethodKind.TENSOR_TRAIN, 60, 8, order=3, rank=2,
+                              vocab_factors=(3, 4, 5), dim_factors=(2, 2, 2)))
+    rows = gather_batch(layer, [0, 59, 23])  # 23 = 1*20 + 0*5 + 3
+    assert np.hstack(rows).tolist() == [[0, 0, 0], [2, 3, 4], [1, 0, 3]]
     with pytest.raises(WordLookupError):
-        mixed_radix_digits(60, (3, 4, 5))
+        gather_batch(layer, [60])
 
 
 def test_smallest_subdim():
@@ -82,6 +86,30 @@ def test_smallest_subdim():
     assert smallest_subdim(64, 3) == 4
     assert smallest_subdim(5, 1) == 5
     assert smallest_subdim(1, 4) == 1
+
+
+def test_smallest_subdim_is_exact_beyond_float_range():
+    big = 10**401 - 1
+    q = smallest_subdim(big, 3)
+    assert q**3 >= big > (q - 1) ** 3
+    assert smallest_subdim(10**400, 10**9) == 2
+    for d in range(1, 300):
+        for n in range(1, 6):
+            q = smallest_subdim(d, n)
+            assert q**n >= d and (q == 1 or (q - 1) ** n < d), (d, n)
+
+
+def test_validate_decides_coverage_without_building_the_power():
+    """A huge order is checked in microseconds, and no forward runs at it.
+
+    Building 2**(10**8) took 0.65 s and about 40 MB."""
+    start = time.perf_counter()
+    LayerConfig(MethodKind.WORD2KET, 5, 10, order=10**8, subdim=2).validate()
+    with pytest.raises(ConfigError, match="covers only 1 < embed_dim 2"):
+        LayerConfig(MethodKind.WORD2KET, 5, 2, order=10**12, subdim=1).validate()
+    with pytest.raises(ConfigError, match="covers only 8 < embed_dim 9"):
+        LayerConfig(MethodKind.MORPHTE, 5, 9, order=3, subdim=2).validate()
+    assert time.perf_counter() - start < 0.1
 
 
 def test_original_build_and_forward():
@@ -209,7 +237,7 @@ def test_word2ketxs_forward_matches_kron_oracle():
     )
     layer = build(cfg)
     for word_id in range(11):
-        digits = mixed_radix_digits(word_id, (3, 4))
+        digits = np.unravel_index(word_id, (3, 4))
         expected = np.zeros(12)
         for i in range(3):
             rows = [layer.params[f"xs_factor_{i}_{j}"][digits[j]] for j in range(2)]
@@ -284,13 +312,39 @@ def test_xavier_bounds_respected():
 
 def test_forward_batch_trivials():
     layer = build(LayerConfig(MethodKind.ORIGINAL, vocab_size=5, embed_dim=3, seed=0))
-    assert forward_batch(layer, []) == []
+    assert forward_batch(layer, []).shape == (0, 3)
     a, b = forward_batch(layer, [2, 2])
     np.testing.assert_array_equal(a, b)
     outs = forward_batch(layer, [0, 1, 2])
     perm = forward_batch(layer, [2, 0, 1])
     np.testing.assert_array_equal(outs[0], perm[1])
     np.testing.assert_array_equal(outs[2], perm[0])
+
+
+@pytest.mark.parametrize("kind", list(MethodKind))
+def test_forward_batch_checks_every_id_first(kind):
+    layer = random_layer(kind, np.random.default_rng(stable_seed("batch-range", kind.value)))
+    V = layer.config.vocab_size
+    for bad in (V, -1, 10**30):
+        for at in (0, 2, 4):
+            ids = [0, 1, 0, 1, 0]
+            ids[at] = bad
+            with pytest.raises(WordLookupError, match=f"word id {bad} out of range"):
+                forward_batch(layer, ids)
+
+
+@pytest.mark.parametrize("kind", list(MethodKind))
+def test_forward_batch_returns_a_fresh_array(kind):
+    layer = random_layer(kind, np.random.default_rng(stable_seed("batch-fresh", kind.value)))
+    before = {name: p.copy() for name, p in layer.params.items()}
+    for ids in ([0], [1, 0, 1]):
+        out = forward_batch(layer, ids)
+        assert out.dtype == np.float64 and out.shape == (len(ids), layer.config.embed_dim)
+        out[...] = 7.0
+        forward(layer, 0)[...] = 7.0
+    for name, p in layer.params.items():
+        assert p.tobytes() == before[name].tobytes(), name
+    assert forward_batch(layer, []).shape == (0, layer.config.embed_dim)
 
 
 def test_forward_word_id_out_of_range():

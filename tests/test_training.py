@@ -264,3 +264,26 @@ def test_divergence_raises_before_the_batch_is_applied():
             seed=0,
         )
     assert all(np.all(np.isfinite(p)) for p in layer.params.values())
+
+
+def test_divergence_names_the_epoch_and_batch():
+    from tenbed.errors import TrainingDivergedError
+
+    layer = build(LayerConfig(MethodKind.ORIGINAL, vocab_size=12, embed_dim=3, seed=0))
+    targets = np.zeros((12, 3))
+    targets[np.random.default_rng(0).permutation(12)[5]] = np.nan  # the 6th example
+    with pytest.raises(TrainingDivergedError) as err:
+        train(layer, TrainTask("reconstruct_table", targets=targets), OptimizerState(),
+              epochs=1, batch_size=2, seed=0)
+    assert (err.value.epoch, err.value.batch) == (0, 2)
+    assert str(err.value) == "non-finite loss nan at epoch 0, batch 2; aborting"
+
+
+def test_a_batch_without_gradients_steps_nothing():
+    """Zero embeddings give every pair its loss and no upstream."""
+    layer = build(LayerConfig(MethodKind.ORIGINAL, vocab_size=4, embed_dim=3, seed=0))
+    layer.params["weight"][...] = 0.0
+    task = TrainTask("word_similarity", pairs=[(0, 1, 0), (1, 2, 1), (2, 3, 1)])
+    history = train(layer, task, OptimizerState(), epochs=2, batch_size=2, seed=0)
+    assert history == [2 / 3, 2 / 3]
+    assert not layer.params["weight"].any()
