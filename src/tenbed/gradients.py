@@ -3,15 +3,16 @@
 Each forward map is a shallow fixed-shape multilinear expression, so the
 adjoints are written out instead of built as a general autodiff graph.
 ``backward_batch`` takes a batch of word ids and one upstream row per word:
-``layers.gather_batch`` gives the rows each word reads, one adjoint per family
-of combine steps computes every word's gradient per slot at once (the four
-tensor-product kinds share one), and each block's slot gradients are added
-into a caller's gradient dict in batch order.  Truncation to the embedding
-dimension is adjointed by zero-padding the upstream back to the full product
-length.  When a word references the same parameter row in several slots
-(repeated morphemes), its slot gradients are summed first and the sum is
-added once, which is the correct total derivative.  ``backward`` and
-``touched_rows`` are the same for a batch of one word.
+``layers.gather_batch`` gives the rows each word reads, the adjoint of one of
+``forward_batch``'s three combines (a sum of products for six kinds, the TT
+chain, matrix_factor's matmul) computes every word's gradient per slot at
+once, and each block's slot gradients are added into a caller's gradient
+dict in batch order.  Truncation to the embedding dimension is adjointed by
+zero-padding the upstream back to the full product length.  When a word
+references the same parameter row in several slots (repeated morphemes), its
+slot gradients are summed first and the sum is added once, which is the
+correct total derivative.  ``backward`` and ``touched_rows`` are the same for
+a batch of one word.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .layers import (
-    TENSOR_PRODUCT_KINDS,
     EmbeddingLayer,
     MethodKind,
     _factor_layout,
@@ -61,7 +61,7 @@ def _product_grads(vectors: list[np.ndarray], U_full: np.ndarray) -> list[np.nda
     """
     n, B = len(vectors), len(U_full)
     if n == 1:
-        return [U_full.copy()]
+        return [U_full]
     shaped = U_full.reshape((B,) + tuple(v.shape[1] for v in vectors))
     axes = list(range(1, n + 1))
     grads = []
@@ -119,18 +119,7 @@ def backward_batch(
         return
     kind = cfg.kind
 
-    if kind in TENSOR_PRODUCT_KINDS:
-        gathered = [p[ids] for p, ids in zip(layer.params.values(), rows)]
-        grads = [np.empty_like(g) for g in gathered]
-        layout = _factor_layout(cfg)
-        groups = [[gathered[block][:, slot, cols] for block, slot, cols in group]
-                  for group in layout]
-        U_full = _pad_upstream(U, math.prod(v.shape[1] for v in groups[0]))
-        for group, vectors in zip(layout, groups):
-            for (block, slot, cols), g in zip(group, _product_grads(vectors, U_full)):
-                grads[block][:, slot, cols] = g
-
-    elif kind is MethodKind.MATRIX_FACTOR:
+    if kind is MethodKind.MATRIX_FACTOR:
         left, right = layer.params.values()
         left_rows = left[rows[0][:, 0]]
         grads = [np.matmul(right, U[:, :, None]).reshape(B, 1, -1),
@@ -150,27 +139,28 @@ def backward_batch(
         grads[0] = grad_carry
         grads = [g.reshape(B, 1, -1) for g in grads]
 
-    else:  # original, morphsum: the forward is the sum of the rows read
-        grads = [np.broadcast_to(U[:, None, :], (B, ids.shape[1], U.shape[1])) for ids in rows]
+    else:  # the six kinds that sum products
+        gathered = [p[ids] for p, ids in zip(layer.params.values(), rows)]
+        grads = [np.empty_like(g) for g in gathered]
+        layout = _factor_layout(cfg)
+        groups = [[gathered[block][:, slot, cols] for block, slot, cols in group]
+                  for group in layout]
+        U_full = _pad_upstream(U, math.prod(v.shape[1] for v in groups[0]))
+        for group, vectors in zip(layout, groups):
+            for (block, slot, cols), g in zip(group, _product_grads(vectors, U_full)):
+                grads[block][:, slot, cols] = g
 
     for target, ids, g in zip(into.values(), rows, grads):
         _add_rows(target, ids, g)
 
 
-def backward(
-    layer: EmbeddingLayer,
-    word_id: int,
-    upstream: np.ndarray,
-    into: dict[str, np.ndarray] | None = None,
-) -> list[GradSlot]:
+def backward(layer: EmbeddingLayer, word_id: int, upstream: np.ndarray) -> list[GradSlot]:
     """Gradient of ``<upstream, forward(layer, word_id)>`` per parameter block.
 
-    Returns one slot per block in the block order used at build time.  With
-    ``into``, a gradient dict of the params' shapes, the word's gradient is
-    added into it and the slots hold its arrays.  Without it, into a fresh
-    zeroed dict.  This is ``backward_batch`` on a batch of one.
+    Returns one dense slot per block in the block order used at build time.
+    This is ``backward_batch`` on a batch of one, into a fresh zeroed dict.
     """
-    grads = into if into is not None else {n: np.zeros_like(p) for n, p in layer.params.items()}
+    grads = {n: np.zeros_like(p) for n, p in layer.params.items()}
     backward_batch(layer, [word_id], np.asarray(upstream, dtype=np.float64)[None], grads)
     return [GradSlot(name, grads[name]) for name in layer.params]
 

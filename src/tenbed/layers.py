@@ -24,10 +24,12 @@ seeded by the config, so identical configs rebuild bit-identical layers.
 An ``EmbeddingLayer`` is data: a config, its blocks and, for the
 morphological kinds, a vocab and an index.  ``forward_batch`` embeds a batch
 of word ids through it: ``gather_batch`` checks every id and gives the row
-ids each block is read at, then one combine per family of kinds computes
-every word at once; ``forward`` is a batch of one.  Both only read the
-parameter blocks and are safe to call concurrently; mutating parameters
-(training) requires exclusive access.
+ids each block is read at, then one of three combines computes every word:
+six kinds sum tensor products of the rows read in rank order (the lookup
+table and morphsum sum one-factor products), tensor_train contracts a chain
+of cores and matrix_factor is a stacked matmul.  ``forward`` is a batch of
+one.  Both only read the parameter blocks and are safe to call concurrently;
+mutating parameters (training) requires exclusive access.
 """
 
 from __future__ import annotations
@@ -61,8 +63,7 @@ MORPHOLOGICAL_KINDS = frozenset(
 )
 KET_KINDS = frozenset({MethodKind.WORD2KET, MethodKind.MORPHTE, MethodKind.WORD2KET_RSHARE})
 FACTORED_KINDS = frozenset({MethodKind.TENSOR_TRAIN, MethodKind.WORD2KETXS})
-# rank-r sums of tensor products of n rows, truncated to d
-TENSOR_PRODUCT_KINDS = KET_KINDS | {MethodKind.WORD2KETXS}
+MAX_PRODUCT_PER_DIM = 64
 
 
 def _covers(q: int, order: int, target: int) -> bool:
@@ -86,7 +87,9 @@ class LayerConfig:
     ``subdim`` (q) may be omitted for the tensor-product kinds, in which case
     the smallest q with ``q**order >= embed_dim`` is used.  ``vocab_factors``
     and ``dim_factors`` are the per-axis splits of the vocabulary size and
-    embedding size for ``tensor_train`` / ``word2ketxs``.
+    embedding size for ``tensor_train`` / ``word2ketxs``.  A forward builds
+    the whole product (``q**order`` or ``prod(dim_factors)`` floats) per word,
+    so ``validate`` bounds it by ``MAX_PRODUCT_PER_DIM * embed_dim``.
     """
 
     kind: MethodKind
@@ -112,6 +115,7 @@ class LayerConfig:
         for name, low in lows.items():
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        limit = MAX_PRODUCT_PER_DIM * self.embed_dim
         if self.kind in KET_KINDS:
             q = self.effective_subdim()
             if q < 1:
@@ -121,6 +125,9 @@ class LayerConfig:
                     f"subdim {q} with order {self.order} covers only "
                     f"{q ** self.order} < embed_dim {self.embed_dim}"
                 )
+            if _covers(q, self.order, limit + 1):
+                raise ConfigError(f"{q}**{self.order} is more than {MAX_PRODUCT_PER_DIM} * "
+                                  f"embed_dim = {limit}")
         if self.kind in FACTORED_KINDS:
             if self.vocab_factors is None or self.dim_factors is None:
                 raise ConfigError(f"{self.kind.value} requires vocab_factors and dim_factors")
@@ -144,6 +151,9 @@ class LayerConfig:
                     f"dim_factors {self.dim_factors} cover only "
                     f"{math.prod(self.dim_factors)} < embed_dim {self.embed_dim}"
                 )
+            if math.prod(self.dim_factors) > limit:
+                raise ConfigError(f"prod(dim_factors) is more than {MAX_PRODUCT_PER_DIM} * "
+                                  f"embed_dim = {limit}")
         M = self.morpheme_vocab_size
         if self.kind in MORPHOLOGICAL_KINDS and M is not None and M < 1:
             raise ConfigError(f"morpheme_vocab_size must be >= 1, got {M}")
@@ -313,19 +323,23 @@ def gather_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> list[np.ndar
 
 
 def _factor_layout(cfg: LayerConfig) -> list[list[tuple[int, int, slice]]]:
-    """Factor j of group i of a tensor-product kind, as ``(block, slot, columns)``.
+    """Factor j of product i of a kind that sums products, as ``(block, slot, columns)``.
 
     The columns of the row ``gather_batch`` gives for that block and slot: one
     layout serves to read a word's factors and to place their gradients.
     """
-    r, n = cfg.rank, cfg.order
+    r, n, every = cfg.rank, cfg.order, slice(None)
+    if cfg.kind is MethodKind.ORIGINAL:
+        return [[(0, 0, every)]]
+    if cfg.kind is MethodKind.MORPHSUM:  # the surface row, then each morpheme row
+        return [[(0, 0, every)]] + [[(1, s, every)] for s in range(n)]
     if cfg.kind is MethodKind.WORD2KET:  # one row holds the r*n vectors
         q = cfg.effective_subdim()
         return [[(0, 0, slice(j * q, (j + 1) * q)) for j in range(i * n, (i + 1) * n)]
                 for i in range(r)]
     if cfg.kind is MethodKind.WORD2KETXS:
-        return [[(i * n + j, 0, slice(None)) for j in range(n)] for i in range(r)]
-    return [[(i, j, slice(None)) for j in range(n)] for i in range(r)]  # morphte, rshare
+        return [[(i * n + j, 0, every) for j in range(n)] for i in range(r)]
+    return [[(i, j, every) for j in range(n)] for i in range(r)]  # morphte, rshare
 
 
 def _tt_chain(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[list, list]:
@@ -354,38 +368,30 @@ def forward_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> np.ndarray:
 
     One ``gather_batch`` and one combine per family of kinds.  Each row is
     computed with the arithmetic, in the order, of embedding its word alone:
-    products of factors by broadcasting, summed in rank order; stacked
-    matmuls for tensor_train and matrix_factor; morphsum's rows summed in
-    slot order.  An empty batch gives shape ``(0, d)``.
+    stacked matmuls for matrix_factor and tensor_train; for every other kind,
+    products of factors by broadcasting, summed in rank order.  An empty
+    batch gives shape ``(0, d)``.
     """
     cfg = layer.config
     rows = gather_batch(layer, word_ids)
     B, d, kind = len(rows[0]), cfg.embed_dim, cfg.kind
     if B == 0:
         return np.empty((0, d))
-    if kind is MethodKind.MORPHSUM:  # the sum of the rows read
-        (surface, morphemes), (own, slots) = layer.params.values(), rows
-        out = surface[own[:, 0]]
-        for s in range(slots.shape[1]):
-            out += morphemes[slots[:, s]]
-        return out
     if kind is MethodKind.MATRIX_FACTOR:
         left, right = layer.params.values()
         return np.matmul(left[rows[0]], right).reshape(B, d)
     if kind is MethodKind.TENSOR_TRAIN:
         cores, carries = _tt_chain(layer, rows)
         full = np.matmul(carries[-1], cores[-1]).reshape(B, -1)
-    elif kind in TENSOR_PRODUCT_KINDS:
-        gathered = [p[ids] for p, ids in zip(layer.params.values(), rows)]
+    else:  # slot-major: a strided (B, slots) view made morphsum's sum a fifth slower
+        gathered = [p[ids.T] for p, ids in zip(layer.params.values(), rows)]
         full = None  # each product is fresh, or a view of the fresh gathered rows
         for group in _factor_layout(cfg):
             term = None
             for block, slot, cols in group:
-                v = gathered[block][:, slot, cols]
+                v = gathered[block][slot, :, cols]
                 term = v if term is None else (term[:, :, None] * v[:, None, :]).reshape(B, -1)
             full = term if full is None else np.add(full, term, out=full)
-    else:  # original
-        return layer.params["weight"][rows[0][:, 0]]
     return full if full.shape[1] == d else full[:, :d].copy()
 
 

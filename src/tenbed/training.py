@@ -190,10 +190,11 @@ def train(
         epoch_loss = 0.0
         for k, start in enumerate(range(0, n_examples, batch_size)):
             batch = order[start : start + batch_size]
-            if pairs is None:
-                losses, words, upstreams = _reconstruct_batch(layer, task, batch)
-            else:
-                losses, words, upstreams = _pair_batch(layer, pairs, batch)
+            with np.errstate(over="ignore", invalid="ignore"):  # the loss is checked below
+                if pairs is None:
+                    losses, words, upstreams = _reconstruct_batch(layer, task, batch)
+                else:
+                    losses, words, upstreams = _pair_batch(layer, pairs, batch)
             batch_loss = 0.0
             for loss in losses.tolist():
                 batch_loss += loss

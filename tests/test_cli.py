@@ -1,14 +1,15 @@
 import json
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from tenbed.cli import main
-from tenbed.checkpoint import load_layer
-from tenbed.layers import forward
+from tenbed.checkpoint import load_layer, save_layer
+from tenbed.layers import EmbeddingLayer, LayerConfig, build_rshare_index, forward
 from tenbed.synthetic import make_sharing_task
 
 
@@ -259,9 +260,11 @@ def test_train_diverged_exit_4(runner, tmp_path):
     cfg = make_train_config(
         tmp_path, method="matrix_factor", optimizer="sgd", lr="1e12", epochs="50"
     )
-    res = runner.invoke(main, ["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
+    with warnings.catch_warnings():  # an overflow warning fails the run
+        warnings.simplefilter("error")
+        res = runner.invoke(main, ["train", "--config", str(cfg), "--out", str(tmp_path / "run")])
     assert res.exit_code == 4, res.output + str(res.exception)
-    assert "non-finite loss" in res.stderr
+    assert res.stderr.startswith("check failed: non-finite loss"), res.stderr
 
 
 def test_export_then_eval_roundtrip(runner, tmp_path):
@@ -354,6 +357,17 @@ def test_eval_rejects_checkpoint_lengths_beyond_the_file(runner, tmp_path, case)
     res = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--word-ids", "0"])
     assert res.exit_code == 2, res.output + repr(res.exception)
     assert "error: truncated checkpoint" in res.stderr
+
+
+def test_eval_rejects_a_checkpoint_whose_product_is_too_long(runner, tmp_path):
+    """A 3x2 table with order 40 would embed through 2**40 floats per word."""
+    cfg = LayerConfig("word2ket_rshare", 5, 9, order=40, subdim=2, morpheme_vocab_size=3)
+    ckpt = tmp_path / "long.bin"
+    index = build_rshare_index(5, 3, 40, seed=0)
+    save_layer(EmbeddingLayer(cfg, {"morpheme_embed_0": np.zeros((3, 2))}, index=index), ckpt)
+    res = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--word-ids", "0"])
+    assert res.exit_code == 2, res.output + repr(res.exception)
+    assert "2**40 is more than 64 * embed_dim = 576" in res.stderr
 
 
 def test_env_seed_overrides_config(runner, tmp_path, monkeypatch):

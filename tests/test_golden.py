@@ -21,7 +21,7 @@ from click.testing import CliRunner
 
 from conftest import ALL_KINDS, random_layer, stable_seed
 from tenbed.cli import main
-from tenbed.gradients import backward, touched_rows
+from tenbed.gradients import backward, backward_batch, touched_rows
 from tenbed.layers import LayerConfig, MethodKind, build, forward, forward_batch
 from tenbed.training import OptimizerState, TrainTask, train
 
@@ -115,8 +115,9 @@ def _layer_hash(kind) -> str:
     """One hash over what seeded layers of a kind compute, word by word.
 
     Per layer: the forward of every word, ``forward_batch`` on a batch that
-    repeats words, the dense ``backward`` slots of every word, ``backward``
-    into one buffer over that batch, and ``touched_rows`` of every word.
+    repeats words, the dense ``backward`` slots of every word, one-word
+    ``backward_batch`` calls into one buffer over that batch, and
+    ``touched_rows`` of every word.
     """
     h = hashlib.sha256()
     rng = np.random.default_rng(stable_seed("golden-layers", kind.value))
@@ -135,7 +136,7 @@ def _layer_hash(kind) -> str:
                 h.update(slot.grad.tobytes())
         grads = {name: np.zeros_like(p) for name, p in layer.params.items()}
         for w in batch:
-            backward(layer, w, rng.standard_normal(d), into=grads)
+            backward_batch(layer, [w], rng.standard_normal(d)[None], grads)
         for name, g in grads.items():
             h.update(name.encode())
             h.update(g.tobytes())

@@ -210,7 +210,8 @@ def test_out_of_range_word_ids_raise(kind):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_backward_into_a_batch_buffer_equals_summed_dense_backwards(kind):
-    """Adding words into one buffer gives the bytes of summing dense per-word slots.
+    """Adding words one at a time into one buffer gives the bytes of summing
+    dense per-word slots.
 
     A row a word reads in several slots must reach the buffer as one sum,
     ``total + (0 + g1 + g2)``, not slot by slot.
@@ -229,8 +230,7 @@ def test_backward_into_a_batch_buffer_equals_summed_dense_backwards(kind):
         for word_id, u in zip(words.tolist(), upstreams):
             for slot in backward(layer, word_id, u):
                 dense[slot.param_name] += slot.grad
-            slots = backward(layer, word_id, u, into=into)
-            assert all(slot.grad is into[slot.param_name] for slot in slots)
+            backward_batch(layer, [word_id], u[None], into)
         for name in layer.params:
             assert dense[name].tobytes() == into[name].tobytes(), (kind, name)
     if kind.value in ("morphte", "morphsum", "word2ket_rshare"):
@@ -264,7 +264,7 @@ def test_backward_batch_equals_word_by_word_backward(kind):
         backward_batch(layer, words, upstreams, batched)
         word_by_word = {name: np.zeros_like(p) for name, p in layer.params.items()}
         for word_id, u in zip(words.tolist(), upstreams):
-            backward(layer, word_id, u, into=word_by_word)
+            backward_batch(layer, [word_id], u[None], word_by_word)
         for name in layer.params:
             assert batched[name].tobytes() == word_by_word[name].tobytes(), (layer.config, name)
 

@@ -104,12 +104,33 @@ def test_validate_decides_coverage_without_building_the_power():
 
     Building 2**(10**8) took 0.65 s and about 40 MB."""
     start = time.perf_counter()
-    LayerConfig(MethodKind.WORD2KET, 5, 10, order=10**8, subdim=2).validate()
+    with pytest.raises(ConfigError, match="2\\*\\*100000000 is more than 64 \\* embed_dim = 640"):
+        LayerConfig(MethodKind.WORD2KET, 5, 10, order=10**8, subdim=2).validate()
     with pytest.raises(ConfigError, match="covers only 1 < embed_dim 2"):
         LayerConfig(MethodKind.WORD2KET, 5, 2, order=10**12, subdim=1).validate()
     with pytest.raises(ConfigError, match="covers only 8 < embed_dim 9"):
         LayerConfig(MethodKind.MORPHTE, 5, 9, order=3, subdim=2).validate()
     assert time.perf_counter() - start < 0.1
+
+
+def test_validate_bounds_the_product_length():
+    """A forward allocates the whole product per word: at most 64 * embed_dim."""
+    too_long = [
+        (MethodKind.MORPHTE, dict(order=40, subdim=2, morpheme_vocab_size=3)),
+        (MethodKind.WORD2KET_RSHARE, dict(order=40, subdim=2, morpheme_vocab_size=3)),
+        (MethodKind.WORD2KET, dict(order=1, subdim=9 * 64 + 1)),
+        (MethodKind.WORD2KETXS, dict(order=40, vocab_factors=(1,) * 39 + (5,),
+                                     dim_factors=(2,) * 40)),
+        (MethodKind.TENSOR_TRAIN, dict(order=2, vocab_factors=(5, 1), dim_factors=(9, 65))),
+    ]
+    start = time.perf_counter()
+    for kind, fields in too_long:
+        with pytest.raises(ConfigError, match="is more than 64 \\* embed_dim = 576"):
+            LayerConfig(kind, 5, 9, **fields).validate()
+    assert time.perf_counter() - start < 0.1
+    LayerConfig(MethodKind.WORD2KET, 5, 9, order=1, subdim=9 * 64).validate()
+    LayerConfig(MethodKind.WORD2KETXS, 5, 9, order=2, vocab_factors=(5, 1),
+                dim_factors=(9, 64)).validate()
 
 
 def test_original_build_and_forward():
