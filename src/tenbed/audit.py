@@ -33,9 +33,6 @@ class AuditRow:
     def total(self) -> int:
         return self.trainable + self.constant
 
-    def ratio_rounded(self) -> int:
-        return round(float(self.ratio))
-
     def as_tsv(self) -> str:
         return "\t".join(
             [

@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from . import audit as audit_mod
-from . import checkpoint, gradients, synthetic, training
+from . import checkpoint, gradients, layers, synthetic, training
 from .errors import ConfigError, TenbedError, TrainingDivergedError
 from .layers import LayerConfig, MethodKind, MORPHOLOGICAL_KINDS, build, forward_batch, gather_batch
 from .layers import forward  # noqa: F401  (unused; perfbench/tracing.py wraps this name)
@@ -156,7 +156,6 @@ def layer_config_from_mapping(values: dict, seed: int) -> LayerConfig:
 
 
 SIMILARITY_TASKS = ("similarity", "word_similarity")
-EVAL_WORDS = 1024  # words per forward_batch in `eval`, which bounds its temporaries
 # the keys of a train config: LayerConfig's fields under their config names,
 # the synthetic morphology's size, then the task's keys.  export reads train
 # configs too, to write the layer a run starts from.
@@ -417,7 +416,7 @@ def cmd_train(config_path, out_dir, vocab_dir, seed):
         pairs_train, pairs_eval = synthetic.make_sharing_pairs(
             morph_sets, *n_pairs, seed=seed_value + 1
         )
-        task = training.TrainTask("word_similarity", pairs=pairs_train, loss="cosine_contrastive")
+        task = training.TrainTask("word_similarity", pairs=pairs_train)
     else:
         donor = build(replace(layer.config, seed=donor_seed), vocab=layer.vocab, index=layer.index)
         targets = forward_batch(donor, np.arange(layer.config.vocab_size))
@@ -494,9 +493,10 @@ def cmd_eval(ckpt_path, words, word_ids, emit_all):
         raise ConfigError("nothing to do: pass --words, --word-ids or --all")
     ids = [j for _, j in targets]
     gather_batch(layer, ids)  # checks every id before the first line is written
-    for start in range(0, len(ids), EVAL_WORDS):
-        vectors = forward_batch(layer, ids[start : start + EVAL_WORDS])
-        for (name, _), vec in zip(targets[start : start + EVAL_WORDS], vectors):
+    step = layers.BATCH_WORDS
+    for start in range(0, len(ids), step):
+        vectors = forward_batch(layer, ids[start : start + step])
+        for (name, _), vec in zip(targets[start : start + step], vectors):
             click.echo(name + "\t" + "\t".join(_float_cell(x) for x in vec))
 
 

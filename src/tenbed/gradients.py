@@ -5,14 +5,14 @@ adjoints are written out instead of built as a general autodiff graph.
 ``backward_batch`` takes a batch of word ids and one upstream row per word:
 ``layers.gather_batch`` gives the rows each word reads, the adjoint of one of
 ``forward_batch``'s three combines (a sum of products for six kinds, the TT
-chain, matrix_factor's matmul) computes every word's gradient per slot at
-once, and each block's slot gradients are added into a caller's gradient
-dict in batch order.  Truncation to the embedding dimension is adjointed by
-zero-padding the upstream back to the full product length.  When a word
-references the same parameter row in several slots (repeated morphemes), its
-slot gradients are summed first and the sum is added once, which is the
-correct total derivative.  ``backward`` and ``touched_rows`` are the same for
-a batch of one word.
+chain, matrix_factor's matmul) computes the gradient per slot of every word
+of a chunk of ``layers.BATCH_WORDS`` at once, and each block's slot gradients
+are added into a caller's gradient dict in batch order.  Truncation to the
+embedding dimension is adjointed by zero-padding the upstream back to the
+full product length.  When a word references the same parameter row in
+several slots (repeated morphemes), its slot gradients are summed first and
+the sum is added once, which is the correct total derivative.  ``backward``
+and ``touched_rows`` are the same for a batch of one word.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import layers
 from .errors import ConfigError
 from .layers import (
     EmbeddingLayer,
@@ -52,7 +53,7 @@ def _pad_upstream(U: np.ndarray, full_size: int) -> np.ndarray:
 
 
 def _product_grads(vectors: list[np.ndarray], U_full: np.ndarray) -> list[np.ndarray]:
-    """Per word b, the gradients of ``<U_full[b], v1[b] x ... x vn[b]>`` w.r.t. each vk[b].
+    """Per word b, the gradients of ``<U_full[b], v1[b] x ... x vn[b]>`` w.r.t. each vk[b], n >= 2.
 
     Contracts each word's upstream tensor with every other vector.  One
     einsum over the batch sums each word as einsum sums it alone, except for
@@ -60,8 +61,6 @@ def _product_grads(vectors: list[np.ndarray], U_full: np.ndarray) -> list[np.nda
     batched einsum sums that in another order, so it goes word by word.
     """
     n, B = len(vectors), len(U_full)
-    if n == 1:
-        return [U_full]
     shaped = U_full.reshape((B,) + tuple(v.shape[1] for v in vectors))
     axes = list(range(1, n + 1))
     grads = []
@@ -106,26 +105,37 @@ def backward_batch(
     """Add the gradient of ``sum_b <upstream[b], forward(layer, word_ids[b])>`` into ``into``.
 
     ``into`` is a gradient dict of the params' shapes, ``upstream`` one
-    length-d row per word.  Words are added in batch order, so ``into`` ends
-    as adding each word's ``backward`` in turn would leave it.
+    length-d row per word.  Every id is checked first; then words are taken
+    in chunks of ``layers.BATCH_WORDS`` and added in batch order, so ``into``
+    ends as adding each word's ``backward`` in turn would leave it.
     """
-    cfg = layer.config
     rows = gather_batch(layer, word_ids)
     B = len(rows[0])
     U = np.ascontiguousarray(upstream, dtype=np.float64)
-    if U.shape != (B, cfg.embed_dim):
-        raise ValueError(f"upstream must have shape {(B, cfg.embed_dim)}, got {U.shape}")
+    if U.shape != (B, layer.config.embed_dim):
+        raise ValueError(f"upstream must have shape {(B, layer.config.embed_dim)}, got {U.shape}")
     if B == 0:
         return
-    kind = cfg.kind
+    step = layers.BATCH_WORDS
+    chunks = [(rows, U)] if B <= step else [
+        ([ids[lo : lo + step] for ids in rows], U[lo : lo + step]) for lo in range(0, B, step)
+    ]
+    for rows, U in chunks:
+        for target, ids, g in zip(into.values(), rows, _slot_grads(layer, rows, U)):
+            _add_rows(target, ids, g)
 
-    if kind is MethodKind.MATRIX_FACTOR:
+
+def _slot_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray) -> list[np.ndarray]:
+    """Per block, every word's ``(B, slots, cols)`` slot gradients: the adjoint of
+    ``layers._combine`` on the row ids ``rows``, against the upstream rows ``U``."""
+    cfg, B = layer.config, len(U)
+    if cfg.kind is MethodKind.MATRIX_FACTOR:
         left, right = layer.params.values()
         left_rows = left[rows[0][:, 0]]
-        grads = [np.matmul(right, U[:, :, None]).reshape(B, 1, -1),
-                 left_rows[:, :, None] * U[:, None, :]]
+        return [np.matmul(right, U[:, :, None]).reshape(B, 1, -1),
+                left_rows[:, :, None] * U[:, None, :]]
 
-    elif kind is MethodKind.TENSOR_TRAIN:
+    if cfg.kind is MethodKind.TENSOR_TRAIN:
         df, n = cfg.dim_factors, cfg.order
         cores, carries = _tt_chain(layer, rows)
         grads = [None] * n
@@ -137,21 +147,25 @@ def backward_batch(
             grads[k] = np.matmul(carries[k - 1].transpose(0, 2, 1), grad_flat)
             grad_carry = np.matmul(grad_flat, cores[k].transpose(0, 2, 1))
         grads[0] = grad_carry
-        grads = [g.reshape(B, 1, -1) for g in grads]
+        return [g.reshape(B, 1, -1) for g in grads]
 
-    else:  # the six kinds that sum products
-        gathered = [p[ids] for p, ids in zip(layer.params.values(), rows)]
-        grads = [np.empty_like(g) for g in gathered]
-        layout = _factor_layout(cfg)
-        groups = [[gathered[block][:, slot, cols] for block, slot, cols in group]
-                  for group in layout]
-        U_full = _pad_upstream(U, math.prod(v.shape[1] for v in groups[0]))
-        for group, vectors in zip(layout, groups):
-            for (block, slot, cols), g in zip(group, _product_grads(vectors, U_full)):
-                grads[block][:, slot, cols] = g
-
-    for target, ids, g in zip(into.values(), rows, grads):
-        _add_rows(target, ids, g)
+    # the six kinds that sum products: only a product of two or more factors
+    # reads its rows, a lone factor's gradient being the padded upstream
+    params = list(layer.params.values())
+    grads = [np.empty(ids.shape + p.shape[1:]) for p, ids in zip(params, rows)]
+    layout = _factor_layout(cfg)
+    read = {block for group in layout if len(group) > 1 for block, _, _ in group}
+    gathered = {block: params[block][rows[block]] for block in read}
+    targets = [[grads[block][:, slot, cols] for block, slot, cols in group] for group in layout]
+    U_full = _pad_upstream(U, math.prod(t.shape[1] for t in targets[0]))
+    for group, slots in zip(layout, targets):
+        if len(group) == 1:
+            slots[0][...] = U_full
+            continue
+        vectors = [gathered[block][:, slot, cols] for block, slot, cols in group]
+        for target, g in zip(slots, _product_grads(vectors, U_full)):
+            target[...] = g
+    return grads
 
 
 def backward(layer: EmbeddingLayer, word_id: int, upstream: np.ndarray) -> list[GradSlot]:
@@ -173,9 +187,6 @@ def touched_rows(layer: EmbeddingLayer, word_id: int) -> dict[str, list[int]]:
 
 @dataclass
 class FiniteDiffReport:
-    word_id: int
-    epsilon: float
-    tolerance: float
     checked: int
     max_rel_error: float
     failures: list[tuple[str, int, int, float, float]] = field(default_factory=list)
@@ -231,11 +242,4 @@ def finite_diff_check(
                     max_rel = rel
                 if rel > tolerance:
                     failures.append((name, row, col, analytic, numeric))
-    return FiniteDiffReport(
-        word_id=word_id,
-        epsilon=epsilon,
-        tolerance=tolerance,
-        checked=checked,
-        max_rel_error=max_rel,
-        failures=failures,
-    )
+    return FiniteDiffReport(checked=checked, max_rel_error=max_rel, failures=failures)

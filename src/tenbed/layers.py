@@ -24,12 +24,13 @@ seeded by the config, so identical configs rebuild bit-identical layers.
 An ``EmbeddingLayer`` is data: a config, its blocks and, for the
 morphological kinds, a vocab and an index.  ``forward_batch`` embeds a batch
 of word ids through it: ``gather_batch`` checks every id and gives the row
-ids each block is read at, then one of three combines computes every word:
-six kinds sum tensor products of the rows read in rank order (the lookup
-table and morphsum sum one-factor products), tensor_train contracts a chain
-of cores and matrix_factor is a stacked matmul.  ``forward`` is a batch of
-one.  Both only read the parameter blocks and are safe to call concurrently;
-mutating parameters (training) requires exclusive access.
+ids each block is read at, then one of three combines computes the words in
+chunks of ``BATCH_WORDS``: six kinds sum tensor products of the rows read in
+rank order (the lookup table and morphsum sum one-factor products),
+tensor_train contracts a chain of cores and matrix_factor is a stacked
+matmul.  ``forward`` is a batch of one.  Both only read the parameter blocks
+and are safe to call concurrently; mutating parameters (training) requires
+exclusive access.
 """
 
 from __future__ import annotations
@@ -64,6 +65,7 @@ MORPHOLOGICAL_KINDS = frozenset(
 KET_KINDS = frozenset({MethodKind.WORD2KET, MethodKind.MORPHTE, MethodKind.WORD2KET_RSHARE})
 FACTORED_KINDS = frozenset({MethodKind.TENSOR_TRAIN, MethodKind.WORD2KETXS})
 MAX_PRODUCT_PER_DIM = 64
+BATCH_WORDS = 512  # words combined at once: a chunk's temporaries, not a batch's, set the memory
 
 
 def _covers(q: int, order: int, target: int) -> bool:
@@ -366,14 +368,29 @@ def _tt_chain(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[list, list
 def forward_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> np.ndarray:
     """Embed a batch of word ids: a fresh ``(B, d)`` float64 array.
 
-    One ``gather_batch`` and one combine per family of kinds.  Each row is
-    computed with the arithmetic, in the order, of embedding its word alone:
-    stacked matmuls for matrix_factor and tensor_train; for every other kind,
-    products of factors by broadcasting, summed in rank order.  An empty
-    batch gives shape ``(0, d)``.
+    One ``gather_batch`` checks every id, then ``_combine`` embeds the words
+    in chunks of ``BATCH_WORDS`` in batch order, which bounds the temporaries
+    of a long batch.  An empty batch gives shape ``(0, d)``.
+    """
+    rows = gather_batch(layer, word_ids)
+    B, step = len(rows[0]), BATCH_WORDS
+    if B <= step:
+        return _combine(layer, rows)
+    out = np.empty((B, layer.config.embed_dim))
+    for lo in range(0, B, step):
+        out[lo : lo + step] = _combine(layer, [ids[lo : lo + step] for ids in rows])
+    return out
+
+
+def _combine(layer: EmbeddingLayer, rows: list[np.ndarray]) -> np.ndarray:
+    """The ``(B, d)`` embeddings of the words whose row ids ``gather_batch`` gave.
+
+    One combine per family of kinds.  Each row is computed with the
+    arithmetic, in the order, of embedding its word alone: stacked matmuls
+    for matrix_factor and tensor_train; for every other kind, products of
+    factors by broadcasting, summed in rank order.
     """
     cfg = layer.config
-    rows = gather_batch(layer, word_ids)
     B, d, kind = len(rows[0]), cfg.embed_dim, cfg.kind
     if B == 0:
         return np.empty((0, d))

@@ -82,17 +82,6 @@ class MorphemeVocab:
         except KeyError:
             raise WordLookupError(f"unknown morpheme {morpheme!r}") from None
 
-    def morpheme_of(self, morpheme_id: int) -> str:
-        if not 0 <= morpheme_id < len(self._tokens):
-            raise WordLookupError(f"morpheme id {morpheme_id} out of range")
-        return self._tokens[morpheme_id]
-
-    def __len__(self) -> int:
-        return self.size
-
-    def __contains__(self, morpheme: str) -> bool:
-        return morpheme in self._id_of
-
 
 class IndexMatrix:
     """Per-word morpheme ids: one row of ``n`` ids per word, pad-filled."""
@@ -126,11 +115,6 @@ class IndexMatrix:
     @property
     def words(self) -> tuple[str, ...]:
         return self._words
-
-    def row(self, word_id: int) -> np.ndarray:
-        if not 0 <= word_id < self._rows.shape[0]:
-            raise WordLookupError(f"word id {word_id} out of range [0, {self._rows.shape[0]})")
-        return self._rows[word_id]
 
     def row_of_word(self, word: str) -> int:
         try:

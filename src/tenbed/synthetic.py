@@ -34,23 +34,10 @@ def make_segmentations(
 
 
 def make_morphology(
-    num_words: int,
-    num_morphemes: int,
-    order: int,
-    seed: int,
-    repeated_morpheme_word: bool = False,
+    num_words: int, num_morphemes: int, order: int, seed: int
 ) -> tuple[MorphemeVocab, IndexMatrix]:
-    """Synthetic vocabulary and index for layer construction.
-
-    With ``repeated_morpheme_word`` the first word uses one morpheme in every
-    slot, which is the hot path for duplicate-id gradient accumulation.
-    """
-    segs = make_segmentations(num_words, num_morphemes, order, seed)
-    if repeated_morpheme_word:
-        first = segs[0]
-        repeated = tuple([first.morphemes[0]] * order)
-        segs[0] = Segmentation(first.word, repeated)
-    return build_vocab_and_index(segs, order)
+    """Synthetic vocabulary and index for layer construction."""
+    return build_vocab_and_index(make_segmentations(num_words, num_morphemes, order, seed), order)
 
 
 def make_sharing_task(

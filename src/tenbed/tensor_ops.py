@@ -16,7 +16,6 @@ import numpy as np
 from .errors import ConfigError
 
 Vector = np.ndarray
-Matrix = np.ndarray
 
 
 def _check_vector(v, name: str = "vector") -> Vector:

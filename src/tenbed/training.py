@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import layers
 from .errors import ConfigError, TrainingDivergedError
 from .gradients import backward_batch
 from .layers import EmbeddingLayer, forward_batch
@@ -23,7 +24,9 @@ from .gradients import backward  # noqa: F401  (unused; perfbench/tracing.py wra
 from .layers import forward  # noqa: F401
 
 SLICE_FLOATS = 32768  # floats per optimizer slice: 256 KB, cache-sized
-EVAL_PAIRS = 256  # pairs per forward_batch in eval_similarity
+ADAM_BETAS = (0.9, 0.98)  # decay rates of Adam's first and second moments
+ADAM_EPS = 1e-8
+LOSSES = {"reconstruct_table": "mse", "word_similarity": "cosine_contrastive"}
 
 
 @dataclass
@@ -31,7 +34,15 @@ class TrainTask:
     kind: str  # "reconstruct_table" | "word_similarity"
     targets: np.ndarray | None = None  # (V, d) table for reconstruction
     pairs: list[tuple[int, int, int]] | None = None  # (a, b, label in {0,1})
-    loss: str = "mse"  # "mse" | "cosine_contrastive"
+    loss: str | None = None  # the kind's own loss (LOSSES), the only one it trains with
+
+    def __post_init__(self):
+        own = LOSSES.get(self.kind)
+        if own is None:
+            raise ConfigError(f"unknown task kind {self.kind!r}")
+        if self.loss not in (None, own):
+            raise ConfigError(f"{self.kind} trains with {own!r} loss, not {self.loss!r}")
+        self.loss = own
 
     def validate(self, layer: EmbeddingLayer) -> None:
         if self.kind == "reconstruct_table":
@@ -40,13 +51,11 @@ class TrainTask:
             expected = (layer.config.vocab_size, layer.config.embed_dim)
             if self.targets.shape != expected:
                 raise ConfigError(f"target table shape {self.targets.shape} != {expected}")
-        elif self.kind == "word_similarity":
+        else:
             if not self.pairs:
                 raise ConfigError("word_similarity needs labelled pairs")
             if any(label not in (0, 1) for _, _, label in self.pairs):
                 raise ConfigError("labels must be 0 or 1")
-        else:
-            raise ConfigError(f"unknown task kind {self.kind!r}")
 
 
 @dataclass
@@ -55,8 +64,6 @@ class OptimizerState:
 
     kind: str = "adam"  # "sgd" | "adam"
     lr: float = 1e-2
-    betas: tuple[float, float] = (0.9, 0.98)
-    eps: float = 1e-8
     step_count: int = 0
     moments_m: dict[str, np.ndarray] = field(default_factory=dict)
     moments_v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -81,7 +88,7 @@ class OptimizerState:
         adam = self.kind == "adam"
         if adam:
             self.step_count += 1
-            b1, b2 = self.betas
+            b1, b2 = ADAM_BETAS
             bias1, bias2 = 1 - b1**self.step_count, 1 - b2**self.step_count
         for name, g in grads.items():
             p = params[name]
@@ -110,7 +117,7 @@ class OptimizerState:
                 t *= self.lr
                 v_hat = np.divide(v, bias2, out=gs)
                 np.sqrt(v_hat, out=v_hat)
-                v_hat += self.eps
+                v_hat += ADAM_EPS
                 t /= v_hat
                 p[lo:hi] -= t
 
@@ -214,15 +221,15 @@ def train(
 def eval_similarity(layer: EmbeddingLayer, pairs: list[tuple[int, int, int]]) -> float:
     """Accuracy of thresholding the cosine at 0.5 against the pair labels.
 
-    Pairs are embedded ``EVAL_PAIRS`` at a time, which bounds the size of
-    ``forward_batch``'s temporaries however many pairs there are.
+    Pairs are embedded ``layers.BATCH_WORDS`` at a time, so no embedding array
+    grows with the number of pairs.
     """
     if not pairs:
         raise ConfigError("need at least one pair")
-    pairs = np.asarray(pairs)
+    pairs, step = np.asarray(pairs), layers.BATCH_WORDS
     correct = 0
-    for start in range(0, len(pairs), EVAL_PAIRS):
-        a, b, label = pairs[start : start + EVAL_PAIRS].T
+    for start in range(0, len(pairs), step):
+        a, b, label = pairs[start : start + step].T
         y = forward_batch(layer, np.concatenate([a, b]))
         _, _, cos = _cosines(y[: len(a)], y[len(a) :])
         # a zero-norm side has cosine NaN, so it predicts 0 like any cosine <= 0.5

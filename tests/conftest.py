@@ -5,7 +5,8 @@ import zlib
 import numpy as np
 
 from tenbed.layers import LayerConfig, MethodKind, build
-from tenbed.synthetic import make_morphology
+from tenbed.morphology import Segmentation, build_vocab_and_index
+from tenbed.synthetic import make_morphology, make_segmentations
 
 ALL_KINDS = list(MethodKind)
 
@@ -88,6 +89,14 @@ def random_config_and_context(kind, rng, seed=None):
             seed=seed,
         )
     return cfg, vocab, index
+
+
+def repeated_morpheme_morphology(num_words, num_morphemes, order, seed):
+    """``make_morphology``'s draw with the first word reading one morpheme in every
+    slot: the case where a word's gradients for one row must be summed first."""
+    segs = make_segmentations(num_words, num_morphemes, order, seed)
+    segs[0] = Segmentation(segs[0].word, (segs[0].morphemes[0],) * order)
+    return build_vocab_and_index(segs, order)
 
 
 def random_layer(kind, rng, seed=None):

@@ -11,7 +11,13 @@ import time
 import numpy as np
 from click.testing import CliRunner
 
-from conftest import ALL_KINDS, random_config_and_context, random_layer, stable_seed
+from conftest import (
+    ALL_KINDS,
+    random_config_and_context,
+    random_layer,
+    repeated_morpheme_morphology,
+    stable_seed,
+)
 from tenbed.audit import count_params, reproduce_paper_tables
 from tenbed.checkpoint import load_layer, save_layer
 from tenbed.cli import main as cli_main
@@ -110,7 +116,7 @@ def test_criterion_3_rank_one_forward_equals_naive_oracle():
             row = layer.params["word_factors"][word].reshape(1, n, q)
             vectors = [row[0, k] for k in range(n)]
         else:
-            ids = layer.index.row(word)
+            ids = layer.index.rows[word]
             vectors = [layer.params["morpheme_embed_0"][m] for m in ids]
         expected = naive_chain(vectors)[:d]
         got = forward(layer, word)
@@ -141,8 +147,8 @@ def test_criterion_4_gradient_checks_all_methods():
 
     # explicit repeated-morpheme case: one word uses the same morpheme in
     # every slot
-    vocab, index = make_morphology(8, 5, 3, seed=77, repeated_morpheme_word=True)
-    assert len(set(int(m) for m in index.row(0))) == 1
+    vocab, index = repeated_morpheme_morphology(8, 5, 3, seed=77)
+    assert len(set(int(m) for m in index.rows[0])) == 1
     layer = build(
         LayerConfig(MethodKind.MORPHTE, 8, 27, order=3, rank=2, subdim=3, seed=5),
         vocab=vocab,

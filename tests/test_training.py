@@ -4,9 +4,18 @@ import numpy as np
 import pytest
 
 from conftest import ALL_KINDS, random_layer, stable_seed
+from tenbed.errors import ConfigError
 from tenbed.layers import LayerConfig, MethodKind, build, forward
 from tenbed.synthetic import make_morphology, make_sharing_pairs, make_sharing_task
-from tenbed.training import SLICE_FLOATS, OptimizerState, TrainTask, eval_similarity, train
+from tenbed.training import (
+    ADAM_BETAS,
+    ADAM_EPS,
+    SLICE_FLOATS,
+    OptimizerState,
+    TrainTask,
+    eval_similarity,
+    train,
+)
 
 
 def test_reconstructing_own_table_gives_zero_loss():
@@ -74,7 +83,7 @@ def test_adam_matches_hand_computed_scalar_trace():
         expected.append(theta)
 
     params = {"w": np.array([[0.5]])}
-    opt = OptimizerState(kind="adam", lr=lr, betas=(b1, b2), eps=eps)
+    opt = OptimizerState(kind="adam", lr=lr)
     observed = []
     for _ in range(3):
         opt.apply(params, {"w": np.array([[1.0]])})
@@ -84,7 +93,7 @@ def test_adam_matches_hand_computed_scalar_trace():
 
 def _whole_array_step(opt, params, grads, scale, moments):
     """The optimizer step as whole-array formulas: the reference for ``apply``."""
-    b1, b2 = opt.betas
+    b1, b2 = ADAM_BETAS
     for name, g in grads.items():
         g = g * scale
         if opt.kind == "sgd":
@@ -97,7 +106,7 @@ def _whole_array_step(opt, params, grads, scale, moments):
         v += (1 - b2) * g * g
         m_hat = m / (1 - b1**opt.step_count)
         v_hat = v / (1 - b2**opt.step_count)
-        params[name] -= opt.lr * m_hat / (np.sqrt(v_hat) + opt.eps)
+        params[name] -= opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
@@ -247,6 +256,20 @@ def test_task_validation_errors():
             OptimizerState(),
             epochs=0,
         )
+
+
+def test_task_loss_defaults_to_the_kind_s_own_loss():
+    assert TrainTask("reconstruct_table").loss == "mse"
+    assert TrainTask("word_similarity", loss="cosine_contrastive").loss == "cosine_contrastive"
+    assert TrainTask("word_similarity").loss == "cosine_contrastive"
+
+
+@pytest.mark.parametrize("kind, loss", [("reconstruct_table", "cosine_contrastive"),
+                                        ("word_similarity", "mse"),
+                                        ("reconstruct_table", "l1")])
+def test_task_rejects_a_loss_it_does_not_train_with(kind, loss):
+    with pytest.raises(ConfigError, match="trains with"):
+        TrainTask(kind, loss=loss)
 
 
 def test_divergence_raises_before_the_batch_is_applied():
