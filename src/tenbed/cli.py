@@ -24,7 +24,7 @@ import click
 import numpy as np
 
 from . import audit as audit_mod
-from . import checkpoint, gradients, layers, synthetic, training
+from . import checkpoint, gradients, synthetic, training
 from .errors import ConfigError, TenbedError, TrainingDivergedError
 from .layers import LayerConfig, MethodKind, MORPHOLOGICAL_KINDS, build, forward_batch, gather_batch
 from .layers import forward  # noqa: F401  (unused; perfbench/tracing.py wraps this name)
@@ -493,7 +493,7 @@ def cmd_eval(ckpt_path, words, word_ids, emit_all):
         raise ConfigError("nothing to do: pass --words, --word-ids or --all")
     ids = [j for _, j in targets]
     gather_batch(layer, ids)  # checks every id before the first line is written
-    step = layers.BATCH_WORDS
+    step = layer.config.chunk_words()
     for start in range(0, len(ids), step):
         vectors = forward_batch(layer, ids[start : start + step])
         for (name, _), vec in zip(targets[start : start + step], vectors):

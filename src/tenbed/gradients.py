@@ -6,8 +6,9 @@ adjoints are written out instead of built as a general autodiff graph.
 ``layers.gather_batch`` gives the rows each word reads, the adjoint of one of
 ``forward_batch``'s three combines (a sum of products for six kinds, the TT
 chain, matrix_factor's matmul) computes the gradient per slot of every word
-of a chunk of ``layers.BATCH_WORDS`` at once, and each block's slot gradients
-are added into a caller's gradient dict in batch order.  Truncation to the
+of a chunk of ``LayerConfig.chunk_words`` at once, and each block's slot
+gradients are added into a caller's gradient dict in batch order, by element
+index into the flattened block.  Truncation to the
 embedding dimension is adjointed by zero-padding the upstream back to the
 full product length.  When a word references the same parameter row in
 several slots (repeated morphemes), its slot gradients are summed first and
@@ -23,7 +24,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import layers
 from .errors import ConfigError
 from .layers import (
     EmbeddingLayer,
@@ -81,19 +81,30 @@ def _add_rows(target: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
     A word that reads some row in several slots gets, in every row it reads,
     the sum of its slot gradients taken in slot order from zero, added once:
     ``target + (0 + g1 + g2)``.  Any other word adds its slot gradients as
-    they are.
+    they are.  A C-contiguous target is scattered into by element index
+    (``row * cols + col``), which adds the same elements in the same order as
+    adding whole rows, on numpy's fast one-dimensional ``add.at`` path.
     """
-    # first[b, s]: the first slot of word b that reads row rows[b, s]
-    first = (rows[:, :, None] == rows[:, None, :]).argmax(axis=2)
-    later = first != np.arange(rows.shape[1])
-    repeats = np.flatnonzero(later.any(axis=1))
-    if len(repeats):
-        sums = grads.copy()
-        sums[repeats] = 0.0
-        for s in range(rows.shape[1]):
-            sums[repeats, first[repeats, s]] += grads[repeats, s]
-        grads = sums
-    np.add.at(target, rows[~later], grads[~later])
+    if rows.shape[1] == 1:  # one slot: no word reads a row twice
+        rows, grads = rows[:, 0], grads[:, 0]
+    else:
+        # first[b, s]: the first slot of word b that reads row rows[b, s]
+        first = (rows[:, :, None] == rows[:, None, :]).argmax(axis=2)
+        later = first != np.arange(rows.shape[1])
+        repeats = np.flatnonzero(later.any(axis=1))
+        if len(repeats):
+            sums = grads.copy()
+            sums[repeats] = 0.0
+            for s in range(rows.shape[1]):
+                sums[repeats, first[repeats, s]] += grads[repeats, s]
+            grads = sums
+        rows, grads = rows[~later], grads[~later]
+    if not target.flags.c_contiguous:
+        np.add.at(target, rows, grads)
+        return
+    cols = target.shape[1]
+    np.add.at(target.reshape(-1), (rows[:, None] * cols + np.arange(cols)).reshape(-1),
+              grads.reshape(-1))
 
 
 def backward_batch(
@@ -101,13 +112,15 @@ def backward_batch(
     word_ids: Sequence[int],
     upstream: np.ndarray,
     into: dict[str, np.ndarray],
-) -> None:
+) -> list[np.ndarray]:
     """Add the gradient of ``sum_b <upstream[b], forward(layer, word_ids[b])>`` into ``into``.
 
     ``into`` is a gradient dict of the params' shapes, ``upstream`` one
     length-d row per word.  Every id is checked first; then words are taken
-    in chunks of ``layers.BATCH_WORDS`` and added in batch order, so ``into``
-    ends as adding each word's ``backward`` in turn would leave it.
+    in chunks of ``config.chunk_words()`` and added in batch order, so
+    ``into`` ends as adding each word's ``backward`` in turn would leave it.
+    Returns the rows written, ``gather_batch``'s row-id array per block in
+    block order; a row may appear more than once.
     """
     rows = gather_batch(layer, word_ids)
     B = len(rows[0])
@@ -115,14 +128,15 @@ def backward_batch(
     if U.shape != (B, layer.config.embed_dim):
         raise ValueError(f"upstream must have shape {(B, layer.config.embed_dim)}, got {U.shape}")
     if B == 0:
-        return
-    step = layers.BATCH_WORDS
+        return rows
+    step = layer.config.chunk_words()
     chunks = [(rows, U)] if B <= step else [
         ([ids[lo : lo + step] for ids in rows], U[lo : lo + step]) for lo in range(0, B, step)
     ]
-    for rows, U in chunks:
-        for target, ids, g in zip(into.values(), rows, _slot_grads(layer, rows, U)):
+    for chunk, U in chunks:
+        for target, ids, g in zip(into.values(), chunk, _slot_grads(layer, chunk, U)):
             _add_rows(target, ids, g)
+    return rows
 
 
 def _slot_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray) -> list[np.ndarray]:

@@ -25,12 +25,12 @@ An ``EmbeddingLayer`` is data: a config, its blocks and, for the
 morphological kinds, a vocab and an index.  ``forward_batch`` embeds a batch
 of word ids through it: ``gather_batch`` checks every id and gives the row
 ids each block is read at, then one of three combines computes the words in
-chunks of ``BATCH_WORDS``: six kinds sum tensor products of the rows read in
-rank order (the lookup table and morphsum sum one-factor products),
-tensor_train contracts a chain of cores and matrix_factor is a stacked
-matmul.  ``forward`` is a batch of one.  Both only read the parameter blocks
-and are safe to call concurrently; mutating parameters (training) requires
-exclusive access.
+chunks of ``LayerConfig.chunk_words`` (``BATCH_FLOATS`` product floats): six
+kinds sum tensor products of the rows read in rank order (the lookup table
+and morphsum sum one-factor products), tensor_train contracts a chain of
+cores and matrix_factor is a stacked matmul.  ``forward`` is a batch of
+one.  Both only read the parameter blocks and are safe to call concurrently;
+mutating parameters (training) requires exclusive access.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -65,7 +66,8 @@ MORPHOLOGICAL_KINDS = frozenset(
 KET_KINDS = frozenset({MethodKind.WORD2KET, MethodKind.MORPHTE, MethodKind.WORD2KET_RSHARE})
 FACTORED_KINDS = frozenset({MethodKind.TENSOR_TRAIN, MethodKind.WORD2KETXS})
 MAX_PRODUCT_PER_DIM = 64
-BATCH_WORDS = 512  # words combined at once: a chunk's temporaries, not a batch's, set the memory
+# product floats combined at once: a chunk's temporaries, not a batch's, set the memory
+BATCH_FLOATS = 512 * 512
 
 
 def _covers(q: int, order: int, target: int) -> bool:
@@ -164,6 +166,19 @@ class LayerConfig:
         if self.subdim is not None:
             return self.subdim
         return smallest_subdim(self.embed_dim, self.order)
+
+    @cached_property  # read by every forward_batch: a config never changes
+    def product_length(self) -> int:
+        """Floats of the product a forward builds per word, before truncation to ``embed_dim``."""
+        if self.kind in KET_KINDS:
+            return self.effective_subdim() ** self.order
+        if self.kind in FACTORED_KINDS:
+            return math.prod(self.dim_factors)
+        return self.embed_dim
+
+    def chunk_words(self) -> int:
+        """Words combined at once: ``BATCH_FLOATS`` product floats, and at least one word."""
+        return max(1, BATCH_FLOATS // self.product_length)
 
 
 def block_shapes(config: LayerConfig) -> list[tuple[str, tuple[int, int]]]:
@@ -369,11 +384,11 @@ def forward_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> np.ndarray:
     """Embed a batch of word ids: a fresh ``(B, d)`` float64 array.
 
     One ``gather_batch`` checks every id, then ``_combine`` embeds the words
-    in chunks of ``BATCH_WORDS`` in batch order, which bounds the temporaries
-    of a long batch.  An empty batch gives shape ``(0, d)``.
+    in chunks of ``config.chunk_words()`` in batch order, which bounds the
+    temporaries of a long batch.  An empty batch gives shape ``(0, d)``.
     """
     rows = gather_batch(layer, word_ids)
-    B, step = len(rows[0]), BATCH_WORDS
+    B, step = len(rows[0]), layer.config.chunk_words()
     if B <= step:
         return _combine(layer, rows)
     out = np.empty((B, layer.config.embed_dim))

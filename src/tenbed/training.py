@@ -4,10 +4,12 @@ Two tasks: reproduce a target embedding table under mean squared error, or
 separate labelled word pairs with a cosine contrastive loss.  Each minibatch
 is one ``forward_batch`` over every word its examples read, the per-example
 losses and upstreams computed for the whole batch at once, and one
-``backward_batch`` that adds every word's gradient into one zeroed buffer;
-the optimizer step scales that sum by the batch size and applies it in row
-slices.  The batch loss is summed example by example, in example order.
-Everything is deterministic given the seed.
+``backward_batch`` that adds every word's gradient into the optimizer's
+gradient buffer, which is zero between batches; the optimizer step scales
+that sum by the batch size and applies it to the rows some batch has written,
+and only the rows the batch wrote are zeroed again.  The batch loss is summed
+example by example, in example order.  Everything is deterministic given the
+seed.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import layers
 from .errors import ConfigError, TrainingDivergedError
 from .gradients import backward_batch
 from .layers import EmbeddingLayer, forward_batch
@@ -60,13 +61,22 @@ class TrainTask:
 
 @dataclass
 class OptimizerState:
-    """Plain SGD or bias-corrected adaptive moments, keyed by block name."""
+    """Plain SGD or bias-corrected adaptive moments, keyed by block name.
+
+    Per block it also keeps the gradient buffer ``train`` sums a batch into
+    (``grads``, all zero between batches) and which rows some step has
+    written (``live``: a row mask, dropped to ``None`` once ``apply`` steps
+    every row of the block).  Buffers and moments are ``np.zeros``, which
+    writes no page, so a row no batch writes costs no memory.
+    """
 
     kind: str = "adam"  # "sgd" | "adam"
     lr: float = 1e-2
     step_count: int = 0
     moments_m: dict[str, np.ndarray] = field(default_factory=dict)
     moments_v: dict[str, np.ndarray] = field(default_factory=dict)
+    grads: dict[str, np.ndarray] = field(default_factory=dict)
+    live: dict[str, np.ndarray | None] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -74,17 +84,66 @@ class OptimizerState:
         if not 0 < self.lr < np.inf:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
 
-    def apply(
-        self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray], scale: float = 1.0
-    ) -> None:
-        """One step along ``scale * grads``, taken in row slices of each block.
+    def _check_shape(self, name: str, shape: tuple[int, ...]) -> None:
+        """Raise unless every array held for block ``name`` has the block's ``shape``."""
+        for what, held in (("moments", self.moments_m.get(name)),
+                           ("gradient buffer", self.grads.get(name)),
+                           ("live-row mask", self.live.get(name))):
+            if held is not None and held.shape != shape[: held.ndim]:
+                raise ConfigError(f"block {name!r} has shape {shape}, but the optimizer "
+                                  f"holds a {what} of shape {held.shape} for it")
 
-        A slice of about ``SLICE_FLOATS`` floats goes through the scale and
-        every operation of the step, in place or into two slice-sized scratch
-        buffers, so no temporary is as large as a block.  Every element still
-        takes every operation, in the order of the whole-array formulas, so
-        Adam stays dense: the moments of rows without gradient decay too.
+    def gradient_buffer(self, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """The zero gradient dict for ``params``: the same arrays from call to call."""
+        for name, p in params.items():
+            self._check_shape(name, p.shape)
+            if name not in self.grads:
+                self.grads[name] = np.zeros(p.shape)
+        return {name: self.grads[name] for name in params}
+
+    def _live_rows(self, name: str, shape: tuple[int, int], written) -> np.ndarray | None:
+        """The sorted rows of a block that some step has written, or ``None`` to
+        step every row: once half the rows are live, or the block fits in one
+        slice, whole slices cost less than gathering, and the share only grows."""
+        if written is None or shape[0] * shape[1] <= SLICE_FLOATS or (
+                name in self.live and self.live[name] is None):
+            self.live[name] = None
+            return None
+        mask = self.live.setdefault(name, np.zeros(shape[0], dtype=bool))
+        mask[written] = True
+        live = np.flatnonzero(mask)
+        if 2 * len(live) >= shape[0]:
+            self.live[name] = None
+            return None
+        return live
+
+    def apply(
+        self,
+        params: dict[str, np.ndarray],
+        grads: dict[str, np.ndarray],
+        scale: float = 1.0,
+        rows: dict[str, np.ndarray] | None = None,
+    ) -> None:
+        """One step along ``scale * grads``, taken in row slices of the live rows.
+
+        ``rows`` maps each block to the row ids its gradient may be nonzero
+        in (repeats allowed); ``None`` means every row.  A row named once is
+        live for good.  Skipping the others is exact: with zero gradient and
+        moments, a step maps a row to itself (``p - lr * 0 / (0 + eps) = p``),
+        while a live row's moments keep decaying as in a dense step.
+
+        A slice of about ``SLICE_FLOATS`` floats takes the scale and every
+        operation of the step in place or in slice-sized scratch, in the
+        order of the whole-array formulas, so no temporary is block-sized and
+        the bytes are a dense step's.  A block of more than one slice with
+        under half its rows live is stepped in gathered chunks of its live
+        rows, written back after; any other block in contiguous slices.
         """
+        for name, g in grads.items():
+            if params[name].shape != g.shape:
+                raise ConfigError(f"block {name!r} has shape {params[name].shape}, "
+                                  f"its gradient {g.shape}")
+            self._check_shape(name, g.shape)
         adam = self.kind == "adam"
         if adam:
             self.step_count += 1
@@ -92,20 +151,23 @@ class OptimizerState:
             bias1, bias2 = 1 - b1**self.step_count, 1 - b2**self.step_count
         for name, g in grads.items():
             p = params[name]
+            live = self._live_rows(name, g.shape, None if rows is None else rows[name])
             if adam and name not in self.moments_m:
-                self.moments_m[name] = np.zeros_like(g)
-                self.moments_v[name] = np.zeros_like(g)
-            rows = max(1, SLICE_FLOATS // g.shape[1])  # blocks are matrices
-            scratch_g, scratch = np.empty((2, min(rows, len(g)), g.shape[1]))
-            for lo in range(0, len(g), rows):
-                hi = min(lo + rows, len(g))
-                gs = np.multiply(g[lo:hi], scale, out=scratch_g[: hi - lo])
+                self.moments_m[name] = np.zeros(g.shape)
+                self.moments_v[name] = np.zeros(g.shape)
+            count = len(g) if live is None else len(live)
+            step = max(1, SLICE_FLOATS // g.shape[1])  # blocks are matrices
+            scratch_g, scratch = np.empty((2, min(step, count), g.shape[1]))
+            for lo in range(0, count, step):
+                hi = min(lo + step, count)
+                at = slice(lo, hi) if live is None else live[lo:hi]
+                gs = np.multiply(g[at], scale, out=scratch_g[: hi - lo])
                 t = scratch[: hi - lo]
                 if not adam:
                     np.multiply(gs, self.lr, out=t)
-                    p[lo:hi] -= t
+                    p[at] -= t
                     continue
-                m, v = self.moments_m[name][lo:hi], self.moments_v[name][lo:hi]
+                m, v = self.moments_m[name][at], self.moments_v[name][at]
                 m *= b1
                 np.multiply(gs, 1 - b1, out=t)
                 m += t
@@ -113,19 +175,15 @@ class OptimizerState:
                 np.multiply(gs, 1 - b2, out=t)
                 t *= gs
                 v += t
+                if live is not None:  # gathered copies: write the moments back
+                    self.moments_m[name][at], self.moments_v[name][at] = m, v
                 np.divide(m, bias1, out=t)  # m_hat
                 t *= self.lr
                 v_hat = np.divide(v, bias2, out=gs)
                 np.sqrt(v_hat, out=v_hat)
                 v_hat += ADAM_EPS
                 t /= v_hat
-                p[lo:hi] -= t
-
-
-def _zero_grads(layer: EmbeddingLayer) -> dict[str, np.ndarray]:
-    # np.zeros, unlike zeros_like, writes no page: a batch's words write a
-    # few rows of a block that may be 169 MB
-    return {name: np.zeros(p.shape) for name, p in layer.params.items()}
+                p[at] -= t
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -191,6 +249,7 @@ def train(
     )
     pairs = np.asarray(task.pairs) if task.kind == "word_similarity" else None
     rng = np.random.default_rng(seed)
+    grads = opt.gradient_buffer(layer.params)
     history: list[float] = []
     for epoch in range(epochs):
         order = rng.permutation(n_examples)
@@ -207,10 +266,20 @@ def train(
                 batch_loss += loss
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch, batch_loss, batch=k)
-            grads = _zero_grads(layer)
-            backward_batch(layer, words, upstreams, grads)
+            try:
+                written = backward_batch(layer, words, upstreams, grads)
+                opt.apply(layer.params, grads, scale=1.0 / len(batch),
+                          rows=dict(zip(grads, written)))
+            except BaseException:
+                opt.grads.clear()  # a buffer left part-summed is not zero: allocate afresh
+                raise
+            for g, ids in zip(grads.values(), written):
+                # a memset beats a row scatter unless the block has many more rows
+                if 4 * ids.size >= len(g):
+                    g.fill(0.0)
+                else:
+                    g[ids] = 0.0
             epoch_loss += batch_loss
-            opt.apply(layer.params, grads, scale=1.0 / len(batch))
         epoch_loss /= n_examples
         if not np.isfinite(epoch_loss):
             raise TrainingDivergedError(epoch, epoch_loss)
@@ -221,12 +290,12 @@ def train(
 def eval_similarity(layer: EmbeddingLayer, pairs: list[tuple[int, int, int]]) -> float:
     """Accuracy of thresholding the cosine at 0.5 against the pair labels.
 
-    Pairs are embedded ``layers.BATCH_WORDS`` at a time, so no embedding array
-    grows with the number of pairs.
+    Pairs are embedded ``config.chunk_words()`` at a time, so no embedding
+    array grows with the number of pairs.
     """
     if not pairs:
         raise ConfigError("need at least one pair")
-    pairs, step = np.asarray(pairs), layers.BATCH_WORDS
+    pairs, step = np.asarray(pairs), layer.config.chunk_words()
     correct = 0
     for start in range(0, len(pairs), step):
         a, b, label = pairs[start : start + step].T

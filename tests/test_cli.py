@@ -294,7 +294,8 @@ def test_eval_all_and_ids(runner, tmp_path, monkeypatch):
     res = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--all"])
     assert res.exit_code == 0
     assert len(res.stdout.splitlines()) == 7
-    monkeypatch.setattr("tenbed.layers.BATCH_WORDS", 3)  # three batches print the same lines
+    # 3 words of 4 floats a chunk: three batches print the same lines
+    monkeypatch.setattr("tenbed.layers.BATCH_FLOATS", 12)
     assert runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--all"]).stdout == res.stdout
     res = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--word-ids", "0,3"])
     assert res.exit_code == 0

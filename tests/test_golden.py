@@ -23,6 +23,7 @@ from conftest import ALL_KINDS, random_layer, stable_seed
 from tenbed.cli import main
 from tenbed.gradients import backward, backward_batch, touched_rows
 from tenbed.layers import LayerConfig, MethodKind, build, forward, forward_batch
+from tenbed.synthetic import make_morphology
 from tenbed.training import OptimizerState, TrainTask, train
 
 GOLDEN_PATH = Path(__file__).with_name("golden.json")
@@ -68,6 +69,24 @@ SIMILARITY_LAYERS = {
     "word2ket_rshare": "q=3\n",
     "tensor_train": "vocab_factors=2,4,5\ndim_factors=2,2,4\n",
 }
+# one Adam state carried through three 2-epoch similarity trains, each on a
+# few fresh pairs over 6,000 words: most rows stay unwritten, rows written in
+# one call sit unwritten in the next, and the optimizer's state outlives each
+# call; the word-indexed blocks hold more floats than one optimizer slice
+MULTI_CALL_VOCAB, MULTI_CALL_MORPHEMES, MULTI_CALL_PAIRS = 6000, 40, 5
+MULTI_CALL_LAYERS = {
+    MethodKind.ORIGINAL: dict(embed_dim=6),
+    MethodKind.MATRIX_FACTOR: dict(embed_dim=6, rank=6),
+    MethodKind.TENSOR_TRAIN: dict(embed_dim=6, order=2, rank=2, vocab_factors=(80, 75),
+                                  dim_factors=(2, 3)),
+    MethodKind.WORD2KET: dict(embed_dim=6, order=2, rank=2, subdim=3),
+    MethodKind.WORD2KETXS: dict(embed_dim=6, order=2, rank=2, vocab_factors=(80, 75),
+                                dim_factors=(2, 3)),
+    MethodKind.MORPHTE: dict(embed_dim=6, order=2, rank=2, subdim=3),
+    MethodKind.MORPHSUM: dict(embed_dim=6, order=3),
+    MethodKind.WORD2KET_RSHARE: dict(embed_dim=6, order=3, rank=2, subdim=2,
+                                     morpheme_vocab_size=MULTI_CALL_MORPHEMES),
+}
 
 
 def environment() -> dict[str, str]:
@@ -108,6 +127,31 @@ def _train_hash(kind) -> str:
             for name, p in layer.params.items():
                 h.update(name.encode())
                 h.update(p.tobytes())
+    return h.hexdigest()
+
+
+def _multi_call_hash(kind) -> str:
+    """One hash over three ``train`` calls that share one Adam ``OptimizerState``:
+    each call's history, then the params and both moments after it."""
+    h = hashlib.sha256()
+    rng = np.random.default_rng(stable_seed("golden-multi-call", kind.value))
+    cfg = LayerConfig(kind, MULTI_CALL_VOCAB, seed=9, **MULTI_CALL_LAYERS[kind])
+    vocab = index = None
+    if kind in (MethodKind.MORPHTE, MethodKind.MORPHSUM):
+        vocab, index = make_morphology(MULTI_CALL_VOCAB, MULTI_CALL_MORPHEMES, cfg.order, seed=9)
+    layer = build(cfg, vocab=vocab, index=index)
+    opt = OptimizerState(kind="adam", lr=0.05)
+    for call in range(3):
+        pairs = [(int(a), int(b), int(label)) for a, b, label in zip(
+            *rng.integers(0, MULTI_CALL_VOCAB, (2, MULTI_CALL_PAIRS)),
+            rng.integers(0, 2, MULTI_CALL_PAIRS))]
+        task = TrainTask("word_similarity", pairs=pairs)
+        history = train(layer, task, opt, epochs=2, batch_size=2, seed=call)
+        h.update(np.array(history).tobytes())
+        for name, p in layer.params.items():
+            h.update(name.encode())
+            for array in (p, opt.moments_m[name], opt.moments_v[name]):
+                h.update(array.tobytes())
     return h.hexdigest()
 
 
@@ -166,6 +210,7 @@ def golden_hashes(tmp_dir: Path) -> dict[str, str]:
     for kind in ALL_KINDS:
         hashes[f"train_random_layers/{kind.value}"] = _train_hash(kind)
         hashes[f"layers/{kind.value}"] = _layer_hash(kind)
+        hashes[f"train_multi_call/{kind.value}"] = _multi_call_hash(kind)
     for kind, layer_keys in SIMILARITY_LAYERS.items():
         config.write_text(f"method={kind}\n{SIMILARITY_CONFIG}{layer_keys}", encoding="utf-8")
         run = tmp_dir / f"similarity_{kind}"

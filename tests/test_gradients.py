@@ -5,7 +5,7 @@ import pytest
 
 from conftest import ALL_KINDS, random_layer, repeated_morpheme_morphology, stable_seed
 from tenbed.errors import WordLookupError
-from tenbed.gradients import backward, backward_batch, finite_diff_check, touched_rows
+from tenbed.gradients import _add_rows, backward, backward_batch, finite_diff_check, touched_rows
 from tenbed.layers import LayerConfig, MethodKind, build, forward, forward_batch
 from tenbed.morphology import IndexMatrix, MorphemeVocab
 
@@ -286,15 +286,17 @@ def test_chunked_batches_give_the_bytes_of_one_chunk(kind, monkeypatch):
             return forward_batch(layer, words).tobytes(), [g.tobytes() for g in grads.values()]
 
         whole = run()
-        monkeypatch.setattr("tenbed.layers.BATCH_WORDS", 3)
+        monkeypatch.setattr("tenbed.layers.BATCH_FLOATS", 3 * layer.config.product_length)
+        assert layer.config.chunk_words() == 3
         assert run() == whole, layer.config
         monkeypatch.undo()
 
 
 def test_chunks_bound_the_memory_of_a_long_batch(monkeypatch):
     """With 64-word chunks, 4x the words of a 64x-product layer stay under 1.5x the peak."""
-    monkeypatch.setattr("tenbed.layers.BATCH_WORDS", 64)
+    monkeypatch.setattr("tenbed.layers.BATCH_FLOATS", 64 * 32**3)
     layer = build(LayerConfig(MethodKind.WORD2KET, 500, 512, order=3, subdim=32, seed=0))
+    assert layer.config.chunk_words() == 64
     rng = np.random.default_rng(stable_seed("chunk-memory"))
     grads = {name: np.zeros_like(p) for name, p in layer.params.items()}
     peaks = {}
@@ -321,3 +323,54 @@ def test_backward_batch_rejects_a_mismatched_upstream():
         backward_batch(layer, [0, 1], np.ones((3, 3)), grads)
     backward_batch(layer, [], np.ones((0, 3)), grads)
     assert not grads["weight"].any()
+
+
+def _add_rows_reference(target, rows, grads):
+    """Word by word with 2-D ``np.add.at``: a word that reads a row twice adds
+    its slot gradients summed from zero in slot order, any other word adds
+    them as they are."""
+    for word_rows, word_grads in zip(rows, grads):
+        if len(set(word_rows.tolist())) == len(word_rows):
+            np.add.at(target, word_rows, word_grads)
+            continue
+        sums = {}
+        for row, g in zip(word_rows.tolist(), word_grads):
+            sums[row] = sums.get(row, 0.0) + g
+        np.add.at(target, list(sums), np.array(list(sums.values())))
+
+
+def test_flat_index_scatter_gives_the_bytes_of_a_2d_add_at():
+    rng = np.random.default_rng(stable_seed("flat-scatter"))
+    cases = {
+        # 12 words of 3 slots over 5 rows: repeats within and across words
+        "repeats": (rng.integers(0, 5, size=(12, 3)), (5, 7)),
+        # matrix_factor's right factor: every word reads every row once
+        "right_factor": (np.broadcast_to(np.arange(4), (12, 4)), (4, 9)),
+        "one_slot": (rng.integers(0, 6, size=(12, 1)), (6, 3)),
+    }
+    for name, (rows, shape) in cases.items():
+        grads = rng.standard_normal(rows.shape + shape[1:])
+        start = rng.standard_normal(shape)
+        reference = start.copy()
+        _add_rows_reference(reference, rows, grads)
+        flat = start.copy()
+        _add_rows(flat, rows, grads)
+        assert flat.tobytes() == reference.tobytes(), name
+        # a strided target takes the 2-D path, to the same bytes
+        strided = np.repeat(start, 2, axis=1)[:, ::2]
+        assert not strided.flags.c_contiguous
+        _add_rows(strided, rows, grads)
+        assert strided.tobytes() == reference.tobytes(), name
+
+
+def test_backward_batch_returns_the_rows_it_wrote():
+    vocab, index = repeated_morpheme_morphology(12, 5, 3, seed=1)
+    layer = build(LayerConfig(MethodKind.MORPHSUM, 12, 4, order=3), vocab=vocab, index=index)
+    grads = {name: np.zeros_like(p) for name, p in layer.params.items()}
+    words = [0, 3, 3, 7]
+    written = backward_batch(layer, words, np.ones((4, 4)), grads)
+    assert [ids.tolist() for ids in written] == [[[0], [3], [3], [7]], index.rows[words].tolist()]
+    for (name, g), ids in zip(grads.items(), written):
+        unwritten = np.ones(len(g), dtype=bool)
+        unwritten[ids] = False
+        assert not g[unwritten].any(), name

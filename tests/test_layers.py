@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import random_layer, stable_seed
+from tenbed.audit import load_reference_rows
 from tenbed.errors import ConfigError, WordLookupError
 from tenbed.layers import (
     LayerConfig,
@@ -131,6 +132,20 @@ def test_validate_bounds_the_product_length():
     LayerConfig(MethodKind.WORD2KET, 5, 9, order=1, subdim=9 * 64).validate()
     LayerConfig(MethodKind.WORD2KETXS, 5, 9, order=2, vocab_factors=(5, 1),
                 dim_factors=(9, 64)).validate()
+
+
+def test_chunks_hold_a_fixed_number_of_product_floats(monkeypatch):
+    """Words per chunk are ``BATCH_FLOATS`` over the product length, and at least one."""
+    for row in load_reference_rows():
+        if row.group != "summary":  # every paper config: 512 floats, 512 words
+            assert (row.config.product_length, row.config.chunk_words()) == (512, 512), row
+    word2ket_64x = LayerConfig(MethodKind.WORD2KET, 1000, 512, order=3, subdim=32)
+    assert (word2ket_64x.product_length, word2ket_64x.chunk_words()) == (32768, 8)
+    xs = LayerConfig(MethodKind.WORD2KETXS, 20, 5, order=2, vocab_factors=(4, 5),
+                     dim_factors=(2, 3))
+    assert (xs.product_length, xs.chunk_words()) == (6, 512 * 512 // 6)
+    monkeypatch.setattr("tenbed.layers.BATCH_FLOATS", 5)
+    assert xs.chunk_words() == 1
 
 
 def test_original_build_and_forward():

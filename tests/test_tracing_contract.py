@@ -8,12 +8,14 @@ and change nothing under ``perfbench/``.
 """
 
 import importlib.util
+import inspect
 from pathlib import Path
 
 import numpy as np
 
 import tenbed.gradients
 import tenbed.layers
+import tenbed.training
 from tenbed.layers import LayerConfig, MethodKind, build
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -47,3 +49,24 @@ def test_tracer_records_a_forward_batch_and_a_backward_span():
     assert tracer.calls("gradients.backward", "word2ket") == 1
     assert tracer.counts[("grad_bytes", "word2ket")] == layer.params["word_factors"].nbytes
     assert not hasattr(tenbed.layers.forward_batch, "__wrapped__")
+
+
+def test_tracer_records_each_optimizer_step_inside_a_train_span():
+    """The benchmark's ``training.opt_step_ms`` is the ``OptimizerState.apply``
+    spans of a train call, one per batch."""
+    tracing = _tracing()
+    layer = build(LayerConfig(MethodKind.ORIGINAL, 10, 4, seed=1))
+    task = tenbed.training.TrainTask("word_similarity", pairs=[(0, 1, 1), (2, 3, 0), (4, 5, 1)])
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        apply = tenbed.training.OptimizerState.apply
+        assert list(inspect.signature(apply).parameters) == [
+            "self", "params", "grads", "scale", "rows"]
+        tenbed.training.train(layer, task, tenbed.training.OptimizerState(), epochs=1,
+                              batch_size=2)
+    assert tracer.calls("training.train", "original") == 1
+    assert tracer.calls("training.OptimizerState.apply", "original") == 2
+    [(name, kind, duration, child_ns, by_child)] = tracer.spans
+    assert (name, kind) == ("training.train", "original")
+    assert "training.OptimizerState.apply" in by_child
+    assert sum(by_child.values()) == child_ns <= duration

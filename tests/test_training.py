@@ -310,3 +310,115 @@ def test_a_batch_without_gradients_steps_nothing():
     history = train(layer, task, OptimizerState(), epochs=2, batch_size=2, seed=0)
     assert history == [2 / 3, 2 / 3]
     assert not layer.params["weight"].any()
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_live_row_step_is_byte_identical_to_the_dense_step(kind):
+    """``apply(rows=)`` gives the bytes of a dense step over 4 steps, rows live in
+    an earlier step but not written in this one included."""
+    rng = np.random.default_rng(stable_seed("live-rows", kind))
+    # gathered chunks of several slices; a gathered row wider than a slice; a
+    # block within one slice, stepped whole
+    shapes = {
+        "tall": (3 * SLICE_FLOATS // 7 + 5, 7),
+        "wide": (20, SLICE_FLOATS + 11),
+        "small": (40, 3),
+    }
+    writes = {"tall": (4, 3), "wide": (2,), "small": (3, 2)}  # repeats within and across words
+    params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    dense = {name: p.copy() for name, p in params.items()}
+    opt, dense_opt = OptimizerState(kind=kind, lr=0.03), OptimizerState(kind=kind, lr=0.03)
+    for _ in range(4):
+        rows = {name: rng.integers(0, shape[0], size=writes[name])
+                for name, shape in shapes.items()}
+        grads = {name: np.zeros(shape) for name, shape in shapes.items()}
+        for name, ids in rows.items():
+            grads[name][ids] = rng.standard_normal(ids.shape + shapes[name][1:])
+        opt.apply(params, grads, scale=1.0 / 3, rows=rows)
+        dense_opt.apply(dense, grads, scale=1.0 / 3)
+        for name in shapes:
+            assert params[name].tobytes() == dense[name].tobytes(), name
+            if kind == "adam":
+                assert opt.moments_m[name].tobytes() == dense_opt.moments_m[name].tobytes()
+                assert opt.moments_v[name].tobytes() == dense_opt.moments_v[name].tobytes()
+    # the two large blocks stayed on the gathered path, the small one never took it
+    assert opt.live["tall"] is not None and opt.live["wide"] is not None
+    assert opt.live["small"] is None and all(v is None for v in dense_opt.live.values())
+
+
+def _few_pairs_layers():
+    """An original table of more than one slice, and a small seeded layer per kind."""
+    rng = np.random.default_rng(stable_seed("few-pairs"))
+    table = build(LayerConfig(MethodKind.ORIGINAL, vocab_size=3000, embed_dim=16, seed=2))
+    return [table] + [random_layer(kind, rng) for kind in ALL_KINDS]
+
+
+def test_a_row_no_batch_reads_keeps_its_bytes_and_zero_moments():
+    from tenbed.layers import gather_batch
+
+    unread_rows = 0
+    for layer in _few_pairs_layers():
+        start = {name: p.copy() for name, p in layer.params.items()}
+        opt = OptimizerState(lr=0.05)
+        train(layer, TrainTask("word_similarity", pairs=[(0, 1, 1), (1, 0, 0)]), opt,
+              epochs=3, batch_size=1)
+        for (name, p), ids in zip(layer.params.items(), gather_batch(layer, [0, 1])):
+            unread = np.ones(len(p), dtype=bool)
+            unread[ids] = False
+            unread_rows += unread.sum()
+            assert p[~unread].tobytes() != start[name][~unread].tobytes(), (layer.config, name)
+            assert p[unread].tobytes() == start[name][unread].tobytes(), (layer.config, name)
+            assert not opt.moments_m[name][unread].any(), (layer.config, name)
+            assert not opt.moments_v[name][unread].any(), (layer.config, name)
+    assert unread_rows > 2998  # the table's rows beyond the two words, and more
+
+
+def test_train_keeps_one_zero_gradient_buffer_across_calls():
+    for layer in _few_pairs_layers():
+        opt = OptimizerState(lr=0.05)
+        V = layer.config.vocab_size
+        buffers = None
+        for call in range(3):
+            pairs = [(call % V, (call + 1) % V, 1), ((call + 2) % V, call % V, 0)]
+            train(layer, TrainTask("word_similarity", pairs=pairs), opt, epochs=2,
+                  batch_size=1, seed=call)
+            assert list(opt.grads) == list(layer.params)
+            assert not any(g.any() for g in opt.grads.values()), layer.config
+            if buffers is not None:
+                assert all(opt.grads[name] is g for name, g in buffers.items())
+            buffers = dict(opt.grads)
+
+
+def test_optimizer_rejects_a_block_of_another_shape():
+    params = {"a": np.zeros((4, 3)), "w": np.zeros((10, 3))}
+    opt = OptimizerState()
+    opt.apply(params, {name: np.ones(p.shape) for name, p in params.items()})
+    stepped = {name: p.copy() for name, p in params.items()}
+    for shape in ((6, 3), (10, 4)):  # fewer rows, other columns
+        other = {"a": params["a"], "w": np.zeros(shape)}
+        with pytest.raises(ConfigError, match="block 'w' has shape .* moments"):
+            opt.apply(other, {name: np.ones(p.shape) for name, p in other.items()})
+    assert all(params[name].tobytes() == p.tobytes() for name, p in stepped.items())
+    assert opt.step_count == 1  # a rejected step steps no block
+    with pytest.raises(ConfigError, match="block 'w' has shape \\(10, 3\\), its gradient"):
+        opt.apply(params, {"w": np.ones((6, 3))})
+    sgd = OptimizerState(kind="sgd")
+    sgd.gradient_buffer({"w": np.zeros((10, 3))})
+    with pytest.raises(ConfigError, match="block 'w' has shape .* gradient buffer"):
+        sgd.gradient_buffer({"w": np.zeros((6, 3))})
+    tall = (SLICE_FLOATS, 2)  # more than one slice: the step keeps a live-row mask
+    sgd.apply({"t": np.zeros(tall)}, {"t": np.ones(tall)}, rows={"t": np.array([0])})
+    with pytest.raises(ConfigError, match="block 't' has shape .* live-row mask"):
+        sgd.apply({"t": np.zeros((7, 2))}, {"t": np.ones((7, 2))}, rows={"t": np.array([0])})
+
+
+def test_a_train_call_that_fails_after_backward_leaves_no_gradient_behind():
+    """Moments of another shape reject the step after backward has summed the
+    batch: the optimizer drops its buffer rather than keep a part-summed one."""
+    opt = OptimizerState()
+    opt.apply({"weight": np.zeros((12, 4))}, {"weight": np.ones((12, 4))})
+    layer = build(LayerConfig(MethodKind.ORIGINAL, vocab_size=12, embed_dim=3, seed=0))
+    task = TrainTask("word_similarity", pairs=[(0, 1, 1)])
+    with pytest.raises(ConfigError, match="block 'weight' has shape \\(12, 3\\).* moments"):
+        train(layer, task, opt, epochs=1)
+    assert opt.grads == {}
