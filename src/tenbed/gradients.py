@@ -28,6 +28,7 @@ from .errors import ConfigError
 from .layers import (
     EmbeddingLayer,
     MethodKind,
+    _by_core_row,
     _factor_layout,
     _tt_chain,
     forward,
@@ -151,15 +152,16 @@ def _slot_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray) ->
 
     if cfg.kind is MethodKind.TENSOR_TRAIN:
         df, n = cfg.dim_factors, cfg.order
-        cores, carries = _tt_chain(layer, rows)
+        r, cores = cfg.rank, list(layer.params.values())
+        carries, last = _tt_chain(layer, rows)
         grads = [None] * n
         u_mat = _pad_upstream(U, math.prod(df)).reshape(B, -1, df[n - 1])
         grads[n - 1] = np.matmul(carries[-1].transpose(0, 2, 1), u_mat)
-        grad_carry = np.matmul(u_mat, cores[-1].transpose(0, 2, 1))
+        grad_carry = np.matmul(u_mat, last.transpose(0, 2, 1))
         for k in range(n - 2, 0, -1):
-            grad_flat = grad_carry.reshape(B, -1, cores[k].shape[2])
+            grad_flat = grad_carry.reshape(B, -1, df[k] * r)
             grads[k] = np.matmul(carries[k - 1].transpose(0, 2, 1), grad_flat)
-            grad_carry = np.matmul(grad_flat, cores[k].transpose(0, 2, 1))
+            grad_carry = _by_core_row(grad_flat, cores[k], rows[k][:, 0], r, transpose=True)
         grads[0] = grad_carry
         return [g.reshape(B, 1, -1) for g in grads]
 

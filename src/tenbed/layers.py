@@ -359,25 +359,39 @@ def _factor_layout(cfg: LayerConfig) -> list[list[tuple[int, int, slice]]]:
     return [[(i, j, every) for j in range(n)] for i in range(r)]  # morphte, rshare
 
 
-def _tt_chain(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[list, list]:
-    """A batch's TT core rows and the carries that contract them left to right.
+def _tt_chain(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[list, np.ndarray]:
+    """A batch's TT carries, and the last core's row per word.
 
-    ``cores[k]`` is core k's row per word, shaped ``(B, d_0, r)``, ``(B, r,
-    d_k * r)`` or ``(B, r, d_{n-1})`` for the first, middle and last core;
     ``carries[k]`` is the ``(B, d_0 ... d_k, r)`` product of cores 0..k, for
-    k < n - 1.  Stacked matmuls compute each word as a lone 2-D product does.
+    k < n - 1; the last core's rows are ``(B, r, d_{n-1})``.  The first and
+    last cores' rows are gathered, the middle cores' are read in place by
+    ``_by_core_row``.  Each word's carry is the lone 2-D product of its rows.
     """
     r, B = layer.config.rank, len(rows[0])
-    tables = [p[ids[:, 0]] for p, ids in zip(layer.params.values(), rows)]
-    carry = tables[0].reshape(B, -1, r)
-    cores, carries = [carry], [carry]
-    for table in tables[1:-1]:
-        core = table.reshape(B, r, -1)
-        carry = np.matmul(carry, core).reshape(B, -1, r)
-        cores.append(core)
+    cores = list(layer.params.values())
+    carry = cores[0][rows[0][:, 0]].reshape(B, -1, r)
+    carries = [carry]
+    for core, ids in zip(cores[1:-1], rows[1:-1]):
+        carry = _by_core_row(carry, core, ids[:, 0], r).reshape(B, -1, r)
         carries.append(carry)
-    cores.append(tables[-1].reshape(B, r, -1))
-    return cores, carries
+    return carries, cores[-1][rows[-1][:, 0]].reshape(B, r, -1)
+
+
+def _by_core_row(x: np.ndarray, core: np.ndarray, ids: np.ndarray, r: int,
+                 transpose: bool = False) -> np.ndarray:
+    """``x[b] @ core[ids[b]]`` per word b, the core row shaped ``(r, -1)`` (or its
+    transpose), each distinct row read in place for all the words it serves:
+    gathering a row per word copies ``r * d_k * r`` floats per word."""
+    order = np.argsort(ids, kind="stable")
+    starts = np.flatnonzero(np.diff(ids[order])) + 1
+    out = None
+    for words in np.split(order, starts):
+        row = core[ids[words[0]]].reshape(r, -1)
+        y = np.matmul(x[words], row.T if transpose else row)
+        if out is None:
+            out = np.empty((len(x),) + y.shape[1:])
+        out[words] = y
+    return out
 
 
 def forward_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> np.ndarray:
@@ -413,8 +427,8 @@ def _combine(layer: EmbeddingLayer, rows: list[np.ndarray]) -> np.ndarray:
         left, right = layer.params.values()
         return np.matmul(left[rows[0]], right).reshape(B, d)
     if kind is MethodKind.TENSOR_TRAIN:
-        cores, carries = _tt_chain(layer, rows)
-        full = np.matmul(carries[-1], cores[-1]).reshape(B, -1)
+        carries, last = _tt_chain(layer, rows)
+        full = np.matmul(carries[-1], last).reshape(B, -1)
     else:  # slot-major: a strided (B, slots) view made morphsum's sum a fifth slower
         gathered = [p[ids.T] for p, ids in zip(layer.params.values(), rows)]
         full = None  # each product is fresh, or a view of the fresh gathered rows
