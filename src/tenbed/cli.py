@@ -353,7 +353,7 @@ def _audit_reference_tables():
 @click.option("--dim-factors", default="2,2,2")
 @click.option("--morphemes", type=int, default=6, show_default=True,
               help="Synthetic morpheme pool size for morphological kinds.")
-@click.option("--trials", type=int, default=10, show_default=True)
+@click.option("--trials", type=click.IntRange(min=1), default=10, show_default=True)
 @click.option("--seed", type=int, default=None)
 @click.option("--epsilon", type=float, default=1e-5, show_default=True)
 @click.option("--tolerance", type=float, default=1e-5, show_default=True)
@@ -362,8 +362,7 @@ def cmd_gradcheck(trials, seed, epsilon, tolerance, **flags):
     """Finite-difference check of the analytic gradients on random words."""
     # the layer flags are named after their config keys; a kind ignores the
     # shape fields it does not use
-    if not 0 < epsilon < np.inf:
-        raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
+    gradients.check_finite_diff_steps(epsilon, tolerance)  # before the header is written
     seed_value = resolve_seed(seed)
     layer, _ = _build_layer(flags, None, seed_value)
     rng = np.random.default_rng(seed_value)

@@ -3,17 +3,19 @@
 Each forward map is a shallow fixed-shape multilinear expression, so the
 adjoints are written out instead of built as a general autodiff graph.
 ``backward_batch`` takes a batch of word ids and one upstream row per word:
-``layers.gather_batch`` gives the rows each word reads, the adjoint of one of
-``forward_batch``'s three combines (a sum of products for six kinds, the TT
-chain, matrix_factor's matmul) computes the gradient per slot of every word
-of a chunk of ``LayerConfig.chunk_words`` at once, and each block's slot
-gradients are added into a caller's gradient dict in batch order, by element
-index into the flattened block.  Truncation to the
-embedding dimension is adjointed by zero-padding the upstream back to the
-full product length.  When a word references the same parameter row in
-several slots (repeated morphemes), its slot gradients are summed first and
-the sum is added once, which is the correct total derivative.  ``backward``
-and ``touched_rows`` are the same for a batch of one word.
+``layers.gather_batch`` gives the rows each word reads, the adjoint of
+``forward_batch``'s combine computes the gradient per slot of every word of a
+chunk of ``LayerConfig.chunk_words`` at once (for the ket kinds, the rank
+contraction's two stacked matmuls unfolded to each factor; the TT chain with
+its middle cores read in place; matrix_factor's matmul; the padded upstream
+for a one-factor product), and each block's slot gradients are added into a
+caller's gradient dict in batch order, by element index into the flattened
+block.  Truncation to the embedding dimension is adjointed by zero-padding
+the upstream back to the full product length.  When a word references the
+same parameter row in several slots (repeated morphemes), its slot gradients
+are summed first and the sum is added once, which is the correct total
+derivative.  ``backward`` and ``touched_rows`` are the same for a batch of
+one word.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ from .layers import (
     MethodKind,
     _by_core_row,
     _factor_layout,
+    _khatri_rao,
+    _rank_factors,
     _tt_chain,
     forward,
     gather_batch,
@@ -53,26 +57,26 @@ def _pad_upstream(U: np.ndarray, full_size: int) -> np.ndarray:
     return padded
 
 
-def _product_grads(vectors: list[np.ndarray], U_full: np.ndarray) -> list[np.ndarray]:
-    """Per word b, the gradients of ``<U_full[b], v1[b] x ... x vn[b]>`` w.r.t. each vk[b], n >= 2.
+def _rank_sum_grads(factors: list[np.ndarray], U_full: np.ndarray) -> list[np.ndarray]:
+    """Per word b, the ``(B, r, len_j)`` gradients of ``<U_full[b], sum_i f_0[b, i] x ... x
+    f_{n-1}[b, i]>`` w.r.t. each ``factors[j]``, n >= 2.
 
-    Contracts each word's upstream tensor with every other vector.  One
-    einsum over the batch sums each word as einsum sums it alone, except for
-    a length-1 factor, whose gradient reduces every axis of the word: the
-    batched einsum sums that in another order, so it goes word by word.
+    The product is the Khatri-Rao product ``KR`` of factors 0..n-2 contracted
+    with the last over rank: the last factor's gradient is ``KR @ U``, the
+    Khatri-Rao part's ``last @ U^T``, which unfolds to each earlier factor
+    by stacked matmuls against the prefix before it and the factor itself.
     """
-    n, B = len(vectors), len(U_full)
-    shaped = U_full.reshape((B,) + tuple(v.shape[1] for v in vectors))
-    axes = list(range(1, n + 1))
-    grads = []
-    for k in range(n):
-        # einsum's sublist form: each operand followed by its axis numbers
-        if vectors[k].shape[1] > 1:
-            others = [x for m in range(n) if m != k for x in (vectors[m], [0, m + 1])]
-            grads.append(np.einsum(shaped, [0] + axes, *others, [0, k + 1]))
-            continue
-        word = [[x for m in range(n) if m != k for x in (vectors[m][b], [m + 1])] for b in range(B)]
-        grads.append(np.stack([np.einsum(shaped[b], axes, *word[b], [k + 1]) for b in range(B)]))
+    n, (B, r) = len(factors), factors[0].shape[:2]
+    prefixes = _khatri_rao(factors)
+    U = U_full.reshape(B, prefixes[-1].shape[2], -1)
+    grads = [None] * n
+    grads[n - 1] = np.matmul(prefixes[-1], U)
+    g = np.matmul(factors[-1], U.transpose(0, 2, 1))
+    for j in range(n - 2, 0, -1):
+        g = g.reshape(B, r, -1, factors[j].shape[2])
+        grads[j] = np.matmul(prefixes[j - 1][:, :, None, :], g)[:, :, 0]
+        g = np.matmul(g, factors[j][:, :, :, None])[:, :, :, 0]
+    grads[0] = g
     return grads
 
 
@@ -165,22 +169,19 @@ def _slot_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray) ->
         grads[0] = grad_carry
         return [g.reshape(B, 1, -1) for g in grads]
 
-    # the six kinds that sum products: only a product of two or more factors
-    # reads its rows, a lone factor's gradient being the padded upstream
-    params = list(layer.params.values())
-    grads = [np.empty(ids.shape + p.shape[1:]) for p, ids in zip(params, rows)]
+    # a one-factor product's gradient is the padded upstream and reads no row
+    grads = [np.empty(ids.shape + p.shape[1:]) for p, ids in zip(layer.params.values(), rows)]
     layout = _factor_layout(cfg)
-    read = {block for group in layout if len(group) > 1 for block, _, _ in group}
-    gathered = {block: params[block][rows[block]] for block in read}
     targets = [[grads[block][:, slot, cols] for block, slot, cols in group] for group in layout]
-    U_full = _pad_upstream(U, math.prod(t.shape[1] for t in targets[0]))
-    for group, slots in zip(layout, targets):
-        if len(group) == 1:
+    U_full = _pad_upstream(U, cfg.product_length)
+    if len(layout[0]) == 1:
+        for slots in targets:
             slots[0][...] = U_full
-            continue
-        vectors = [gathered[block][:, slot, cols] for block, slot, cols in group]
-        for target, g in zip(slots, _product_grads(vectors, U_full)):
-            target[...] = g
+        return grads
+    factor_grads = _rank_sum_grads(_rank_factors(layer, rows), U_full)
+    for i, slots in enumerate(targets):
+        for target, g in zip(slots, factor_grads):
+            target[...] = g[:, i]
     return grads
 
 
@@ -212,6 +213,14 @@ class FiniteDiffReport:
         return not self.failures
 
 
+def check_finite_diff_steps(epsilon: float, tolerance: float) -> None:
+    """Raise ``ConfigError`` unless the step and the tolerance are finite and > 0:
+    against a NaN or negative tolerance every entry would pass or every one fail."""
+    for name, value in (("epsilon", epsilon), ("tolerance", tolerance)):
+        if not 0 < value < math.inf:
+            raise ConfigError(f"{name} must be finite and > 0, got {value}")
+
+
 def finite_diff_check(
     layer: EmbeddingLayer,
     word_id: int,
@@ -224,10 +233,10 @@ def finite_diff_check(
     Every parameter entry touched by the word is perturbed both ways and the
     directional derivative against a random upstream is compared with the
     analytic slot value via the Jacobian-vector identity.  Exceeding the
-    tolerance is recorded in the report, never raised.
+    tolerance is recorded in the report, never raised; a step or tolerance
+    that is not finite and > 0 raises ``ConfigError``.
     """
-    if not 0 < epsilon < math.inf:
-        raise ConfigError(f"epsilon must be finite and > 0, got {epsilon}")
+    check_finite_diff_steps(epsilon, tolerance)
     cfg = layer.config
     rng = np.random.default_rng(seed)
     u = rng.standard_normal(cfg.embed_dim)

@@ -24,12 +24,16 @@ seeded by the config, so identical configs rebuild bit-identical layers.
 An ``EmbeddingLayer`` is data: a config, its blocks and, for the
 morphological kinds, a vocab and an index.  ``forward_batch`` embeds a batch
 of word ids through it: ``gather_batch`` checks every id and gives the row
-ids each block is read at, then one of three combines computes the words in
-chunks of ``LayerConfig.chunk_words`` (``BATCH_FLOATS`` product floats): six
-kinds sum tensor products of the rows read in rank order (the lookup table
-and morphsum sum one-factor products), tensor_train contracts a chain of
-cores and matrix_factor is a stacked matmul.  ``forward`` is a batch of
-one.  Both only read the parameter blocks and are safe to call concurrently;
+ids each block is read at, then a combine computes the words in chunks of
+``LayerConfig.chunk_words`` (``BATCH_FLOATS`` product floats).  The four ket
+kinds (word2ket, word2ketxs, morphte, word2ket_rshare) write a word as a
+rank-r sum of n-factor tensor products, contracted over rank by one stacked
+matmul: the row-wise Khatri-Rao product of factors 0..n-2 against the last
+factor (Kolda & Bader, SIAM Review 2009); at rank 1 the one product is built
+by broadcasting.  The lookup table and morphsum sum one-factor products in
+slot order, tensor_train contracts a chain of cores, reading each middle
+core row in place for every word that shares it, and matrix_factor is a
+stacked matmul.  ``forward`` is a batch of one.  Both only read the parameter blocks and are safe to call concurrently;
 mutating parameters (training) requires exclusive access.
 """
 
@@ -65,6 +69,8 @@ MORPHOLOGICAL_KINDS = frozenset(
 )
 KET_KINDS = frozenset({MethodKind.WORD2KET, MethodKind.MORPHTE, MethodKind.WORD2KET_RSHARE})
 FACTORED_KINDS = frozenset({MethodKind.TENSOR_TRAIN, MethodKind.WORD2KETXS})
+# a word is a rank-r sum of n-factor tensor products
+RANK_SUM_KINDS = KET_KINDS | {MethodKind.WORD2KETXS}
 MAX_PRODUCT_PER_DIM = 64
 # product floats combined at once: a chunk's temporaries, not a batch's, set the memory
 BATCH_FLOATS = 512 * 512
@@ -315,11 +321,17 @@ def gather_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> list[np.ndar
     is checked before any row is looked up.  Morpheme slots come from the
     index rows, the factored kinds' rows from the mixed-radix digits of the
     id (most significant first), and every other block's row is the id
-    itself, except that matrix_factor's right factor is read whole.
+    itself, except that matrix_factor's right factor is read whole.  A
+    boolean is not a word id.
     """
     cfg, ids, V = layer.config, np.asarray(word_ids), layer.config.vocab_size
     if ids.ndim != 1:
         raise ValueError(f"word ids must be a sequence, got shape {ids.shape}")
+    # numpy reads True as 1, in a bool array and beside ints in a list alike
+    elements = ids.tolist() if ids.dtype.kind in "bO" else ()
+    if any(isinstance(w, (bool, np.bool_))
+           for w in (word_ids if not isinstance(word_ids, np.ndarray) else elements)):
+        raise WordLookupError("word ids must be integers, got a boolean")
     if ids.dtype.kind in "iu":
         bad = ids[(ids < 0) | (ids >= V)].tolist()
     else:  # an empty list, non-integers, or Python ints beyond int64
@@ -357,6 +369,40 @@ def _factor_layout(cfg: LayerConfig) -> list[list[tuple[int, int, slice]]]:
     if cfg.kind is MethodKind.WORD2KETXS:
         return [[(i * n + j, 0, every) for j in range(n)] for i in range(r)]
     return [[(i, j, every) for j in range(n)] for i in range(r)]  # morphte, rshare
+
+
+def _rank_factors(layer: EmbeddingLayer, rows: list[np.ndarray]) -> list[np.ndarray]:
+    """Factor j of every rank product of a batch's words, one ``(B, r, len_j)`` array per j.
+
+    The columns ``_factor_layout`` gives: word2ket's row holds the r*n
+    vectors rank-major, so a reshape of it is enough; every other block is
+    read whole, ``take``n straight into a rank-major array, one call per block.
+    """
+    cfg, B = layer.config, len(rows[0])
+    r, n, params = cfg.rank, cfg.order, list(layer.params.values())
+    if cfg.kind is MethodKind.WORD2KET:
+        vectors = params[0][rows[0][:, 0]].reshape(B, r, n, -1)
+        return [vectors[:, :, j] for j in range(n)]
+    if cfg.kind is MethodKind.WORD2KETXS:  # block i * n + j: factor j of rank i
+        ranks = [np.empty((r, B, p.shape[1])) for p in params[:n]]
+        for block, (p, ids) in enumerate(zip(params, rows)):
+            np.take(p, ids[:, 0], axis=0, out=ranks[block % n][block // n], mode="clip")
+    else:  # morphte, rshare: block i is rank i, and its slot j factor j
+        rank_rows = np.empty((r, B, n, params[0].shape[1]))
+        for i, (p, ids) in enumerate(zip(params, rows)):
+            np.take(p, ids, axis=0, out=rank_rows[i], mode="clip")
+        ranks = [rank_rows[:, :, j] for j in range(n)]
+    return [f.transpose(1, 0, 2) for f in ranks]
+
+
+def _khatri_rao(factors: list[np.ndarray]) -> list[np.ndarray]:
+    """Row-wise Khatri-Rao products of ``factors[0..k]`` for k < n - 1, per word and rank:
+    ``(B, r, len_0 * ... * len_k)``, the tensor product of the rank's first k + 1 factors."""
+    prefixes = [factors[0]]
+    for f in factors[1:-1]:
+        p = prefixes[-1]
+        prefixes.append((p[:, :, :, None] * f[:, :, None, :]).reshape(p.shape[0], p.shape[1], -1))
+    return prefixes
 
 
 def _tt_chain(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[list, np.ndarray]:
@@ -416,8 +462,12 @@ def _combine(layer: EmbeddingLayer, rows: list[np.ndarray]) -> np.ndarray:
 
     One combine per family of kinds.  Each row is computed with the
     arithmetic, in the order, of embedding its word alone: stacked matmuls
-    for matrix_factor and tensor_train; for every other kind, products of
-    factors by broadcasting, summed in rank order.
+    for matrix_factor and tensor_train (whose middle cores are read in place,
+    one matmul per distinct core row); the ket kinds' rank products
+    contracted over rank by one stacked matmul, ``(B, L', r) @ (B, r,
+    len_{n-1})`` with the Khatri-Rao product of factors 0..n-2; and products
+    of factors by broadcasting, summed in slot order, for the one-factor
+    kinds and for a ket kind of rank 1 or order 1.
     """
     cfg = layer.config
     B, d, kind = len(rows[0]), cfg.embed_dim, cfg.kind
@@ -429,6 +479,10 @@ def _combine(layer: EmbeddingLayer, rows: list[np.ndarray]) -> np.ndarray:
     if kind is MethodKind.TENSOR_TRAIN:
         carries, last = _tt_chain(layer, rows)
         full = np.matmul(carries[-1], last).reshape(B, -1)
+    elif kind in RANK_SUM_KINDS and cfg.rank > 1 and cfg.order > 1:
+        factors = _rank_factors(layer, rows)
+        prefix = _khatri_rao(factors)[-1]
+        full = np.matmul(prefix.transpose(0, 2, 1), factors[-1]).reshape(B, -1)
     else:  # slot-major: a strided (B, slots) view made morphsum's sum a fifth slower
         gathered = [p[ids.T] for p, ids in zip(layer.params.values(), rows)]
         full = None  # each product is fresh, or a view of the fresh gathered rows

@@ -99,6 +99,24 @@ def repeated_morpheme_morphology(num_words, num_morphemes, order, seed):
     return build_vocab_and_index(segs, order)
 
 
+def paper_shaped_layers():
+    """Small-vocab layers at the rank and order of the paper's configs, beyond
+    what ``random_config_and_context`` draws: word2ketxs with r=104 and dim
+    factors (16, 32), morphte with r=10, q=8, n=3, a ket layer of order 4, and
+    a tensor train of order 4 (two middle cores) whose 36 words share and
+    differ in each middle digit."""
+    vocab, index = make_morphology(24, 30, 3, seed=3)
+    return [
+        build(LayerConfig(MethodKind.WORD2KETXS, 30, 512, order=2, rank=104,
+                          vocab_factors=(6, 5), dim_factors=(16, 32), seed=1)),
+        build(LayerConfig(MethodKind.MORPHTE, 24, 512, order=3, rank=10, subdim=8, seed=2),
+              vocab=vocab, index=index),
+        build(LayerConfig(MethodKind.WORD2KET, 12, 70, order=4, rank=3, subdim=3, seed=3)),
+        build(LayerConfig(MethodKind.TENSOR_TRAIN, 36, 20, order=4, rank=3,
+                          vocab_factors=(2, 3, 3, 2), dim_factors=(2, 3, 2, 2), seed=4)),
+    ]
+
+
 def random_layer(kind, rng, seed=None):
     cfg, vocab, index = random_config_and_context(kind, rng, seed=seed)
     return build(cfg, vocab=vocab, index=index)

@@ -515,6 +515,11 @@ MALFORMED_INPUTS = [
     pytest.param(_eval_word_ids_args, "--word-ids", id="word-ids"),
     pytest.param(lambda p: ["gradcheck", "--method", "original", "--epsilon", "0"], "epsilon",
                  id="epsilon"),
+    pytest.param(lambda p: ["gradcheck", "--method", "original", "--trials", "0"], "--trials",
+                 id="trials=0"),
+    *(pytest.param(lambda p, value=value: ["gradcheck", "--method", "original", "--tolerance",
+                                           value], "tolerance", id=f"tolerance={value}")
+      for value in ("nan", "-1", "0", "inf")),
     pytest.param(lambda p: ["gradcheck", "--method", "tensor_train", "--vocab-factors", "2,a"],
                  "vocab_factors", id="vocab-factors"),
     pytest.param(lambda p: ["audit", "--method", "morphlstm", "--vocab-size", "9", "--embed-dim",

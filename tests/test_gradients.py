@@ -3,8 +3,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import ALL_KINDS, random_layer, repeated_morpheme_morphology, stable_seed
-from tenbed.errors import WordLookupError
+from conftest import (
+    ALL_KINDS,
+    paper_shaped_layers,
+    random_layer,
+    repeated_morpheme_morphology,
+    stable_seed,
+)
+from tenbed.errors import ConfigError, WordLookupError
 from tenbed.gradients import _add_rows, backward, backward_batch, finite_diff_check, touched_rows
 from tenbed.layers import LayerConfig, MethodKind, build, forward, forward_batch
 from tenbed.morphology import IndexMatrix, MorphemeVocab
@@ -110,6 +116,23 @@ def test_finite_diff_every_kind(kind):
         report = finite_diff_check(layer, word_id, epsilon=1e-5, tolerance=1e-5, seed=trial)
         assert report.passed, (kind, report.failures[:3], report.max_rel_error)
         assert report.max_rel_error < 1e-6
+
+
+def test_finite_diff_paper_shaped_layers():
+    for layer in paper_shaped_layers():  # word2ketxs alone perturbs 4,992 entries
+        report = finite_diff_check(layer, layer.config.vocab_size - 1, seed=1)
+        assert report.passed, (layer.config, report.failures[:3], report.max_rel_error)
+        assert report.max_rel_error < 1e-6
+
+
+@pytest.mark.parametrize("name", ["epsilon", "tolerance"])
+@pytest.mark.parametrize("value", [0.0, -1e-5, float("nan"), float("inf")])
+def test_finite_diff_rejects_a_step_or_tolerance_that_checks_nothing(name, value):
+    """A NaN tolerance would pass every entry (``rel > nan`` is False), a
+    negative one fail every entry."""
+    layer = build(LayerConfig(MethodKind.ORIGINAL, vocab_size=5, embed_dim=6, seed=2))
+    with pytest.raises(ConfigError, match=f"{name} must be finite and > 0"):
+        finite_diff_check(layer, 1, **{name: value})
 
 
 def test_finite_diff_morphte_spec_dims():
@@ -252,10 +275,12 @@ def _length_one_factor_layers():
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_backward_batch_equals_word_by_word_backward(kind):
-    """One batched backward adds the bytes of each word's backward in batch order."""
+    """One batched backward adds the bytes of each word's backward in batch order,
+    and one batched forward gives the bytes of each word's forward."""
     rng = np.random.default_rng(stable_seed("backward-batch", kind.value))
     layers = [random_layer(kind, rng) for _ in range(4)]
-    layers += [layer for layer in _length_one_factor_layers() if layer.config.kind is kind]
+    layers += [layer for layer in _length_one_factor_layers() + paper_shaped_layers()
+               if layer.config.kind is kind]
     for layer in layers:
         V, d = layer.config.vocab_size, layer.config.embed_dim
         words = rng.integers(0, V, size=3 * V)
@@ -265,6 +290,9 @@ def test_backward_batch_equals_word_by_word_backward(kind):
         word_by_word = {name: np.zeros_like(p) for name, p in layer.params.items()}
         for word_id, u in zip(words.tolist(), upstreams):
             backward_batch(layer, [word_id], u[None], word_by_word)
+        rows = forward_batch(layer, words)
+        for word_id, row in zip(words.tolist(), rows):
+            assert row.tobytes() == forward(layer, word_id).tobytes(), (layer.config, word_id)
         for name in layer.params:
             assert batched[name].tobytes() == word_by_word[name].tobytes(), (layer.config, name)
 

@@ -1,10 +1,11 @@
+import functools
 import itertools
 import time
 
 import numpy as np
 import pytest
 
-from conftest import random_layer, stable_seed
+from conftest import paper_shaped_layers, random_layer, stable_seed
 from tenbed.audit import load_reference_rows
 from tenbed.errors import ConfigError, WordLookupError
 from tenbed.layers import (
@@ -41,6 +42,21 @@ def naive_kron_chain(vectors):
             prod *= float(v[i])
         out[flat] = prod
     return out
+
+
+def kron_sum_row(layer, word_id):
+    """A ket kind's row: ``np.kron`` of each rank's factor vectors, summed over rank."""
+    cfg = layer.config
+    r, n = cfg.rank, cfg.order
+    if cfg.kind is MethodKind.WORD2KET:
+        ranks = layer.params["word_factors"][word_id].reshape(r, n, -1)
+    elif cfg.kind is MethodKind.WORD2KETXS:
+        digits = np.unravel_index(word_id, cfg.vocab_factors)
+        ranks = [[layer.params[f"xs_factor_{i}_{j}"][digits[j]] for j in range(n)]
+                 for i in range(r)]
+    else:  # morphte, word2ket_rshare
+        ranks = [layer.params[f"morpheme_embed_{i}"][layer.index.rows[word_id]] for i in range(r)]
+    return sum(functools.reduce(np.kron, factors) for factors in ranks)[: cfg.embed_dim]
 
 
 def naive_tt_row(layer, word_id):
@@ -281,6 +297,34 @@ def test_word2ketxs_forward_matches_kron_oracle():
         np.testing.assert_allclose(forward(layer, word_id), expected[:10], rtol=1e-12)
 
 
+def test_paper_shaped_layers_match_their_oracles():
+    """forward_batch at the paper's rank and order agrees with an independent
+    oracle at rtol 1e-12, with an absolute floor of 1e-12 of the row's scale."""
+    for layer in paper_shaped_layers():
+        oracle = naive_tt_row if layer.config.kind is MethodKind.TENSOR_TRAIN else kron_sum_row
+        out = forward_batch(layer, np.arange(layer.config.vocab_size))
+        for word_id, row in enumerate(out):
+            want = oracle(layer, word_id)
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=1e-12 * np.abs(want).max(),
+                                       err_msg=f"{layer.config} word {word_id}")
+
+
+@pytest.mark.parametrize("kind", [MethodKind.WORD2KET, MethodKind.MORPHTE])
+def test_rank_one_rows_are_the_bytes_of_a_kron_chain(kind):
+    """At rank 1 a row is its factors' tensor product, with the bytes of
+    ``np.kron`` folded left to right: no rank contraction touches it."""
+    vocab, index = make_morphology(9, 7, 3, seed=1)
+    cfg = LayerConfig(kind, vocab_size=9, embed_dim=50, order=3, rank=1, subdim=4, seed=6)
+    layer = build(cfg, vocab=vocab, index=index)
+    out = forward_batch(layer, [3, 0, 8, 3, 5])
+    for row, word_id in zip(out, [3, 0, 8, 3, 5]):
+        if kind is MethodKind.WORD2KET:
+            factors = layer.params["word_factors"][word_id].reshape(3, 4)
+        else:
+            factors = layer.params["morpheme_embed_0"][index.rows[word_id]]
+        assert row.tobytes() == functools.reduce(np.kron, factors)[:50].tobytes()
+
+
 def test_word2ket_rank1_reconstruction_capacity():
     rng = np.random.default_rng(21)
     for trial in range(20):
@@ -367,6 +411,10 @@ def test_forward_batch_checks_every_id_first(kind):
             ids[at] = bad
             with pytest.raises(WordLookupError, match=f"word id {bad} out of range"):
                 forward_batch(layer, ids)
+    # numpy would read True as word 1 and False as word 0
+    for ids in (np.array([True, False]), [True], [0, 1, True], np.array([0, True], dtype=object)):
+        with pytest.raises(WordLookupError, match="got a boolean"):
+            forward_batch(layer, ids)
 
 
 @pytest.mark.parametrize("kind", list(MethodKind))
