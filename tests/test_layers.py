@@ -310,19 +310,25 @@ def test_paper_shaped_layers_match_their_oracles():
 
 
 @pytest.mark.parametrize("kind", [MethodKind.WORD2KET, MethodKind.MORPHTE])
-def test_rank_one_rows_are_the_bytes_of_a_kron_chain(kind):
+def test_rank_one_rows_are_the_bytes_of_a_kron_chain(kind, monkeypatch):
     """At rank 1 a row is its factors' tensor product, with the bytes of
-    ``np.kron`` folded left to right: no rank contraction touches it."""
+    ``np.kron`` folded left to right, built by broadcasting: a rank
+    contraction of one term would be a slower outer product by matmul."""
     vocab, index = make_morphology(9, 7, 3, seed=1)
     cfg = LayerConfig(kind, vocab_size=9, embed_dim=50, order=3, rank=1, subdim=4, seed=6)
     layer = build(cfg, vocab=vocab, index=index)
-    out = forward_batch(layer, [3, 0, 8, 3, 5])
-    for row, word_id in zip(out, [3, 0, 8, 3, 5]):
-        if kind is MethodKind.WORD2KET:
-            factors = layer.params["word_factors"][word_id].reshape(3, 4)
-        else:
-            factors = layer.params["morpheme_embed_0"][index.rows[word_id]]
-        assert row.tobytes() == functools.reduce(np.kron, factors)[:50].tobytes()
+    words = [3, 0, 8, 3, 5]
+    if kind is MethodKind.WORD2KET:
+        factors = [layer.params["word_factors"][w].reshape(3, 4) for w in words]
+    else:
+        factors = [layer.params["morpheme_embed_0"][index.rows[w]] for w in words]
+    expected = [functools.reduce(np.kron, f)[:50].tobytes() for f in factors]
+
+    def refuse(*_, **__):
+        raise AssertionError("a rank-1 forward took a matmul")
+
+    monkeypatch.setattr(np, "matmul", refuse)
+    assert [row.tobytes() for row in forward_batch(layer, words)] == expected
 
 
 def test_word2ket_rank1_reconstruction_capacity():
