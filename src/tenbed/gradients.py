@@ -165,7 +165,8 @@ def _slot_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray) ->
         for k in range(n - 2, 0, -1):
             grad_flat = grad_carry.reshape(B, -1, df[k] * r)
             grads[k] = np.matmul(carries[k - 1].transpose(0, 2, 1), grad_flat)
-            grad_carry = _by_core_row(grad_flat, cores[k], rows[k][:, 0], r, transpose=True)
+            core = cores[k].reshape(len(cores[k]), r, -1).transpose(0, 2, 1)
+            grad_carry = _by_core_row(grad_flat, core, rows[k][:, 0])
         grads[0] = grad_carry
         return [g.reshape(B, 1, -1) for g in grads]
 

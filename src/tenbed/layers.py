@@ -33,8 +33,9 @@ factor (Kolda & Bader, SIAM Review 2009); at rank 1 the one product is built
 by broadcasting.  The lookup table and morphsum sum one-factor products in
 slot order, tensor_train contracts a chain of cores, reading each middle
 core row in place for every word that shares it, and matrix_factor is a
-stacked matmul.  ``forward`` is a batch of one.  Both only read the parameter blocks and are safe to call concurrently;
-mutating parameters (training) requires exclusive access.
+stacked matmul.  ``forward`` is a batch of one.  Both only read the
+parameter blocks and are safe to call concurrently; mutating parameters
+(training) requires exclusive access.
 """
 
 from __future__ import annotations
@@ -327,11 +328,11 @@ def gather_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> list[np.ndar
     cfg, ids, V = layer.config, np.asarray(word_ids), layer.config.vocab_size
     if ids.ndim != 1:
         raise ValueError(f"word ids must be a sequence, got shape {ids.shape}")
-    # numpy reads True as 1, in a bool array and beside ints in a list alike
-    elements = ids.tolist() if ids.dtype.kind in "bO" else ()
-    if any(isinstance(w, (bool, np.bool_))
-           for w in (word_ids if not isinstance(word_ids, np.ndarray) else elements)):
-        raise WordLookupError("word ids must be integers, got a boolean")
+    if ids.dtype.kind not in "iu" or not isinstance(word_ids, np.ndarray):
+        # numpy reads True as 1, in a bool array and beside ints in a list alike
+        elements = ids.tolist() if isinstance(word_ids, np.ndarray) else word_ids
+        if any(isinstance(w, (bool, np.bool_)) for w in elements):
+            raise WordLookupError("word ids must be integers, got a boolean")
     if ids.dtype.kind in "iu":
         bad = ids[(ids < 0) | (ids >= V)].tolist()
     else:  # an empty list, non-integers, or Python ints beyond int64
@@ -374,9 +375,10 @@ def _factor_layout(cfg: LayerConfig) -> list[list[tuple[int, int, slice]]]:
 def _rank_factors(layer: EmbeddingLayer, rows: list[np.ndarray]) -> list[np.ndarray]:
     """Factor j of every rank product of a batch's words, one ``(B, r, len_j)`` array per j.
 
-    The columns ``_factor_layout`` gives: word2ket's row holds the r*n
-    vectors rank-major, so a reshape of it is enough; every other block is
-    read whole, ``take``n straight into a rank-major array, one call per block.
+    The rows and columns ``_factor_layout`` gives.  word2ket's row holds the
+    r*n vectors rank-major, so a reshape of it is enough.  The other kinds'
+    blocks are read whole, one ``np.take`` per block into a rank-major array
+    that the factors view.
     """
     cfg, B = layer.config, len(rows[0])
     r, n, params = cfg.rank, cfg.order, list(layer.params.values())
@@ -418,22 +420,21 @@ def _tt_chain(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[list, np.n
     carry = cores[0][rows[0][:, 0]].reshape(B, -1, r)
     carries = [carry]
     for core, ids in zip(cores[1:-1], rows[1:-1]):
-        carry = _by_core_row(carry, core, ids[:, 0], r).reshape(B, -1, r)
+        carry = _by_core_row(carry, core.reshape(len(core), r, -1), ids[:, 0]).reshape(B, -1, r)
         carries.append(carry)
     return carries, cores[-1][rows[-1][:, 0]].reshape(B, r, -1)
 
 
-def _by_core_row(x: np.ndarray, core: np.ndarray, ids: np.ndarray, r: int,
-                 transpose: bool = False) -> np.ndarray:
-    """``x[b] @ core[ids[b]]`` per word b, the core row shaped ``(r, -1)`` (or its
-    transpose), each distinct row read in place for all the words it serves:
-    gathering a row per word copies ``r * d_k * r`` floats per word."""
+def _by_core_row(x: np.ndarray, core: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """``x[b] @ core[ids[b]]`` per word b, for a core viewed as ``(rows, m, k)``.
+
+    Each distinct core row is read in place, by one matmul for all the words
+    that share it: gathering a row per word copies ``m * k`` floats per word.
+    """
     order = np.argsort(ids, kind="stable")
-    starts = np.flatnonzero(np.diff(ids[order])) + 1
     out = None
-    for words in np.split(order, starts):
-        row = core[ids[words[0]]].reshape(r, -1)
-        y = np.matmul(x[words], row.T if transpose else row)
+    for words in np.split(order, np.flatnonzero(np.diff(ids[order])) + 1):
+        y = np.matmul(x[words], core[ids[words[0]]])
         if out is None:
             out = np.empty((len(x),) + y.shape[1:])
         out[words] = y
