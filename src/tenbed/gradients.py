@@ -170,12 +170,11 @@ def _slot_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray) ->
         grads[0] = grad_carry
         return [g.reshape(B, 1, -1) for g in grads]
 
-    # a one-factor product's gradient is the padded upstream and reads no row
     grads = [np.empty(ids.shape + p.shape[1:]) for p, ids in zip(layer.params.values(), rows)]
     layout = _factor_layout(cfg)
     targets = [[grads[block][:, slot, cols] for block, slot, cols in group] for group in layout]
     U_full = _pad_upstream(U, cfg.product_length)
-    if len(layout[0]) == 1:
+    if len(layout[0]) == 1:  # a one-factor product's gradient is the padded upstream
         for slots in targets:
             slots[0][...] = U_full
         return grads
