@@ -108,10 +108,11 @@ def resolve_seed(flag: int | None, values: dict | None = None) -> int:
 def parse_kv_config(path, keys: frozenset[str]) -> dict[str, str]:
     """Minimal key=value config file: one pair per line, '#' comments.
 
-    A key outside ``keys``, the keys the reading command knows, raises
-    ``ConfigError`` naming it, so a misspelt key is never dropped.
+    A key outside ``keys``, the keys the reading command knows, or a key
+    given twice raises ``ConfigError`` naming it, so no value is dropped.
     """
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for line_no, raw in read_lines(path):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -124,7 +125,9 @@ def parse_kv_config(path, keys: frozenset[str]) -> dict[str, str]:
             raise ConfigError(
                 f"{path}:{line_no}: unknown key {key!r}; known keys: {', '.join(sorted(keys))}"
             )
-        values[key] = value.strip()
+        if key in lines:
+            raise ConfigError(f"{path}:{line_no}: key {key!r} repeats line {lines[key]}")
+        values[key], lines[key] = value.strip(), line_no
     return values
 
 

@@ -2,20 +2,17 @@
 
 Each forward map is a shallow fixed-shape multilinear expression, so the
 adjoints are written out instead of built as a general autodiff graph.
-``backward_batch`` takes a batch of word ids and one upstream row per word:
-``layers.gather_batch`` gives the rows each word reads, the adjoint of
-``forward_batch``'s combine computes the gradient per slot of every word of a
-chunk of ``LayerConfig.chunk_words`` at once (for the ket kinds, the rank
-contraction's two stacked matmuls unfolded to each factor; the TT chain with
-its middle cores read in place; matrix_factor's matmul; the padded upstream
-for a one-factor product), and each block's slot gradients are added into a
-caller's gradient dict in batch order, by element index into the flattened
-block.  Truncation to the embedding dimension is adjointed by zero-padding
-the upstream back to the full product length.  When a word references the
-same parameter row in several slots (repeated morphemes), its slot gradients
-are summed first and the sum is added once, which is the correct total
-derivative.  ``backward`` and ``touched_rows`` are the same for a batch of
-one word.
+``backward_batch`` takes a batch of word ids and one upstream row per word,
+in chunks of ``LayerConfig.chunk_words``.  ``_slot_grads``, the adjoint of
+``layers._combine``, gives each block's slot gradients: a sum kind writes
+each factor's gradient into its view of the buffers ``LayerConfig.layout``
+gives, so the block buffers hold them; matrix_factor and tensor_train have
+their own.  ``_add_rows`` adds them into a caller's gradient dict in batch
+order.  Truncation to the embedding dimension is adjointed by zero-padding
+the upstream.  A word that reads one row in several slots (repeated
+morphemes) has its slot gradients summed first and the sum added once, the
+correct total derivative.  ``backward`` and ``touched_rows`` are the same
+for a batch of one word.
 """
 
 from __future__ import annotations
@@ -31,9 +28,8 @@ from .layers import (
     EmbeddingLayer,
     MethodKind,
     _by_core_row,
-    _factor_layout,
     _khatri_rao,
-    _rank_factors,
+    _read_factors,
     _tt_chain,
     forward,
     gather_batch,
@@ -170,19 +166,15 @@ def _slot_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray) ->
         grads[0] = grad_carry
         return [g.reshape(B, 1, -1) for g in grads]
 
-    grads = [np.empty(ids.shape + p.shape[1:]) for p, ids in zip(layer.params.values(), rows)]
-    layout = _factor_layout(cfg)
-    targets = [[grads[block][:, slot, cols] for block, slot, cols in group] for group in layout]
+    # a sum kind: each factor's gradient goes into its view of its block's buffer
+    blocks, factors = cfg.layout.buffers(B)
     U_full = _pad_upstream(U, cfg.product_length)
-    if len(layout[0]) == 1:  # a one-factor product's gradient is the padded upstream
-        for slots in targets:
-            slots[0][...] = U_full
-        return grads
-    factor_grads = _rank_sum_grads(_rank_factors(layer, rows), U_full)
-    for i, slots in enumerate(targets):
-        for target, g in zip(slots, factor_grads):
-            target[...] = g[:, i]
-    return grads
+    if len(factors) == 1:  # a one-factor product's gradient is the padded upstream
+        factors[0][...] = U_full[:, None]
+    else:
+        for f, g in zip(factors, _rank_sum_grads(_read_factors(layer, rows), U_full)):
+            f[...] = g
+    return [g.transpose(1, 0, 2) for g in blocks]
 
 
 def backward(layer: EmbeddingLayer, word_id: int, upstream: np.ndarray) -> list[GradSlot]:

@@ -22,29 +22,23 @@ All parameters are float64 matrices initialised Xavier-uniform with bound
 seeded by the config, so identical configs rebuild bit-identical layers.
 
 An ``EmbeddingLayer`` is data: a config, its blocks and, for the
-morphological kinds, a vocab and an index.  ``forward_batch`` embeds a batch
-of word ids through it: ``gather_batch`` checks every id and gives the row
-ids each block is read at, then a combine computes the words in chunks of
-``LayerConfig.chunk_words`` (``BATCH_FLOATS`` product floats).  The four ket
-kinds (word2ket, word2ketxs, morphte, word2ket_rshare) write a word as a
-rank-r sum of n-factor tensor products, contracted over rank by one stacked
-matmul: the row-wise Khatri-Rao product of factors 0..n-2 against the last
-factor (Kolda & Bader, SIAM Review 2009); at rank 1 the one product is built
-by broadcasting.  The lookup table and morphsum sum one-factor products in
-slot order, tensor_train contracts a chain of cores, reading each middle
-core row in place for every word that shares it, and matrix_factor is a
-stacked matmul.  ``forward`` is a batch of one.  Both only read the
-parameter blocks and are safe to call concurrently; mutating parameters
-(training) requires exclusive access.
+morphological kinds, a vocab and an index.  ``LayerConfig.layout`` states
+each kind once: its blocks, the row a word reads in each, whether it reads a
+morpheme vocab and, for a kind that sums tensor products, where factor j of
+product i lives.  ``block_shapes``, ``build``, ``check_parts``,
+``gather_batch`` and the combines derive from it.  ``forward_batch`` embeds
+a batch through ``gather_batch`` and ``_combine``; ``forward`` is a batch of
+one.  Both only read the parameter blocks and are safe to call concurrently;
+mutating parameters (training) requires exclusive access.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -70,8 +64,6 @@ MORPHOLOGICAL_KINDS = frozenset(
 )
 KET_KINDS = frozenset({MethodKind.WORD2KET, MethodKind.MORPHTE, MethodKind.WORD2KET_RSHARE})
 FACTORED_KINDS = frozenset({MethodKind.TENSOR_TRAIN, MethodKind.WORD2KETXS})
-# a word is a rank-r sum of n-factor tensor products
-RANK_SUM_KINDS = KET_KINDS | {MethodKind.WORD2KETXS}
 MAX_PRODUCT_PER_DIM = 64
 # product floats combined at once: a chunk's temporaries, not a batch's, set the memory
 BATCH_FLOATS = 512 * 512
@@ -115,11 +107,18 @@ class LayerConfig:
     seed: int = 0
 
     def __post_init__(self):
+        """Refuse a float, bool or str in an integer field, naming it; numpy integers pass."""
         object.__setattr__(self, "kind", MethodKind(self.kind))
-        if self.vocab_factors is not None:
-            object.__setattr__(self, "vocab_factors", tuple(int(v) for v in self.vocab_factors))
-        if self.dim_factors is not None:
-            object.__setattr__(self, "dim_factors", tuple(int(v) for v in self.dim_factors))
+        for f in fields(self)[1:]:  # every field after kind
+            value = getattr(self, f.name)
+            if type(value) is int or value is None and f.default is None:  # None: not given
+                continue
+            factors = f.name.endswith("_factors")
+            for v in value if factors else (value,):
+                if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                    what = "integers" if factors else "an integer"
+                    raise ConfigError(f"{f.name} must be {what}, got {v!r}")
+            object.__setattr__(self, f.name, tuple(map(int, value)) if factors else int(value))
 
     def validate(self) -> None:
         lows = {"vocab_size": 1, "embed_dim": 1, "rank": 1, "order": 1, "seed": 0}
@@ -187,38 +186,86 @@ class LayerConfig:
         """Words combined at once: ``BATCH_FLOATS`` product floats, and at least one word."""
         return max(1, BATCH_FLOATS // self.product_length)
 
+    @cached_property  # read by every gather and combine; word2ketxs has r * n blocks
+    def layout(self) -> Layout:
+        return _layout(self)
+
+
+# what a word reads in a block: "id" its own row, "index" its ``order`` index
+# rows (one slot each), "all" every row, or an int k: digit k of its id
+ID, INDEX, ALL = "id", "index", "all"
+
+
+class Block(NamedTuple):
+    name: str
+    shape: tuple[int | None, int]  # rows are None for a morpheme table of unknown size
+    read: str | int
+
+
+class Layout(NamedTuple):
+    """A kind's blocks in canonical (and serialisation) order, whether it reads a
+    morpheme vocab, and for a kind that sums products ``buffers(B)``: per block
+    the ``(slots, B, cols)`` array its rows are read into, and per factor j the
+    ``(B, products, len_j)`` view of factor j of every product, sharing memory.
+    """
+
+    blocks: tuple[Block, ...]
+    vocab: bool = False
+    buffers: Callable[[int], tuple[list[np.ndarray], list[np.ndarray]]] | None = None
+
+    @property
+    def index(self) -> bool:
+        return any(b.read == INDEX for b in self.blocks)
+
+
+def _layout(c: LayerConfig) -> Layout:
+    """Each kind's blocks, the row a word reads in each, and its factor placement."""
+    kind, V, d, n, r, M = c.kind, c.vocab_size, c.embed_dim, c.order, c.rank, c.morpheme_vocab_size
+    if kind is MethodKind.MATRIX_FACTOR:
+        return Layout((Block("factor_left", (V, r), ID), Block("factor_right", (r, d), ALL)))
+    if kind is MethodKind.TENSOR_TRAIN:
+        # a core row is an (r, d_k, r) slice, without the outer r at either end
+        return Layout(tuple(
+            Block(f"tt_core_{k}", (v, (r if k > 0 else 1) * dk * (r if k < n - 1 else 1)), k)
+            for k, (v, dk) in enumerate(zip(c.vocab_factors, c.dim_factors))
+        ))
+    if kind is MethodKind.ORIGINAL:  # one product of one factor
+        return Layout((Block("weight", (V, d), ID),), buffers=lambda B: _stacked(B, d, [slice(1)]))
+    if kind is MethodKind.MORPHSUM:  # product 0 is the surface row, product 1 + s slot s
+        return Layout((Block("surface_embed", (V, d), ID), Block("morpheme_embed", (M, d), INDEX)),
+                      vocab=True, buffers=lambda B: _stacked(B, d, [slice(1), slice(1, n + 1)]))
+    if kind is MethodKind.WORD2KETXS:  # block i * n + j holds factor j of product i
+        def xs_buffers(B):
+            js = [np.empty((r, B, df)) for df in c.dim_factors]
+            return [f[i, None] for i in range(r) for f in js], [f.transpose(1, 0, 2) for f in js]
+        return Layout(tuple(Block(f"xs_factor_{i}_{j}", (c.vocab_factors[j], c.dim_factors[j]), j)
+                            for i in range(r) for j in range(n)), buffers=xs_buffers)
+    q = c.effective_subdim()
+    if kind is MethodKind.WORD2KET:  # the word's row holds its r * n vectors product-major
+        def word_buffers(B):
+            row = np.empty((1, B, r * n * q))
+            return [row], list(row[0].reshape(B, r, n, q).transpose(2, 0, 1, 3))
+        return Layout((Block("word_factors", (V, r * n * q), ID),), buffers=word_buffers)
+
+    def morpheme_buffers(B):  # morphte, word2ket_rshare: block i is product i, slot j factor j
+        rows = np.empty((r, n, B, q))
+        return list(rows), [rows[:, j].transpose(1, 0, 2) for j in range(n)]
+    return Layout(tuple(Block(f"morpheme_embed_{i}", (M, q), INDEX) for i in range(r)),
+                  vocab=kind is MethodKind.MORPHTE, buffers=morpheme_buffers)
+
+
+def _stacked(B: int, d: int, blocks: list[slice]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """One-factor products of length d, block k holding the products ``blocks[k]``."""
+    rows = np.empty((blocks[-1].stop, B, d))
+    return [rows[s] for s in blocks], [rows.transpose(1, 0, 2)]
+
 
 def block_shapes(config: LayerConfig) -> list[tuple[str, tuple[int, int]]]:
     """Named parameter blocks in their canonical (and serialisation) order."""
-    kind = config.kind
-    V, d, n, r = config.vocab_size, config.embed_dim, config.order, config.rank
-    M = config.morpheme_vocab_size
-    if kind in MORPHOLOGICAL_KINDS and M is None:
-        raise ConfigError(f"{kind.value} requires morpheme_vocab_size")
-    if kind is MethodKind.ORIGINAL:
-        return [("weight", (V, d))]
-    if kind is MethodKind.MATRIX_FACTOR:
-        return [("factor_left", (V, r)), ("factor_right", (r, d))]
-    if kind is MethodKind.WORD2KET:
-        q = config.effective_subdim()
-        return [("word_factors", (V, r * n * q))]
-    if kind in (MethodKind.MORPHTE, MethodKind.WORD2KET_RSHARE):
-        q = config.effective_subdim()
-        return [(f"morpheme_embed_{i}", (M, q)) for i in range(r)]
-    if kind is MethodKind.MORPHSUM:
-        return [("surface_embed", (V, d)), ("morpheme_embed", (M, d))]
-    if kind is MethodKind.TENSOR_TRAIN:
-        # a core row is an (r, d_k, r) slice, without the outer r at either end
-        return [
-            (f"tt_core_{k}", (v, (r if k > 0 else 1) * dk * (r if k < n - 1 else 1)))
-            for k, (v, dk) in enumerate(zip(config.vocab_factors, config.dim_factors))
-        ]
-    vf, df = config.vocab_factors, config.dim_factors  # word2ketxs
-    return [
-        (f"xs_factor_{i}_{j}", (vf[j], df[j]))
-        for i in range(r)
-        for j in range(len(vf))
-    ]
+    blocks = config.layout.blocks
+    if any(None in b.shape for b in blocks):
+        raise ConfigError(f"{config.kind.value} requires morpheme_vocab_size")
+    return [(b.name, b.shape) for b in blocks]
 
 
 @dataclass
@@ -251,15 +298,11 @@ def build_rshare_index(
 def check_parts(
     config: LayerConfig, vocab: MorphemeVocab | None, index: IndexMatrix | None
 ) -> None:
-    """Check that a layer has the vocab and index its kind reads, and that they fit.
-
-    morphte and morphsum need both, word2ket_rshare an index, the rest neither.
-    """
-    kind = config.kind
-    needs = (kind in (MethodKind.MORPHTE, MethodKind.MORPHSUM), kind in MORPHOLOGICAL_KINDS)
+    """Check that a layer has the vocab and index its layout reads, and that they fit."""
+    needs = (config.layout.vocab, config.layout.index)
     if (vocab is not None, index is not None) != needs:
         raise ConfigError(
-            f"{kind.value} requires {'a' if needs[0] else 'no'} morpheme vocab "
+            f"{config.kind.value} requires {'a' if needs[0] else 'no'} morpheme vocab "
             f"and {'an' if needs[1] else 'no'} index"
         )
     if index is None:
@@ -288,15 +331,13 @@ def build(
     other kind drops the vocab and index it is given.
     """
     config.validate()
-    kind = config.kind
-
-    if kind in (MethodKind.MORPHTE, MethodKind.MORPHSUM):
+    if config.layout.vocab:
         if vocab is not None and config.morpheme_vocab_size is None:
             config = replace(config, morpheme_vocab_size=vocab.size)
-    elif kind is MethodKind.WORD2KET_RSHARE:
+    elif config.layout.index:  # an index without a vocab: drawn at random when not given
         vocab = None
         if config.morpheme_vocab_size is None:
-            raise ConfigError("word2ket_rshare requires morpheme_vocab_size")
+            raise ConfigError(f"{config.kind.value} requires morpheme_vocab_size")
         if index is None:
             index = build_rshare_index(
                 config.vocab_size, config.morpheme_vocab_size, config.order, config.seed
@@ -317,13 +358,10 @@ def build(
 def gather_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> list[np.ndarray]:
     """The parameter rows a batch of words reads: one ``(B, slots)`` array per block.
 
-    The one place that maps word ids to rows: ``rows[k][b, s]`` is the row
-    of block k (in block order) that word b reads in its slot s.  Every id
-    is checked before any row is looked up.  Morpheme slots come from the
-    index rows, the factored kinds' rows from the mixed-radix digits of the
-    id (most significant first), and every other block's row is the id
-    itself, except that matrix_factor's right factor is read whole.  A
-    boolean is not a word id.
+    ``rows[k][b, s]`` is the row of block k (in block order) that word b
+    reads in its slot s, as the block's ``read`` in ``LayerConfig.layout``
+    says.  Every id is checked before any row is looked up.  A boolean is not
+    a word id.
     """
     cfg, ids, V = layer.config, np.asarray(word_ids), layer.config.vocab_size
     if ids.ndim != 1:
@@ -340,61 +378,32 @@ def gather_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> list[np.ndar
     if bad:
         raise WordLookupError(f"word id {bad[0]} out of range [0, {V})")
     ids = ids.astype(np.intp, copy=False)
-    kind, own = cfg.kind, ids[:, None]
-    if kind in FACTORED_KINDS:  # C order: the most significant digit first
-        digits = np.unravel_index(ids, cfg.vocab_factors)
-        return [digits[k % cfg.order][:, None] for k in range(len(layer.params))]
-    if kind in MORPHOLOGICAL_KINDS:
-        slots = layer.index.rows[ids]
-        return [slots] * cfg.rank if kind in KET_KINDS else [own, slots]
-    if kind is MethodKind.MATRIX_FACTOR:
-        return [own, np.broadcast_to(np.arange(cfg.rank), (len(ids), cfg.rank))]
-    return [own]  # original, word2ket
+    by_read = {}  # blocks that read alike share one array
+    for block in cfg.layout.blocks:
+        if block.read not in by_read:
+            by_read[block.read] = _row_ids(layer, ids, block)
+    return [by_read[block.read] for block in cfg.layout.blocks]
 
 
-def _factor_layout(cfg: LayerConfig) -> list[list[tuple[int, int, slice]]]:
-    """Factor j of product i of a kind that sums products, as ``(block, slot, columns)``.
-
-    The columns of the row ``gather_batch`` gives for that block and slot: one
-    layout serves to read a word's factors and to place their gradients.
-    """
-    r, n, every = cfg.rank, cfg.order, slice(None)
-    if cfg.kind is MethodKind.ORIGINAL:
-        return [[(0, 0, every)]]
-    if cfg.kind is MethodKind.MORPHSUM:  # the surface row, then each morpheme row
-        return [[(0, 0, every)]] + [[(1, s, every)] for s in range(n)]
-    if cfg.kind is MethodKind.WORD2KET:  # one row holds the r*n vectors
-        q = cfg.effective_subdim()
-        return [[(0, 0, slice(j * q, (j + 1) * q)) for j in range(i * n, (i + 1) * n)]
-                for i in range(r)]
-    if cfg.kind is MethodKind.WORD2KETXS:
-        return [[(i * n + j, 0, every) for j in range(n)] for i in range(r)]
-    return [[(i, j, every) for j in range(n)] for i in range(r)]  # morphte, rshare
+def _row_ids(layer: EmbeddingLayer, ids: np.ndarray, block: Block) -> np.ndarray:
+    """The ``(B, slots)`` rows of ``block`` that the words ``ids`` read."""
+    if block.read == ID:
+        return ids[:, None]
+    if block.read == INDEX:  # in F order: the slot-major read takes its transpose in place
+        return np.ascontiguousarray(layer.index.rows[ids].T).T
+    if block.read == ALL:
+        return np.broadcast_to(np.arange(block.shape[0]), (len(ids), block.shape[0]))
+    # C order: the most significant digit first
+    return np.unravel_index(ids, layer.config.vocab_factors)[block.read][:, None]
 
 
-def _rank_factors(layer: EmbeddingLayer, rows: list[np.ndarray]) -> list[np.ndarray]:
-    """Factor j of every rank product of a batch's words, one ``(B, r, len_j)`` array per j.
-
-    The rows and columns ``_factor_layout`` gives.  word2ket's row holds the
-    r*n vectors rank-major, so a reshape of it is enough.  The other kinds'
-    blocks are read whole, one ``np.take`` per block into a rank-major array
-    that the factors view.
-    """
-    cfg, B = layer.config, len(rows[0])
-    r, n, params = cfg.rank, cfg.order, list(layer.params.values())
-    if cfg.kind is MethodKind.WORD2KET:
-        vectors = params[0][rows[0][:, 0]].reshape(B, r, n, -1)
-        return [vectors[:, :, j] for j in range(n)]
-    if cfg.kind is MethodKind.WORD2KETXS:  # block i * n + j: factor j of rank i
-        ranks = [np.empty((r, B, p.shape[1])) for p in params[:n]]
-        for block, (p, ids) in enumerate(zip(params, rows)):
-            np.take(p, ids[:, 0], axis=0, out=ranks[block % n][block // n], mode="clip")
-    else:  # morphte, rshare: block i is rank i, and its slot j factor j
-        rank_rows = np.empty((r, B, n, params[0].shape[1]))
-        for i, (p, ids) in enumerate(zip(params, rows)):
-            np.take(p, ids, axis=0, out=rank_rows[i], mode="clip")
-        ranks = [rank_rows[:, :, j] for j in range(n)]
-    return [f.transpose(1, 0, 2) for f in ranks]
+def _read_factors(layer: EmbeddingLayer, rows: list[np.ndarray]) -> list[np.ndarray]:
+    """Factor j of every product of a batch's words, one ``(B, products, len_j)`` view per j:
+    each block's rows read by one ``take`` into the buffers its layout gives."""
+    blocks, factors = layer.config.layout.buffers(len(rows[0]))
+    for p, ids, out in zip(layer.params.values(), rows, blocks):
+        p.take(ids.T, axis=0, out=out, mode="clip")  # np.take's wrapper costs 1-2 us a call
+    return factors
 
 
 def _khatri_rao(factors: list[np.ndarray]) -> list[np.ndarray]:
@@ -461,14 +470,13 @@ def forward_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> np.ndarray:
 def _combine(layer: EmbeddingLayer, rows: list[np.ndarray]) -> np.ndarray:
     """The ``(B, d)`` embeddings of the words whose row ids ``gather_batch`` gave.
 
-    One combine per family of kinds.  Each row is computed with the
-    arithmetic, in the order, of embedding its word alone: stacked matmuls
-    for matrix_factor and tensor_train (whose middle cores are read in place,
-    one matmul per distinct core row); the ket kinds' rank products
-    contracted over rank by one stacked matmul, ``(B, L', r) @ (B, r,
-    len_{n-1})`` with the Khatri-Rao product of factors 0..n-2; and products
-    of factors by broadcasting, summed in slot order, for the one-factor
-    kinds and for a ket kind of rank 1 or order 1.
+    Each row is computed with the arithmetic, in the order, of embedding its
+    word alone: stacked matmuls for matrix_factor and tensor_train (whose
+    middle cores are read in place, one matmul per distinct core row); for a
+    sum kind, one-factor products summed in slot order, a rank-1 product by
+    broadcasting, and otherwise the products contracted over rank by one
+    stacked matmul, ``(B, L', r) @ (B, r, len_{n-1})`` with the row-wise
+    Khatri-Rao product of factors 0..n-2 (Kolda & Bader, SIAM Review 2009).
     """
     cfg = layer.config
     B, d, kind = len(rows[0]), cfg.embed_dim, cfg.kind
@@ -480,19 +488,18 @@ def _combine(layer: EmbeddingLayer, rows: list[np.ndarray]) -> np.ndarray:
     if kind is MethodKind.TENSOR_TRAIN:
         carries, last = _tt_chain(layer, rows)
         full = np.matmul(carries[-1], last).reshape(B, -1)
-    elif kind in RANK_SUM_KINDS and cfg.rank > 1 and cfg.order > 1:
-        factors = _rank_factors(layer, rows)
-        prefix = _khatri_rao(factors)[-1]
-        full = np.matmul(prefix.transpose(0, 2, 1), factors[-1]).reshape(B, -1)
-    else:  # slot-major: a strided (B, slots) view made morphsum's sum a fifth slower
-        gathered = [p[ids.T] for p, ids in zip(layer.params.values(), rows)]
-        full = None  # each product is fresh, or a view of the fresh gathered rows
-        for group in _factor_layout(cfg):
-            term = None
-            for block, slot, cols in group:
-                v = gathered[block][slot, :, cols]
-                term = v if term is None else (term[:, :, None] * v[:, None, :]).reshape(B, -1)
-            full = term if full is None else np.add(full, term, out=full)
+    else:
+        factors = _read_factors(layer, rows)
+        full = factors[0][:, 0]  # a view of the fresh buffers, so it may be summed into
+        if len(factors) == 1:
+            for i in range(1, factors[0].shape[1]):
+                full = np.add(full, factors[0][:, i], out=full)
+        elif factors[0].shape[1] == 1:
+            for f in factors[1:]:
+                full = (full[:, :, None] * f[:, 0, None, :]).reshape(B, -1)
+        else:
+            prefix = _khatri_rao(factors)[-1]
+            full = np.matmul(prefix.transpose(0, 2, 1), factors[-1]).reshape(B, -1)
     return full if full.shape[1] == d else full[:, :d].copy()
 
 

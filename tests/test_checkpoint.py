@@ -113,6 +113,29 @@ def test_rejects_meta_that_disagrees_with_blocks(changes, message):
         loads_layer(with_meta(data, **changes))
 
 
+@pytest.mark.parametrize(
+    "kind, field, bad",
+    [
+        ("morphte", "rank", float),
+        ("morphte", "embed_dim", float),
+        ("morphte", "seed", lambda v: v + 0.5),
+        ("morphte", "subdim", str),
+        ("morphte", "morpheme_vocab_size", float),
+        ("original", "rank", lambda v: True),
+        ("tensor_train", "vocab_factors", lambda v: [v[0] + 0.5, *v[1:]]),
+        ("word2ketxs", "dim_factors", lambda v: [float(x) for x in v]),
+    ],
+    ids=["rank", "embed_dim", "seed", "subdim", "morpheme_vocab_size", "bool", "vocab_factors",
+         "dim_factors"],
+)
+def test_rejects_meta_whose_integer_field_is_not_an_integer(kind, field, bad):
+    """A float, bool or str is refused, not truncated or passed on to fail later."""
+    layer = random_layer(kind, np.random.default_rng(stable_seed("integer", kind)))
+    data = roundtrip_bytes(layer)
+    with pytest.raises(CheckpointError, match=f"{field} must be"):
+        loads_layer(with_meta(data, **{field: bad(getattr(layer.config, field))}))
+
+
 META_KEYS = [
     "kind", "vocab_size", "embed_dim", "order", "rank", "subdim", "vocab_factors",
     "dim_factors", "morpheme_vocab_size", "seed", "blocks", "has_index", "words", "morphemes",

@@ -371,6 +371,32 @@ def test_eval_rejects_a_checkpoint_whose_product_is_too_long(runner, tmp_path):
     assert "2**40 is more than 64 * embed_dim = 576" in res.stderr
 
 
+def test_eval_rejects_a_checkpoint_whose_rank_is_a_float(runner, tmp_path):
+    cfg = make_train_config(tmp_path)
+    ckpt = tmp_path / "layer.bin"
+    assert runner.invoke(main, ["export", "--config", str(cfg), "--out", str(ckpt)]).exit_code == 0
+    data = ckpt.read_bytes()
+    (length,) = struct.unpack_from("<Q", data, 16)
+    meta = json.loads(data[24 : 24 + length])
+    meta["rank"] = 2.0
+    raw = json.dumps(meta, sort_keys=True).encode("utf-8")
+    ckpt.write_bytes(data[:16] + struct.pack("<Q", len(raw)) + raw + data[24 + length :])
+    res = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--word-ids", "0"])
+    assert res.exit_code == 2, res.output + repr(res.exception)
+    assert "rank must be an integer, got 2.0" in res.stderr
+
+
+def test_a_config_key_given_twice_exits_2_naming_both_lines(runner, tmp_path):
+    cfg = make_train_config(tmp_path, method="original", embed_dim="8")
+    with cfg.open("a", encoding="utf-8") as fh:
+        fh.write("embed_dim = 4\n")
+    out = tmp_path / "layer.bin"
+    res = runner.invoke(main, ["export", "--config", str(cfg), "--out", str(out)])
+    assert res.exit_code == 2, res.output + repr(res.exception)
+    assert "train.cfg:13: key 'embed_dim' repeats line 4" in res.stderr
+    assert not out.exists()
+
+
 def test_env_seed_overrides_config(runner, tmp_path, monkeypatch):
     cfg = make_train_config(tmp_path, method="original", vocab_size="5", embed_dim="4", seed="3")
     c1, c2, c3 = (tmp_path / f"{n}.bin" for n in "abc")

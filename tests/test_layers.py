@@ -331,6 +331,52 @@ def test_rank_one_rows_are_the_bytes_of_a_kron_chain(kind, monkeypatch):
     assert [row.tobytes() for row in forward_batch(layer, words)] == expected
 
 
+@pytest.mark.parametrize("kind", [MethodKind.WORD2KET, MethodKind.MORPHTE,
+                                  MethodKind.WORD2KET_RSHARE])
+def test_order_one_rows_are_the_bytes_of_a_rank_sum(kind):
+    """At order 1 a product is one vector, so a row is its rank's vectors
+    added left to right, then truncated."""
+    vocab, index = make_morphology(9, 7, 1, seed=1)
+    M = vocab.size if kind is MethodKind.WORD2KET_RSHARE else None
+    cfg = LayerConfig(kind, vocab_size=9, embed_dim=4, order=1, rank=3, subdim=5,
+                      morpheme_vocab_size=M, seed=6)
+    layer = build(cfg, vocab=vocab, index=index)
+    words = [3, 0, 8, 3, 5]
+    if kind is MethodKind.WORD2KET:
+        vectors = [layer.params["word_factors"][w].reshape(3, 5) for w in words]
+    else:
+        vectors = [[layer.params[f"morpheme_embed_{i}"][index.rows[w, 0]] for i in range(3)]
+                   for w in words]
+    expected = [(v[0] + v[1] + v[2])[:4].tobytes() for v in vectors]
+    assert [row.tobytes() for row in forward_batch(layer, words)] == expected
+
+
+@pytest.mark.parametrize("kind", list(MethodKind))
+def test_gather_batch_gives_each_block_its_rows(kind):
+    """One ``(B, slots)`` row-id array per block, in block order, each inside its block."""
+    layer = random_layer(kind, np.random.default_rng(stable_seed("gather", kind.value)))
+    words = list(range(layer.config.vocab_size))
+    rows = gather_batch(layer, words)
+    shapes = block_shapes(layer.config)
+    assert len(rows) == len(shapes) == len(layer.params)
+    for ids, (name, (n_rows, _)) in zip(rows, shapes):
+        assert ids.ndim == 2 and len(ids) == len(words), name
+        assert 0 <= ids.min() and ids.max() < n_rows, name
+
+
+def test_config_integer_fields_take_numpy_integers_and_refuse_anything_else():
+    cfg = LayerConfig(MethodKind.TENSOR_TRAIN, np.int64(12), np.int32(4), order=np.int64(2),
+                      vocab_factors=np.array([3, 4]), dim_factors=(np.int8(2), 2))
+    assert cfg == LayerConfig(MethodKind.TENSOR_TRAIN, 12, 4, order=2, vocab_factors=(3, 4),
+                              dim_factors=(2, 2))
+    assert all(type(v) is int for v in (cfg.vocab_size, cfg.order, *cfg.vocab_factors))
+    good = dict(kind=MethodKind.WORD2KETXS, vocab_size=12, embed_dim=4)
+    for field, value, shown in [("rank", 2.0, "2.0"), ("seed", True, "True"),
+                                ("embed_dim", "4", "'4'"), ("dim_factors", (3.5, 2), "3.5")]:
+        with pytest.raises(ConfigError, match=f"^{field} must be .*, got {shown}$"):
+            LayerConfig(**{**good, field: value})
+
+
 def test_word2ket_rank1_reconstruction_capacity():
     rng = np.random.default_rng(21)
     for trial in range(20):
