@@ -72,17 +72,17 @@ def _summary(config: LayerConfig, M: int | None) -> str:
     return " ".join(parts)
 
 
-def count_params(config: LayerConfig, morpheme_vocab_size: int | None = None) -> AuditRow:
+def count_params(config: LayerConfig) -> AuditRow:
     """Exact trainable/constant parameter counts for one configuration.
 
-    Morphological kinds need the morpheme vocabulary size, either here or on
-    the config.  The per-word index of the sharing kinds is counted as
-    constant (non-trainable) parameters.
+    Morphological kinds need the config's ``morpheme_vocab_size``; ``build``
+    sets it on a layer's config from the vocab it reads.  The per-word index
+    of the sharing kinds is counted as constant (non-trainable) parameters.
     """
     config.validate()
     kind = config.kind
     V, d, n, r = config.vocab_size, config.embed_dim, config.order, config.rank
-    M = morpheme_vocab_size if morpheme_vocab_size is not None else config.morpheme_vocab_size
+    M = config.morpheme_vocab_size
 
     if kind is MethodKind.ORIGINAL:
         trainable, constant = V * d, 0
@@ -139,10 +139,8 @@ class ReferenceRow:
 
     group: str
     dataset: str
-    method: str
     level: str
     config: LayerConfig
-    morpheme_vocab_size: int | None
     published_millions: float
     expected_millions: float
     note: str
@@ -192,10 +190,8 @@ def load_reference_rows() -> list[ReferenceRow]:
             header = cells
             continue
         rec = dict(zip(header, cells))
-        kind = MethodKind(rec["method"])
-        M = _parse_int(rec["morpheme_vocab_size"])
         config = LayerConfig(
-            kind,
+            MethodKind(rec["method"]),
             vocab_size=int(rec["vocab_size"]),
             embed_dim=int(rec["embed_dim"]),
             order=int(rec["order"]) if rec["order"] != "-" else 1,
@@ -203,16 +199,14 @@ def load_reference_rows() -> list[ReferenceRow]:
             subdim=_parse_int(rec["subdim"]),
             vocab_factors=_parse_factors(rec["vocab_factors"]),
             dim_factors=_parse_factors(rec["dim_factors"]),
-            morpheme_vocab_size=M,
+            morpheme_vocab_size=_parse_int(rec["morpheme_vocab_size"]),
         )
         rows.append(
             ReferenceRow(
                 group=rec["group"],
                 dataset=rec["dataset"],
-                method=rec["method"],
                 level=rec["level"],
                 config=config,
-                morpheme_vocab_size=M,
                 published_millions=float(rec["published_memb"]),
                 expected_millions=float(rec["expected_memb"]),
                 note=rec["note"],
@@ -227,9 +221,6 @@ def reproduce_paper_tables() -> tuple[list[ReferenceResult], list[ReferenceResul
     Returns all results plus the sublist whose computed count disagrees with
     the expected value beyond the published rounding tolerance.
     """
-    results = [
-        ReferenceResult(row, count_params(row.config, row.morpheme_vocab_size))
-        for row in load_reference_rows()
-    ]
+    results = [ReferenceResult(row, count_params(row.config)) for row in load_reference_rows()]
     mismatches = [res for res in results if not res.matches]
     return results, mismatches

@@ -15,6 +15,8 @@ The environment variable ``TENBED_SEED`` overrides every other seed source.
 from __future__ import annotations
 
 import functools
+import hashlib
+import json
 import os
 import sys
 from dataclasses import fields, replace
@@ -23,12 +25,12 @@ from pathlib import Path
 import click
 import numpy as np
 
+from . import __version__
 from . import audit as audit_mod
 from . import checkpoint, gradients, synthetic, training
 from .errors import ConfigError, TenbedError, TrainingDivergedError
 from .layers import LayerConfig, MethodKind, MORPHOLOGICAL_KINDS, build, forward_batch, gather_batch
 from .layers import forward  # noqa: F401  (unused; perfbench/tracing.py wraps this name)
-from .manifest import RunManifest
 from .morphology import (
     STATS_HEADER,
     build_vocab_and_index,
@@ -135,6 +137,23 @@ def _float_cell(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def write_manifest(path, command: str, config: dict, seed: int, input_path) -> None:
+    """Write a run's record: enough to reproduce its output byte for byte.
+
+    It names the command, its resolved config, the seed, the SHA-256 of the
+    input file's raw bytes and ``tenbed.__version__``.  No timestamps, so a
+    rerun on the same input writes the same bytes.
+    """
+    digest = hashlib.sha256()
+    with open(input_path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
+            digest.update(chunk)
+    record = {"command": command, "config": config, "inputs": {str(input_path): digest.hexdigest()},
+              "seed": seed, "tool_version": __version__}
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
 def layer_config_from_mapping(values: dict, seed: int) -> LayerConfig:
     """The config that config-file keys or same-named CLI flags describe.
 
@@ -172,14 +191,31 @@ TRAIN_KEYS = frozenset(
 def _build_layer(values: dict, vocab_dir: str | None, seed: int):
     """The layer ``values`` describe, and each word's morpheme set or None.
 
-    The similarity task labels word pairs by the morphemes they share, so its
-    per-word morpheme sets and a morphological layer's vocab and index come
-    from one ``make_sharing_task`` draw; for other tasks the sets are None.
-    Other morphological layers read ``vocab_dir`` or draw ``make_morphology``.
+    ``vocab_dir`` sets every kind's vocab_size to its words; a morphological
+    kind also takes its order and, unless the config sets it, its morpheme
+    count, pad included.  The similarity task labels word pairs by the
+    morphemes they share, so its per-word morpheme sets and a morphological
+    layer's vocab and index come from one ``make_sharing_task`` draw; for
+    other tasks the sets are None.  Other morphological layers read
+    ``vocab_dir`` or draw ``make_morphology``; word2ket_rshare draws its
+    index from the seed either way.
     """
     config = layer_config_from_mapping(values, seed)
-    if vocab_dir is None:
-        config.validate()  # the synthetic draws below read its sizes
+    similarity = values.get("task") in SIMILARITY_TASKS
+    vocab = index = morph_sets = None
+    if vocab_dir is not None:
+        if similarity:
+            raise ConfigError(
+                "the similarity task labels pairs from a synthetic morphology; "
+                "it cannot train on --vocab-dir"
+            )
+        vocab, index = load_vocab_dir(vocab_dir)
+        config = replace(config, vocab_size=index.vocab_size)
+        if config.kind in MORPHOLOGICAL_KINDS:
+            M = config.morpheme_vocab_size
+            config = replace(config, order=index.order,
+                             morpheme_vocab_size=vocab.size if M is None else M)
+    config.validate()  # the synthetic draws below read its sizes
 
     def morphemes(error: str) -> int:
         count = config_value(values, "morphemes", default=0)
@@ -187,13 +223,7 @@ def _build_layer(values: dict, vocab_dir: str | None, seed: int):
             raise ConfigError(error)
         return count
 
-    vocab = index = morph_sets = None
-    if values.get("task") in SIMILARITY_TASKS:
-        if vocab_dir is not None:
-            raise ConfigError(
-                "the similarity task labels pairs from a synthetic morphology; "
-                "it cannot train on --vocab-dir"
-            )
+    if similarity:
         need = "similarity task needs a 'morphemes=' config entry"
         vocab, index, morph_sets = synthetic.make_sharing_task(
             config.vocab_size, morphemes(need), config.order, seed=seed
@@ -204,9 +234,6 @@ def _build_layer(values: dict, vocab_dir: str | None, seed: int):
         if config.morpheme_vocab_size is None:
             m = morphemes("word2ket_rshare needs morpheme_vocab_size or morphemes=")
             config = replace(config, morpheme_vocab_size=m + 1)
-    elif config.kind in MORPHOLOGICAL_KINDS and vocab_dir is not None:
-        vocab, index = load_vocab_dir(vocab_dir)
-        config = replace(config, vocab_size=index.vocab_size, order=index.order)
     elif config.kind in MORPHOLOGICAL_KINDS and index is None:
         need = f"{config.kind.value} needs either --vocab-dir or a 'morphemes=' config entry"
         vocab, index = synthetic.make_morphology(
@@ -216,7 +243,7 @@ def _build_layer(values: dict, vocab_dir: str | None, seed: int):
 
 
 @click.group()
-@click.version_option(package_name="tenbed")
+@click.version_option(version=__version__)
 def main():
     """Compressed embedding layers: build vocabularies, audit, train, export."""
 
@@ -257,13 +284,8 @@ def cmd_build_vocab(seg_file, order, out_dir, use_random_seg, seed):
         for row in morpheme_stats(segs, caps):
             fh.write(row.as_tsv() + "\n")
 
-    manifest = RunManifest(
-        command="build-vocab",
-        config={"order": order, "use_random_seg": use_random_seg},
-        seed=seed_value,
-    )
-    manifest.add_input(seg_file)
-    manifest.write(out / "manifest.json")
+    write_manifest(out / "manifest.json", "build-vocab",
+                   {"order": order, "use_random_seg": use_random_seg}, seed_value, seg_file)
     click.echo(
         f"wrote {vocab.size} morphemes (pad included), {index.vocab_size} words -> {out}",
         err=True,
@@ -322,7 +344,7 @@ def _audit_reference_tables():
                 [
                     row.group,
                     row.dataset,
-                    row.method,
+                    row.config.kind.value,
                     row.level,
                     str(res.audit.trainable),
                     str(res.audit.constant),
@@ -433,13 +455,8 @@ def cmd_train(config_path, out_dir, vocab_dir, seed):
         for epoch, loss in enumerate(history):
             fh.write(f"{epoch},{_float_cell(loss)}\n")
     checkpoint.save_layer(layer, out / "checkpoint.bin")
-    manifest = RunManifest(
-        command="train",
-        config={**values, "resolved_seed": seed_value},
-        seed=seed_value,
-    )
-    manifest.add_input(config_path)
-    manifest.write(out / "manifest.json")
+    write_manifest(out / "manifest.json", "train", {**values, "resolved_seed": seed_value},
+                   seed_value, config_path)
     summary = f"final loss {history[-1]:.6g} after {len(history)} epochs"
     if n_pairs:
         summary += f"; eval accuracy {training.eval_similarity(layer, pairs_eval):.4f}"
@@ -458,13 +475,8 @@ def cmd_export(config_path, out_path, vocab_dir, seed):
     seed_value = resolve_seed(seed, values)
     layer, _ = _build_layer(values, vocab_dir, seed_value)
     checkpoint.save_layer(layer, out_path)
-    manifest = RunManifest(
-        command="export",
-        config={**values, "resolved_seed": seed_value},
-        seed=seed_value,
-    )
-    manifest.add_input(config_path)
-    manifest.write(str(out_path) + ".manifest.json")
+    write_manifest(str(out_path) + ".manifest.json", "export",
+                   {**values, "resolved_seed": seed_value}, seed_value, config_path)
     click.echo(f"wrote {layer.trainable_param_count()} parameters -> {out_path}", err=True)
 
 

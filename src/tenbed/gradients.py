@@ -116,12 +116,12 @@ def backward_batch(
 ) -> list[np.ndarray]:
     """Add the gradient of ``sum_b <upstream[b], forward(layer, word_ids[b])>`` into ``into``.
 
-    ``into`` is a gradient dict of the params' shapes, ``upstream`` one
-    length-d row per word.  Every id is checked first; then words are taken
-    in chunks of ``config.chunk_words()`` and added in batch order, so
-    ``into`` ends as adding each word's ``backward`` in turn would leave it.
-    Returns the rows written, ``gather_batch``'s row-id array per block in
-    block order; a row may appear more than once.
+    ``into`` maps each param's name to a gradient of its shape, in any key
+    order; ``upstream`` is one length-d row per word.  Every id is checked
+    first; then words are taken in chunks of ``config.chunk_words()`` and
+    added in batch order, so ``into`` ends as adding each word's ``backward``
+    in turn would leave it.  Returns the rows written, ``gather_batch``'s
+    row-id array per block in block order; a row may appear more than once.
     """
     rows = gather_batch(layer, word_ids)
     B = len(rows[0])
@@ -135,8 +135,8 @@ def backward_batch(
         ([ids[lo : lo + step] for ids in rows], U[lo : lo + step]) for lo in range(0, B, step)
     ]
     for chunk, U in chunks:
-        for target, ids, g in zip(into.values(), chunk, _slot_grads(layer, chunk, U)):
-            _add_rows(target, ids, g)
+        for name, ids, g in zip(layer.params, chunk, _slot_grads(layer, chunk, U)):
+            _add_rows(into[name], ids, g)
     return rows
 
 

@@ -49,7 +49,7 @@ def test_criterion_1_reference_table_audit():
 
     # spot values: the two-dictionary morpheme config, the chained-core
     # config, and the retrieval-task morpheme config
-    by_key = {(r.row.group, r.row.dataset, r.row.method, r.row.level): r for r in results}
+    by_key = {(r.row.group, r.row.dataset, r.row.config.kind.value, r.row.level): r for r in results}
     assert by_key[("summary", "de_en", "morphte", "21x")].audit.total == 368_832
     assert by_key[("trans1", "de_en_src", "tensor_train", "20x")].audit.total == 196_656
     assert by_key[("nli2", "wikiqa", "morphte", "main")].audit.total == 78_215
@@ -72,8 +72,7 @@ def test_criterion_2_built_layer_counts_match_audit():
         for _ in range(30):
             cfg, vocab, index = random_config_and_context(kind, rng)
             layer = build(cfg, vocab=vocab, index=index)
-            M = layer.vocab.size if layer.vocab is not None else cfg.morpheme_vocab_size
-            audited = count_params(layer.config, morpheme_vocab_size=M)
+            audited = count_params(layer.config)
             assert layer.trainable_param_count() == audited.trainable, (kind, cfg)
             checked += 1
     elapsed = time.monotonic() - start

@@ -29,9 +29,10 @@ def test_original_ratio_is_exactly_one():
 
 def test_morphte_de_en_counts():
     cfg = LayerConfig(
-        MethodKind.MORPHTE, vocab_size=15480, embed_dim=512, order=3, rank=7, subdim=8
+        MethodKind.MORPHTE, vocab_size=15480, embed_dim=512, order=3, rank=7, subdim=8,
+        morpheme_vocab_size=5757,
     )
-    row = count_params(cfg, morpheme_vocab_size=5757)
+    row = count_params(cfg)
     assert row.trainable == 322_392
     assert row.constant == 46_440
     assert row.total == 368_832
@@ -57,8 +58,9 @@ def test_tensor_train_de_source_count():
 
 
 def test_wikiqa_morphte_count():
-    cfg = LayerConfig(MethodKind.MORPHTE, vocab_size=12333, embed_dim=512, order=3, rank=1, subdim=8)
-    row = count_params(cfg, morpheme_vocab_size=5152)
+    cfg = LayerConfig(MethodKind.MORPHTE, vocab_size=12333, embed_dim=512, order=3, rank=1, subdim=8,
+                      morpheme_vocab_size=5152)
+    row = count_params(cfg)
     assert row.trainable == 41_216
     assert row.total == 78_215
 
@@ -82,8 +84,9 @@ def test_en_ru_word2ketxs_count():
 
 
 def test_morphsum_and_morphlstm_formulas():
-    cfg = LayerConfig(MethodKind.MORPHSUM, vocab_size=100, embed_dim=16, order=3)
-    row = count_params(cfg, morpheme_vocab_size=40)
+    cfg = LayerConfig(MethodKind.MORPHSUM, vocab_size=100, embed_dim=16, order=3,
+                      morpheme_vocab_size=40)
+    row = count_params(cfg)
     assert row.trainable == (100 + 40) * 16 and row.constant == 0
     lstm = count_params_morphlstm(100, 16, 40)
     assert lstm.trainable == 40 * 16 + 8 * 16 * 16
@@ -131,8 +134,7 @@ def test_built_layers_match_closed_form_counts():
         for _ in range(12):
             cfg, vocab, index = random_config_and_context(kind, rng)
             layer = build(cfg, vocab=vocab, index=index)
-            M = layer.vocab.size if layer.vocab is not None else cfg.morpheme_vocab_size
-            audited = count_params(layer.config, morpheme_vocab_size=M)
+            audited = count_params(layer.config)
             assert layer.trainable_param_count() == audited.trainable, (kind, cfg)
 
 
@@ -146,8 +148,8 @@ def test_every_reference_config_builds_to_audited_count():
         cfg = ref.config
         vocab = index = None
         if cfg.kind is MethodKind.MORPHTE:
-            vocab = MorphemeVocab([f"m{i}" for i in range(ref.morpheme_vocab_size - 1)])
+            vocab = MorphemeVocab([f"m{i}" for i in range(cfg.morpheme_vocab_size - 1)])
             index = build_rshare_index(cfg.vocab_size, vocab.size, cfg.order, seed=1)
         layer = build(cfg, vocab=vocab, index=index)
-        audited = count_params(cfg, morpheme_vocab_size=ref.morpheme_vocab_size)
+        audited = count_params(cfg)
         assert layer.trainable_param_count() == audited.trainable, ref

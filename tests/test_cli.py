@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import struct
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import tenbed
 from tenbed.cli import main
 from tenbed.checkpoint import load_layer, save_layer
 from tenbed.layers import EmbeddingLayer, LayerConfig, build_rshare_index, forward
@@ -202,6 +204,38 @@ def test_train_deterministic_given_seed(runner, tmp_path):
     assert (o1 / "history.csv").read_bytes() == (o2 / "history.csv").read_bytes()
     assert (o1 / "checkpoint.bin").read_bytes() == (o2 / "checkpoint.bin").read_bytes()
 
+
+def test_manifests_hold_exactly_the_run_record(runner, tmp_path, monkeypatch):
+    """build-vocab, train and export each write the command, the resolved config,
+    the seed, the input's SHA-256 and tenbed.__version__, in sorted keys."""
+    monkeypatch.delenv("TENBED_SEED", raising=False)
+
+    def expect(path, command, config, seed, input_path):
+        digest = hashlib.sha256(input_path.read_bytes()).hexdigest()
+        record = {"command": command, "config": config, "inputs": {str(input_path): digest},
+                  "seed": seed, "tool_version": tenbed.__version__}
+        assert path.read_text(encoding="utf-8") == json.dumps(record, sort_keys=True, indent=2) + "\n"
+
+    seg = write_segs(tmp_path)
+    res = runner.invoke(main, ["build-vocab", str(seg), "-n", "2", "-o", str(tmp_path / "v")])
+    assert res.exit_code == 0, res.output
+    expect(tmp_path / "v" / "manifest.json", "build-vocab",
+           {"order": 2, "use_random_seg": False}, 0, seg)
+    cfg = make_train_config(tmp_path, method="original", epochs="1")
+    values = dict(line.split(" = ") for line in cfg.read_text(encoding="utf-8").splitlines())
+    res = runner.invoke(main, ["train", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                               "--seed", "11"])
+    assert res.exit_code == 0, res.output
+    expect(tmp_path / "run" / "manifest.json", "train", {**values, "resolved_seed": 11}, 11, cfg)
+    res = runner.invoke(main, ["export", "--config", str(cfg), "--out", str(tmp_path / "l.bin")])
+    assert res.exit_code == 0, res.output
+    expect(tmp_path / "l.bin.manifest.json", "export", {**values, "resolved_seed": 3}, 3, cfg)
+
+
+def test_version_prints_the_package_version(runner):
+    res = runner.invoke(main, ["--version"])
+    assert res.exit_code == 0, repr(res.exception)
+    assert res.output.split()[-1] == tenbed.__version__
 
 def test_train_similarity_task(runner, tmp_path):
     cfg = make_train_config(
@@ -442,6 +476,54 @@ def test_vocab_dir_keeps_config_morpheme_vocab_size(runner, tmp_path):
         assert res.exit_code == code, res.output
     assert "morpheme_vocab_size 5 != vocab size 9" in res.stderr
 
+
+VOCAB_DIR_KINDS = {
+    "original": {},
+    "matrix_factor": {},
+    "tensor_train": dict(vocab_factors="2,3,5", dim_factors="2,2,4"),
+    "word2ket": {},
+    "word2ketxs": dict(order="2", vocab_factors="5,6", dim_factors="4,4"),
+    "word2ket_rshare": dict(q="4"),
+}
+
+
+@pytest.mark.parametrize("method", VOCAB_DIR_KINDS)
+def test_every_kind_takes_its_vocab_size_from_the_vocab_dir(runner, tmp_path, monkeypatch,
+                                                             method):
+    """A 5-word vocab dir of order 2 sizes every kind; word2ket_rshare also takes its
+    order and morpheme count from it, and draws its own index from the seed."""
+    monkeypatch.delenv("TENBED_SEED", raising=False)
+    vocab_dir = tmp_path / "vocab"
+    seg = write_segs(tmp_path)
+    assert runner.invoke(main, ["build-vocab", str(seg), "-n", "2", "-o", str(vocab_dir)]).exit_code == 0
+    cfg = make_train_config(tmp_path, method=method, **VOCAB_DIR_KINDS[method])
+    ckpt = tmp_path / "l.bin"
+    res = runner.invoke(
+        main, ["export", "--config", str(cfg), "--out", str(ckpt), "--vocab-dir", str(vocab_dir)]
+    )
+    assert res.exit_code == 0, res.output + repr(res.exception)
+    config = load_layer(ckpt).config
+    assert config.vocab_size == 5
+    if method == "word2ket_rshare":
+        morphemes = len((vocab_dir / "morphemes.tsv").read_text(encoding="utf-8").splitlines())
+        assert (config.order, config.morpheme_vocab_size) == (2, morphemes)
+        index = build_rshare_index(5, morphemes, 2, seed=3)
+        np.testing.assert_array_equal(load_layer(ckpt).index.rows, index.rows)
+    else:
+        assert config.order == int(VOCAB_DIR_KINDS[method].get("order", 3))
+
+
+def test_vocab_dir_with_a_config_that_does_not_validate_exits_2(runner, tmp_path):
+    vocab_dir = tmp_path / "vocab"
+    seg = write_segs(tmp_path)
+    assert runner.invoke(main, ["build-vocab", str(seg), "-o", str(vocab_dir)]).exit_code == 0
+    cfg = make_train_config(tmp_path, method="tensor_train")
+    res = runner.invoke(
+        main, ["export", "--config", str(cfg), "--out", str(tmp_path / "l.bin"),
+               "--vocab-dir", str(vocab_dir)]
+    )
+    assert res.exit_code == 2, res.output + repr(res.exception)
+    assert "tensor_train requires vocab_factors and dim_factors" in res.stderr
 
 @pytest.mark.parametrize(
     "name, text, message",

@@ -402,3 +402,17 @@ def test_backward_batch_returns_the_rows_it_wrote():
         unwritten = np.ones(len(g), dtype=bool)
         unwritten[ids] = False
         assert not g[unwritten].any(), name
+
+
+def test_backward_batch_adds_by_name_whatever_the_key_order_of_into():
+    """An ``into`` built in sorted or reversed key order gets the bytes of one in params order."""
+    layer = build(LayerConfig(MethodKind.WORD2KETXS, 12, 6, order=2, rank=11,
+                              vocab_factors=(3, 4), dim_factors=(2, 3)))
+    U = np.random.default_rng(5).standard_normal((3, 6))
+    expected = {name: np.zeros_like(p) for name, p in layer.params.items()}
+    backward_batch(layer, [0, 5, 7], U, expected)
+    for names in (sorted(layer.params), list(reversed(layer.params))):
+        into = {name: np.zeros_like(layer.params[name]) for name in names}
+        backward_batch(layer, [0, 5, 7], U, into)
+        for name in layer.params:
+            assert into[name].tobytes() == expected[name].tobytes(), (names[0], name)
