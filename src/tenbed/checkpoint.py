@@ -14,8 +14,9 @@ Layout (all integers unsigned 64-bit little-endian):
     index   only if the meta says so: rows u64, cols u64, int64 LE data
 
 Parameters round-trip bit-exactly; arrays are written from their memory and
-read in place into their final arrays.  The loader checks every length
-against the bytes left in its input before it reads or allocates anything.
+read in place into their final arrays (a block into its slab of its table).
+The loader checks every length against the bytes left in its input before
+it reads or allocates anything, a config's blocks against the whole input.
 It rejects unknown versions, a meta, block or index that disagrees with the
 config (through ``build``'s own checks) and bytes after the last block.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import struct
 from dataclasses import fields
@@ -31,7 +33,7 @@ from dataclasses import fields
 import numpy as np
 
 from .errors import CheckpointError
-from .layers import EmbeddingLayer, LayerConfig, block_shapes, check_parts
+from .layers import EmbeddingLayer, LayerConfig, check_parts, table_shapes
 from .morphology import IndexMatrix, MorphemeVocab
 
 MAGIC = b"TENBEDCK"
@@ -63,9 +65,14 @@ class _Reader:
         need = count * dtype.itemsize
         if need > self.left:
             raise CheckpointError(f"truncated checkpoint: {what} is {need} bytes, {self.left} left")
-        self.left -= need
-        out = np.empty(count, dtype)
-        if self.fh.readinto(out) != need:
+        return self.read_into(np.empty(count, dtype), what)
+
+    def read_into(self, out: np.ndarray, what: str) -> np.ndarray:
+        """The next ``out.nbytes`` bytes, read in place into the C-contiguous ``out``."""
+        if out.nbytes > self.left:
+            return self.read(out.size, out.dtype, what)  # raises, naming the length
+        self.left -= out.nbytes
+        if self.fh.readinto(out) != out.nbytes:
             raise CheckpointError(f"checkpoint shrank while {what} was read")
         return out
 
@@ -74,12 +81,11 @@ class _Reader:
         (length,) = self.read(1, _U64, f"{what} length").tolist()
         return self.read(length, _BYTE, what).tobytes()
 
-    def matrix(self, what: str, shape: tuple[int, int], dtype: np.dtype) -> np.ndarray:
-        """A rows, cols header, checked against ``shape``, and the data."""
+    def shape(self, what: str, shape: tuple[int, int]) -> None:
+        """A matrix's rows, cols header, checked against ``shape``."""
         got = tuple(self.read(2, _U64, f"{what} shape").tolist())
         if got != shape:
             raise CheckpointError(f"{what} has shape {got}, the config implies {shape}")
-        return self.read(got[0] * got[1], dtype, what).reshape(got)
 
 
 def save_layer(layer: EmbeddingLayer, path) -> None:
@@ -141,27 +147,36 @@ def parse_layer(fh, size: int) -> EmbeddingLayer:
     try:
         config = LayerConfig(**{f.name: meta[f.name] for f in _CONFIG_FIELDS})
         config.validate()
-        shapes = block_shapes(config)
+        tables = table_shapes(config)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
-    if meta["blocks"] != [name for name, _ in shapes]:
+    # sized from the tables: a rank of 10**12 is refused before its blocks are listed
+    data = sum(math.prod(shape) for _, shape in tables) * _F64.itemsize
+    if data > size:
+        raise CheckpointError(f"truncated checkpoint: the config's blocks are {data} bytes, "
+                              f"the whole checkpoint {size}")
+    names = [block.name for block in config.layout.blocks]
+    if meta["blocks"] != names:
         raise CheckpointError(
-            f"blocks {meta['blocks']} do not match {config.kind.value}'s "
-            f"{[name for name, _ in shapes]}"
+            f"blocks {meta['blocks']} do not match {config.kind.value}'s {names}"
         )
+    # each block is read in place into its slab of its table
+    tables = {name: np.empty(shape, _F64) for name, shape in tables}
     params: dict[str, np.ndarray] = {}
-    for expected_name, shape in shapes:
+    for block in config.layout.blocks:
         name = reader.chunk("block name").decode("utf-8", "replace")
-        if name != expected_name:
-            raise CheckpointError(f"block order mismatch: {name!r} vs {expected_name!r}")
-        block = reader.matrix(f"block {name!r}", shape, _F64)
-        if not np.all(np.isfinite(block)):
+        if name != block.name:
+            raise CheckpointError(f"block order mismatch: {name!r} vs {block.name!r}")
+        reader.shape(f"block {name!r}", block.shape)
+        params[name] = reader.read_into(tables[block.table][block.slab], f"block {name!r}")
+        if not np.isfinite(params[name]).all():  # the method: np.all's wrapper costs a few us
             raise CheckpointError(f"block {name!r} contains non-finite values")
-        params[name] = block
 
     index = vocab = None
     if meta["has_index"]:
-        ids = reader.matrix("index", (config.vocab_size, config.order), _I64)
+        reader.shape("index", (config.vocab_size, config.order))
+        ids = reader.read(config.vocab_size * config.order, _I64, "index")
+        ids = ids.reshape(config.vocab_size, config.order)
     try:
         if meta["has_index"]:
             index = IndexMatrix(ids, meta["words"] or [f"w{j}" for j in range(len(ids))])

@@ -32,7 +32,9 @@ from .errors import ConfigError, TenbedError, TrainingDivergedError
 from .layers import LayerConfig, MethodKind, MORPHOLOGICAL_KINDS, build, forward_batch, gather_batch
 from .layers import forward  # noqa: F401  (unused; perfbench/tracing.py wraps this name)
 from .morphology import (
+    INDEX_FILE,
     STATS_HEADER,
+    VOCAB_FILE,
     build_vocab_and_index,
     load_segmentations,
     load_vocab_dir,
@@ -137,21 +139,31 @@ def _float_cell(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def write_manifest(path, command: str, config: dict, seed: int, input_path) -> None:
+def write_manifest(path, command: str, config: dict, seed: int, inputs: list) -> None:
     """Write a run's record: enough to reproduce its output byte for byte.
 
-    It names the command, its resolved config, the seed, the SHA-256 of the
+    It names the command, its resolved config, the seed, the SHA-256 of each
     input file's raw bytes and ``tenbed.__version__``.  No timestamps, so a
-    rerun on the same input writes the same bytes.
+    rerun on the same inputs writes the same bytes.
     """
-    digest = hashlib.sha256()
-    with open(input_path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 16), b""):
-            digest.update(chunk)
-    record = {"command": command, "config": config, "inputs": {str(input_path): digest.hexdigest()},
-              "seed": seed, "tool_version": __version__}
+    hashes = {}
+    for input_path in inputs:
+        digest = hashlib.sha256()
+        with open(input_path, "rb") as fh:
+            for chunk in iter(lambda: fh.read(1 << 16), b""):
+                digest.update(chunk)
+        hashes[str(input_path)] = digest.hexdigest()
+    record = {"command": command, "config": config, "inputs": hashes, "seed": seed,
+              "tool_version": __version__}
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+
+
+def _inputs(config_path, vocab_dir) -> list:
+    """The files a train or export run reads: its config, and the vocab dir's two files."""
+    if vocab_dir is None:
+        return [config_path]
+    return [config_path, Path(vocab_dir) / INDEX_FILE, Path(vocab_dir) / VOCAB_FILE]
 
 
 def layer_config_from_mapping(values: dict, seed: int) -> LayerConfig:
@@ -285,7 +297,7 @@ def cmd_build_vocab(seg_file, order, out_dir, use_random_seg, seed):
             fh.write(row.as_tsv() + "\n")
 
     write_manifest(out / "manifest.json", "build-vocab",
-                   {"order": order, "use_random_seg": use_random_seg}, seed_value, seg_file)
+                   {"order": order, "use_random_seg": use_random_seg}, seed_value, [seg_file])
     click.echo(
         f"wrote {vocab.size} morphemes (pad included), {index.vocab_size} words -> {out}",
         err=True,
@@ -456,7 +468,7 @@ def cmd_train(config_path, out_dir, vocab_dir, seed):
             fh.write(f"{epoch},{_float_cell(loss)}\n")
     checkpoint.save_layer(layer, out / "checkpoint.bin")
     write_manifest(out / "manifest.json", "train", {**values, "resolved_seed": seed_value},
-                   seed_value, config_path)
+                   seed_value, _inputs(config_path, vocab_dir))
     summary = f"final loss {history[-1]:.6g} after {len(history)} epochs"
     if n_pairs:
         summary += f"; eval accuracy {training.eval_similarity(layer, pairs_eval):.4f}"
@@ -476,7 +488,8 @@ def cmd_export(config_path, out_path, vocab_dir, seed):
     layer, _ = _build_layer(values, vocab_dir, seed_value)
     checkpoint.save_layer(layer, out_path)
     write_manifest(str(out_path) + ".manifest.json", "export",
-                   {**values, "resolved_seed": seed_value}, seed_value, config_path)
+                   {**values, "resolved_seed": seed_value}, seed_value,
+                   _inputs(config_path, vocab_dir))
     click.echo(f"wrote {layer.trainable_param_count()} parameters -> {out_path}", err=True)
 
 

@@ -4,12 +4,12 @@ Each forward map is a shallow fixed-shape multilinear expression, so the
 adjoints are written out instead of built as a general autodiff graph.
 ``backward_batch`` takes a batch of word ids and one upstream row per word,
 in chunks of ``LayerConfig.chunk_words``.  ``_slot_grads``, the adjoint of
-``layers._combine``, gives each block's slot gradients: a sum kind writes
+``layers._combine``, gives each table's slot gradients: a sum kind writes
 each factor's gradient into its view of the buffers ``LayerConfig.layout``
-gives, so the block buffers hold them; matrix_factor and tensor_train have
-their own.  ``_add_rows`` adds them into a caller's gradient dict in batch
-order.  Truncation to the embedding dimension is adjointed by zero-padding
-the upstream.  A word that reads one row in several slots (repeated
+gives, so the table buffers hold them; matrix_factor and tensor_train have
+their own.  ``_add_rows`` adds them into a caller's gradient dict, keyed by
+table, in batch order, one scatter per table.  Truncation to the embedding
+dimension is adjointed by zero-padding the upstream.  A word that reads one row in several slots (repeated
 morphemes) has its slot gradients summed first and the sum added once, the
 correct total derivative.  ``backward`` and ``touched_rows`` are the same
 for a batch of one word.
@@ -77,17 +77,21 @@ def _rank_sum_grads(factors: list[np.ndarray], U_full: np.ndarray) -> list[np.nd
 
 
 def _add_rows(target: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
-    """Add ``grads[b, s]`` into ``target[rows[b, s]]``, word by word in batch order.
+    """Add ``grads[i, b, s]`` into row ``rows[b, s]`` of block i of a table, word by
+    word in batch order.
 
-    A word that reads some row in several slots gets, in every row it reads,
-    the sum of its slot gradients taken in slot order from zero, added once:
-    ``target + (0 + g1 + g2)``.  Any other word adds its slot gradients as
-    they are.  A C-contiguous target is scattered into by element index
-    (``row * cols + col``), which adds the same elements in the same order as
-    adding whole rows, on numpy's fast one-dimensional ``add.at`` path.
+    ``target`` is the table's gradient, of its ``(count, rows, cols)`` shape or
+    its ``(count * rows, cols)`` rows; every block of a table reads the same
+    rows.  A word that reads some row in several slots gets, in every row it
+    reads, the sum of its slot gradients taken in slot order from zero, added
+    once: ``target + (0 + g1 + g2)``.  Any other word adds its slot gradients
+    as they are.  A C-contiguous target is scattered into by element index
+    (``(i * rows + row) * cols + col``), which adds the same elements in the
+    same order as adding whole rows, on numpy's fast one-dimensional
+    ``add.at`` path.
     """
     if rows.shape[1] == 1:  # one slot: no word reads a row twice
-        rows, grads = rows[:, 0], grads[:, 0]
+        rows, grads = rows[:, 0], grads[:, :, 0]
     else:
         # first[b, s]: the first slot of word b that reads row rows[b, s]
         first = (rows[:, :, None] == rows[:, None, :]).argmax(axis=2)
@@ -95,17 +99,19 @@ def _add_rows(target: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
         repeats = np.flatnonzero(later.any(axis=1))
         if len(repeats):
             sums = grads.copy()
-            sums[repeats] = 0.0
+            sums[:, repeats] = 0.0
             for s in range(rows.shape[1]):
-                sums[repeats, first[repeats, s]] += grads[repeats, s]
+                sums[:, repeats, first[repeats, s]] += grads[:, repeats, s]
             grads = sums
-        rows, grads = rows[~later], grads[~later]
+        rows, grads = rows[~later], grads[:, ~later]
+    count, cols = len(grads), target.shape[-1]
+    target = target.reshape(count, -1, cols)  # a view: at most the leading axis is split
+    blocks = np.arange(count)[:, None]
     if not target.flags.c_contiguous:
-        np.add.at(target, rows, grads)
+        np.add.at(target, (blocks, rows), grads)
         return
-    cols = target.shape[1]
-    np.add.at(target.reshape(-1), (rows[:, None] * cols + np.arange(cols)).reshape(-1),
-              grads.reshape(-1))
+    at = (blocks * target.shape[1] + rows)[:, :, None] * cols + np.arange(cols)
+    np.add.at(target.reshape(-1), at.reshape(-1), grads.reshape(-1))
 
 
 def backward_batch(
@@ -116,43 +122,44 @@ def backward_batch(
 ) -> list[np.ndarray]:
     """Add the gradient of ``sum_b <upstream[b], forward(layer, word_ids[b])>`` into ``into``.
 
-    ``into`` maps each param's name to a gradient of its shape, in any key
-    order; ``upstream`` is one length-d row per word.  Every id is checked
-    first; then words are taken in chunks of ``config.chunk_words()`` and
-    added in batch order, so ``into`` ends as adding each word's ``backward``
-    in turn would leave it.  Returns the rows written, ``gather_batch``'s
-    row-id array per block in block order; a row may appear more than once.
+    ``into`` maps each table's name to a gradient of the table's shape or of
+    its ``(count * rows, cols)`` rows, in any key order; ``upstream`` is one
+    length-d row per word.  Every id is checked first; then words are taken
+    in chunks of ``config.chunk_words()`` and added in batch order, so
+    ``into`` ends as adding each word's ``backward`` in turn would leave it.
+    Returns the rows written per table, in table order: a ``(B, count *
+    slots)`` array of rows ``i * rows + k`` (row k of block i), each word's
+    block by block; a row may appear more than once.
     """
     rows = gather_batch(layer, word_ids)
     B = len(rows[0])
     U = np.ascontiguousarray(upstream, dtype=np.float64)
     if U.shape != (B, layer.config.embed_dim):
         raise ValueError(f"upstream must have shape {(B, layer.config.embed_dim)}, got {U.shape}")
-    if B == 0:
-        return rows
     step = layer.config.chunk_words()
-    chunks = [(rows, U)] if B <= step else [
+    chunks = [] if B == 0 else [(rows, U)] if B <= step else [
         ([ids[lo : lo + step] for ids in rows], U[lo : lo + step]) for lo in range(0, B, step)
     ]
     for chunk, U in chunks:
-        for name, ids, g in zip(layer.params, chunk, _slot_grads(layer, chunk, U)):
+        for name, ids, g in zip(layer.tables, chunk, _slot_grads(layer, chunk, U)):
             _add_rows(into[name], ids, g)
-    return rows
+    offsets = [t.shape[1] * np.arange(len(t))[:, None] for t in layer.tables.values()]
+    return [(ids[:, None] + o).reshape(B, o.size * ids.shape[1]) for ids, o in zip(rows, offsets)]
 
 
 def _slot_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray) -> list[np.ndarray]:
-    """Per block, every word's ``(B, slots, cols)`` slot gradients: the adjoint of
-    ``layers._combine`` on the row ids ``rows``, against the upstream rows ``U``."""
+    """Per table, every word's ``(count, B, slots, cols)`` slot gradients: the adjoint
+    of ``layers._combine`` on the row ids ``rows``, against the upstream rows ``U``."""
     cfg, B = layer.config, len(U)
     if cfg.kind is MethodKind.MATRIX_FACTOR:
-        left, right = layer.params.values()
+        left, right = (t[0] for t in layer.tables.values())
         left_rows = left[rows[0][:, 0]]
-        return [np.matmul(right, U[:, :, None]).reshape(B, 1, -1),
-                left_rows[:, :, None] * U[:, None, :]]
+        return [np.matmul(right, U[:, :, None]).reshape(1, B, 1, -1),
+                (left_rows[:, :, None] * U[:, None, :])[None]]
 
     if cfg.kind is MethodKind.TENSOR_TRAIN:
         df, n = cfg.dim_factors, cfg.order
-        r, cores = cfg.rank, list(layer.params.values())
+        r, cores = cfg.rank, [t[0] for t in layer.tables.values()]
         carries, last = _tt_chain(layer, rows)
         grads = [None] * n
         u_mat = _pad_upstream(U, math.prod(df)).reshape(B, -1, df[n - 1])
@@ -164,34 +171,35 @@ def _slot_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray) ->
             core = cores[k].reshape(len(cores[k]), r, -1).transpose(0, 2, 1)
             grad_carry = _by_core_row(grad_flat, core, rows[k][:, 0])
         grads[0] = grad_carry
-        return [g.reshape(B, 1, -1) for g in grads]
+        return [g.reshape(1, B, 1, -1) for g in grads]
 
-    # a sum kind: each factor's gradient goes into its view of its block's buffer
-    blocks, factors = cfg.layout.buffers(B)
+    # a sum kind: each factor's gradient goes into its view of its table's buffer
+    tables, factors = cfg.layout.buffers(B)
     U_full = _pad_upstream(U, cfg.product_length)
     if len(factors) == 1:  # a one-factor product's gradient is the padded upstream
         factors[0][...] = U_full[:, None]
     else:
         for f, g in zip(factors, _rank_sum_grads(_read_factors(layer, rows), U_full)):
             f[...] = g
-    return [g.transpose(1, 0, 2) for g in blocks]
+    return [g.transpose(0, 2, 1, 3) for g in tables]
 
 
 def backward(layer: EmbeddingLayer, word_id: int, upstream: np.ndarray) -> list[GradSlot]:
     """Gradient of ``<upstream, forward(layer, word_id)>`` per parameter block.
 
-    Returns one dense slot per block in the block order used at build time.
-    This is ``backward_batch`` on a batch of one, into a fresh zeroed dict.
+    Returns one dense slot per block in the block order used at build time,
+    each a view of its table's gradient.  This is ``backward_batch`` on a
+    batch of one, into fresh zeroed tables.
     """
-    grads = {n: np.zeros_like(p) for n, p in layer.params.items()}
+    grads = {name: np.zeros_like(t) for name, t in layer.tables.items()}
     backward_batch(layer, [word_id], np.asarray(upstream, dtype=np.float64)[None], grads)
-    return [GradSlot(name, grads[name]) for name in layer.params]
+    return [GradSlot(name, g) for name, g in layer.block_views(grads).items()]
 
 
 def touched_rows(layer: EmbeddingLayer, word_id: int) -> dict[str, list[int]]:
     """Rows of each parameter block that participate in one word's forward."""
-    rows = gather_batch(layer, [word_id])
-    return {name: np.unique(ids).tolist() for name, ids in zip(layer.params, rows)}
+    rows = dict(zip(layer.tables, gather_batch(layer, [word_id])))
+    return {b.name: np.unique(rows[b.table]).tolist() for b in layer.config.layout.blocks}
 
 
 @dataclass

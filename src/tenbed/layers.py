@@ -21,24 +21,27 @@ All parameters are float64 matrices initialised Xavier-uniform with bound
 ``sqrt(6 / (rows + cols))`` per block, drawn in block order from a generator
 seeded by the config, so identical configs rebuild bit-identical layers.
 
-An ``EmbeddingLayer`` is data: a config, its blocks and, for the
-morphological kinds, a vocab and an index.  ``LayerConfig.layout`` states
-each kind once: its blocks, the row a word reads in each, whether it reads a
-morpheme vocab and, for a kind that sums tensor products, where factor j of
-product i lives.  ``block_shapes``, ``build``, ``check_parts``,
-``gather_batch`` and the combines derive from it.  ``forward_batch`` embeds
-a batch through ``gather_batch`` and ``_combine``; ``forward`` is a batch of
-one.  Both only read the parameter blocks and are safe to call concurrently;
-mutating parameters (training) requires exclusive access.
+An ``EmbeddingLayer`` is data: a config, its tables, a view of its table
+per block and, for the morphological kinds, a vocab and an index.  A table
+stacks blocks of one shape that are read at the same rows: the r rank blocks
+of one factor, or a lone block.  ``LayerConfig.layout`` states each kind
+once: its tables, the row a word reads in each, whether it reads a morpheme
+vocab and, for a kind that sums tensor products, where factor j of product
+i lives.  ``block_shapes``, ``build``, ``check_parts``, ``gather_batch`` and
+the combines derive from it.  ``forward_batch`` embeds a batch through
+``gather_batch`` and ``_combine``, one read per table; ``forward`` is a
+batch of one.  Both only read the parameters and are safe to call
+concurrently; mutating parameters (training) requires exclusive access.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from functools import cached_property
-from typing import Callable, NamedTuple, Sequence
+from functools import cached_property, lru_cache
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -186,7 +189,7 @@ class LayerConfig:
         """Words combined at once: ``BATCH_FLOATS`` product floats, and at least one word."""
         return max(1, BATCH_FLOATS // self.product_length)
 
-    @cached_property  # read by every gather and combine; word2ketxs has r * n blocks
+    @cached_property  # read by every gather and combine
     def layout(self) -> Layout:
         return _layout(self)
 
@@ -196,87 +199,156 @@ class LayerConfig:
 ID, INDEX, ALL = "id", "index", "all"
 
 
-class Block(NamedTuple):
-    name: str
-    shape: tuple[int | None, int]  # rows are None for a morpheme table of unknown size
+class Table(NamedTuple):
+    """``count`` blocks of one shape, stacked: ``(count, rows, cols)``.  Every
+    block of a table reads alike, so a word reads the same rows in each."""
+
+    name: str  # where count > 1, "*" stands for the index of a block in its table
+    shape: tuple[int, int | None, int]  # rows are None for a morpheme table of unknown size
     read: str | int
 
 
-class Layout(NamedTuple):
-    """A kind's blocks in canonical (and serialisation) order, whether it reads a
-    morpheme vocab, and for a kind that sums products ``buffers(B)``: per block
-    the ``(slots, B, cols)`` array its rows are read into, and per factor j the
-    ``(B, products, len_j)`` view of factor j of every product, sharing memory.
+class Block(NamedTuple):
+    name: str
+    shape: tuple[int | None, int]
+    table: str  # the name of the table it is slab ``slab`` of
+    slab: int
+
+
+@dataclass(frozen=True)
+class Layout:
+    """A kind's tables, whether it reads a morpheme vocab, and for a kind that
+    sums products ``buffers(B)``: per table the ``(count, slots, B, cols)``
+    array its rows are read into, and per factor j the ``(B, products,
+    len_j)`` view of factor j of every product, sharing memory.
     """
 
-    blocks: tuple[Block, ...]
+    tables: tuple[Table, ...]
     vocab: bool = False
     buffers: Callable[[int], tuple[list[np.ndarray], list[np.ndarray]]] | None = None
 
+    @cached_property  # listed on first use: a checkpoint's config is sized from its tables first
+    def blocks(self) -> tuple[Block, ...]:
+        """In canonical (and serialisation) order: slab 0 of every table, then slab 1, ..."""
+        return tuple(Block(t.name.replace("*", str(i)), t.shape[1:], t.name, i)
+                     for i in range(max(t.shape[0] for t in self.tables))
+                     for t in self.tables if i < t.shape[0])
+
     @property
     def index(self) -> bool:
-        return any(b.read == INDEX for b in self.blocks)
+        return any(t.read == INDEX for t in self.tables)
 
 
+@lru_cache(maxsize=64)  # a layout is a function of its config: loads of one config share it
 def _layout(c: LayerConfig) -> Layout:
-    """Each kind's blocks, the row a word reads in each, and its factor placement."""
+    """Each kind's tables, the row a word reads in each, and its factor placement: the
+    r rank blocks of a factor are one table, every other block a table of its own."""
     kind, V, d, n, r, M = c.kind, c.vocab_size, c.embed_dim, c.order, c.rank, c.morpheme_vocab_size
     if kind is MethodKind.MATRIX_FACTOR:
-        return Layout((Block("factor_left", (V, r), ID), Block("factor_right", (r, d), ALL)))
+        return Layout((Table("factor_left", (1, V, r), ID), Table("factor_right", (1, r, d), ALL)))
     if kind is MethodKind.TENSOR_TRAIN:
         # a core row is an (r, d_k, r) slice, without the outer r at either end
         return Layout(tuple(
-            Block(f"tt_core_{k}", (v, (r if k > 0 else 1) * dk * (r if k < n - 1 else 1)), k)
+            Table(f"tt_core_{k}", (1, v, (r if k > 0 else 1) * dk * (r if k < n - 1 else 1)), k)
             for k, (v, dk) in enumerate(zip(c.vocab_factors, c.dim_factors))
         ))
     if kind is MethodKind.ORIGINAL:  # one product of one factor
-        return Layout((Block("weight", (V, d), ID),), buffers=lambda B: _stacked(B, d, [slice(1)]))
+        return Layout((Table("weight", (1, V, d), ID),),
+                      buffers=lambda B: _stacked(B, d, [slice(1)]))
     if kind is MethodKind.MORPHSUM:  # product 0 is the surface row, product 1 + s slot s
-        return Layout((Block("surface_embed", (V, d), ID), Block("morpheme_embed", (M, d), INDEX)),
-                      vocab=True, buffers=lambda B: _stacked(B, d, [slice(1), slice(1, n + 1)]))
-    if kind is MethodKind.WORD2KETXS:  # block i * n + j holds factor j of product i
+        return Layout((Table("surface_embed", (1, V, d), ID),
+                       Table("morpheme_embed", (1, M, d), INDEX)), vocab=True,
+                      buffers=lambda B: _stacked(B, d, [slice(1), slice(1, n + 1)]))
+    if kind is MethodKind.WORD2KETXS:  # table j holds factor j of every product i
         def xs_buffers(B):
-            js = [np.empty((r, B, df)) for df in c.dim_factors]
-            return [f[i, None] for i in range(r) for f in js], [f.transpose(1, 0, 2) for f in js]
-        return Layout(tuple(Block(f"xs_factor_{i}_{j}", (c.vocab_factors[j], c.dim_factors[j]), j)
-                            for i in range(r) for j in range(n)), buffers=xs_buffers)
+            js = [np.empty((r, 1, B, df)) for df in c.dim_factors]
+            return js, [f[:, 0].transpose(1, 0, 2) for f in js]
+        return Layout(tuple(Table(f"xs_factor_*_{j}", (r, v, df), j)
+                            for j, (v, df) in enumerate(zip(c.vocab_factors, c.dim_factors))),
+                      buffers=xs_buffers)
     q = c.effective_subdim()
     if kind is MethodKind.WORD2KET:  # the word's row holds its r * n vectors product-major
         def word_buffers(B):
-            row = np.empty((1, B, r * n * q))
-            return [row], list(row[0].reshape(B, r, n, q).transpose(2, 0, 1, 3))
-        return Layout((Block("word_factors", (V, r * n * q), ID),), buffers=word_buffers)
+            row = np.empty((1, 1, B, r * n * q))
+            return [row], list(row[0, 0].reshape(B, r, n, q).transpose(2, 0, 1, 3))
+        return Layout((Table("word_factors", (1, V, r * n * q), ID),), buffers=word_buffers)
 
     def morpheme_buffers(B):  # morphte, word2ket_rshare: block i is product i, slot j factor j
         rows = np.empty((r, n, B, q))
-        return list(rows), [rows[:, j].transpose(1, 0, 2) for j in range(n)]
-    return Layout(tuple(Block(f"morpheme_embed_{i}", (M, q), INDEX) for i in range(r)),
+        return [rows], [rows[:, j].transpose(1, 0, 2) for j in range(n)]
+    return Layout((Table("morpheme_embed_*", (r, M, q), INDEX),),
                   vocab=kind is MethodKind.MORPHTE, buffers=morpheme_buffers)
 
 
-def _stacked(B: int, d: int, blocks: list[slice]) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """One-factor products of length d, block k holding the products ``blocks[k]``."""
-    rows = np.empty((blocks[-1].stop, B, d))
-    return [rows[s] for s in blocks], [rows.transpose(1, 0, 2)]
+def _stacked(B: int, d: int, tables: list[slice]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """One-factor products of length d, table k (one block) holding the products ``tables[k]``."""
+    rows = np.empty((tables[-1].stop, B, d))
+    return [rows[None, s] for s in tables], [rows.transpose(1, 0, 2)]
+
+
+def table_shapes(config: LayerConfig) -> list[tuple[str, tuple[int, int, int]]]:
+    """Named parameter tables in table order: a few, whatever the rank."""
+    tables = config.layout.tables
+    if any(None in t.shape for t in tables):
+        raise ConfigError(f"{config.kind.value} requires morpheme_vocab_size")
+    return [(t.name, t.shape) for t in tables]
 
 
 def block_shapes(config: LayerConfig) -> list[tuple[str, tuple[int, int]]]:
     """Named parameter blocks in their canonical (and serialisation) order."""
-    blocks = config.layout.blocks
-    if any(None in b.shape for b in blocks):
-        raise ConfigError(f"{config.kind.value} requires morpheme_vocab_size")
-    return [(b.name, b.shape) for b in blocks]
+    table_shapes(config)
+    return [(b.name, b.shape) for b in config.layout.blocks]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EmbeddingLayer:
+    """``tables`` maps each table of ``config.layout`` to its ``(count, rows, cols)``
+    array, what forward, backward and the optimizer compute on; ``params`` maps
+    each block, in block order, to its view of its table.  Both are read-only, so
+    rebinding a block raises instead of leaving its table stale.  Separate blocks
+    are stacked once here; a block that is a table of its own, or blocks that are
+    already the slabs of one table, are not copied."""
+
     config: LayerConfig
-    params: dict[str, np.ndarray]
+    params: Mapping[str, np.ndarray]
     index: IndexMatrix | None = None
     vocab: MorphemeVocab | None = None
+    tables: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        blocks, slabs = self.config.layout.blocks, {}
+        if len(self.params) != len(blocks):  # and each block's name is looked up below
+            raise ValueError(f"{self.config.kind.value} has {len(blocks)} blocks, not {len(self.params)}")
+        for b in blocks:
+            slabs.setdefault(b.table, []).append(self.params[b.name])
+        tables = {t: _table(s) for t, s in slabs.items()}
+        object.__setattr__(self, "tables", MappingProxyType(tables))
+        object.__setattr__(self, "params", MappingProxyType({b.name: tables[b.table][b.slab]
+                                                             for b in blocks}))
+
+    def block_views(self, tables: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+        """Each block's view, in block order, of ``tables``: arrays of each table's shape
+        or of its ``(count * rows, cols)`` rows (row ``i * rows + k``: row k of block i)."""
+        shaped = {name: tables[name].reshape(t.shape) for name, t in self.tables.items()}
+        return {b.name: shaped[b.table][b.slab] for b in self.config.layout.blocks}
 
     def trainable_param_count(self) -> int:
         return sum(int(p.size) for p in self.params.values())
+
+
+def _table(slabs: list[np.ndarray]) -> np.ndarray:
+    """The ``(count, rows, cols)`` table of ``slabs``: a view of one block, the C-contiguous
+    table they already are the slabs of, or else one stacked copy."""
+    if len(slabs) == 1:
+        return slabs[0][None]
+    base = slabs[0].base
+    if isinstance(base, np.ndarray) and base.flags.c_contiguous and base.shape == (
+            len(slabs),) + slabs[0].shape and base.dtype == slabs[0].dtype:
+        at, step = base.__array_interface__["data"][0], base.strides[0]
+        if all(s.base is base and s.strides == base.strides[1:]
+               and s.__array_interface__["data"][0] == at + i * step for i, s in enumerate(slabs)):
+            return base
+    return np.stack(slabs)
 
 
 def build_rshare_index(
@@ -356,14 +428,14 @@ def build(
 
 
 def gather_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> list[np.ndarray]:
-    """The parameter rows a batch of words reads: one ``(B, slots)`` array per block.
+    """The parameter rows a batch of words reads: one ``(B, slots)`` array per table.
 
-    ``rows[k][b, s]`` is the row of block k (in block order) that word b
-    reads in its slot s, as the block's ``read`` in ``LayerConfig.layout``
-    says.  Every id is checked before any row is looked up.  A boolean is not
-    a word id.
+    ``rows[k][b, s]`` is the row that word b reads in its slot s of every
+    block of table k (in table order), as the table's ``read`` in
+    ``LayerConfig.layout`` says.  Every id is checked before any row is looked
+    up.  A boolean is not a word id.
     """
-    cfg, ids, V = layer.config, np.asarray(word_ids), layer.config.vocab_size
+    ids, V = np.asarray(word_ids), layer.config.vocab_size
     if ids.ndim != 1:
         raise ValueError(f"word ids must be a sequence, got shape {ids.shape}")
     if ids.dtype.kind not in "iu" or not isinstance(word_ids, np.ndarray):
@@ -378,31 +450,28 @@ def gather_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> list[np.ndar
     if bad:
         raise WordLookupError(f"word id {bad[0]} out of range [0, {V})")
     ids = ids.astype(np.intp, copy=False)
-    by_read = {}  # blocks that read alike share one array
-    for block in cfg.layout.blocks:
-        if block.read not in by_read:
-            by_read[block.read] = _row_ids(layer, ids, block)
-    return [by_read[block.read] for block in cfg.layout.blocks]
+    return [_row_ids(layer, ids, table) for table in layer.config.layout.tables]
 
 
-def _row_ids(layer: EmbeddingLayer, ids: np.ndarray, block: Block) -> np.ndarray:
-    """The ``(B, slots)`` rows of ``block`` that the words ``ids`` read."""
-    if block.read == ID:
+def _row_ids(layer: EmbeddingLayer, ids: np.ndarray, table: Table) -> np.ndarray:
+    """The ``(B, slots)`` rows of ``table``'s blocks that the words ``ids`` read."""
+    if table.read == ID:
         return ids[:, None]
-    if block.read == INDEX:  # in F order: the slot-major read takes its transpose in place
+    if table.read == INDEX:  # in F order: the slot-major read takes its transpose in place
         return np.ascontiguousarray(layer.index.rows[ids].T).T
-    if block.read == ALL:
-        return np.broadcast_to(np.arange(block.shape[0]), (len(ids), block.shape[0]))
+    if table.read == ALL:
+        return np.broadcast_to(np.arange(table.shape[1]), (len(ids), table.shape[1]))
     # C order: the most significant digit first
-    return np.unravel_index(ids, layer.config.vocab_factors)[block.read][:, None]
+    return np.unravel_index(ids, layer.config.vocab_factors)[table.read][:, None]
 
 
 def _read_factors(layer: EmbeddingLayer, rows: list[np.ndarray]) -> list[np.ndarray]:
     """Factor j of every product of a batch's words, one ``(B, products, len_j)`` view per j:
-    each block's rows read by one ``take`` into the buffers its layout gives."""
-    blocks, factors = layer.config.layout.buffers(len(rows[0]))
-    for p, ids, out in zip(layer.params.values(), rows, blocks):
-        p.take(ids.T, axis=0, out=out, mode="clip")  # np.take's wrapper costs 1-2 us a call
+    each table's rows, for all its blocks, read by one ``take`` into the buffers its layout
+    gives."""
+    tables, factors = layer.config.layout.buffers(len(rows[0]))
+    for t, ids, out in zip(layer.tables.values(), rows, tables):
+        t.take(ids.T, axis=1, out=out, mode="clip")  # np.take's wrapper costs 1-2 us a call
     return factors
 
 
@@ -425,7 +494,7 @@ def _tt_chain(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[list, np.n
     ``_by_core_row``.  Each word's carry is the lone 2-D product of its rows.
     """
     r, B = layer.config.rank, len(rows[0])
-    cores = list(layer.params.values())
+    cores = [t[0] for t in layer.tables.values()]
     carry = cores[0][rows[0][:, 0]].reshape(B, -1, r)
     carries = [carry]
     for core, ids in zip(cores[1:-1], rows[1:-1]):
@@ -483,7 +552,7 @@ def _combine(layer: EmbeddingLayer, rows: list[np.ndarray]) -> np.ndarray:
     if B == 0:
         return np.empty((0, d))
     if kind is MethodKind.MATRIX_FACTOR:
-        left, right = layer.params.values()
+        left, right = (t[0] for t in layer.tables.values())
         return np.matmul(left[rows[0]], right).reshape(B, d)
     if kind is MethodKind.TENSOR_TRAIN:
         carries, last = _tt_chain(layer, rows)

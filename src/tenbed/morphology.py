@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -28,8 +29,8 @@ import numpy as np
 from .errors import ConfigError, DuplicateWordError, SegmentationParseError, WordLookupError
 
 PAD_TOKEN = "<pad>"
-_VOCAB_FILE = "morphemes.tsv"
-_INDEX_FILE = "index.tsv"
+VOCAB_FILE = "morphemes.tsv"
+INDEX_FILE = "index.tsv"
 
 
 @dataclass(frozen=True)
@@ -95,8 +96,7 @@ class IndexMatrix:
         rows.setflags(write=False)  # shared read-only across layers/threads
         self._rows = rows
         self._words = tuple(words)
-        self._row_of_word = {w: i for i, w in enumerate(self._words)}
-        if len(self._row_of_word) != len(self._words):
+        if len(set(self._words)) != len(self._words):  # an unhashable word raises TypeError
             twice = next(w for w, count in Counter(self._words).items() if count > 1)
             raise DuplicateWordError(f"duplicate word {twice!r} in index")
 
@@ -115,6 +115,10 @@ class IndexMatrix:
     @property
     def words(self) -> tuple[str, ...]:
         return self._words
+
+    @cached_property  # only ``eval --words`` reads it: a checkpoint load does not build it
+    def _row_of_word(self) -> dict[str, int]:
+        return {w: i for i, w in enumerate(self._words)}
 
     def row_of_word(self, word: str) -> int:
         try:
@@ -166,10 +170,10 @@ def load_segmentations(path) -> list[Segmentation]:
 
 def write_vocab_dir(vocab: MorphemeVocab, index: IndexMatrix, out) -> None:
     """Write ``vocab`` and ``index`` as a vocab directory into existing ``out``."""
-    with open(Path(out) / _VOCAB_FILE, "w", encoding="utf-8") as fh:
+    with open(Path(out) / VOCAB_FILE, "w", encoding="utf-8") as fh:
         for i, tok in enumerate(vocab.tokens):
             fh.write(f"{tok}\t{i}\n")
-    with open(Path(out) / _INDEX_FILE, "w", encoding="utf-8") as fh:
+    with open(Path(out) / INDEX_FILE, "w", encoding="utf-8") as fh:
         for word, row in zip(index.words, index.rows):
             fh.write(word + "\t" + " ".join(str(int(i)) for i in row) + "\n")
 
@@ -210,7 +214,7 @@ def load_vocab_dir(directory) -> tuple[MorphemeVocab, IndexMatrix]:
 
     Malformed content raises ``ConfigError``; a missing file raises ``OSError``.
     """
-    path = Path(directory) / _VOCAB_FILE
+    path = Path(directory) / VOCAB_FILE
     tokens = sorted((i, tok) for tok, i in _read_pairs(path, "morpheme<TAB>id", int))
     ordered = [tok for _, tok in tokens]
     if not ordered or ordered[-1] != PAD_TOKEN:
@@ -222,7 +226,7 @@ def load_vocab_dir(directory) -> tuple[MorphemeVocab, IndexMatrix]:
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    path = Path(directory) / _INDEX_FILE
+    path = Path(directory) / INDEX_FILE
     pairs = _read_pairs(path, "word<TAB>ids", lambda ids: [_parse_id(x) for x in ids.split()])
     if not pairs:
         raise ConfigError(f"{path}: empty index")

@@ -61,7 +61,8 @@ class TrainTask:
 
 @dataclass
 class OptimizerState:
-    """Plain SGD or bias-corrected adaptive moments, keyed by block name.
+    """Plain SGD or bias-corrected adaptive moments, keyed by block name (``train``
+    steps each table of a layer as one block: its ``(count * rows, cols)`` rows).
 
     Per block it also keeps the gradient buffer ``train`` sums a batch into
     (``grads``, all zero between batches) and which rows some step has
@@ -249,7 +250,9 @@ def train(
     )
     pairs = np.asarray(task.pairs) if task.kind == "word_similarity" else None
     rng = np.random.default_rng(seed)
-    grads = opt.gradient_buffer(layer.params)
+    # each table as (count * rows, cols): row i * rows + k is row k of block i
+    tables = {name: t.reshape(-1, t.shape[-1]) for name, t in layer.tables.items()}
+    grads = opt.gradient_buffer(tables)
     history: list[float] = []
     for epoch in range(epochs):
         order = rng.permutation(n_examples)
@@ -268,7 +271,7 @@ def train(
                 raise TrainingDivergedError(epoch, batch_loss, batch=k)
             try:
                 written = backward_batch(layer, words, upstreams, grads)
-                opt.apply(layer.params, grads, scale=1.0 / len(batch),
+                opt.apply(tables, grads, scale=1.0 / len(batch),
                           rows=dict(zip(grads, written)))
             except BaseException:
                 opt.grads.clear()  # a buffer left part-summed is not zero: allocate afresh

@@ -1,6 +1,7 @@
 import io
 import json
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -113,6 +114,16 @@ def test_rejects_meta_that_disagrees_with_blocks(changes, message):
         loads_layer(with_meta(data, **changes))
 
 
+@pytest.mark.parametrize("kind", ["morphte", "word2ketxs"])
+def test_a_huge_rank_is_refused_before_its_blocks_are_listed(kind):
+    """A meta whose rank implies 10**12 blocks is refused at once, in bounded memory."""
+    data = roundtrip_bytes(random_layer(kind, np.random.default_rng(stable_seed("rank", kind))))
+    start = time.perf_counter()
+    with pytest.raises(CheckpointError, match="truncated checkpoint: the config's blocks are"):
+        loads_layer(with_meta(data, rank=10**12))
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize(
     "kind, field, bad",
     [
@@ -179,16 +190,25 @@ def test_rejects_index_ids_outside_the_morpheme_table(morpheme_id):
         ("word2ket_rshare", lambda layer: {"has_index": False}),
         ("morphte", lambda layer: {"words": list(layer.index.words[:-1])}),
         ("morphte", lambda layer: {"words": [layer.index.words[0]] * layer.config.vocab_size}),
+        ("morphte", lambda layer: {"words": [[w] for w in layer.index.words]}),
         ("morphte", lambda layer: {"morphemes": list(layer.vocab.tokens[:1])}),
         ("morphte", lambda layer: {"morphemes": None}),
     ],
     ids=["morphte-no-index", "rshare-no-index", "words-short", "words-repeated",
-         "one-morpheme", "morphemes-null"],
+         "words-unhashable", "one-morpheme", "morphemes-null"],
 )
 def test_rejects_index_or_vocab_that_build_would_refuse(kind, changes):
     layer = random_layer(kind, np.random.default_rng(stable_seed("parts", kind)))
     with pytest.raises(CheckpointError):
         loads_layer(with_meta(roundtrip_bytes(layer), **changes(layer)))
+
+
+@pytest.mark.parametrize("kind", ["morphte", "morphsum", "word2ket_rshare"])
+def test_a_loaded_index_finds_every_word(kind):
+    layer = random_layer(kind, np.random.default_rng(stable_seed("row-of-word", kind)))
+    loaded = loads_layer(roundtrip_bytes(layer))
+    assert [loaded.index.row_of_word(w) for w in loaded.index.words] == list(
+        range(layer.config.vocab_size))
 
 
 @pytest.mark.parametrize("kind", ["original", "morphte"])

@@ -232,6 +232,29 @@ def test_manifests_hold_exactly_the_run_record(runner, tmp_path, monkeypatch):
     expect(tmp_path / "l.bin.manifest.json", "export", {**values, "resolved_seed": 3}, 3, cfg)
 
 
+def test_manifests_name_the_vocab_dir_they_read(runner, tmp_path, monkeypatch):
+    """With --vocab-dir, train and export also hash index.tsv and morphemes.tsv, so
+    one vocab dir rewritten with one morpheme changed gives another manifest."""
+    monkeypatch.delenv("TENBED_SEED", raising=False)
+    cfg = make_train_config(tmp_path, vocab_size="5", epochs="1")
+    vocab_dir = tmp_path / "vocab"
+    manifests = []
+    for text in (SEG_TEXT, SEG_TEXT.replace("un kind ness", "un kind nes")):
+        seg = write_segs(tmp_path, text)
+        assert runner.invoke(main, ["build-vocab", str(seg), "-o", str(vocab_dir)]).exit_code == 0
+        runs = (("train", tmp_path / "run", tmp_path / "run" / "manifest.json"),
+                ("export", tmp_path / "l.bin", tmp_path / "l.bin.manifest.json"))
+        for command, out, manifest in runs:
+            res = runner.invoke(main, [command, "--config", str(cfg), "--out", str(out),
+                                       "--vocab-dir", str(vocab_dir)])
+            assert res.exit_code == 0, res.output + repr(res.exception)
+            inputs = json.loads(manifest.read_text(encoding="utf-8"))["inputs"]
+            assert inputs == {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in
+                              (cfg, vocab_dir / "index.tsv", vocab_dir / "morphemes.tsv")}
+            manifests.append(manifest.read_bytes())
+    assert manifests[0] != manifests[2] and manifests[1] != manifests[3]
+
+
 def test_version_prints_the_package_version(runner):
     res = runner.invoke(main, ["--version"])
     assert res.exit_code == 0, repr(res.exception)

@@ -148,9 +148,10 @@ def _multi_call_hash(kind) -> str:
         task = TrainTask("word_similarity", pairs=pairs)
         history = train(layer, task, opt, epochs=2, batch_size=2, seed=call)
         h.update(np.array(history).tobytes())
+        moments_m, moments_v = layer.block_views(opt.moments_m), layer.block_views(opt.moments_v)
         for name, p in layer.params.items():
             h.update(name.encode())
-            for array in (p, opt.moments_m[name], opt.moments_v[name]):
+            for array in (p, moments_m[name], moments_v[name]):
                 h.update(array.tobytes())
     return h.hexdigest()
 
@@ -178,10 +179,10 @@ def _layer_hash(kind) -> str:
             for slot in backward(layer, w, rng.standard_normal(d)):
                 h.update(slot.param_name.encode())
                 h.update(slot.grad.tobytes())
-        grads = {name: np.zeros_like(p) for name, p in layer.params.items()}
+        grads = {name: np.zeros_like(t) for name, t in layer.tables.items()}
         for w in batch:
             backward_batch(layer, [w], rng.standard_normal(d)[None], grads)
-        for name, g in grads.items():
+        for name, g in layer.block_views(grads).items():
             h.update(name.encode())
             h.update(g.tobytes())
         h.update(json.dumps([touched_rows(layer, w) for w in range(V)]).encode())

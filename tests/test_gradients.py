@@ -249,11 +249,12 @@ def test_backward_into_a_batch_buffer_equals_summed_dense_backwards(kind):
         words = rng.integers(0, V, size=2 * V)  # every batch revisits words
         upstreams = rng.standard_normal((len(words), d))
         dense = {name: np.zeros_like(p) for name, p in layer.params.items()}
-        into = {name: np.zeros_like(p) for name, p in layer.params.items()}
+        into = {name: np.zeros_like(t) for name, t in layer.tables.items()}
         for word_id, u in zip(words.tolist(), upstreams):
             for slot in backward(layer, word_id, u):
                 dense[slot.param_name] += slot.grad
             backward_batch(layer, [word_id], u[None], into)
+        into = layer.block_views(into)
         for name in layer.params:
             assert dense[name].tobytes() == into[name].tobytes(), (kind, name)
     if kind.value in ("morphte", "morphsum", "word2ket_rshare"):
@@ -285,15 +286,15 @@ def test_backward_batch_equals_word_by_word_backward(kind):
         V, d = layer.config.vocab_size, layer.config.embed_dim
         words = rng.integers(0, V, size=3 * V)
         upstreams = rng.standard_normal((len(words), d))
-        batched = {name: np.zeros_like(p) for name, p in layer.params.items()}
+        batched = {name: np.zeros_like(t) for name, t in layer.tables.items()}
         backward_batch(layer, words, upstreams, batched)
-        word_by_word = {name: np.zeros_like(p) for name, p in layer.params.items()}
+        word_by_word = {name: np.zeros_like(t) for name, t in layer.tables.items()}
         for word_id, u in zip(words.tolist(), upstreams):
             backward_batch(layer, [word_id], u[None], word_by_word)
         rows = forward_batch(layer, words)
         for word_id, row in zip(words.tolist(), rows):
             assert row.tobytes() == forward(layer, word_id).tobytes(), (layer.config, word_id)
-        for name in layer.params:
+        for name in layer.tables:
             assert batched[name].tobytes() == word_by_word[name].tobytes(), (layer.config, name)
 
 
@@ -309,7 +310,7 @@ def test_chunked_batches_give_the_bytes_of_one_chunk(kind, monkeypatch):
         upstreams = rng.standard_normal((10, layer.config.embed_dim))
 
         def run():
-            grads = {name: np.zeros_like(p) for name, p in layer.params.items()}
+            grads = {name: np.zeros_like(t) for name, t in layer.tables.items()}
             backward_batch(layer, words, upstreams, grads)
             return forward_batch(layer, words).tobytes(), [g.tobytes() for g in grads.values()]
 
@@ -382,12 +383,12 @@ def test_flat_index_scatter_gives_the_bytes_of_a_2d_add_at():
         reference = start.copy()
         _add_rows_reference(reference, rows, grads)
         flat = start.copy()
-        _add_rows(flat, rows, grads)
+        _add_rows(flat, rows, grads[None])  # a table of one block
         assert flat.tobytes() == reference.tobytes(), name
         # a strided target takes the 2-D path, to the same bytes
         strided = np.repeat(start, 2, axis=1)[:, ::2]
         assert not strided.flags.c_contiguous
-        _add_rows(strided, rows, grads)
+        _add_rows(strided, rows, grads[None])
         assert strided.tobytes() == reference.tobytes(), name
 
 
@@ -405,14 +406,14 @@ def test_backward_batch_returns_the_rows_it_wrote():
 
 
 def test_backward_batch_adds_by_name_whatever_the_key_order_of_into():
-    """An ``into`` built in sorted or reversed key order gets the bytes of one in params order."""
+    """An ``into`` built in sorted or reversed key order gets the bytes of one in table order."""
     layer = build(LayerConfig(MethodKind.WORD2KETXS, 12, 6, order=2, rank=11,
                               vocab_factors=(3, 4), dim_factors=(2, 3)))
     U = np.random.default_rng(5).standard_normal((3, 6))
-    expected = {name: np.zeros_like(p) for name, p in layer.params.items()}
+    expected = {name: np.zeros_like(t) for name, t in layer.tables.items()}
     backward_batch(layer, [0, 5, 7], U, expected)
-    for names in (sorted(layer.params), list(reversed(layer.params))):
-        into = {name: np.zeros_like(layer.params[name]) for name in names}
+    for names in (sorted(layer.tables), list(reversed(layer.tables))):
+        into = {name: np.zeros_like(layer.tables[name]) for name in names}
         backward_batch(layer, [0, 5, 7], U, into)
-        for name in layer.params:
+        for name in layer.tables:
             assert into[name].tobytes() == expected[name].tobytes(), (names[0], name)

@@ -1,4 +1,6 @@
+import dataclasses
 import functools
+import io
 import itertools
 import time
 
@@ -7,8 +9,11 @@ import pytest
 
 from conftest import paper_shaped_layers, random_layer, stable_seed
 from tenbed.audit import load_reference_rows
+from tenbed.checkpoint import dump_layer, loads_layer
 from tenbed.errors import ConfigError, WordLookupError
+from tenbed.gradients import touched_rows
 from tenbed.layers import (
+    EmbeddingLayer,
     LayerConfig,
     MethodKind,
     block_shapes,
@@ -353,15 +358,18 @@ def test_order_one_rows_are_the_bytes_of_a_rank_sum(kind):
 
 @pytest.mark.parametrize("kind", list(MethodKind))
 def test_gather_batch_gives_each_block_its_rows(kind):
-    """One ``(B, slots)`` row-id array per block, in block order, each inside its block."""
+    """One ``(B, slots)`` row-id array per table, in table order, each inside every block
+    of its table: the rows each block is read at."""
     layer = random_layer(kind, np.random.default_rng(stable_seed("gather", kind.value)))
     words = list(range(layer.config.vocab_size))
     rows = gather_batch(layer, words)
-    shapes = block_shapes(layer.config)
-    assert len(rows) == len(shapes) == len(layer.params)
-    for ids, (name, (n_rows, _)) in zip(rows, shapes):
-        assert ids.ndim == 2 and len(ids) == len(words), name
-        assert 0 <= ids.min() and ids.max() < n_rows, name
+    shapes = dict(block_shapes(layer.config))
+    assert len(rows) == len(layer.config.layout.tables) == len(layer.tables)
+    for ids, table in zip(rows, layer.config.layout.tables):
+        assert ids.ndim == 2 and len(ids) == len(words), table.name
+        for b in layer.config.layout.blocks:
+            if b.table == table.name:
+                assert 0 <= ids.min() and ids.max() < shapes[b.name][0], b.name
 
 
 def test_config_integer_fields_take_numpy_integers_and_refuse_anything_else():
@@ -574,3 +582,96 @@ def test_block_shapes_tt_boundary_vs_middle():
     assert shapes["tt_core_0"] == (18, 8 * 34)
     assert shapes["tt_core_1"] == (20, 34 * 8 * 34)
     assert shapes["tt_core_2"] == (25, 34 * 8)
+
+
+# --- tables: what is computed on ----------------------------------------------
+
+STACKED_KINDS = [MethodKind.WORD2KETXS, MethodKind.MORPHTE, MethodKind.WORD2KET_RSHARE]
+
+
+def _is_view_of_its_table(layer) -> bool:
+    """Every block is exactly its slab of its table: the same memory, shape and strides."""
+    tables = layer.tables
+    return all(layer.params[b.name].__array_interface__ == tables[b.table][b.slab].__array_interface__
+               for b in layer.config.layout.blocks)
+
+
+@pytest.mark.parametrize("kind", STACKED_KINDS)
+def test_every_block_is_a_view_of_its_table(kind):
+    """After build, after a checkpoint load and after a layer is made from separate
+    copies, the rank blocks are slabs of one ``(count, rows, cols)`` table."""
+    rng = np.random.default_rng(stable_seed("tables", kind.value))
+    layer = random_layer(kind, rng)
+    while layer.config.rank < 2:
+        layer = random_layer(kind, rng)
+    buf = io.BytesIO()
+    dump_layer(layer, buf)
+    copies = {name: p.copy() for name, p in layer.params.items()}
+    made = EmbeddingLayer(layer.config, copies, index=layer.index, vocab=layer.vocab)
+    for each in (layer, loads_layer(buf.getvalue()), made):
+        assert len(each.tables) < len(each.params)
+        for table in each.config.layout.tables:
+            assert each.tables[table.name].shape == table.shape
+        assert _is_view_of_its_table(each)
+        for name, p in each.params.items():
+            assert p.tobytes() == copies[name].tobytes(), name
+    assert not any(np.shares_memory(made.tables[t], layer.tables[t]) for t in layer.tables)
+    # blocks that already are the slabs of one table are not copied
+    again = EmbeddingLayer(made.config, dict(made.params), index=made.index, vocab=made.vocab)
+    assert all(again.tables[t] is made.tables[t] for t in made.tables)
+
+
+@pytest.mark.parametrize("kind", STACKED_KINDS)
+def test_writing_through_a_block_changes_forward(kind):
+    layer = random_layer(kind, np.random.default_rng(stable_seed("write-through", kind.value)))
+    word = 0
+    before = forward(layer, word)
+    for name, rows in touched_rows(layer, word).items():
+        layer.params[name][rows] *= 2.0
+    after = forward(layer, word)
+    assert not np.array_equal(before, after)
+    # every product is multilinear in its factors: doubling all n of them scales it 2**n
+    factors = layer.config.order
+    np.testing.assert_allclose(after, before * 2.0**factors, rtol=1e-12)
+
+
+@pytest.mark.parametrize("kind", STACKED_KINDS)
+def test_rebinding_a_block_raises(kind):
+    layer = random_layer(kind, np.random.default_rng(stable_seed("rebind", kind.value)))
+    name = next(iter(layer.params))
+    table = next(iter(layer.tables))
+    with pytest.raises(TypeError):
+        layer.params[name] = np.zeros_like(layer.params[name])
+    with pytest.raises(TypeError):
+        layer.tables[table] = np.zeros_like(layer.tables[table])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layer.params = {}
+    assert _is_view_of_its_table(layer)
+
+
+class _CountingTable(np.ndarray):
+    """A table that counts the ``take`` calls made on it."""
+
+    takes = 0
+
+    def take(self, *args, **kwargs):
+        type(self).takes += 1
+        return super().take(*args, **kwargs)
+
+
+def test_word2ketxs_reads_one_table_per_factor_per_chunk(monkeypatch):
+    """Three chunks of a rank-104, order-2 layer make 3 * 2 ``take`` calls, not 3 * 208."""
+    layer = build(LayerConfig(MethodKind.WORD2KETXS, 30, 512, order=2, rank=104,
+                              vocab_factors=(6, 5), dim_factors=(16, 32), seed=1))
+    tables = {}
+    for name, t in layer.tables.items():
+        tables[name] = _CountingTable(t.shape)
+        tables[name][...] = t
+    counted = EmbeddingLayer(layer.config, layer.block_views(tables))
+    assert all(counted.tables[name] is t for name, t in tables.items())
+    words = np.arange(24)
+    monkeypatch.setattr("tenbed.layers.BATCH_FLOATS", 8 * layer.config.product_length)
+    _CountingTable.takes = 0
+    out = forward_batch(counted, words)
+    assert _CountingTable.takes == 3 * layer.config.order
+    assert out.tobytes() == forward_batch(layer, words).tobytes()

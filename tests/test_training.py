@@ -362,14 +362,17 @@ def test_a_row_no_batch_reads_keeps_its_bytes_and_zero_moments():
         opt = OptimizerState(lr=0.05)
         train(layer, TrainTask("word_similarity", pairs=[(0, 1, 1), (1, 0, 0)]), opt,
               epochs=3, batch_size=1)
-        for (name, p), ids in zip(layer.params.items(), gather_batch(layer, [0, 1])):
+        rows = dict(zip(layer.tables, gather_batch(layer, [0, 1])))
+        moments_m, moments_v = layer.block_views(opt.moments_m), layer.block_views(opt.moments_v)
+        for block in layer.config.layout.blocks:
+            name, p, ids = block.name, layer.params[block.name], rows[block.table]
             unread = np.ones(len(p), dtype=bool)
             unread[ids] = False
             unread_rows += unread.sum()
             assert p[~unread].tobytes() != start[name][~unread].tobytes(), (layer.config, name)
             assert p[unread].tobytes() == start[name][unread].tobytes(), (layer.config, name)
-            assert not opt.moments_m[name][unread].any(), (layer.config, name)
-            assert not opt.moments_v[name][unread].any(), (layer.config, name)
+            assert not moments_m[name][unread].any(), (layer.config, name)
+            assert not moments_v[name][unread].any(), (layer.config, name)
     assert unread_rows > 2998  # the table's rows beyond the two words, and more
 
 
@@ -382,7 +385,7 @@ def test_train_keeps_one_zero_gradient_buffer_across_calls():
             pairs = [(call % V, (call + 1) % V, 1), ((call + 2) % V, call % V, 0)]
             train(layer, TrainTask("word_similarity", pairs=pairs), opt, epochs=2,
                   batch_size=1, seed=call)
-            assert list(opt.grads) == list(layer.params)
+            assert list(opt.grads) == list(layer.tables)
             assert not any(g.any() for g in opt.grads.values()), layer.config
             if buffers is not None:
                 assert all(opt.grads[name] is g for name, g in buffers.items())
