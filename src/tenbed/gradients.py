@@ -3,16 +3,20 @@
 Each forward map is a shallow fixed-shape multilinear expression, so the
 adjoints are written out instead of built as a general autodiff graph.
 ``backward_batch`` takes a batch of word ids and one upstream row per word,
-in chunks of ``LayerConfig.chunk_words``.  ``_slot_grads``, the adjoint of
-``layers._combine``, gives each table's slot gradients: a sum kind writes
-each factor's gradient into its view of the buffers ``LayerConfig.layout``
-gives, so the table buffers hold them; matrix_factor and tensor_train have
-their own.  ``_add_rows`` adds them into a caller's gradient dict, keyed by
-table, in batch order, one scatter per table.  Truncation to the embedding
-dimension is adjointed by zero-padding the upstream.  A word that reads one row in several slots (repeated
-morphemes) has its slot gradients summed first and the sum added once, the
-correct total derivative.  ``backward`` and ``touched_rows`` are the same
-for a batch of one word.
+in chunks of ``LayerConfig.chunk_words``, and ``_add_grads``, the adjoint
+of ``layers._combine``, adds each chunk's gradient into a caller's gradient
+dict, keyed by table.  Where many words of a chunk write one table row, the
+chunk's sum is taken by one matmul and added once: matrix_factor's right
+factor, which every word reads whole, and each row of a tensor train's
+middle core, over the words whose digit reads it.  Every other table gets
+each word's slot gradients, added by ``_add_rows`` word by word in batch
+order, one scatter per table; for a sum kind ``_slot_grads`` writes them
+into the buffers ``LayerConfig.layout`` gives.  The two summed tables so
+differ from word-by-word adds by rounding only.  Truncation to the embedding
+dimension is adjointed by zero-padding the upstream.  A word that reads one
+row in several slots (repeated morphemes) has its slot gradients summed
+first and the sum added once, the correct total derivative.  ``backward``
+and ``touched_rows`` are the same for a batch of one word.
 """
 
 from __future__ import annotations
@@ -27,9 +31,9 @@ from .errors import ConfigError
 from .layers import (
     EmbeddingLayer,
     MethodKind,
-    _by_core_row,
     _khatri_rao,
     _read_factors,
+    _row_groups,
     _tt_chain,
     forward,
     gather_batch,
@@ -78,7 +82,8 @@ def _rank_sum_grads(factors: list[np.ndarray], U_full: np.ndarray) -> list[np.nd
 
 def _add_rows(target: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
     """Add ``grads[i, b, s]`` into row ``rows[b, s]`` of block i of a table, word by
-    word in batch order.
+    word in batch order: the scatter for a table whose rows each word writes
+    apart, by slot gradients of its own.
 
     ``target`` is the table's gradient, of its ``(count, rows, cols)`` shape or
     its ``(count * rows, cols)`` rows; every block of a table reads the same
@@ -125,8 +130,10 @@ def backward_batch(
     ``into`` maps each table's name to a gradient of the table's shape or of
     its ``(count * rows, cols)`` rows, in any key order; ``upstream`` is one
     length-d row per word.  Every id is checked first; then words are taken
-    in chunks of ``config.chunk_words()`` and added in batch order, so
-    ``into`` ends as adding each word's ``backward`` in turn would leave it.
+    in chunks of ``config.chunk_words()``.  ``into`` ends as adding each
+    word's ``backward`` in turn would leave it, byte for byte, but for the
+    tables a chunk adds as one sum (matrix_factor's right factor, a tensor
+    train's middle cores), which match it up to rounding.
     Returns the rows written per table, in table order: a ``(B, count *
     slots)`` array of rows ``i * rows + k`` (row k of block i), each word's
     block by block; a row may appear more than once.
@@ -141,41 +148,63 @@ def backward_batch(
         ([ids[lo : lo + step] for ids in rows], U[lo : lo + step]) for lo in range(0, B, step)
     ]
     for chunk, U in chunks:
-        for name, ids, g in zip(layer.tables, chunk, _slot_grads(layer, chunk, U)):
-            _add_rows(into[name], ids, g)
+        _add_grads(layer, chunk, U, into)
     offsets = [t.shape[1] * np.arange(len(t))[:, None] for t in layer.tables.values()]
     return [(ids[:, None] + o).reshape(B, o.size * ids.shape[1]) for ids, o in zip(rows, offsets)]
 
 
-def _slot_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray) -> list[np.ndarray]:
-    """Per table, every word's ``(count, B, slots, cols)`` slot gradients: the adjoint
-    of ``layers._combine`` on the row ids ``rows``, against the upstream rows ``U``."""
+def _add_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray,
+               into: dict[str, np.ndarray]) -> None:
+    """Add the adjoint of ``layers._combine`` on the row ids ``rows``, against the
+    upstream rows ``U``, into ``into``.
+
+    A table row that many words read gets the sum over those words from one
+    matmul, added once: matrix_factor's right factor, which every word reads
+    whole, and each row of a tensor train's middle core, for the words whose
+    digit reads it.  Every other table gets each word's slot gradients by
+    ``_add_rows``.
+    """
     cfg, B = layer.config, len(U)
+    names = list(layer.tables)
     if cfg.kind is MethodKind.MATRIX_FACTOR:
         left, right = (t[0] for t in layer.tables.values())
-        left_rows = left[rows[0][:, 0]]
-        return [np.matmul(right, U[:, :, None]).reshape(1, B, 1, -1),
-                (left_rows[:, :, None] * U[:, None, :])[None]]
+        _add_rows(into[names[0]], rows[0], np.matmul(right, U[:, :, None]).reshape(1, B, 1, -1))
+        target = into[names[1]].reshape(right.shape)  # a view: drops the leading axis of 1
+        target += left[rows[0][:, 0]].T @ U
+        return
 
     if cfg.kind is MethodKind.TENSOR_TRAIN:
-        df, n = cfg.dim_factors, cfg.order
-        r, cores = cfg.rank, [t[0] for t in layer.tables.values()]
+        df, n, r = cfg.dim_factors, cfg.order, cfg.rank
+        cores = [t[0] for t in layer.tables.values()]
         carries, last = _tt_chain(layer, rows)
-        grads = [None] * n
         u_mat = _pad_upstream(U, math.prod(df)).reshape(B, -1, df[n - 1])
-        grads[n - 1] = np.matmul(carries[-1].transpose(0, 2, 1), u_mat)
+        last_grad = np.matmul(carries[-1].transpose(0, 2, 1), u_mat)
+        _add_rows(into[names[-1]], rows[-1], last_grad.reshape(1, B, 1, -1))
         grad_carry = np.matmul(u_mat, last.transpose(0, 2, 1))
         for k in range(n - 2, 0, -1):
             grad_flat = grad_carry.reshape(B, -1, df[k] * r)
-            grads[k] = np.matmul(carries[k - 1].transpose(0, 2, 1), grad_flat)
-            core = cores[k].reshape(len(cores[k]), r, -1).transpose(0, 2, 1)
-            grad_carry = _by_core_row(grad_flat, core, rows[k][:, 0])
-        grads[0] = grad_carry
-        return [g.reshape(1, B, 1, -1) for g in grads]
+            core = cores[k].reshape(len(cores[k]), r, -1)
+            target = into[names[k]].reshape(len(core), -1)
+            grad_carry = np.empty(grad_flat.shape[:2] + (r,))
+            for row, words in _row_groups(rows[k][:, 0]):  # the grouping of _by_core_row
+                grad_rows = grad_flat[words]
+                target[row] += (carries[k - 1][words].reshape(-1, r).T
+                                @ grad_rows.reshape(-1, df[k] * r)).reshape(-1)
+                grad_carry[words] = np.matmul(grad_rows, core[row].T)
+        _add_rows(into[names[0]], rows[0], grad_carry.reshape(1, B, 1, -1))
+        return
 
-    # a sum kind: each factor's gradient goes into its view of its table's buffer
-    tables, factors = cfg.layout.buffers(B)
-    U_full = _pad_upstream(U, cfg.product_length)
+    for name, ids, g in zip(names, rows, _slot_grads(layer, rows, U)):
+        _add_rows(into[name], ids, g)
+
+
+def _slot_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray) -> list[np.ndarray]:
+    """For a kind that sums tensor products, per table every word's ``(count, B,
+    slots, cols)`` slot gradients: each factor's gradient is written into its
+    view of the buffers ``LayerConfig.layout`` gives, so the table buffers hold
+    them."""
+    tables, factors = layer.config.layout.buffers(len(U))
+    U_full = _pad_upstream(U, layer.config.product_length)
     if len(factors) == 1:  # a one-factor product's gradient is the padded upstream
         factors[0][...] = U_full[:, None]
     else:

@@ -503,16 +503,23 @@ def _tt_chain(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[list, np.n
     return carries, cores[-1][rows[-1][:, 0]].reshape(B, r, -1)
 
 
+def _row_groups(ids: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Each distinct row of ``ids`` with the words that read it: ``(row, words)``
+    pairs in row order, each row's words in batch order."""
+    order = np.argsort(ids, kind="stable")
+    return [(int(ids[words[0]]), words)
+            for words in np.split(order, np.flatnonzero(np.diff(ids[order])) + 1)]
+
+
 def _by_core_row(x: np.ndarray, core: np.ndarray, ids: np.ndarray) -> np.ndarray:
     """``x[b] @ core[ids[b]]`` per word b, for a core viewed as ``(rows, m, k)``.
 
     Each distinct core row is read in place, by one matmul for all the words
     that share it: gathering a row per word copies ``m * k`` floats per word.
     """
-    order = np.argsort(ids, kind="stable")
     out = None
-    for words in np.split(order, np.flatnonzero(np.diff(ids[order])) + 1):
-        y = np.matmul(x[words], core[ids[words[0]]])
+    for row, words in _row_groups(ids):
+        y = np.matmul(x[words], core[row])
         if out is None:
             out = np.empty((len(x),) + y.shape[1:])
         out[words] = y

@@ -14,6 +14,7 @@ seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,16 +128,29 @@ class OptimizerState:
     ) -> None:
         """One step along ``scale * grads``, taken in row slices of the live rows.
 
+        SGD steps ``p -= lr * (scale * g)``.  Adam takes Kingma & Ba's
+        reordered step (2015, end of sec. 2): with the moments
+        ``m = b1 * m + ((1 - b1) * scale) * g`` and
+        ``v = b2 * v + ((1 - b2) * scale**2) * g * g``, it steps
+        ``p -= alpha_t * m / (sqrt(v) + eps_hat)``, where
+        ``alpha_t = lr * sqrt(1 - b2**t) / (1 - b1**t)`` and
+        ``eps_hat = eps * sqrt(1 - b2**t)``.  As ``sqrt(v_hat)`` is
+        ``sqrt(v) / sqrt(1 - b2**t)``, that ``eps_hat`` makes this the textbook
+        step ``lr * m_hat / (sqrt(v_hat) + eps)`` exactly, up to rounding,
+        without dividing the moments by the bias corrections; with ``eps``
+        itself in its place the step would differ.
+
         ``rows`` maps each block to the row ids its gradient may be nonzero
         in (repeats allowed); ``None`` means every row.  A row named once is
         live for good.  Skipping the others is exact: with zero gradient and
-        moments, a step maps a row to itself (``p - lr * 0 / (0 + eps) = p``),
-        while a live row's moments keep decaying as in a dense step.
+        moments, a step maps a row to itself (``p - alpha_t * 0 / (0 +
+        eps_hat) = p``, as ``eps_hat > 0``), while a live row's moments keep
+        decaying as in a dense step.
 
-        A slice of about ``SLICE_FLOATS`` floats takes the scale and every
-        operation of the step in place or in slice-sized scratch, in the
-        order of the whole-array formulas, so no temporary is block-sized and
-        the bytes are a dense step's.  A block of more than one slice with
+        A slice of about ``SLICE_FLOATS`` floats takes every operation of the
+        step in place or in slice-sized scratch, in the order of the
+        whole-array formulas, so no temporary is block-sized and the bytes
+        are a dense step's.  A block of more than one slice with
         under half its rows live is stepped in gathered chunks of its live
         rows, written back after; any other block in contiguous slices.
         """
@@ -146,10 +160,12 @@ class OptimizerState:
                                   f"its gradient {g.shape}")
             self._check_shape(name, g.shape)
         adam = self.kind == "adam"
-        if adam:
+        if adam:  # the moment constants take the scale, the step size the bias corrections
             self.step_count += 1
             b1, b2 = ADAM_BETAS
-            bias1, bias2 = 1 - b1**self.step_count, 1 - b2**self.step_count
+            c1, c2 = (1 - b1) * scale, (1 - b2) * scale * scale
+            root2 = math.sqrt(1 - b2**self.step_count)  # sqrt of v's bias correction
+            alpha, eps_hat = self.lr * root2 / (1 - b1**self.step_count), ADAM_EPS * root2
         for name, g in grads.items():
             p = params[name]
             live = self._live_rows(name, g.shape, None if rows is None else rows[name])
@@ -158,32 +174,30 @@ class OptimizerState:
                 self.moments_v[name] = np.zeros(g.shape)
             count = len(g) if live is None else len(live)
             step = max(1, SLICE_FLOATS // g.shape[1])  # blocks are matrices
-            scratch_g, scratch = np.empty((2, min(step, count), g.shape[1]))
+            scratch, scratch_den = np.empty((2, min(step, count), g.shape[1]))
             for lo in range(0, count, step):
                 hi = min(lo + step, count)
                 at = slice(lo, hi) if live is None else live[lo:hi]
-                gs = np.multiply(g[at], scale, out=scratch_g[: hi - lo])
-                t = scratch[: hi - lo]
+                gs, t = g[at], scratch[: hi - lo]
                 if not adam:
-                    np.multiply(gs, self.lr, out=t)
+                    np.multiply(gs, scale, out=t)
+                    t *= self.lr
                     p[at] -= t
                     continue
                 m, v = self.moments_m[name][at], self.moments_v[name][at]
                 m *= b1
-                np.multiply(gs, 1 - b1, out=t)
+                np.multiply(gs, c1, out=t)
                 m += t
                 v *= b2
-                np.multiply(gs, 1 - b2, out=t)
+                np.multiply(gs, c2, out=t)
                 t *= gs
                 v += t
                 if live is not None:  # gathered copies: write the moments back
                     self.moments_m[name][at], self.moments_v[name][at] = m, v
-                np.divide(m, bias1, out=t)  # m_hat
-                t *= self.lr
-                v_hat = np.divide(v, bias2, out=gs)
-                np.sqrt(v_hat, out=v_hat)
-                v_hat += ADAM_EPS
-                t /= v_hat
+                den = np.sqrt(v, out=scratch_den[: hi - lo])
+                den += eps_hat
+                np.multiply(m, alpha, out=t)
+                t /= den
                 p[at] -= t
 
 

@@ -10,6 +10,7 @@ from conftest import (
     repeated_morpheme_morphology,
     stable_seed,
 )
+from tenbed.audit import load_reference_rows
 from tenbed.errors import ConfigError, WordLookupError
 from tenbed.gradients import _add_rows, backward, backward_batch, finite_diff_check, touched_rows
 from tenbed.layers import LayerConfig, MethodKind, build, forward, forward_batch
@@ -274,10 +275,42 @@ def _length_one_factor_layers():
     ]
 
 
+# backward_batch adds a batch's sum into these tables by one matmul, so their
+# bytes differ from word-by-word adds by rounding; every other table's hold
+SUMMED_RTOL = 1e-12  # of the table's largest magnitude
+
+
+def _summed_tables(layer):
+    """matrix_factor's right factor and tensor_train's middle cores."""
+    names = list(layer.tables)
+    return {MethodKind.MATRIX_FACTOR: names[1:], MethodKind.TENSOR_TRAIN: names[1:-1]}.get(
+        layer.config.kind, [])
+
+
+def assert_same_grads(layer, got, expected):
+    """Bytes for every table but the summed ones, which match to ``SUMMED_RTOL``."""
+    summed = _summed_tables(layer)
+    for name in layer.tables:
+        if name in summed:
+            atol = SUMMED_RTOL * np.abs(expected[name]).max()
+            np.testing.assert_allclose(got[name], expected[name], rtol=0, atol=atol,
+                                       err_msg=f"{layer.config} {name}")
+        else:
+            assert got[name].tobytes() == expected[name].tobytes(), (layer.config, name)
+
+
+def _word_by_word(layer, words, upstreams):
+    grads = {name: np.zeros_like(t) for name, t in layer.tables.items()}
+    for word_id, u in zip(np.asarray(words).tolist(), upstreams):
+        backward_batch(layer, [word_id], u[None], grads)
+    return grads
+
+
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_backward_batch_equals_word_by_word_backward(kind):
     """One batched backward adds the bytes of each word's backward in batch order,
-    and one batched forward gives the bytes of each word's forward."""
+    but for the summed tables, and one batched forward gives the bytes of each
+    word's forward."""
     rng = np.random.default_rng(stable_seed("backward-batch", kind.value))
     layers = [random_layer(kind, rng) for _ in range(4)]
     layers += [layer for layer in _length_one_factor_layers() + paper_shaped_layers()
@@ -288,19 +321,16 @@ def test_backward_batch_equals_word_by_word_backward(kind):
         upstreams = rng.standard_normal((len(words), d))
         batched = {name: np.zeros_like(t) for name, t in layer.tables.items()}
         backward_batch(layer, words, upstreams, batched)
-        word_by_word = {name: np.zeros_like(t) for name, t in layer.tables.items()}
-        for word_id, u in zip(words.tolist(), upstreams):
-            backward_batch(layer, [word_id], u[None], word_by_word)
         rows = forward_batch(layer, words)
         for word_id, row in zip(words.tolist(), rows):
             assert row.tobytes() == forward(layer, word_id).tobytes(), (layer.config, word_id)
-        for name in layer.tables:
-            assert batched[name].tobytes() == word_by_word[name].tobytes(), (layer.config, name)
+        assert_same_grads(layer, batched, _word_by_word(layer, words, upstreams))
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_chunked_batches_give_the_bytes_of_one_chunk(kind, monkeypatch):
-    """forward_batch and backward_batch in chunks of 3 words give the bytes of one pass."""
+    """forward_batch and backward_batch in chunks of 3 words give the bytes of one
+    pass, but for the summed tables."""
     rng = np.random.default_rng(stable_seed("chunks", kind.value))
     layers = [random_layer(kind, rng) for _ in range(2)]
     layers += [layer for layer in _length_one_factor_layers() if layer.config.kind is kind]
@@ -312,12 +342,34 @@ def test_chunked_batches_give_the_bytes_of_one_chunk(kind, monkeypatch):
         def run():
             grads = {name: np.zeros_like(t) for name, t in layer.tables.items()}
             backward_batch(layer, words, upstreams, grads)
-            return forward_batch(layer, words).tobytes(), [g.tobytes() for g in grads.values()]
+            return forward_batch(layer, words).tobytes(), grads
 
         whole = run()
         monkeypatch.setattr("tenbed.layers.BATCH_FLOATS", 3 * layer.config.product_length)
         assert layer.config.chunk_words() == 3
-        assert run() == whole, layer.config
+        chunked = run()
+        assert chunked[0] == whole[0], layer.config
+        assert_same_grads(layer, chunked[1], whole[1])
+        monkeypatch.undo()
+
+
+def test_chunks_split_the_rows_a_batch_sums(monkeypatch):
+    """A chunk boundary inside a middle-core digit's words, and a matrix_factor
+    batch of more than one chunk, still add the word-by-word sum."""
+    tt = build(LayerConfig(MethodKind.TENSOR_TRAIN, 24, 24, order=3, rank=2,
+                           vocab_factors=(2, 3, 4), dim_factors=(2, 3, 4), seed=5))
+    mf = build(LayerConfig(MethodKind.MATRIX_FACTOR, 20, 6, rank=3, seed=5))
+    rng = np.random.default_rng(stable_seed("split-sums"))
+    for layer, words in ((tt, np.array([0, 4, 1, 5, 12, 8, 13])), (mf, rng.integers(0, 20, 10))):
+        monkeypatch.setattr("tenbed.layers.BATCH_FLOATS", 3 * layer.config.product_length)
+        assert layer.config.chunk_words() == 3 < len(words)
+        if layer is tt:  # middle digit 0 (words 0, 1, 12, 13) spans all three chunks
+            digits = np.unravel_index(words, (2, 3, 4))[1]
+            assert {i // 3 for i in np.flatnonzero(digits == 0)} == {0, 1, 2}
+        upstreams = rng.standard_normal((len(words), layer.config.embed_dim))
+        grads = {name: np.zeros_like(t) for name, t in layer.tables.items()}
+        backward_batch(layer, words, upstreams, grads)
+        assert_same_grads(layer, grads, _word_by_word(layer, words, upstreams))
         monkeypatch.undo()
 
 
@@ -343,6 +395,37 @@ def test_chunks_bound_the_memory_of_a_long_batch(monkeypatch):
             tracemalloc.stop()
     for short, long in zip(peaks[500], peaks[2000]):
         assert long < 1.5 * short, peaks
+
+
+def _en_it_config(kind):
+    """The en_it row of the bundled reference table at the base or 20x level."""
+    return next(row.config for row in load_reference_rows() if row.config.kind is kind
+                and row.dataset == "en_it" and row.level in ("base", "20x"))
+
+
+@pytest.mark.parametrize("kind", [MethodKind.MATRIX_FACTOR, MethodKind.TENSOR_TRAIN])
+def test_summed_tables_allocate_no_per_word_gradients(kind):
+    """One 64-word backward_batch at the en_it config allocates less than the
+    per-word slot gradients of its summed table would take: matrix_factor's
+    (64, 25, 512) right-factor gradients (6.6 MB) and tensor_train's (64, 27,848)
+    middle-core ones (14 MB), each with an element index as large beside them."""
+    layer = build(_en_it_config(kind))
+    rng = np.random.default_rng(stable_seed("summed-memory", kind.value))
+    words = rng.zipf(1.2, 64) % layer.config.vocab_size
+    upstreams = rng.standard_normal((64, layer.config.embed_dim))
+    grads = {name: np.zeros_like(t) for name, t in layer.tables.items()}
+    summed = layer.tables[_summed_tables(layer)[0]][0]
+    # the bytes of each word's slot gradients in it: every row, or one
+    per_word = 64 * 8 * (summed.size if kind is MethodKind.MATRIX_FACTOR else summed.shape[1])
+    bound = 1_000_000 if kind is MethodKind.MATRIX_FACTOR else summed.nbytes
+    assert bound < per_word
+    tracemalloc.start()
+    try:
+        backward_batch(layer, words, upstreams, grads)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound, (peak, bound)
 
 
 def test_backward_batch_rejects_a_mismatched_upstream():

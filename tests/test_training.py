@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -92,21 +93,23 @@ def test_adam_matches_hand_computed_scalar_trace():
 
 
 def _whole_array_step(opt, params, grads, scale, moments):
-    """The optimizer step as whole-array formulas: the reference for ``apply``."""
+    """The optimizer step as whole-array formulas: the reference for ``apply``.
+    Adam is Kingma & Ba's reordered step, the scale folded into the moment
+    constants and the bias corrections into the step size and eps."""
     b1, b2 = ADAM_BETAS
     for name, g in grads.items():
-        g = g * scale
         if opt.kind == "sgd":
-            params[name] -= opt.lr * g
+            params[name] -= opt.lr * (g * scale)
             continue
+        t = opt.step_count
+        alpha = opt.lr * math.sqrt(1 - b2**t) / (1 - b1**t)
+        eps_hat = ADAM_EPS * math.sqrt(1 - b2**t)
         m, v = moments.setdefault(name, (np.zeros_like(g), np.zeros_like(g)))
         m *= b1
-        m += (1 - b1) * g
+        m += ((1 - b1) * scale) * g
         v *= b2
-        v += (1 - b2) * g * g
-        m_hat = m / (1 - b1**opt.step_count)
-        v_hat = v / (1 - b2**opt.step_count)
-        params[name] -= opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        v += ((1 - b2) * scale * scale) * g * g
+        params[name] -= alpha * m / (np.sqrt(v) + eps_hat)
 
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
@@ -136,6 +139,25 @@ def test_sliced_step_is_byte_identical_to_whole_array_formulas(kind):
             if kind == "adam":
                 assert opt.moments_m[name].tobytes() == moments[name][0].tobytes(), name
                 assert opt.moments_v[name].tobytes() == moments[name][1].tobytes(), name
+
+
+def test_reordered_adam_step_is_the_textbook_step():
+    """Over 50 steps from step 1, each step is ``lr * m_hat / (sqrt(v_hat) + eps)``
+    of textbook moments to 1e-12: ``eps_hat`` keeps the reordered step exact."""
+    rng = np.random.default_rng(stable_seed("reordered-adam"))
+    b1, b2 = ADAM_BETAS
+    opt, scale = OptimizerState(kind="adam", lr=0.03), 1.0 / 3
+    m = v = np.zeros((6, 5))
+    for t in range(1, 51):
+        g = rng.standard_normal((6, 5)) * np.array([[1.0], [1e-3], [1e-6], [1e-8], [1e-9], [0]])
+        params = {"w": np.zeros((6, 5))}  # the step is then exactly -p
+        opt.apply(params, {"w": g}, scale=scale)
+        m = b1 * m + (1 - b1) * (scale * g)
+        v = b2 * v + (1 - b2) * (scale * g) ** 2
+        m_hat, v_hat = m / (1 - b1**t), v / (1 - b2**t)
+        np.testing.assert_allclose(-params["w"], opt.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS),
+                                   rtol=1e-12, atol=0, err_msg=f"step {t}")
+    assert opt.step_count == 50
 
 
 def test_training_never_mutates_index_or_vocab():
