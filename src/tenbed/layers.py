@@ -21,14 +21,14 @@ All parameters are float64 matrices initialised Xavier-uniform with bound
 ``sqrt(6 / (rows + cols))`` per block, drawn in block order from a generator
 seeded by the config, so identical configs rebuild bit-identical layers.
 
-An ``EmbeddingLayer`` is data: a config, its tables, a view of its table
-per block and, for the morphological kinds, a vocab and an index.  A table
-stacks blocks of one shape that are read at the same rows: the r rank blocks
-of one factor, or a lone block.  ``LayerConfig.layout`` states each kind
-once: its tables, the row a word reads in each, whether it reads a morpheme
-vocab and, for a kind that sums tensor products, where factor j of product
-i lives.  ``block_shapes``, ``build``, ``check_parts``, ``gather_batch`` and
-the combines derive from it.  ``forward_batch`` embeds a batch through
+An ``EmbeddingLayer`` is data: a config, the tables ``build`` or a load hands
+it, a view of its table per block and, for the morphological kinds, a vocab
+and an index.  A table stacks blocks of one shape that are read at the same
+rows: the r rank blocks of one factor, or a lone block.  ``LayerConfig.layout``
+states each kind once: its tables, the row a word reads in each, whether it
+reads a morpheme vocab and, for a kind that sums tensor products, where
+factor j of product i lives.  ``build``, ``check_parts``, ``gather_batch``
+and the combines derive from it.  ``forward_batch`` embeds a batch through
 ``gather_batch`` and ``_combine``, one read per table; ``forward`` is a
 batch of one.  Both only read the parameters and are safe to call
 concurrently; mutating parameters (training) requires exclusive access.
@@ -286,18 +286,12 @@ def _stacked(B: int, d: int, tables: list[slice]) -> tuple[list[np.ndarray], lis
     return [rows[None, s] for s in tables], [rows.transpose(1, 0, 2)]
 
 
-def table_shapes(config: LayerConfig) -> list[tuple[str, tuple[int, int, int]]]:
-    """Named parameter tables in table order: a few, whatever the rank."""
+def table_shapes(config: LayerConfig) -> dict[str, tuple[int, int, int]]:
+    """Each parameter table's shape, in table order: a few, whatever the rank."""
     tables = config.layout.tables
     if any(None in t.shape for t in tables):
         raise ConfigError(f"{config.kind.value} requires morpheme_vocab_size")
-    return [(t.name, t.shape) for t in tables]
-
-
-def block_shapes(config: LayerConfig) -> list[tuple[str, tuple[int, int]]]:
-    """Named parameter blocks in their canonical (and serialisation) order."""
-    table_shapes(config)
-    return [(b.name, b.shape) for b in config.layout.blocks]
+    return {t.name: t.shape for t in tables}
 
 
 @dataclass(frozen=True)
@@ -305,26 +299,29 @@ class EmbeddingLayer:
     """``tables`` maps each table of ``config.layout`` to its ``(count, rows, cols)``
     array, what forward, backward and the optimizer compute on; ``params`` maps
     each block, in block order, to its view of its table.  Both are read-only, so
-    rebinding a block raises instead of leaving its table stale.  Separate blocks
-    are stacked once here; a block that is a table of its own, or blocks that are
-    already the slabs of one table, are not copied."""
+    rebinding a block raises instead of leaving its table stale.  A table is kept
+    uncopied, given as that array or as its ``(count * rows, cols)`` rows; one of
+    more than one block must be C-contiguous, so that its rows are a view too."""
 
     config: LayerConfig
-    params: Mapping[str, np.ndarray]
+    tables: Mapping[str, np.ndarray]
     index: IndexMatrix | None = None
     vocab: MorphemeVocab | None = None
-    tables: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
+    params: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        blocks, slabs = self.config.layout.blocks, {}
-        if len(self.params) != len(blocks):  # and each block's name is looked up below
-            raise ValueError(f"{self.config.kind.value} has {len(blocks)} blocks, not {len(self.params)}")
-        for b in blocks:
-            slabs.setdefault(b.table, []).append(self.params[b.name])
-        tables = {t: _table(s) for t, s in slabs.items()}
+        kind, shapes, tables = self.config.kind.value, table_shapes(self.config), {}
+        if self.tables.keys() != shapes.keys():
+            raise ValueError(f"{kind} has tables {list(shapes)}, not {list(self.tables)}")
+        for name, (count, rows, cols) in shapes.items():
+            table = self.tables[name]
+            if table.shape not in ((count, rows, cols), (count * rows, cols)):
+                raise ValueError(f"table {name!r} has shape {table.shape}, not {count, rows, cols}")
+            if count > 1 and not table.flags.c_contiguous:
+                raise ValueError(f"table {name!r} of {count} blocks is not C-contiguous")
+            tables[name] = table if table.ndim == 3 else table.reshape(count, rows, cols)
         object.__setattr__(self, "tables", MappingProxyType(tables))
-        object.__setattr__(self, "params", MappingProxyType({b.name: tables[b.table][b.slab]
-                                                             for b in blocks}))
+        object.__setattr__(self, "params", MappingProxyType(self.block_views(tables)))
 
     def block_views(self, tables: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
         """Each block's view, in block order, of ``tables``: arrays of each table's shape
@@ -334,21 +331,6 @@ class EmbeddingLayer:
 
     def trainable_param_count(self) -> int:
         return sum(int(p.size) for p in self.params.values())
-
-
-def _table(slabs: list[np.ndarray]) -> np.ndarray:
-    """The ``(count, rows, cols)`` table of ``slabs``: a view of one block, the C-contiguous
-    table they already are the slabs of, or else one stacked copy."""
-    if len(slabs) == 1:
-        return slabs[0][None]
-    base = slabs[0].base
-    if isinstance(base, np.ndarray) and base.flags.c_contiguous and base.shape == (
-            len(slabs),) + slabs[0].shape and base.dtype == slabs[0].dtype:
-        at, step = base.__array_interface__["data"][0], base.strides[0]
-        if all(s.base is base and s.strides == base.strides[1:]
-               and s.__array_interface__["data"][0] == at + i * step for i, s in enumerate(slabs)):
-            return base
-    return np.stack(slabs)
 
 
 def build_rshare_index(
@@ -420,11 +402,12 @@ def build(
     check_parts(config, vocab, index)
 
     rng = np.random.default_rng(config.seed)
-    params: dict[str, np.ndarray] = {}
-    for name, (rows, cols) in block_shapes(config):
-        bound = math.sqrt(6.0 / (rows + cols))
-        params[name] = rng.uniform(-bound, bound, size=(rows, cols))
-    return EmbeddingLayer(config=config, params=params, index=index, vocab=vocab)
+    slabs: dict[str, list[np.ndarray]] = {}
+    for block in config.layout.blocks:  # in block order: the slabs of the tables interleave
+        bound = math.sqrt(6.0 / sum(block.shape))
+        slabs.setdefault(block.table, []).append(rng.uniform(-bound, bound, size=block.shape))
+    tables = {name: s[0] if len(s) == 1 else np.stack(s) for name, s in slabs.items()}
+    return EmbeddingLayer(config, tables, index=index, vocab=vocab)
 
 
 def gather_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> list[np.ndarray]:
@@ -527,11 +510,13 @@ def _by_core_row(x: np.ndarray, core: np.ndarray, ids: np.ndarray) -> np.ndarray
 
 
 def forward_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> np.ndarray:
-    """Embed a batch of word ids: a fresh ``(B, d)`` float64 array.
+    """Embed a batch of word ids: a ``(B, d)`` float64 array, no view of the parameters.
 
     One ``gather_batch`` checks every id, then ``_combine`` embeds the words
     in chunks of ``config.chunk_words()`` in batch order, which bounds the
     temporaries of a long batch.  An empty batch gives shape ``(0, d)``.
+    A one-chunk batch of a one-factor kind is a view of its ``(products, B, d)``
+    read buffer (4x the result for morphsum at order 3): a fresh sum is slower.
     """
     rows = gather_batch(layer, word_ids)
     B, step = len(rows[0]), layer.config.chunk_words()
@@ -580,5 +565,5 @@ def _combine(layer: EmbeddingLayer, rows: list[np.ndarray]) -> np.ndarray:
 
 
 def forward(layer: EmbeddingLayer, word_id: int) -> np.ndarray:
-    """Embed one word id; always returns a fresh length-d float64 vector."""
+    """Embed one word id: a length-d float64 vector sharing no memory with the parameters."""
     return forward_batch(layer, [word_id])[0]

@@ -203,6 +203,26 @@ def test_rejects_index_or_vocab_that_build_would_refuse(kind, changes):
         loads_layer(with_meta(roundtrip_bytes(layer), **changes(layer)))
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        (lambda layer: {"words": list(range(layer.config.vocab_size))}, "words must be"),
+        (lambda layer: {"words": "".join(chr(0x4E00 + j) for j in range(layer.config.vocab_size))},
+         "words must be"),
+        (lambda layer: {"morphemes": list(range(layer.vocab.size - 1))}, "morphemes must be"),
+        (lambda layer: {"has_index": "yes"}, "has_index must be"),
+        (lambda layer: {"has_index": 1}, "has_index must be"),
+    ],
+    ids=["words-ints", "words-str", "morphemes-ints", "has_index-str", "has_index-int"],
+)
+def test_rejects_meta_words_morphemes_or_has_index_of_the_wrong_type(changes, message):
+    """Words and morphemes are null or lists of strings and has_index a bool: a string
+    is not read as one word per character, nor an int word left to fail in ``eval``."""
+    layer = random_layer("morphte", np.random.default_rng(stable_seed("meta-types", "morphte")))
+    with pytest.raises(CheckpointError, match=message):
+        loads_layer(with_meta(roundtrip_bytes(layer), **changes(layer)))
+
+
 @pytest.mark.parametrize("kind", ["morphte", "morphsum", "word2ket_rshare"])
 def test_a_loaded_index_finds_every_word(kind):
     layer = random_layer(kind, np.random.default_rng(stable_seed("row-of-word", kind)))

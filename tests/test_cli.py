@@ -422,7 +422,7 @@ def test_eval_rejects_a_checkpoint_whose_product_is_too_long(runner, tmp_path):
     cfg = LayerConfig("word2ket_rshare", 5, 9, order=40, subdim=2, morpheme_vocab_size=3)
     ckpt = tmp_path / "long.bin"
     index = build_rshare_index(5, 3, 40, seed=0)
-    save_layer(EmbeddingLayer(cfg, {"morpheme_embed_0": np.zeros((3, 2))}, index=index), ckpt)
+    save_layer(EmbeddingLayer(cfg, {"morpheme_embed_*": np.zeros((3, 2))}, index=index), ckpt)
     res = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--word-ids", "0"])
     assert res.exit_code == 2, res.output + repr(res.exception)
     assert "2**40 is more than 64 * embed_dim = 576" in res.stderr

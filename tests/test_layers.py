@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import io
 import itertools
+import re
 import time
 
 import numpy as np
@@ -16,7 +17,6 @@ from tenbed.layers import (
     EmbeddingLayer,
     LayerConfig,
     MethodKind,
-    block_shapes,
     build,
     build_rshare_index,
     forward,
@@ -363,13 +363,12 @@ def test_gather_batch_gives_each_block_its_rows(kind):
     layer = random_layer(kind, np.random.default_rng(stable_seed("gather", kind.value)))
     words = list(range(layer.config.vocab_size))
     rows = gather_batch(layer, words)
-    shapes = dict(block_shapes(layer.config))
     assert len(rows) == len(layer.config.layout.tables) == len(layer.tables)
     for ids, table in zip(rows, layer.config.layout.tables):
         assert ids.ndim == 2 and len(ids) == len(words), table.name
         for b in layer.config.layout.blocks:
             if b.table == table.name:
-                assert 0 <= ids.min() and ids.max() < shapes[b.name][0], b.name
+                assert 0 <= ids.min() and ids.max() < b.shape[0], b.name
 
 
 def test_config_integer_fields_take_numpy_integers_and_refuse_anything_else():
@@ -578,7 +577,7 @@ def test_block_shapes_tt_boundary_vs_middle():
         vocab_factors=(18, 20, 25),
         dim_factors=(8, 8, 8),
     )
-    shapes = dict(block_shapes(cfg))
+    shapes = {b.name: b.shape for b in cfg.layout.blocks}
     assert shapes["tt_core_0"] == (18, 8 * 34)
     assert shapes["tt_core_1"] == (20, 34 * 8 * 34)
     assert shapes["tt_core_2"] == (25, 34 * 8)
@@ -598,8 +597,9 @@ def _is_view_of_its_table(layer) -> bool:
 
 @pytest.mark.parametrize("kind", STACKED_KINDS)
 def test_every_block_is_a_view_of_its_table(kind):
-    """After build, after a checkpoint load and after a layer is made from separate
-    copies, the rank blocks are slabs of one ``(count, rows, cols)`` table."""
+    """After build, after a checkpoint load and after a layer is made from copies of
+    its tables in either form, the rank blocks are slabs of one ``(count, rows, cols)``
+    table."""
     rng = np.random.default_rng(stable_seed("tables", kind.value))
     layer = random_layer(kind, rng)
     while layer.config.rank < 2:
@@ -607,18 +607,67 @@ def test_every_block_is_a_view_of_its_table(kind):
     buf = io.BytesIO()
     dump_layer(layer, buf)
     copies = {name: p.copy() for name, p in layer.params.items()}
-    made = EmbeddingLayer(layer.config, copies, index=layer.index, vocab=layer.vocab)
-    for each in (layer, loads_layer(buf.getvalue()), made):
+    made = [EmbeddingLayer(layer.config, {name: form(t) for name, t in layer.tables.items()},
+                           index=layer.index, vocab=layer.vocab)
+            for form in (np.copy, lambda t: t.reshape(-1, t.shape[-1]).copy())]
+    for each in (layer, loads_layer(buf.getvalue()), *made):
         assert len(each.tables) < len(each.params)
         for table in each.config.layout.tables:
             assert each.tables[table.name].shape == table.shape
         assert _is_view_of_its_table(each)
         for name, p in each.params.items():
             assert p.tobytes() == copies[name].tobytes(), name
-    assert not any(np.shares_memory(made.tables[t], layer.tables[t]) for t in layer.tables)
-    # blocks that already are the slabs of one table are not copied
-    again = EmbeddingLayer(made.config, dict(made.params), index=made.index, vocab=made.vocab)
-    assert all(again.tables[t] is made.tables[t] for t in made.tables)
+    for each in made:
+        assert not any(np.shares_memory(each.tables[t], layer.tables[t]) for t in layer.tables)
+
+
+@pytest.mark.parametrize("form", ["table", "rows"])
+@pytest.mark.parametrize("kind", list(MethodKind))
+def test_a_given_table_is_kept_uncopied_and_written_through(kind, form):
+    """A table given as its ``(count, rows, cols)`` array is the layer's table; given as
+    its ``(count * rows, cols)`` rows it is viewed at that shape.  Tables given in any
+    order are kept in table order.  A write through a block reaches the given array and
+    forward."""
+    layer = random_layer(kind, np.random.default_rng(stable_seed("given", kind.value)))
+    given = {name: t.copy() if form == "table" else t.reshape(-1, t.shape[-1]).copy()
+             for name, t in reversed(layer.tables.items())}
+    made = EmbeddingLayer(layer.config, given, index=layer.index, vocab=layer.vocab)
+    assert list(made.tables) == list(layer.tables)
+    for name, t in given.items():
+        kept = made.tables[name]
+        assert kept is t if form == "table" else np.shares_memory(kept, t), name
+        assert kept.shape == layer.tables[name].shape
+    word = layer.config.vocab_size - 1
+    before = forward(made, word)
+    block = made.config.layout.blocks[0]
+    made.params[block.name][touched_rows(made, word)[block.name]] += 1.0
+    assert not np.array_equal(forward(made, word), before)
+    assert not np.array_equal(given[block.table].reshape(-1), layer.tables[block.table].reshape(-1))
+
+
+@pytest.mark.parametrize(
+    "make, tables, named",
+    [
+        (lambda: build(LayerConfig(MethodKind.ORIGINAL, 5, 3)),
+         lambda layer: {"wieght": layer.params["weight"]}, "wieght"),
+        (lambda: build(LayerConfig(MethodKind.MATRIX_FACTOR, 5, 3, rank=2)),
+         lambda layer: {"factor_left": layer.tables["factor_left"]}, "factor_right"),
+        (lambda: build(LayerConfig(MethodKind.ORIGINAL, 5, 3)),
+         lambda layer: {**layer.tables, "bias": np.zeros((1, 3))}, "bias"),
+        (lambda: build(LayerConfig(MethodKind.ORIGINAL, 5, 3)),
+         lambda layer: {"weight": layer.params["weight"].T.copy()}, "'weight'"),
+        (lambda: build(LayerConfig(MethodKind.MORPHTE, 2, 8, order=3, rank=2, subdim=2),
+                       *two_word_morphology()),
+         lambda layer: {"morpheme_embed_*": np.asfortranarray(layer.tables["morpheme_embed_*"])},
+         "'morpheme_embed_*' of 2 blocks is not C-contiguous"),
+    ],
+    ids=["misnamed", "missing", "extra", "transposed", "stacked-not-contiguous"],
+)
+def test_a_table_the_layer_cannot_compute_on_is_refused_by_name(make, tables, named):
+    """Refused when the layer is made, naming the table, not later inside a ``take``."""
+    layer = make()
+    with pytest.raises(ValueError, match=re.escape(named)):
+        EmbeddingLayer(layer.config, tables(layer), index=layer.index, vocab=layer.vocab)
 
 
 @pytest.mark.parametrize("kind", STACKED_KINDS)
@@ -667,7 +716,7 @@ def test_word2ketxs_reads_one_table_per_factor_per_chunk(monkeypatch):
     for name, t in layer.tables.items():
         tables[name] = _CountingTable(t.shape)
         tables[name][...] = t
-    counted = EmbeddingLayer(layer.config, layer.block_views(tables))
+    counted = EmbeddingLayer(layer.config, tables)
     assert all(counted.tables[name] is t for name, t in tables.items())
     words = np.arange(24)
     monkeypatch.setattr("tenbed.layers.BATCH_FLOATS", 8 * layer.config.product_length)
