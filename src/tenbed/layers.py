@@ -300,8 +300,9 @@ class EmbeddingLayer:
     array, what forward, backward and the optimizer compute on; ``params`` maps
     each block, in block order, to its view of its table.  Both are read-only, so
     rebinding a block raises instead of leaving its table stale.  A table is kept
-    uncopied, given as that array or as its ``(count * rows, cols)`` rows; one of
-    more than one block must be C-contiguous, so that its rows are a view too."""
+    uncopied, given as that array or as its ``(count * rows, cols)`` rows, and must
+    be float64; one of more than one block must be C-contiguous, so that its rows
+    are a view too."""
 
     config: LayerConfig
     tables: Mapping[str, np.ndarray]
@@ -317,6 +318,8 @@ class EmbeddingLayer:
             table = self.tables[name]
             if table.shape not in ((count, rows, cols), (count * rows, cols)):
                 raise ValueError(f"table {name!r} has shape {table.shape}, not {count, rows, cols}")
+            if table.dtype != np.float64:
+                raise ValueError(f"table {name!r} has dtype {table.dtype}, not float64")
             if count > 1 and not table.flags.c_contiguous:
                 raise ValueError(f"table {name!r} of {count} blocks is not C-contiguous")
             tables[name] = table if table.ndim == 3 else table.reshape(count, rows, cols)

@@ -60,16 +60,27 @@ class TrainTask:
                 raise ConfigError("labels must be 0 or 1")
 
 
+def _gathers(shape: tuple[int, int], written) -> bool:
+    """Whether a step may gather rows of a block: not when every row is named, and
+    not in a block of one slice.  Under half the rows, gathered chunks cost less
+    than whole slices."""
+    return written is not None and shape[0] * shape[1] > SLICE_FLOATS
+
+
 @dataclass
 class OptimizerState:
     """Plain SGD or bias-corrected adaptive moments, keyed by block name (``train``
     steps each table of a layer as one block: its ``(count * rows, cols)`` rows).
 
     Per block it also keeps the gradient buffer ``train`` sums a batch into
-    (``grads``, all zero between batches) and which rows some step has
-    written (``live``: a row mask, dropped to ``None`` once ``apply`` steps
-    every row of the block).  Buffers and moments are ``np.zeros``, which
-    writes no page, so a row no batch writes costs no memory.
+    (``grads``, all zero between batches).  Adam keeps a block's moments
+    table-shaped, or, while ``apply`` steps the block on its gathered path,
+    compact: only for the rows some step has written (``live``, in the order
+    they went live), row ``live[name][i]`` in row ``i`` of ``(capacity, cols)``
+    moments, beside a row-to-slot map (``slots``, -1 for a row never written).
+    ``table_moments`` reads every block's moments table-shaped.  Buffers and
+    moments are ``np.zeros``, which writes no page, so a row no batch writes
+    costs no memory.
     """
 
     kind: str = "adam"  # "sgd" | "adam"
@@ -78,7 +89,8 @@ class OptimizerState:
     moments_m: dict[str, np.ndarray] = field(default_factory=dict)
     moments_v: dict[str, np.ndarray] = field(default_factory=dict)
     grads: dict[str, np.ndarray] = field(default_factory=dict)
-    live: dict[str, np.ndarray | None] = field(default_factory=dict)
+    live: dict[str, np.ndarray] = field(default_factory=dict)
+    slots: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -87,11 +99,19 @@ class OptimizerState:
             raise ConfigError(f"lr must be finite and > 0, got {self.lr}")
 
     def _check_shape(self, name: str, shape: tuple[int, ...]) -> None:
-        """Raise unless every array held for block ``name`` has the block's ``shape``."""
+        """Raise unless every array held for block ``name`` fits the block's ``shape``:
+        compact moments its columns, the row-to-slot map its rows."""
+        compact = name in self.slots
         for what, held in (("moments", self.moments_m.get(name)),
                            ("gradient buffer", self.grads.get(name)),
-                           ("live-row mask", self.live.get(name))):
-            if held is not None and held.shape != shape[: held.ndim]:
+                           ("row-to-slot map", self.slots.get(name))):
+            if held is None:
+                continue
+            if compact and what == "moments":  # (capacity, cols)
+                fits = held.shape[1:] == shape[1:]
+            else:
+                fits = held.shape == shape[: held.ndim]
+            if not fits:
                 raise ConfigError(f"block {name!r} has shape {shape}, but the optimizer "
                                   f"holds a {what} of shape {held.shape} for it")
 
@@ -103,21 +123,63 @@ class OptimizerState:
                 self.grads[name] = np.zeros(p.shape)
         return {name: self.grads[name] for name in params}
 
+    def _table_shaped(self, moments: dict[str, np.ndarray], name: str) -> np.ndarray:
+        """Block ``name``'s array in ``moments``, a compact one scattered into zeros."""
+        held = moments[name]
+        if name not in self.slots:
+            return held
+        live = self.live[name]
+        table = np.zeros((len(self.slots[name]), held.shape[1]))
+        table[live] = held[: len(live)]
+        return table
+
+    def table_moments(self) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Every block's first and second moments, table-shaped: a compact block's
+        live rows in zeros, any other block's arrays as held."""
+        return tuple({name: self._table_shaped(moments, name) for name in moments}
+                     for moments in (self.moments_m, self.moments_v))
+
     def _live_rows(self, name: str, shape: tuple[int, int], written) -> np.ndarray | None:
-        """The sorted rows of a block that some step has written, or ``None`` to
-        step every row: once half the rows are live, or the block fits in one
-        slice, whole slices cost less than gathering, and the share only grows."""
-        if written is None or shape[0] * shape[1] <= SLICE_FLOATS or (
-                name in self.live and self.live[name] is None):
-            self.live[name] = None
+        """The rows of a block an Adam step takes, in the order of its moments' rows:
+        the live rows, in compact moments, or ``None`` to step every row, in
+        table-shaped moments.  Once a block steps every row it does for good:
+        the share of live rows only grows."""
+        if not _gathers(shape, written) or name in self.moments_m and name not in self.slots:
+            self._step_every_row(name, shape)
             return None
-        mask = self.live.setdefault(name, np.zeros(shape[0], dtype=bool))
-        mask[written] = True
-        live = np.flatnonzero(mask)
-        if 2 * len(live) >= shape[0]:
-            self.live[name] = None
+        if name not in self.slots:
+            self.slots[name] = np.full(shape[0], -1)
+            self.live[name] = np.empty(0, dtype=np.intp)
+            self.moments_m[name], self.moments_v[name] = np.zeros((2, 0, shape[1]))
+        slots, live = self.slots[name], self.live[name]
+        new = written[slots[written] < 0]
+        if not new.size:
+            return live
+        new = np.unique(new)
+        count = len(live) + len(new)
+        if 2 * count >= shape[0]:
+            self._step_every_row(name, shape)
             return None
-        return live
+        slots[new] = np.arange(len(live), count)
+        self.live[name] = np.concatenate([live, new])
+        capacity = len(self.moments_m[name])
+        if count > capacity:  # doubling: a block grows its moments a few times at most
+            capacity = min(max(2 * capacity, count), shape[0] // 2)
+            for moments in (self.moments_m, self.moments_v):
+                grown = np.zeros((capacity, shape[1]))
+                grown[: len(live)] = moments[name][: len(live)]
+                moments[name] = grown
+        return self.live[name]
+
+    def _step_every_row(self, name: str, shape: tuple[int, int]) -> None:
+        """Hold block ``name``'s moments table-shaped from now on: zeros for a new
+        block, a compact block's moments scattered once into zeros."""
+        if name not in self.moments_m:
+            self.moments_m[name], self.moments_v[name] = np.zeros(shape), np.zeros(shape)
+        elif name in self.slots:
+            for moments in (self.moments_m, self.moments_v):
+                moments[name] = self._table_shaped(moments, name)
+            del self.slots[name], self.live[name]
 
     def apply(
         self,
@@ -126,7 +188,7 @@ class OptimizerState:
         scale: float = 1.0,
         rows: dict[str, np.ndarray] | None = None,
     ) -> None:
-        """One step along ``scale * grads``, taken in row slices of the live rows.
+        """One step along ``scale * grads``, taken in row slices.
 
         SGD steps ``p -= lr * (scale * g)``.  Adam takes Kingma & Ba's
         reordered step (2015, end of sec. 2): with the moments
@@ -141,18 +203,24 @@ class OptimizerState:
         itself in its place the step would differ.
 
         ``rows`` maps each block to the row ids its gradient may be nonzero
-        in (repeats allowed); ``None`` means every row.  A row named once is
-        live for good.  Skipping the others is exact: with zero gradient and
-        moments, a step maps a row to itself (``p - alpha_t * 0 / (0 +
+        in (repeats allowed); ``None`` means every row.  Skipping the others
+        is exact.  SGD maps a row of zero gradient to itself (``p - 0.0 ==
+        p``, ``-0.0`` included), so it steps only the rows named this step.
+        For Adam a row named once is live for good: with zero gradient and
+        moments a step maps a row to itself (``p - alpha_t * 0 / (0 +
         eps_hat) = p``, as ``eps_hat > 0``), while a live row's moments keep
         decaying as in a dense step.
 
         A slice of about ``SLICE_FLOATS`` floats takes every operation of the
         step in place or in slice-sized scratch, in the order of the
         whole-array formulas, so no temporary is block-sized and the bytes
-        are a dense step's.  A block of more than one slice with
-        under half its rows live is stepped in gathered chunks of its live
-        rows, written back after; any other block in contiguous slices.
+        are a dense step's.  A block of more than one slice with under half
+        its rows to step is stepped in gathered chunks of those rows: Adam
+        walks its compact moments slot by slot, in place, and only the
+        gradient and parameter rows are gathered.  The first time half an
+        Adam block's rows are live, its compact moments are scattered once
+        into table-shaped zeros.  Any other block is stepped in contiguous
+        slices.
         """
         for name, g in grads.items():
             if params[name].shape != g.shape:
@@ -168,23 +236,27 @@ class OptimizerState:
             alpha, eps_hat = self.lr * root2 / (1 - b1**self.step_count), ADAM_EPS * root2
         for name, g in grads.items():
             p = params[name]
-            live = self._live_rows(name, g.shape, None if rows is None else rows[name])
-            if adam and name not in self.moments_m:
-                self.moments_m[name] = np.zeros(g.shape)
-                self.moments_v[name] = np.zeros(g.shape)
-            count = len(g) if live is None else len(live)
+            written = None if rows is None else rows[name]
+            if adam:
+                at = self._live_rows(name, g.shape, written)
+                moments_m, moments_v = self.moments_m[name], self.moments_v[name]
+            else:  # the rows named this step, or whole slices once they are half the block
+                at = np.unique(written) if _gathers(g.shape, written) else None
+                if at is not None and 2 * len(at) >= len(g):
+                    at = None
+            count = len(g) if at is None else len(at)
             step = max(1, SLICE_FLOATS // g.shape[1])  # blocks are matrices
             scratch, scratch_den = np.empty((2, min(step, count), g.shape[1]))
             for lo in range(0, count, step):
                 hi = min(lo + step, count)
-                at = slice(lo, hi) if live is None else live[lo:hi]
-                gs, t = g[at], scratch[: hi - lo]
+                rows_at = slice(lo, hi) if at is None else at[lo:hi]
+                gs, t = g[rows_at], scratch[: hi - lo]
                 if not adam:
                     np.multiply(gs, scale, out=t)
                     t *= self.lr
-                    p[at] -= t
+                    p[rows_at] -= t
                     continue
-                m, v = self.moments_m[name][at], self.moments_v[name][at]
+                m, v = moments_m[lo:hi], moments_v[lo:hi]  # the rows' moments, in place
                 m *= b1
                 np.multiply(gs, c1, out=t)
                 m += t
@@ -192,13 +264,11 @@ class OptimizerState:
                 np.multiply(gs, c2, out=t)
                 t *= gs
                 v += t
-                if live is not None:  # gathered copies: write the moments back
-                    self.moments_m[name][at], self.moments_v[name][at] = m, v
                 den = np.sqrt(v, out=scratch_den[: hi - lo])
                 den += eps_hat
                 np.multiply(m, alpha, out=t)
                 t /= den
-                p[at] -= t
+                p[rows_at] -= t
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -148,7 +148,7 @@ def _multi_call_hash(kind) -> str:
         task = TrainTask("word_similarity", pairs=pairs)
         history = train(layer, task, opt, epochs=2, batch_size=2, seed=call)
         h.update(np.array(history).tobytes())
-        moments_m, moments_v = layer.block_views(opt.moments_m), layer.block_views(opt.moments_v)
+        moments_m, moments_v = map(layer.block_views, opt.table_moments())
         for name, p in layer.params.items():
             h.update(name.encode())
             for array in (p, moments_m[name], moments_v[name]):

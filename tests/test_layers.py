@@ -660,8 +660,15 @@ def test_a_given_table_is_kept_uncopied_and_written_through(kind, form):
                        *two_word_morphology()),
          lambda layer: {"morpheme_embed_*": np.asfortranarray(layer.tables["morpheme_embed_*"])},
          "'morpheme_embed_*' of 2 blocks is not C-contiguous"),
+        (lambda: random_layer(MethodKind.WORD2KET_RSHARE, np.random.default_rng(0)),
+         lambda layer: {name: t.astype(np.float32) for name, t in layer.tables.items()},
+         "has dtype float32, not float64"),
+        (lambda: build(LayerConfig(MethodKind.ORIGINAL, 5, 3)),
+         lambda layer: {"weight": layer.tables["weight"].astype(np.int64)},
+         "'weight' has dtype int64, not float64"),
     ],
-    ids=["misnamed", "missing", "extra", "transposed", "stacked-not-contiguous"],
+    ids=["misnamed", "missing", "extra", "transposed", "stacked-not-contiguous", "float32",
+         "int64"],
 )
 def test_a_table_the_layer_cannot_compute_on_is_refused_by_name(make, tables, named):
     """Refused when the layer is made, naming the table, not later inside a ``take``."""

@@ -137,8 +137,8 @@ def test_sliced_step_is_byte_identical_to_whole_array_formulas(kind):
         for name in shapes:
             assert params[name].tobytes() == reference[name].tobytes(), name
             if kind == "adam":
-                assert opt.moments_m[name].tobytes() == moments[name][0].tobytes(), name
-                assert opt.moments_v[name].tobytes() == moments[name][1].tobytes(), name
+                for held, whole in zip(opt.table_moments(), moments[name]):
+                    assert held[name].tobytes() == whole.tobytes(), name
 
 
 def test_reordered_adam_step_is_the_textbook_step():
@@ -336,36 +336,52 @@ def test_a_batch_without_gradients_steps_nothing():
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
 def test_live_row_step_is_byte_identical_to_the_dense_step(kind):
-    """``apply(rows=)`` gives the bytes of a dense step over 4 steps, rows live in
-    an earlier step but not written in this one included."""
+    """``apply(rows=)`` gives the bytes of a dense step over 6 steps, rows live in
+    an earlier step but not written in this one and ``-0.0`` parameters included,
+    and Adam's moments, read table-shaped, are a dense Adam's."""
     rng = np.random.default_rng(stable_seed("live-rows", kind))
     # gathered chunks of several slices; a gathered row wider than a slice; a
-    # block within one slice, stepped whole
+    # block within one slice, stepped whole; a block whose live rows pass half
+    # in step 4 (counting from 0), after step 0 makes room for 3 rows and step 1
+    # adds 100; step 5 writes every live row of it, which SGD steps whole
     shapes = {
         "tall": (3 * SLICE_FLOATS // 7 + 5, 7),
         "wide": (20, SLICE_FLOATS + 11),
         "small": (40, 3),
+        "crossing": (700, 64),
     }
-    writes = {"tall": (4, 3), "wide": (2,), "small": (3, 2)}  # repeats within and across words
+    order = rng.permutation(700)
+    new_rows = np.cumsum([0, 3, 100, 0, 50, 250, 10])  # live: 3, 103, 103, 153, 403, 413
+    assert 2 * new_rows[4] < 700 <= 2 * new_rows[5]
     params = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    for p in params.values():
+        p[::5] = -0.0
     dense = {name: p.copy() for name, p in params.items()}
     opt, dense_opt = OptimizerState(kind=kind, lr=0.03), OptimizerState(kind=kind, lr=0.03)
-    for _ in range(4):
-        rows = {name: rng.integers(0, shape[0], size=writes[name])
-                for name, shape in shapes.items()}
+    for step in range(6):
+        rows = {name: rng.integers(0, shape[0], size=size) for (name, shape), size in
+                zip(shapes.items(), [(4, 3), (2,), (3, 2)])}  # repeats within and across words
+        fresh = order[new_rows[step] : new_rows[step + 1]]
+        again = order[: 2 * step if step < 5 else new_rows[step]]
+        rows["crossing"] = np.concatenate([fresh, fresh[:2], again])
         grads = {name: np.zeros(shape) for name, shape in shapes.items()}
         for name, ids in rows.items():
             grads[name][ids] = rng.standard_normal(ids.shape + shapes[name][1:])
         opt.apply(params, grads, scale=1.0 / 3, rows=rows)
         dense_opt.apply(dense, grads, scale=1.0 / 3)
         for name in shapes:
-            assert params[name].tobytes() == dense[name].tobytes(), name
-            if kind == "adam":
-                assert opt.moments_m[name].tobytes() == dense_opt.moments_m[name].tobytes()
-                assert opt.moments_v[name].tobytes() == dense_opt.moments_v[name].tobytes()
-    # the two large blocks stayed on the gathered path, the small one never took it
-    assert opt.live["tall"] is not None and opt.live["wide"] is not None
-    assert opt.live["small"] is None and all(v is None for v in dense_opt.live.values())
+            assert params[name].tobytes() == dense[name].tobytes(), (step, name)
+        for held, whole in zip(opt.table_moments(), dense_opt.table_moments()):
+            assert held.keys() == whole.keys()
+            for name in held:
+                assert held[name].tobytes() == whole[name].tobytes(), (step, name)
+        if kind == "adam":  # compact until half the crossing block's rows are live
+            assert opt.slots.keys() == {"tall", "wide"} | ({"crossing"} if step < 4 else set())
+            if step in (0, 1):  # step 1's 100 new rows overflow a capacity of 3
+                assert len(opt.moments_m["crossing"]) == new_rows[step + 1]
+    assert not dense_opt.slots and not dense_opt.live
+    if kind == "sgd":  # SGD keeps no row state and no moments
+        assert not opt.slots and not opt.live and not opt.moments_m
 
 
 def _few_pairs_layers():
@@ -385,7 +401,7 @@ def test_a_row_no_batch_reads_keeps_its_bytes_and_zero_moments():
         train(layer, TrainTask("word_similarity", pairs=[(0, 1, 1), (1, 0, 0)]), opt,
               epochs=3, batch_size=1)
         rows = dict(zip(layer.tables, gather_batch(layer, [0, 1])))
-        moments_m, moments_v = layer.block_views(opt.moments_m), layer.block_views(opt.moments_v)
+        moments_m, moments_v = map(layer.block_views, opt.table_moments())
         for block in layer.config.layout.blocks:
             name, p, ids = block.name, layer.params[block.name], rows[block.table]
             unread = np.ones(len(p), dtype=bool)
@@ -431,10 +447,13 @@ def test_optimizer_rejects_a_block_of_another_shape():
     sgd.gradient_buffer({"w": np.zeros((10, 3))})
     with pytest.raises(ConfigError, match="block 'w' has shape .* gradient buffer"):
         sgd.gradient_buffer({"w": np.zeros((6, 3))})
-    tall = (SLICE_FLOATS, 2)  # more than one slice: the step keeps a live-row mask
-    sgd.apply({"t": np.zeros(tall)}, {"t": np.ones(tall)}, rows={"t": np.array([0])})
-    with pytest.raises(ConfigError, match="block 't' has shape .* live-row mask"):
-        sgd.apply({"t": np.zeros((7, 2))}, {"t": np.ones((7, 2))}, rows={"t": np.array([0])})
+    tall = (SLICE_FLOATS, 2)  # more than one slice, one row live: compact moments
+    adam = OptimizerState()
+    adam.apply({"t": np.zeros(tall)}, {"t": np.ones(tall)}, rows={"t": np.array([0])})
+    assert adam.moments_m["t"].shape == (1, 2)
+    for shape, what in (((7, 2), "row-to-slot map"), ((SLICE_FLOATS, 3), "moments")):
+        with pytest.raises(ConfigError, match=f"block 't' has shape .* {what}"):
+            adam.apply({"t": np.zeros(shape)}, {"t": np.ones(shape)}, rows={"t": np.array([0])})
 
 
 def test_a_train_call_that_fails_after_backward_leaves_no_gradient_behind():
