@@ -5,7 +5,11 @@ adjoints are written out instead of built as a general autodiff graph.
 ``backward_batch`` takes a batch of word ids and one upstream row per word,
 in chunks of ``LayerConfig.chunk_words``, and ``_add_grads``, the adjoint
 of ``layers._combine``, adds each chunk's gradient into a caller's gradient
-dict, keyed by table.  Where many words of a chunk write one table row, the
+dict, keyed by table.  It is given two sets of rows: the table rows the
+words read, and the buffer row each one's gradient goes to.
+``backward_batch`` passes the table rows as both, into table-shaped
+gradients; ``training.train`` passes the rows of the optimizer's buffers
+(``add_batch``).  Where many words of a chunk write one table row, the
 chunk's sum is taken by one matmul and added once: matrix_factor's right
 factor, which every word reads whole, and each row of a tensor train's
 middle core, over the words whose digit reads it.  Every other table gets
@@ -80,43 +84,51 @@ def _rank_sum_grads(factors: list[np.ndarray], U_full: np.ndarray) -> list[np.nd
     return grads
 
 
-def _add_rows(target: np.ndarray, rows: np.ndarray, grads: np.ndarray) -> None:
-    """Add ``grads[i, b, s]`` into row ``rows[b, s]`` of block i of a table, word by
-    word in batch order: the scatter for a table whose rows each word writes
-    apart, by slot gradients of its own.
+def _add_rows(target: np.ndarray, to: np.ndarray, grads: np.ndarray) -> None:
+    """Add ``grads[i, b, s]``, the gradient of word b's slot s in block i of a table,
+    into row ``to[b, i, s]`` of ``target``, word by word in batch order: the
+    scatter for a table whose rows each word writes apart, by slot gradients of
+    its own.
 
-    ``target`` is the table's gradient, of its ``(count, rows, cols)`` shape or
-    its ``(count * rows, cols)`` rows; every block of a table reads the same
-    rows.  A word that reads some row in several slots gets, in every row it
-    reads, the sum of its slot gradients taken in slot order from zero, added
-    once: ``target + (0 + g1 + g2)``.  Any other word adds its slot gradients
-    as they are.  A C-contiguous target is scattered into by element index
-    (``(i * rows + row) * cols + col``), which adds the same elements in the
-    same order as adding whole rows, on numpy's fast one-dimensional
-    ``add.at`` path.
+    ``target`` is a buffer of rows: a table's gradient, of its ``(count, rows,
+    cols)`` shape or its ``(count * rows, cols)`` rows, with ``to`` the rows
+    ``i * rows + row`` (``table_rows``), or a compact buffer with ``to`` its
+    rows that hold them.  Either way two slots of a word share a row of
+    ``to`` where they read one row of the table.  A word that reads some row in
+    several slots gets, in every row it reads, the sum of its slot gradients
+    taken in slot order from zero, added once: ``target + (0 + g1 + g2)``.  Any
+    other word adds its slot gradients as they are.  A C-contiguous target is
+    scattered into by element index (``to * cols + col``), which adds the same
+    elements in the same order as adding whole rows, on numpy's fast
+    one-dimensional ``add.at`` path.
     """
-    if rows.shape[1] == 1:  # one slot: no word reads a row twice
-        rows, grads = rows[:, 0], grads[:, :, 0]
-    else:
-        # first[b, s]: the first slot of word b that reads row rows[b, s]
-        first = (rows[:, :, None] == rows[:, None, :]).argmax(axis=2)
-        later = first != np.arange(rows.shape[1])
+    to = to.transpose(1, 0, 2)  # (count, B, slots), as grads
+    if to.shape[2] > 1:  # a word may read a row in several slots
+        # first[b, s]: the first slot of word b that reads the row of its slot s
+        word_rows = to[0]
+        first = (word_rows[:, :, None] == word_rows[:, None, :]).argmax(axis=2)
+        later = first != np.arange(to.shape[2])
         repeats = np.flatnonzero(later.any(axis=1))
-        if len(repeats):
+        if len(repeats):  # else every slot adds, in the order a mask would keep
             sums = grads.copy()
             sums[:, repeats] = 0.0
-            for s in range(rows.shape[1]):
+            for s in range(to.shape[2]):
                 sums[:, repeats, first[repeats, s]] += grads[:, repeats, s]
-            grads = sums
-        rows, grads = rows[~later], grads[:, ~later]
-    count, cols = len(grads), target.shape[-1]
-    target = target.reshape(count, -1, cols)  # a view: at most the leading axis is split
-    blocks = np.arange(count)[:, None]
-    if not target.flags.c_contiguous:
-        np.add.at(target, (blocks, rows), grads)
+            to, grads = to[:, ~later], sums[:, ~later]
+    cols = target.shape[-1]
+    if not target.flags.c_contiguous:  # a caller's table-shaped gradient, strided
+        target = target.reshape(len(grads), -1, cols)  # a view: at most the leading axis is split
+        np.add.at(target, np.unravel_index(to, target.shape[:2]), grads)
         return
-    at = (blocks * target.shape[1] + rows)[:, :, None] * cols + np.arange(cols)
+    at = to[..., None] * cols + np.arange(cols)
     np.add.at(target.reshape(-1), at.reshape(-1), grads.reshape(-1))
+
+
+def table_rows(layer: EmbeddingLayer, rows: list[np.ndarray]) -> list[np.ndarray]:
+    """Per table, the ``(B, count, slots)`` rows of its ``(count * rows, cols)`` view that
+    ``gather_batch``'s ``rows`` name: ``i * rows + rows[k][b, s]`` for block i."""
+    return [ids[:, None] + t.shape[1] * np.arange(len(t))[:, None]
+            for ids, t in zip(rows, layer.tables.values())]
 
 
 def backward_batch(
@@ -143,20 +155,27 @@ def backward_batch(
     U = np.ascontiguousarray(upstream, dtype=np.float64)
     if U.shape != (B, layer.config.embed_dim):
         raise ValueError(f"upstream must have shape {(B, layer.config.embed_dim)}, got {U.shape}")
+    written = table_rows(layer, rows)
+    add_batch(layer, rows, U, into, written)
+    return [ids.reshape(B, ids.shape[1] * ids.shape[2]) for ids in written]
+
+
+def add_batch(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray,
+              into: dict[str, np.ndarray], to: list[np.ndarray]) -> None:
+    """Add a batch's gradient into ``into``, in chunks of ``config.chunk_words()``
+    words: the table rows ``rows`` from ``gather_batch``, their buffer rows
+    ``to`` (``table_rows``' shape), and the upstream rows ``U``."""
     step = layer.config.chunk_words()
-    chunks = [] if B == 0 else [(rows, U)] if B <= step else [
-        ([ids[lo : lo + step] for ids in rows], U[lo : lo + step]) for lo in range(0, B, step)
-    ]
-    for chunk, U in chunks:
-        _add_grads(layer, chunk, U, into)
-    offsets = [t.shape[1] * np.arange(len(t))[:, None] for t in layer.tables.values()]
-    return [(ids[:, None] + o).reshape(B, o.size * ids.shape[1]) for ids, o in zip(rows, offsets)]
+    for lo in range(0, len(U), step):
+        _add_grads(layer, [ids[lo : lo + step] for ids in rows], U[lo : lo + step], into,
+                   [ids[lo : lo + step] for ids in to])
 
 
 def _add_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray,
-               into: dict[str, np.ndarray]) -> None:
+               into: dict[str, np.ndarray], to: list[np.ndarray]) -> None:
     """Add the adjoint of ``layers._combine`` on the row ids ``rows``, against the
-    upstream rows ``U``, into ``into``.
+    upstream rows ``U``, into ``into``: the gradient of the row ``rows[k][b, s]``
+    reads in block i of table k goes to row ``to[k][b, i, s]`` of its buffer.
 
     A table row that many words read gets the sum over those words from one
     matmul, added once: matrix_factor's right factor, which every word reads
@@ -168,9 +187,9 @@ def _add_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray,
     names = list(layer.tables)
     if cfg.kind is MethodKind.MATRIX_FACTOR:
         left, right = (t[0] for t in layer.tables.values())
-        _add_rows(into[names[0]], rows[0], np.matmul(right, U[:, :, None]).reshape(1, B, 1, -1))
-        target = into[names[1]].reshape(right.shape)  # a view: drops the leading axis of 1
-        target += left[rows[0][:, 0]].T @ U
+        _add_rows(into[names[0]], to[0], np.matmul(right, U[:, :, None]).reshape(1, B, 1, -1))
+        target = into[names[1]].reshape(-1, right.shape[1])  # a view: its rows
+        target[to[1][0, 0]] += left[rows[0][:, 0]].T @ U  # every word reads every row
         return
 
     if cfg.kind is MethodKind.TENSOR_TRAIN:
@@ -179,22 +198,22 @@ def _add_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray,
         carries, last = _tt_chain(layer, rows)
         u_mat = _pad_upstream(U, math.prod(df)).reshape(B, -1, df[n - 1])
         last_grad = np.matmul(carries[-1].transpose(0, 2, 1), u_mat)
-        _add_rows(into[names[-1]], rows[-1], last_grad.reshape(1, B, 1, -1))
+        _add_rows(into[names[-1]], to[-1], last_grad.reshape(1, B, 1, -1))
         grad_carry = np.matmul(u_mat, last.transpose(0, 2, 1))
         for k in range(n - 2, 0, -1):
             grad_flat = grad_carry.reshape(B, -1, df[k] * r)
             core = cores[k].reshape(len(cores[k]), r, -1)
-            target = into[names[k]].reshape(len(core), -1)
+            target = into[names[k]].reshape(-1, core[0].size)  # a view: its rows
             grad_carry = np.empty(grad_flat.shape[:2] + (r,))
             for row, words in _row_groups(rows[k][:, 0]):  # the grouping of _by_core_row
                 grad_rows = grad_flat[words]
-                target[row] += (carries[k - 1][words].reshape(-1, r).T
-                                @ grad_rows.reshape(-1, df[k] * r)).reshape(-1)
+                target[to[k][words[0], 0, 0]] += (carries[k - 1][words].reshape(-1, r).T
+                                                  @ grad_rows.reshape(-1, df[k] * r)).reshape(-1)
                 grad_carry[words] = np.matmul(grad_rows, core[row].T)
-        _add_rows(into[names[0]], rows[0], grad_carry.reshape(1, B, 1, -1))
+        _add_rows(into[names[0]], to[0], grad_carry.reshape(1, B, 1, -1))
         return
 
-    for name, ids, g in zip(names, rows, _slot_grads(layer, rows, U)):
+    for name, ids, g in zip(names, to, _slot_grads(layer, rows, U)):
         _add_rows(into[name], ids, g)
 
 

@@ -3,13 +3,15 @@
 Two tasks: reproduce a target embedding table under mean squared error, or
 separate labelled word pairs with a cosine contrastive loss.  Each minibatch
 is one ``forward_batch`` over every word its examples read, the per-example
-losses and upstreams computed for the whole batch at once, and one
-``backward_batch`` that adds every word's gradient into the optimizer's
-gradient buffer, which is zero between batches; the optimizer step scales
-that sum by the batch size and applies it to the rows some batch has written,
-and only the rows the batch wrote are zeroed again.  The batch loss is summed
-example by example, in example order.  Everything is deterministic given the
-seed.
+losses and upstreams computed for the whole batch at once, and one gather of
+the rows the words with a gradient read.  The optimizer gives each of those
+rows its row in the block's gradient buffer (``OptimizerState.take_rows``),
+in the row order its step reads, before ``add_batch`` scatters the batch's
+gradient there; the step scales that sum by the batch size and applies it
+to the rows some batch has written, and only the buffer rows the batch
+wrote are zeroed again, so every buffer is zero between batches.  The batch
+loss is summed example by example, in example order.  Everything is
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError
-from .gradients import backward_batch
-from .layers import EmbeddingLayer, forward_batch
+from .gradients import add_batch, table_rows
+from .layers import EmbeddingLayer, forward_batch, gather_batch
 from .gradients import backward  # noqa: F401  (unused; perfbench/tracing.py wraps these names)
 from .layers import forward  # noqa: F401
 
@@ -60,11 +62,10 @@ class TrainTask:
                 raise ConfigError("labels must be 0 or 1")
 
 
-def _gathers(shape: tuple[int, int], written) -> bool:
-    """Whether a step may gather rows of a block: not when every row is named, and
-    not in a block of one slice.  Under half the rows, gathered chunks cost less
-    than whole slices."""
-    return written is not None and shape[0] * shape[1] > SLICE_FLOATS
+def _gathers(shape: tuple[int, int]) -> bool:
+    """Whether a step may gather rows of a block: not in a block of one slice.
+    Under half the rows, gathered chunks cost less than whole slices."""
+    return shape[0] * shape[1] > SLICE_FLOATS
 
 
 @dataclass
@@ -72,15 +73,23 @@ class OptimizerState:
     """Plain SGD or bias-corrected adaptive moments, keyed by block name (``train``
     steps each table of a layer as one block: its ``(count * rows, cols)`` rows).
 
-    Per block it also keeps the gradient buffer ``train`` sums a batch into
-    (``grads``, all zero between batches).  Adam keeps a block's moments
-    table-shaped, or, while ``apply`` steps the block on its gathered path,
-    compact: only for the rows some step has written (``live``, in the order
-    they went live), row ``live[name][i]`` in row ``i`` of ``(capacity, cols)``
-    moments, beside a row-to-slot map (``slots``, -1 for a row never written).
-    ``table_moments`` reads every block's moments table-shaped.  Buffers and
-    moments are ``np.zeros``, which writes no page, so a row no batch writes
-    costs no memory.
+    A block's gradient comes in the row order of its state.  A block in
+    ``live`` is gathered: row i of its gradient is the gradient of row
+    ``live[name][i]``.  Any other block is stepped whole, from a table-shaped
+    gradient.  ``take_rows`` decides, before a batch is scattered: Adam keeps
+    a gathered block's moments compact, for only the rows some step has
+    written, in ``(capacity, cols)`` arrays in the order the rows went live,
+    beside a row-to-slot map (``slots``, -1 for a row never written); SGD
+    keeps no row state: ``take_rows`` gathers a block for the next step only,
+    over that step's distinct rows.  ``table_moments`` reads every block's
+    moments table-shaped.
+
+    Per block it also keeps the gradient buffer ``train`` scatters a batch
+    into (``grads``, all zero between batches), in that row order: ``(capacity,
+    cols)`` for an Adam block held compact, one row per distinct row for an
+    SGD block gathered this step, and table-shaped for a block stepped
+    whole.  Buffers and moments are ``np.zeros``, which writes no page, so a
+    row no batch writes costs no memory.
     """
 
     kind: str = "adam"  # "sgd" | "adam"
@@ -100,14 +109,15 @@ class OptimizerState:
 
     def _check_shape(self, name: str, shape: tuple[int, ...]) -> None:
         """Raise unless every array held for block ``name`` fits the block's ``shape``:
-        compact moments its columns, the row-to-slot map its rows."""
-        compact = name in self.slots
+        a gathered block's moments and buffer its columns, the row-to-slot map
+        its rows."""
+        gathered = name in self.live
         for what, held in (("moments", self.moments_m.get(name)),
                            ("gradient buffer", self.grads.get(name)),
                            ("row-to-slot map", self.slots.get(name))):
             if held is None:
                 continue
-            if compact and what == "moments":  # (capacity, cols)
+            if gathered and what != "row-to-slot map":  # (capacity, cols)
                 fits = held.shape[1:] == shape[1:]
             else:
                 fits = held.shape == shape[: held.ndim]
@@ -115,13 +125,45 @@ class OptimizerState:
                 raise ConfigError(f"block {name!r} has shape {shape}, but the optimizer "
                                   f"holds a {what} of shape {held.shape} for it")
 
-    def gradient_buffer(self, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-        """The zero gradient dict for ``params``: the same arrays from call to call."""
-        for name, p in params.items():
-            self._check_shape(name, p.shape)
-            if name not in self.grads:
-                self.grads[name] = np.zeros(p.shape)
-        return {name: self.grads[name] for name in params}
+    def _grad_shape(self, name: str, shape: tuple[int, int]) -> tuple[int, int]:
+        """The shape of block ``name``'s gradient: table-shaped, or one row per
+        slot of a gathered block (Adam's slots are its moments' rows)."""
+        if name not in self.live:
+            return shape
+        return len(self.moments_m.get(name, self.live[name])), shape[1]
+
+    def take_rows(
+        self, params: dict[str, np.ndarray], written: dict[str, np.ndarray]
+    ) -> tuple[dict[str, np.ndarray], dict[str, np.ndarray]]:
+        """Ready the next step for a batch that writes the rows ``written`` of each
+        block (any shape, repeats allowed): returns the gradient buffers, which
+        ``train`` keeps zero between batches, and for every written row its row
+        in its block's buffer, in the shape of ``written``.
+
+        An Adam block's new rows take slots after its live rows; its buffer and
+        moments grow with them, and are table-shaped once half its rows are
+        live.  An SGD block takes this step's distinct rows, or whole slices
+        once those are half the block.  A block of one slice is stepped whole.
+        """
+        grads, to = {}, {}
+        for name, ids in written.items():
+            shape = params[name].shape
+            self._check_shape(name, shape)
+            if self.kind == "adam":
+                self._go_live(name, shape, ids)
+                to[name] = self.slots[name][ids] if name in self.slots else ids
+            else:
+                self.live.pop(name, None)
+                to[name] = ids
+                if _gathers(shape):
+                    at, inverse = np.unique(ids, return_inverse=True)
+                    if 2 * len(at) < shape[0]:
+                        self.live[name], to[name] = at, inverse.reshape(ids.shape)
+            grad_shape = self._grad_shape(name, shape)
+            if name not in self.grads or self.grads[name].shape != grad_shape:
+                self.grads[name] = np.zeros(grad_shape)  # the held one is zero: no copy
+            grads[name] = self.grads[name]
+        return grads, to
 
     def _table_shaped(self, moments: dict[str, np.ndarray], name: str) -> np.ndarray:
         """Block ``name``'s array in ``moments``, a compact one scattered into zeros."""
@@ -139,14 +181,14 @@ class OptimizerState:
         return tuple({name: self._table_shaped(moments, name) for name in moments}
                      for moments in (self.moments_m, self.moments_v))
 
-    def _live_rows(self, name: str, shape: tuple[int, int], written) -> np.ndarray | None:
-        """The rows of a block an Adam step takes, in the order of its moments' rows:
-        the live rows, in compact moments, or ``None`` to step every row, in
-        table-shaped moments.  Once a block steps every row it does for good:
-        the share of live rows only grows."""
-        if not _gathers(shape, written) or name in self.moments_m and name not in self.slots:
+    def _go_live(self, name: str, shape: tuple[int, int], written: np.ndarray) -> None:
+        """Make the rows ``written`` of an Adam block live: new rows take the slots
+        after the live rows, in compact moments, or the block steps every row, in
+        table-shaped moments.  Once a block steps every row it does for good: the
+        share of live rows only grows."""
+        if not _gathers(shape) or name in self.moments_m and name not in self.slots:
             self._step_every_row(name, shape)
-            return None
+            return
         if name not in self.slots:
             self.slots[name] = np.full(shape[0], -1)
             self.live[name] = np.empty(0, dtype=np.intp)
@@ -154,12 +196,12 @@ class OptimizerState:
         slots, live = self.slots[name], self.live[name]
         new = written[slots[written] < 0]
         if not new.size:
-            return live
+            return
         new = np.unique(new)
         count = len(live) + len(new)
         if 2 * count >= shape[0]:
             self._step_every_row(name, shape)
-            return None
+            return
         slots[new] = np.arange(len(live), count)
         self.live[name] = np.concatenate([live, new])
         capacity = len(self.moments_m[name])
@@ -169,7 +211,6 @@ class OptimizerState:
                 grown = np.zeros((capacity, shape[1]))
                 grown[: len(live)] = moments[name][: len(live)]
                 moments[name] = grown
-        return self.live[name]
 
     def _step_every_row(self, name: str, shape: tuple[int, int]) -> None:
         """Hold block ``name``'s moments table-shaped from now on: zeros for a new
@@ -186,7 +227,6 @@ class OptimizerState:
         params: dict[str, np.ndarray],
         grads: dict[str, np.ndarray],
         scale: float = 1.0,
-        rows: dict[str, np.ndarray] | None = None,
     ) -> None:
         """One step along ``scale * grads``, taken in row slices.
 
@@ -202,31 +242,30 @@ class OptimizerState:
         without dividing the moments by the bias corrections; with ``eps``
         itself in its place the step would differ.
 
-        ``rows`` maps each block to the row ids its gradient may be nonzero
-        in (repeats allowed); ``None`` means every row.  Skipping the others
-        is exact.  SGD maps a row of zero gradient to itself (``p - 0.0 ==
-        p``, ``-0.0`` included), so it steps only the rows named this step.
-        For Adam a row named once is live for good: with zero gradient and
-        moments a step maps a row to itself (``p - alpha_t * 0 / (0 +
-        eps_hat) = p``, as ``eps_hat > 0``), while a live row's moments keep
-        decaying as in a dense step.
+        Each gradient is in its block's row order (see the class): a gathered
+        block's has one row per slot, and only its rows ``live[name]`` are
+        stepped; any other block's is table-shaped, and every row is stepped,
+        Adam's moments held table-shaped from a block's first step.  Skipping
+        the other rows is exact.  SGD maps a row of zero gradient to itself
+        (``p - 0.0 == p``, ``-0.0`` included).  For Adam a row written once is
+        live for good: with zero gradient and moments a step maps a row to
+        itself (``p - alpha_t * 0 / (0 + eps_hat) = p``, as ``eps_hat > 0``),
+        while a live row's moments keep decaying as in a dense step.
 
         A slice of about ``SLICE_FLOATS`` floats takes every operation of the
         step in place or in slice-sized scratch, in the order of the
         whole-array formulas, so no temporary is block-sized and the bytes
-        are a dense step's.  A block of more than one slice with under half
-        its rows to step is stepped in gathered chunks of those rows: Adam
-        walks its compact moments slot by slot, in place, and only the
-        gradient and parameter rows are gathered.  The first time half an
-        Adam block's rows are live, its compact moments are scattered once
-        into table-shaped zeros.  Any other block is stepped in contiguous
-        slices.
+        are a dense step's.  A slice reads contiguous rows of the gradient and
+        of the moments; only ``p[rows] -= t`` indexes by row on a gathered
+        block.
         """
         for name, g in grads.items():
-            if params[name].shape != g.shape:
-                raise ConfigError(f"block {name!r} has shape {params[name].shape}, "
-                                  f"its gradient {g.shape}")
-            self._check_shape(name, g.shape)
+            shape = params[name].shape
+            self._check_shape(name, shape)
+            expected = self._grad_shape(name, shape)
+            if g.shape != expected:
+                raise ConfigError(f"block {name!r} has shape {shape}, its gradient {g.shape}, "
+                                  f"not {expected}")
         adam = self.kind == "adam"
         if adam:  # the moment constants take the scale, the step size the bias corrections
             self.step_count += 1
@@ -235,22 +274,18 @@ class OptimizerState:
             root2 = math.sqrt(1 - b2**self.step_count)  # sqrt of v's bias correction
             alpha, eps_hat = self.lr * root2 / (1 - b1**self.step_count), ADAM_EPS * root2
         for name, g in grads.items():
-            p = params[name]
-            written = None if rows is None else rows[name]
+            p, at = params[name], self.live.get(name)
             if adam:
-                at = self._live_rows(name, g.shape, written)
+                if name not in self.moments_m:
+                    self._step_every_row(name, p.shape)
                 moments_m, moments_v = self.moments_m[name], self.moments_v[name]
-            else:  # the rows named this step, or whole slices once they are half the block
-                at = np.unique(written) if _gathers(g.shape, written) else None
-                if at is not None and 2 * len(at) >= len(g):
-                    at = None
-            count = len(g) if at is None else len(at)
-            step = max(1, SLICE_FLOATS // g.shape[1])  # blocks are matrices
-            scratch, scratch_den = np.empty((2, min(step, count), g.shape[1]))
+            count = len(p) if at is None else len(at)
+            step = max(1, SLICE_FLOATS // p.shape[1])  # blocks are matrices
+            scratch, scratch_den = np.empty((2, min(step, count), p.shape[1]))
             for lo in range(0, count, step):
                 hi = min(lo + step, count)
                 rows_at = slice(lo, hi) if at is None else at[lo:hi]
-                gs, t = g[rows_at], scratch[: hi - lo]
+                gs, t = g[lo:hi], scratch[: hi - lo]
                 if not adam:
                     np.multiply(gs, scale, out=t)
                     t *= self.lr
@@ -336,7 +371,6 @@ def train(
     rng = np.random.default_rng(seed)
     # each table as (count * rows, cols): row i * rows + k is row k of block i
     tables = {name: t.reshape(-1, t.shape[-1]) for name, t in layer.tables.items()}
-    grads = opt.gradient_buffer(tables)
     history: list[float] = []
     for epoch in range(epochs):
         order = rng.permutation(n_examples)
@@ -353,14 +387,15 @@ def train(
                 batch_loss += loss
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch, batch_loss, batch=k)
+            rows = gather_batch(layer, words)
             try:
-                written = backward_batch(layer, words, upstreams, grads)
-                opt.apply(tables, grads, scale=1.0 / len(batch),
-                          rows=dict(zip(grads, written)))
+                grads, to = opt.take_rows(tables, dict(zip(tables, table_rows(layer, rows))))
+                add_batch(layer, rows, upstreams, grads, list(to.values()))
+                opt.apply(tables, grads, scale=1.0 / len(batch))
             except BaseException:
                 opt.grads.clear()  # a buffer left part-summed is not zero: allocate afresh
                 raise
-            for g, ids in zip(grads.values(), written):
+            for g, ids in zip(grads.values(), to.values()):
                 # a memset beats a row scatter unless the block has many more rows
                 if 4 * ids.size >= len(g):
                     g.fill(0.0)

@@ -466,12 +466,13 @@ def test_flat_index_scatter_gives_the_bytes_of_a_2d_add_at():
         reference = start.copy()
         _add_rows_reference(reference, rows, grads)
         flat = start.copy()
-        _add_rows(flat, rows, grads[None])  # a table of one block
+        # a table of one block, scattered to the rows it reads
+        _add_rows(flat, rows[:, None], grads[None])
         assert flat.tobytes() == reference.tobytes(), name
         # a strided target takes the 2-D path, to the same bytes
         strided = np.repeat(start, 2, axis=1)[:, ::2]
         assert not strided.flags.c_contiguous
-        _add_rows(strided, rows, grads[None])
+        _add_rows(strided, rows[:, None], grads[None])
         assert strided.tobytes() == reference.tobytes(), name
 
 

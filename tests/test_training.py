@@ -4,8 +4,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ALL_KINDS, random_layer, stable_seed
+from conftest import ALL_KINDS, random_layer, repeated_morpheme_morphology, stable_seed
 from tenbed.errors import ConfigError
+from tenbed.gradients import backward_batch
 from tenbed.layers import LayerConfig, MethodKind, build, forward
 from tenbed.synthetic import make_morphology, make_sharing_pairs, make_sharing_task
 from tenbed.training import (
@@ -14,6 +15,7 @@ from tenbed.training import (
     SLICE_FLOATS,
     OptimizerState,
     TrainTask,
+    _pair_batch,
     eval_similarity,
     train,
 )
@@ -336,8 +338,9 @@ def test_a_batch_without_gradients_steps_nothing():
 
 @pytest.mark.parametrize("kind", ["sgd", "adam"])
 def test_live_row_step_is_byte_identical_to_the_dense_step(kind):
-    """``apply(rows=)`` gives the bytes of a dense step over 6 steps, rows live in
-    an earlier step but not written in this one and ``-0.0`` parameters included,
+    """A step on the buffers ``take_rows`` gives, each written row's gradient in
+    its buffer row, has the bytes of a dense step over 6 steps, rows live in an
+    earlier step but not written in this one and ``-0.0`` parameters included,
     and Adam's moments, read table-shaped, are a dense Adam's."""
     rng = np.random.default_rng(stable_seed("live-rows", kind))
     # gathered chunks of several slices; a gathered row wider than a slice; a
@@ -367,7 +370,12 @@ def test_live_row_step_is_byte_identical_to_the_dense_step(kind):
         grads = {name: np.zeros(shape) for name, shape in shapes.items()}
         for name, ids in rows.items():
             grads[name][ids] = rng.standard_normal(ids.shape + shapes[name][1:])
-        opt.apply(params, grads, scale=1.0 / 3, rows=rows)
+        buffers, to = opt.take_rows(params, rows)
+        for name, ids in rows.items():
+            buffers[name][to[name]] = grads[name][ids]
+        opt.apply(params, buffers, scale=1.0 / 3)
+        for name, ids in to.items():
+            buffers[name][ids] = 0.0
         dense_opt.apply(dense, grads, scale=1.0 / 3)
         for name in shapes:
             assert params[name].tobytes() == dense[name].tobytes(), (step, name)
@@ -375,13 +383,22 @@ def test_live_row_step_is_byte_identical_to_the_dense_step(kind):
             assert held.keys() == whole.keys()
             for name in held:
                 assert held[name].tobytes() == whole[name].tobytes(), (step, name)
+        gathered = {"tall", "wide"} | ({"crossing"} if step < (4 if kind == "adam" else 5) else set())
+        assert opt.live.keys() == gathered, step
+        for name in shapes:  # a gathered block's buffer has a row per slot, another is table-shaped
+            rows_held = len(opt.moments_m[name] if kind == "adam" else opt.live[name]) \
+                if name in gathered else shapes[name][0]
+            assert opt.grads[name].shape == (rows_held, shapes[name][1]), (step, name)
         if kind == "adam":  # compact until half the crossing block's rows are live
-            assert opt.slots.keys() == {"tall", "wide"} | ({"crossing"} if step < 4 else set())
+            assert opt.slots.keys() == gathered
             if step in (0, 1):  # step 1's 100 new rows overflow a capacity of 3
                 assert len(opt.moments_m["crossing"]) == new_rows[step + 1]
+        else:  # SGD gathers this step's distinct rows
+            assert all(opt.live[name].tolist() == np.unique(rows[name]).tolist()
+                       for name in gathered)
     assert not dense_opt.slots and not dense_opt.live
-    if kind == "sgd":  # SGD keeps no row state and no moments
-        assert not opt.slots and not opt.live and not opt.moments_m
+    if kind == "sgd":  # SGD keeps no row-to-slot map and no moments
+        assert not opt.slots and not opt.moments_m
 
 
 def _few_pairs_layers():
@@ -415,19 +432,41 @@ def test_a_row_no_batch_reads_keeps_its_bytes_and_zero_moments():
 
 
 def test_train_keeps_one_zero_gradient_buffer_across_calls():
+    """Every buffer is zero between calls; an Adam block held compact has a buffer
+    of exactly its moments' rows, and a block stepped whole one table-shaped
+    buffer, the same array from call to call."""
+    compact = 0
     for layer in _few_pairs_layers():
         opt = OptimizerState(lr=0.05)
         V = layer.config.vocab_size
-        buffers = None
+        whole = {}
         for call in range(3):
             pairs = [(call % V, (call + 1) % V, 1), ((call + 2) % V, call % V, 0)]
             train(layer, TrainTask("word_similarity", pairs=pairs), opt, epochs=2,
                   batch_size=1, seed=call)
             assert list(opt.grads) == list(layer.tables)
             assert not any(g.any() for g in opt.grads.values()), layer.config
-            if buffers is not None:
-                assert all(opt.grads[name] is g for name, g in buffers.items())
-            buffers = dict(opt.grads)
+            for name, g in opt.grads.items():
+                if name in opt.slots:
+                    assert g.shape == opt.moments_m[name].shape, (layer.config, name)
+                    compact += 1
+                    continue
+                table = layer.tables[name]
+                assert g.shape == (table.shape[0] * table.shape[1], table.shape[2])
+                assert whole.setdefault(name, g) is g, (layer.config, name)
+    assert compact == 3  # the 3000-row table, at every call
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_a_few_pairs_keep_a_gradient_buffer_of_under_one_percent_of_the_table(kind):
+    """The buffer scales with the rows written, not with the table: 20 words of a
+    20,000 x 64 table (10.2 MB)."""
+    layer = build(LayerConfig(MethodKind.ORIGINAL, vocab_size=20_000, embed_dim=64, seed=3))
+    opt = OptimizerState(kind=kind, lr=0.05)
+    pairs = [(997 * j % 20_000, (997 * j + 1) % 20_000, j % 2) for j in range(10)]
+    train(layer, TrainTask("word_similarity", pairs=pairs), opt, epochs=3, batch_size=4)
+    held = sum(g.nbytes for g in opt.grads.values())
+    assert 0 < held < 0.01 * layer.tables["weight"].nbytes, held
 
 
 def test_optimizer_rejects_a_block_of_another_shape():
@@ -444,21 +483,28 @@ def test_optimizer_rejects_a_block_of_another_shape():
     with pytest.raises(ConfigError, match="block 'w' has shape \\(10, 3\\), its gradient"):
         opt.apply(params, {"w": np.ones((6, 3))})
     sgd = OptimizerState(kind="sgd")
-    sgd.gradient_buffer({"w": np.zeros((10, 3))})
+    sgd.take_rows({"w": np.zeros((10, 3))}, {"w": np.array([1, 2])})
     with pytest.raises(ConfigError, match="block 'w' has shape .* gradient buffer"):
-        sgd.gradient_buffer({"w": np.zeros((6, 3))})
+        sgd.take_rows({"w": np.zeros((6, 3))}, {"w": np.array([1])})
     tall = (SLICE_FLOATS, 2)  # more than one slice, one row live: compact moments
     adam = OptimizerState()
-    adam.apply({"t": np.zeros(tall)}, {"t": np.ones(tall)}, rows={"t": np.array([0])})
-    assert adam.moments_m["t"].shape == (1, 2)
+    grads, _ = adam.take_rows({"t": np.zeros(tall)}, {"t": np.array([0])})
+    adam.apply({"t": np.zeros(tall)}, grads)
+    assert adam.moments_m["t"].shape == adam.grads["t"].shape == (1, 2)
     for shape, what in (((7, 2), "row-to-slot map"), ((SLICE_FLOATS, 3), "moments")):
         with pytest.raises(ConfigError, match=f"block 't' has shape .* {what}"):
-            adam.apply({"t": np.zeros(shape)}, {"t": np.ones(shape)}, rows={"t": np.array([0])})
+            adam.take_rows({"t": np.zeros(shape)}, {"t": np.array([0])})
+    # a table-shaped gradient of a block held compact is refused, not read as slots
+    with pytest.raises(ConfigError, match="block 't' has shape .* its gradient .* not \\(1, 2\\)"):
+        adam.apply({"t": np.zeros(tall)}, {"t": np.ones(tall)})
+    assert adam.step_count == 1
 
 
-def test_a_train_call_that_fails_after_backward_leaves_no_gradient_behind():
-    """Moments of another shape reject the step after backward has summed the
-    batch: the optimizer drops its buffer rather than keep a part-summed one."""
+def test_a_train_call_that_fails_after_backward_leaves_no_gradient_behind(monkeypatch):
+    """Moments of another shape refuse a batch before anything is scattered.  A
+    step that fails after backward has scattered its batch leaves no buffer
+    behind, and slots that stay consistent: the calls after it step the bytes
+    of an optimizer that never saw it."""
     opt = OptimizerState()
     opt.apply({"weight": np.zeros((12, 4))}, {"weight": np.ones((12, 4))})
     layer = build(LayerConfig(MethodKind.ORIGINAL, vocab_size=12, embed_dim=3, seed=0))
@@ -466,3 +512,105 @@ def test_a_train_call_that_fails_after_backward_leaves_no_gradient_behind():
     with pytest.raises(ConfigError, match="block 'weight' has shape \\(12, 3\\).* moments"):
         train(layer, task, opt, epochs=1)
     assert opt.grads == {}
+
+    # a table of more than one slice, which Adam holds compact
+    config = LayerConfig(MethodKind.ORIGINAL, vocab_size=3000, embed_dim=16, seed=2)
+    (layer, opt), (clean, clean_opt) = [(build(config), OptimizerState(lr=0.05)) for _ in "ab"]
+    tasks = [TrainTask("word_similarity", pairs=pairs) for pairs in
+             ([(0, 1, 1), (2, 3, 0)], [(4, 5, 1), (6, 0, 1)], [(5, 7, 1), (1, 8, 0)])]
+    for layer_, opt_ in ((layer, opt), (clean, clean_opt)):
+        train(layer_, tasks[0], opt_, epochs=1)
+
+    def fail(*args, **kwargs):
+        assert any(g.any() for g in opt.grads.values())  # backward has scattered the batch
+        raise RuntimeError("interrupted")
+
+    monkeypatch.setattr(opt, "apply", fail)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        train(layer, tasks[1], opt, epochs=1)
+    monkeypatch.undo()
+    assert opt.grads == {}
+    slots, live = opt.slots["weight"], opt.live["weight"]
+    assert {4, 5, 6} <= set(live.tolist())  # the failed batch's rows took slots
+    assert np.array_equal(slots[live], np.arange(len(live)))
+    assert np.count_nonzero(slots >= 0) == len(live) <= len(opt.moments_m["weight"])
+    for _ in range(2):
+        train(layer, tasks[2], opt, epochs=1)
+        train(clean, tasks[2], clean_opt, epochs=1)
+        assert layer.tables["weight"].tobytes() == clean.tables["weight"].tobytes()
+        for held, fresh in zip(opt.table_moments(), clean_opt.table_moments()):
+            assert held["weight"].tobytes() == fresh["weight"].tobytes()
+
+
+def _gathered_layers():
+    """One layer per kind whose largest tables span several optimizer slices, so
+    Adam holds them compact until half their rows are live.  morphsum's
+    4096-wide rows make a 40-pair batch more than one chunk; it and morphte
+    read word 0's one morpheme in all three slots."""
+    vocab, index = repeated_morpheme_morphology(120, 40, 3, seed=4)
+    big_vocab, big_index = repeated_morpheme_morphology(600, 500, 3, seed=5)
+    K = MethodKind
+    return [
+        build(LayerConfig(K.ORIGINAL, 3000, 16, seed=1)),
+        build(LayerConfig(K.MATRIX_FACTOR, 3000, 16, rank=12, seed=2)),
+        build(LayerConfig(K.TENSOR_TRAIN, 2000, 128, order=3, rank=16,
+                          vocab_factors=(10, 20, 10), dim_factors=(4, 8, 4), seed=3)),
+        build(LayerConfig(K.WORD2KET, 3000, 16, order=2, rank=2, subdim=4, seed=4)),
+        build(LayerConfig(K.WORD2KETXS, 4000, 512, order=2, rank=40,
+                          vocab_factors=(64, 63), dim_factors=(16, 32), seed=5)),
+        build(LayerConfig(K.MORPHTE, 600, 512, order=3, rank=10, subdim=8, seed=6),
+              vocab=big_vocab, index=big_index),
+        build(LayerConfig(K.MORPHSUM, 120, 4096, order=3, seed=7), vocab=vocab, index=index),
+        build(LayerConfig(K.WORD2KET_RSHARE, 600, 64, order=3, rank=10, subdim=4,
+                          morpheme_vocab_size=1000, seed=8)),
+    ]
+
+
+def _dense_train_call(layer, pairs, opt, seed):
+    """One epoch of ``train`` in one batch, as a dense step: the public
+    ``backward_batch`` into table-shaped zeros, and every row stepped."""
+    pairs = np.asarray(pairs)
+    batch = np.random.default_rng(seed).permutation(len(pairs))
+    _, words, upstreams = _pair_batch(layer, pairs, batch)
+    grads = {name: np.zeros((t.shape[0] * t.shape[1], t.shape[2]))
+             for name, t in layer.tables.items()}
+    backward_batch(layer, words, upstreams, grads)
+    opt.apply({name: t.reshape(-1, t.shape[-1]) for name, t in layer.tables.items()},
+              grads, scale=1.0 / len(batch))
+    return len(words)
+
+
+@pytest.mark.parametrize("kind", ["sgd", "adam"])
+def test_train_steps_the_bytes_of_a_dense_step_fed_by_backward_batch(kind):
+    """``train`` scattering into the optimizer's slots leaves every table, and
+    Adam's moments read table-shaped, byte-identical to a dense-from-start
+    optimizer stepped from ``backward_batch``'s table-shaped gradient, at
+    every step: while blocks are compact, when a step adds more rows than a
+    block's capacity, when half a block's rows go live, over batches of
+    several chunks and words that read one morpheme in several slots."""
+    rng = np.random.default_rng(stable_seed("dense-train", kind))
+    crossed = overflowed = chunked = 0
+    for layer in _gathered_layers():
+        V = layer.config.vocab_size
+        dense = build(layer.config, vocab=layer.vocab, index=layer.index)
+        opt, dense_opt = OptimizerState(kind=kind, lr=0.03), OptimizerState(kind=kind, lr=0.03)
+        for call, n in enumerate([2, 3, 40, 6, V // 2, 5]):
+            words = rng.integers(0, V, size=(n, 2))
+            words[0, 0] = 0  # word 0 reads one morpheme three times
+            pairs = [(int(a), int(b), int(label))
+                     for (a, b), label in zip(words, rng.integers(0, 2, n))]
+            compact = {name: len(opt.moments_m[name]) for name in opt.slots}
+            train(layer, TrainTask("word_similarity", pairs=pairs), opt, epochs=1,
+                  batch_size=n, seed=call)
+            chunked += _dense_train_call(dense, pairs, dense_opt, call) > layer.config.chunk_words()
+            for name, t in layer.tables.items():
+                assert t.tobytes() == dense.tables[name].tobytes(), (layer.config.kind, call, name)
+            for held, whole in zip(opt.table_moments(), dense_opt.table_moments()):
+                for name in whole:
+                    assert held[name].tobytes() == whole[name].tobytes(), (call, name)
+            for name, capacity in compact.items():
+                crossed += name not in opt.slots
+                overflowed += name in opt.slots and len(opt.moments_m[name]) > 2 * capacity
+    assert chunked >= 1
+    if kind == "adam":
+        assert crossed >= 5 and overflowed >= 5, (crossed, overflowed)
