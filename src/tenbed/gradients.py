@@ -2,25 +2,29 @@
 
 Each forward map is a shallow fixed-shape multilinear expression, so the
 adjoints are written out instead of built as a general autodiff graph.
-``backward_batch`` takes a batch of word ids and one upstream row per word,
-in chunks of ``LayerConfig.chunk_words``, and ``_add_grads``, the adjoint
-of ``layers._combine``, adds each chunk's gradient into a caller's gradient
-dict, keyed by table.  It is given two sets of rows: the table rows the
-words read, and the buffer row each one's gradient goes to.
-``backward_batch`` passes the table rows as both, into table-shaped
-gradients; ``training.train`` passes the rows of the optimizer's buffers
-(``add_batch``).  Where many words of a chunk write one table row, the
-chunk's sum is taken by one matmul and added once: matrix_factor's right
-factor, which every word reads whole, and each row of a tensor train's
-middle core, over the words whose digit reads it.  Every other table gets
-each word's slot gradients, added by ``_add_rows`` word by word in batch
-order, one scatter per table; for a sum kind ``_slot_grads`` writes them
-into the buffers ``LayerConfig.layout`` gives.  The two summed tables so
-differ from word-by-word adds by rounding only.  Truncation to the embedding
-dimension is adjointed by zero-padding the upstream.  A word that reads one
-row in several slots (repeated morphemes) has its slot gradients summed
-first and the sum added once, the correct total derivative.  ``backward``
-and ``touched_rows`` are the same for a batch of one word.
+``_add_grads``, the adjoint of ``layers._combine``, adds a chunk's gradient
+into a caller's gradient dict, keyed by table, from what the combine
+returned for the chunk (its ``reads``: matrix_factor's left rows, the
+tensor-train carries, a sum kind's factors and Khatri-Rao prefixes), so it
+computes nothing the forward computed.  It is given two sets of rows: the
+table rows the words read, and the buffer row each one's gradient goes to.
+``backward_batch`` takes a batch of word ids and one upstream row per word
+and, chunk by chunk of ``LayerConfig.chunk_words``, embeds the chunk keeping
+its reads and adds its adjoint, with the table rows as both sets, into
+table-shaped gradients; ``training.train`` calls ``add_batch`` with the
+``Record`` its forward kept and the rows of the optimizer's buffers.  Where
+many words of a chunk write one table row, the chunk's sum is taken by one
+matmul and added once: matrix_factor's right factor, which every word reads
+whole, and each row of a tensor train's middle core, over the words whose
+digit reads it.  Every other table gets each word's slot gradients, added by
+``_add_rows`` word by word in batch order, one scatter per table; for a sum
+kind ``_slot_grads`` writes them into the buffers ``LayerConfig.layout``
+gives.  The two summed tables so differ from word-by-word adds by rounding
+only.  Truncation to the embedding dimension is adjointed by zero-padding
+the upstream.  A word that reads one row in several slots (repeated
+morphemes) has its slot gradients summed first and the sum added once, the
+correct total derivative.  ``backward`` and ``touched_rows`` are the same for
+a batch of one word.
 """
 
 from __future__ import annotations
@@ -35,10 +39,9 @@ from .errors import ConfigError
 from .layers import (
     EmbeddingLayer,
     MethodKind,
-    _khatri_rao,
-    _read_factors,
+    Record,
+    _combine,
     _row_groups,
-    _tt_chain,
     forward,
     gather_batch,
 )
@@ -61,9 +64,11 @@ def _pad_upstream(U: np.ndarray, full_size: int) -> np.ndarray:
     return padded
 
 
-def _rank_sum_grads(factors: list[np.ndarray], U_full: np.ndarray) -> list[np.ndarray]:
+def _rank_sum_grads(factors: list[np.ndarray], prefixes: list[np.ndarray],
+                    U_full: np.ndarray) -> list[np.ndarray]:
     """Per word b, the ``(B, r, len_j)`` gradients of ``<U_full[b], sum_i f_0[b, i] x ... x
-    f_{n-1}[b, i]>`` w.r.t. each ``factors[j]``, n >= 2.
+    f_{n-1}[b, i]>`` w.r.t. each ``factors[j]``, n >= 2, given the forward's Khatri-Rao
+    ``prefixes`` of factors 0..k for k < n - 1.
 
     The product is the Khatri-Rao product ``KR`` of factors 0..n-2 contracted
     with the last over rank: the last factor's gradient is ``KR @ U``, the
@@ -71,7 +76,6 @@ def _rank_sum_grads(factors: list[np.ndarray], U_full: np.ndarray) -> list[np.nd
     by stacked matmuls against the prefix before it and the factor itself.
     """
     n, (B, r) = len(factors), factors[0].shape[:2]
-    prefixes = _khatri_rao(factors)
     U = U_full.reshape(B, prefixes[-1].shape[2], -1)
     grads = [None] * n
     grads[n - 1] = np.matmul(prefixes[-1], U)
@@ -142,40 +146,48 @@ def backward_batch(
     ``into`` maps each table's name to a gradient of the table's shape or of
     its ``(count * rows, cols)`` rows, in any key order; ``upstream`` is one
     length-d row per word.  Every id is checked first; then words are taken
-    in chunks of ``config.chunk_words()``.  ``into`` ends as adding each
-    word's ``backward`` in turn would leave it, byte for byte, but for the
-    tables a chunk adds as one sum (matrix_factor's right factor, a tensor
-    train's middle cores), which match it up to rounding.
+    in chunks of ``config.chunk_words()``, each a forward that keeps its
+    reads, then its adjoint.  ``into`` ends as adding each word's
+    ``backward`` in turn would leave it, byte for byte, but for the tables a
+    chunk adds as one sum (matrix_factor's right factor, a tensor train's
+    middle cores), which match it up to rounding.
     Returns the rows written per table, in table order: a ``(B, count *
     slots)`` array of rows ``i * rows + k`` (row k of block i), each word's
     block by block; a row may appear more than once.
     """
     rows = gather_batch(layer, word_ids)
-    B = len(rows[0])
+    B, step = len(rows[0]), layer.config.chunk_words()
     U = np.ascontiguousarray(upstream, dtype=np.float64)
     if U.shape != (B, layer.config.embed_dim):
         raise ValueError(f"upstream must have shape {(B, layer.config.embed_dim)}, got {U.shape}")
     written = table_rows(layer, rows)
-    add_batch(layer, rows, U, into, written)
+    for lo in range(0, B, step):
+        at = slice(lo, lo + step)
+        chunk = [ids[at] for ids in rows]
+        reads = _combine(layer, chunk)[1]
+        _add_grads(layer, chunk, reads, U[at], into, [ids[at] for ids in written])
     return [ids.reshape(B, ids.shape[1] * ids.shape[2]) for ids in written]
 
 
-def add_batch(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray,
+def add_batch(layer: EmbeddingLayer, record: Record, U: np.ndarray,
               into: dict[str, np.ndarray], to: list[np.ndarray]) -> None:
-    """Add a batch's gradient into ``into``, in chunks of ``config.chunk_words()``
-    words: the table rows ``rows`` from ``gather_batch``, their buffer rows
-    ``to`` (``table_rows``' shape), and the upstream rows ``U``."""
+    """Add the gradient of a batch that ``layers.forward_record`` embedded into
+    ``into``, chunk by chunk of its ``record``: the upstream rows ``U``, and the
+    buffer rows ``to`` (``table_rows``' shape) of the table rows it read."""
     step = layer.config.chunk_words()
-    for lo in range(0, len(U), step):
-        _add_grads(layer, [ids[lo : lo + step] for ids in rows], U[lo : lo + step], into,
-                   [ids[lo : lo + step] for ids in to])
+    for lo, reads in zip(range(0, len(U), step), record.chunks):
+        at = slice(lo, lo + step)
+        _add_grads(layer, [ids[at] for ids in record.rows], reads, U[at], into,
+                   [ids[at] for ids in to])
 
 
-def _add_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray,
-               into: dict[str, np.ndarray], to: list[np.ndarray]) -> None:
-    """Add the adjoint of ``layers._combine`` on the row ids ``rows``, against the
-    upstream rows ``U``, into ``into``: the gradient of the row ``rows[k][b, s]``
-    reads in block i of table k goes to row ``to[k][b, i, s]`` of its buffer.
+def _add_grads(layer: EmbeddingLayer, rows: list[np.ndarray], reads: list[np.ndarray],
+               U: np.ndarray, into: dict[str, np.ndarray], to: list[np.ndarray]) -> None:
+    """Add the adjoint of ``layers._combine`` on the row ids ``rows``, given the
+    ``reads`` it returned for them, against the upstream rows ``U``, into
+    ``into``: the gradient of the row ``rows[k][b, s]`` reads in block i of
+    table k goes to row ``to[k][b, i, s]`` of its buffer.  Nothing the forward
+    computed is computed again.
 
     A table row that many words read gets the sum over those words from one
     matmul, added once: matrix_factor's right factor, which every word reads
@@ -186,16 +198,16 @@ def _add_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray,
     cfg, B = layer.config, len(U)
     names = list(layer.tables)
     if cfg.kind is MethodKind.MATRIX_FACTOR:
-        left, right = (t[0] for t in layer.tables.values())
+        right, (left_rows,) = layer.tables[names[1]][0], reads
         _add_rows(into[names[0]], to[0], np.matmul(right, U[:, :, None]).reshape(1, B, 1, -1))
         target = into[names[1]].reshape(-1, right.shape[1])  # a view: its rows
-        target[to[1][0, 0]] += left[rows[0][:, 0]].T @ U  # every word reads every row
+        target[to[1][0, 0]] += left_rows.reshape(B, -1).T @ U  # every word reads every row
         return
 
     if cfg.kind is MethodKind.TENSOR_TRAIN:
         df, n, r = cfg.dim_factors, cfg.order, cfg.rank
         cores = [t[0] for t in layer.tables.values()]
-        carries, last = _tt_chain(layer, rows)
+        carries, last = reads[:-1], reads[-1]
         u_mat = _pad_upstream(U, math.prod(df)).reshape(B, -1, df[n - 1])
         last_grad = np.matmul(carries[-1].transpose(0, 2, 1), u_mat)
         _add_rows(into[names[-1]], to[-1], last_grad.reshape(1, B, 1, -1))
@@ -213,21 +225,22 @@ def _add_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray,
         _add_rows(into[names[0]], to[0], grad_carry.reshape(1, B, 1, -1))
         return
 
-    for name, ids, g in zip(names, to, _slot_grads(layer, rows, U)):
+    for name, ids, g in zip(names, to, _slot_grads(layer, reads, U)):
         _add_rows(into[name], ids, g)
 
 
-def _slot_grads(layer: EmbeddingLayer, rows: list[np.ndarray], U: np.ndarray) -> list[np.ndarray]:
+def _slot_grads(layer: EmbeddingLayer, reads: list[np.ndarray], U: np.ndarray) -> list[np.ndarray]:
     """For a kind that sums tensor products, per table every word's ``(count, B,
-    slots, cols)`` slot gradients: each factor's gradient is written into its
-    view of the buffers ``LayerConfig.layout`` gives, so the table buffers hold
-    them."""
+    slots, cols)`` slot gradients, from the factors and Khatri-Rao prefixes in
+    ``_combine``'s ``reads``: each factor's gradient is written into its view of
+    the buffers ``LayerConfig.layout`` gives, so the table buffers hold them."""
     tables, factors = layer.config.layout.buffers(len(U))
     U_full = _pad_upstream(U, layer.config.product_length)
-    if len(factors) == 1:  # a one-factor product's gradient is the padded upstream
+    if not reads:  # a one-factor product's gradient is the padded upstream
         factors[0][...] = U_full[:, None]
     else:
-        for f, g in zip(factors, _rank_sum_grads(_read_factors(layer, rows), U_full)):
+        n = len(factors)
+        for f, g in zip(factors, _rank_sum_grads(reads[:n], reads[:1] + reads[n:], U_full)):
             f[...] = g
     return [g.transpose(0, 2, 1, 3) for g in tables]
 

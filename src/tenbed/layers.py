@@ -30,8 +30,12 @@ reads a morpheme vocab and, for a kind that sums tensor products, where
 factor j of product i lives.  ``build``, ``check_parts``, ``gather_batch``
 and the combines derive from it.  ``forward_batch`` embeds a batch through
 ``gather_batch`` and ``_combine``, one read per table; ``forward`` is a
-batch of one.  Both only read the parameters and are safe to call
-concurrently; mutating parameters (training) requires exclusive access.
+batch of one.  ``_combine`` also returns what its adjoint reads of each
+chunk; ``forward_batch`` drops it, and ``forward_record`` keeps it with the
+batch's rows as a ``Record``, which the trainer's backward reads instead of
+gathering and computing again.  All three only read the parameters and are
+safe to call concurrently; mutating parameters (training) requires exclusive
+access.
 """
 
 from __future__ import annotations
@@ -512,27 +516,65 @@ def _by_core_row(x: np.ndarray, core: np.ndarray, ids: np.ndarray) -> np.ndarray
     return out
 
 
+class Record(NamedTuple):
+    """What the adjoint of ``_combine`` reads of a batch: every word's
+    ``gather_batch`` rows, and per chunk of ``config.chunk_words()`` words the
+    word-major arrays that chunk's ``_combine`` computed for it (its ``reads``)."""
+
+    rows: list[np.ndarray]
+    chunks: list[list[np.ndarray]]
+
+    def take(self, at: np.ndarray, step: int) -> Record:
+        """The record of the words at the ascending positions ``at``, in chunks of ``step``:
+        each chunk's arrays at the positions in it, joined when ``at`` spans chunks."""
+        rows = [ids[at] for ids in self.rows]
+        if len(self.chunks) == 1:
+            return Record(rows, [[a[at] for a in self.chunks[0]]] if len(at) else [])
+        cuts = np.searchsorted(at, np.arange(step, step * len(self.chunks), step))
+        parts = [[a[here - c * step] for a in reads]
+                 for c, (reads, here) in enumerate(zip(self.chunks, np.split(at, cuts)))]
+        taken = [np.concatenate(a) for a in zip(*parts)]
+        return Record(rows, [[a[lo : lo + step] for a in taken] for lo in range(0, len(at), step)])
+
+
 def forward_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> np.ndarray:
     """Embed a batch of word ids: a ``(B, d)`` float64 array, no view of the parameters.
 
     One ``gather_batch`` checks every id, then ``_combine`` embeds the words
     in chunks of ``config.chunk_words()`` in batch order, which bounds the
-    temporaries of a long batch.  An empty batch gives shape ``(0, d)``.
-    A one-chunk batch of a one-factor kind is a view of its ``(products, B, d)``
-    read buffer (4x the result for morphsum at order 3): a fresh sum is slower.
+    temporaries of a long batch: each chunk's reads are dropped.  An empty
+    batch gives shape ``(0, d)``.  A one-chunk batch of a one-factor kind is a
+    view of its ``(products, B, d)`` read buffer (4x the result for morphsum at
+    order 3): a fresh sum is slower.
     """
-    rows = gather_batch(layer, word_ids)
+    return _embed(layer, gather_batch(layer, word_ids), None)
+
+
+def forward_record(layer: EmbeddingLayer, word_ids: Sequence[int]) -> tuple[np.ndarray, Record]:
+    """``forward_batch``, and the ``Record`` of what its adjoint reads: the words'
+    rows from its one ``gather_batch``, and every chunk's reads."""
+    rows, chunks = gather_batch(layer, word_ids), []
+    return _embed(layer, rows, chunks), Record(rows, chunks)
+
+
+def _embed(layer: EmbeddingLayer, rows: list[np.ndarray], chunks: list | None) -> np.ndarray:
+    """The embeddings of the words whose rows ``gather_batch`` gave, chunk by chunk;
+    each chunk's reads are appended to ``chunks`` unless it is None."""
     B, step = len(rows[0]), layer.config.chunk_words()
-    if B <= step:
-        return _combine(layer, rows)
-    out = np.empty((B, layer.config.embed_dim))
+    out = None if 0 < B <= step else np.empty((B, layer.config.embed_dim))
     for lo in range(0, B, step):
-        out[lo : lo + step] = _combine(layer, [ids[lo : lo + step] for ids in rows])
+        y, reads = _combine(layer, rows if out is None else [ids[lo : lo + step] for ids in rows])
+        if chunks is not None:
+            chunks.append(reads)
+        if out is None:
+            return y
+        out[lo : lo + step] = y
     return out
 
 
-def _combine(layer: EmbeddingLayer, rows: list[np.ndarray]) -> np.ndarray:
-    """The ``(B, d)`` embeddings of the words whose row ids ``gather_batch`` gave.
+def _combine(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The ``(B, d)`` embeddings of the B >= 1 words whose row ids ``gather_batch``
+    gave, and the word-major arrays the adjoint reads (``reads``).
 
     Each row is computed with the arithmetic, in the order, of embedding its
     word alone: stacked matmuls for matrix_factor and tensor_train (whose
@@ -541,30 +583,37 @@ def _combine(layer: EmbeddingLayer, rows: list[np.ndarray]) -> np.ndarray:
     broadcasting, and otherwise the products contracted over rank by one
     stacked matmul, ``(B, L', r) @ (B, r, len_{n-1})`` with the row-wise
     Khatri-Rao product of factors 0..n-2 (Kolda & Bader, SIAM Review 2009).
+
+    The reads are matrix_factor's ``(B, 1, r)`` left rows; tensor_train's
+    carries and last-core rows (``_tt_chain``); for a sum kind of n >= 2
+    factors, factors 0..n-1 (``_read_factors``) then Khatri-Rao prefixes
+    1..n-2 (prefix 0 is factor 0); for a one-factor kind, none.
     """
     cfg = layer.config
     B, d, kind = len(rows[0]), cfg.embed_dim, cfg.kind
-    if B == 0:
-        return np.empty((0, d))
     if kind is MethodKind.MATRIX_FACTOR:
         left, right = (t[0] for t in layer.tables.values())
-        return np.matmul(left[rows[0]], right).reshape(B, d)
+        left_rows = left[rows[0]]
+        return np.matmul(left_rows, right).reshape(B, d), [left_rows]
     if kind is MethodKind.TENSOR_TRAIN:
         carries, last = _tt_chain(layer, rows)
-        full = np.matmul(carries[-1], last).reshape(B, -1)
+        full, reads = np.matmul(carries[-1], last).reshape(B, -1), carries + [last]
     else:
         factors = _read_factors(layer, rows)
-        full = factors[0][:, 0]  # a view of the fresh buffers, so it may be summed into
+        full, reads = factors[0][:, 0], []  # a view of the fresh buffers, so it may be summed into
         if len(factors) == 1:
             for i in range(1, factors[0].shape[1]):
                 full = np.add(full, factors[0][:, i], out=full)
-        elif factors[0].shape[1] == 1:
+        elif factors[0].shape[1] == 1:  # rank 1: the products so far are the prefixes
             for f in factors[1:]:
+                reads.append(full[:, None])
                 full = (full[:, :, None] * f[:, 0, None, :]).reshape(B, -1)
+            reads = factors + reads[1:]
         else:
-            prefix = _khatri_rao(factors)[-1]
-            full = np.matmul(prefix.transpose(0, 2, 1), factors[-1]).reshape(B, -1)
-    return full if full.shape[1] == d else full[:, :d].copy()
+            prefixes = _khatri_rao(factors)
+            full = np.matmul(prefixes[-1].transpose(0, 2, 1), factors[-1]).reshape(B, -1)
+            reads = factors + prefixes[1:]
+    return (full if full.shape[1] == d else full[:, :d].copy()), reads
 
 
 def forward(layer: EmbeddingLayer, word_id: int) -> np.ndarray:

@@ -1,17 +1,21 @@
 """Desk-scale trainer proving the compressed layers actually fit things.
 
 Two tasks: reproduce a target embedding table under mean squared error, or
-separate labelled word pairs with a cosine contrastive loss.  Each minibatch
-is one ``forward_batch`` over every word its examples read, the per-example
-losses and upstreams computed for the whole batch at once, and one gather of
-the rows the words with a gradient read.  The optimizer gives each of those
-rows its row in the block's gradient buffer (``OptimizerState.take_rows``),
-in the row order its step reads, before ``add_batch`` scatters the batch's
-gradient there; the step scales that sum by the batch size and applies it
-to the rows some batch has written, and only the buffer rows the batch
-wrote are zeroed again, so every buffer is zero between batches.  The batch
-loss is summed example by example, in example order.  Everything is
-deterministic given the seed.
+separate labelled word pairs with a cosine contrastive loss.  A task checks
+its pairs once, when it is built, into one ``(n, 3)`` integer array.  Each
+minibatch is one ``forward_record`` over every word its examples read (a
+pair batch in pair order, a0, b0, a1, b1, ...), which keeps the record of
+what the adjoint reads; the per-example losses and upstreams are computed
+for the whole batch at once, a pair's two upstreams as one stacked ``(2, 2)
+@ (2, d)`` product, and the record is taken at the words with a gradient.
+The optimizer gives each row those words read its row in the block's
+gradient buffer (``OptimizerState.take_rows``), in the row order its step
+reads, before ``add_batch`` scatters the batch's gradient there from the
+record, with no second gather or forward; the step scales that sum by the
+batch size and applies it to the rows some batch has written, and only the
+buffer rows the batch wrote are zeroed again, so every buffer is zero
+between batches.  The batch loss is summed example by example, in example
+order.  Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .errors import ConfigError, TrainingDivergedError
 from .gradients import add_batch, table_rows
-from .layers import EmbeddingLayer, forward_batch, gather_batch
+from .layers import EmbeddingLayer, forward_batch, forward_record
 from .gradients import backward  # noqa: F401  (unused; perfbench/tracing.py wraps these names)
 from .layers import forward  # noqa: F401
 
@@ -35,9 +39,12 @@ LOSSES = {"reconstruct_table": "mse", "word_similarity": "cosine_contrastive"}
 
 @dataclass
 class TrainTask:
+    """A task ``train`` fits a layer to.  Given pairs are checked once, here, and
+    held as one read-only ``(n, 3)`` integer array (``pair_array``)."""
+
     kind: str  # "reconstruct_table" | "word_similarity"
     targets: np.ndarray | None = None  # (V, d) table for reconstruction
-    pairs: list[tuple[int, int, int]] | None = None  # (a, b, label in {0,1})
+    pairs: np.ndarray | None = None  # (a, b, label in {0,1}) per row, from any sequence of pairs
     loss: str | None = None  # the kind's own loss (LOSSES), the only one it trains with
 
     def __post_init__(self):
@@ -47,6 +54,8 @@ class TrainTask:
         if self.loss not in (None, own):
             raise ConfigError(f"{self.kind} trains with {own!r} loss, not {self.loss!r}")
         self.loss = own
+        if self.pairs is not None:
+            self.pairs = pair_array(self.pairs)
 
     def validate(self, layer: EmbeddingLayer) -> None:
         if self.kind == "reconstruct_table":
@@ -55,11 +64,38 @@ class TrainTask:
             expected = (layer.config.vocab_size, layer.config.embed_dim)
             if self.targets.shape != expected:
                 raise ConfigError(f"target table shape {self.targets.shape} != {expected}")
-        else:
-            if not self.pairs:
-                raise ConfigError("word_similarity needs labelled pairs")
-            if any(label not in (0, 1) for _, _, label in self.pairs):
-                raise ConfigError("labels must be 0 or 1")
+        elif self.pairs is None or not len(self.pairs):
+            raise ConfigError("word_similarity needs labelled pairs")
+
+
+def pair_array(pairs) -> np.ndarray:
+    """Labelled pairs ``(a, b, label)`` as one read-only ``(n, 3)`` intp array.
+
+    A pair that is not three integers (a bool is not one), or whose label is
+    not 0 or 1, raises ``ConfigError`` naming it; word ids are checked against
+    a layer where it reads them.  An integer array of shape ``(n, 3)`` that
+    casts safely to intp is taken without a scan of its elements; any other
+    array is scanned as Python numbers, so no value wraps.
+    """
+    if isinstance(pairs, np.ndarray) and not (pairs.dtype.kind in "iu"
+                                              and np.can_cast(pairs.dtype, np.intp)):
+        pairs = pairs.tolist()
+    if not (isinstance(pairs, np.ndarray) and pairs.shape[1:] == (3,)):
+        for pair in pairs:
+            if (not isinstance(pair, (tuple, list, np.ndarray)) or len(pair) != 3
+                    or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                               for v in pair)):
+                raise ConfigError(f"a pair must be three integers (a, b, label), got {pair!r}")
+    try:
+        array = np.array(pairs, dtype=np.intp).reshape(-1, 3)
+    except OverflowError:
+        raise ConfigError("a pair holds an integer beyond the int64 range") from None
+    bad = np.flatnonzero((array[:, 2] != 0) & (array[:, 2] != 1))
+    if bad.size:
+        raise ConfigError(f"pair {tuple(array[bad[0]].tolist())} has label "
+                          f"{array[bad[0], 2]}, not 0 or 1")
+    array.flags.writeable = False
+    return array
 
 
 def _gathers(shape: tuple[int, int]) -> bool:
@@ -319,30 +355,46 @@ def _cosines(ya: np.ndarray, yb: np.ndarray):
 
 
 def _reconstruct_batch(layer, task, batch):
-    """Mean squared error per example, and each example's word and upstream."""
-    y = forward_batch(layer, batch)
+    """Mean squared error per example, and each example's word, upstream and record."""
+    y, record = forward_record(layer, batch)
     diff = y - task.targets[batch]
     d = y.shape[1]
-    return _row_dots(diff, diff) / d, batch, (2.0 / d) * diff
+    return _row_dots(diff, diff) / d, batch, (2.0 / d) * diff, record
 
 
 def _pair_batch(layer, pairs, batch):
-    """Contrastive loss on the cosine per pair, and the words and upstreams of
-    the pairs with a gradient: word a then word b, in example order."""
-    a, b, label = pairs[batch].T
-    y = forward_batch(layer, np.concatenate([a, b]))
-    ya, yb = y[: len(batch)], y[len(batch) :]
-    na, nb, cos = _cosines(ya, yb)
-    zero, positive = (na == 0.0) | (nb == 0.0), label == 1
-    hinge = np.where(cos > 0.0, cos, 0.0)
+    """Contrastive loss on the cosine per pair, and the words, upstreams and record
+    of the pairs with a gradient.
+
+    The batch's words are embedded once, in pair order (a0, b0, a1, b1, ...), so
+    the words with a gradient are the embedded words taken by position, and the
+    record is taken with them (not copied when every pair has a gradient).
+    With ``dcos`` the loss's derivative in the cosine, a pair's two upstreams
+    are one stacked product ``C @ [ya; yb]`` of its ``(2, 2)`` coefficients
+    ``dcos * [[-cos / na**2, 1 / (na nb)], [1 / (na nb), -cos / nb**2]]``:
+    ``dcos * (yb / (na nb) - cos ya / na**2)`` and its mirror.
+    """
+    chosen = pairs[batch]
+    words, positive = chosen[:, :2].reshape(-1), chosen[:, 2] == 1
+    y, record = forward_record(layer, words)
+    y2 = y.reshape(len(batch), 2, -1)
+    na, nb, cos = _cosines(y2[:, 0], y2[:, 1])
+    zero, above = (na == 0.0) | (nb == 0.0), cos > 0.0
+    hinge = np.where(above, cos, 0.0)
     losses = np.where(zero, positive * 1.0, np.where(positive, 1.0 - cos, hinge))
-    i = np.flatnonzero(~zero & (positive | (cos > 0.0)))
-    dcos = np.where(positive[i], -1.0, 1.0)[:, None]
-    ya, yb, na, nb, cos = ya[i], yb[i], na[i, None], nb[i, None], cos[i, None]
-    grad_a = dcos * (yb / (na * nb) - cos * ya / (na * na))
-    grad_b = dcos * (ya / (na * nb) - cos * yb / (nb * nb))
-    words = np.stack([a[i], b[i]], axis=1).reshape(-1)
-    return losses, words, np.stack([grad_a, grad_b], axis=1).reshape(len(words), y.shape[1])
+    i = np.flatnonzero(~zero & (positive | above))
+    if len(i) < len(batch):
+        at = (2 * i[:, None] + np.arange(2)).reshape(-1)
+        words, y2 = words[at], y2[i]
+        record = record.take(at, layer.config.chunk_words())
+    coefs, na, nb, cos = np.empty((len(i), 2, 2)), na[i], nb[i], cos[i]
+    np.divide(1.0, na * nb, out=coefs[:, 0, 1])
+    np.divide(-cos, na * na, out=coefs[:, 0, 0])
+    np.divide(-cos, nb * nb, out=coefs[:, 1, 1])
+    coefs[:, 1, 0] = coefs[:, 0, 1]
+    coefs[positive[i]] *= -1.0  # dcos: -1 for a positive pair, 1 for a negative one
+    upstreams = np.matmul(coefs, y2).reshape(len(words), y.shape[1])
+    return losses, words, upstreams, record
 
 
 def train(
@@ -367,7 +419,7 @@ def train(
     n_examples = (
         layer.config.vocab_size if task.kind == "reconstruct_table" else len(task.pairs)
     )
-    pairs = np.asarray(task.pairs) if task.kind == "word_similarity" else None
+    pairs = task.pairs if task.kind == "word_similarity" else None
     rng = np.random.default_rng(seed)
     # each table as (count * rows, cols): row i * rows + k is row k of block i
     tables = {name: t.reshape(-1, t.shape[-1]) for name, t in layer.tables.items()}
@@ -379,18 +431,18 @@ def train(
             batch = order[start : start + batch_size]
             with np.errstate(over="ignore", invalid="ignore"):  # the loss is checked below
                 if pairs is None:
-                    losses, words, upstreams = _reconstruct_batch(layer, task, batch)
+                    losses, _, upstreams, record = _reconstruct_batch(layer, task, batch)
                 else:
-                    losses, words, upstreams = _pair_batch(layer, pairs, batch)
+                    losses, _, upstreams, record = _pair_batch(layer, pairs, batch)
             batch_loss = 0.0
             for loss in losses.tolist():
                 batch_loss += loss
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch, batch_loss, batch=k)
-            rows = gather_batch(layer, words)
             try:
-                grads, to = opt.take_rows(tables, dict(zip(tables, table_rows(layer, rows))))
-                add_batch(layer, rows, upstreams, grads, list(to.values()))
+                written = dict(zip(tables, table_rows(layer, record.rows)))
+                grads, to = opt.take_rows(tables, written)
+                add_batch(layer, record, upstreams, grads, list(to.values()))
                 opt.apply(tables, grads, scale=1.0 / len(batch))
             except BaseException:
                 opt.grads.clear()  # a buffer left part-summed is not zero: allocate afresh
@@ -409,20 +461,21 @@ def train(
     return history
 
 
-def eval_similarity(layer: EmbeddingLayer, pairs: list[tuple[int, int, int]]) -> float:
+def eval_similarity(layer: EmbeddingLayer, pairs) -> float:
     """Accuracy of thresholding the cosine at 0.5 against the pair labels.
 
-    Pairs are embedded ``config.chunk_words()`` at a time, so no embedding
-    array grows with the number of pairs.
+    Pairs are checked as ``TrainTask``'s are (``pair_array``) and embedded as
+    ``train`` embeds them, in pair order, ``config.chunk_words()`` pairs at a
+    time, so no embedding array grows with the number of pairs.
     """
-    if not pairs:
+    pairs, step = pair_array(pairs), layer.config.chunk_words()
+    if not len(pairs):
         raise ConfigError("need at least one pair")
-    pairs, step = np.asarray(pairs), layer.config.chunk_words()
     correct = 0
     for start in range(0, len(pairs), step):
-        a, b, label = pairs[start : start + step].T
-        y = forward_batch(layer, np.concatenate([a, b]))
-        _, _, cos = _cosines(y[: len(a)], y[len(a) :])
+        chunk = pairs[start : start + step]
+        y2 = forward_batch(layer, chunk[:, :2].reshape(-1)).reshape(len(chunk), 2, -1)
+        _, _, cos = _cosines(y2[:, 0], y2[:, 1])
         # a zero-norm side has cosine NaN, so it predicts 0 like any cosine <= 0.5
-        correct += int(np.sum(np.where(cos > 0.5, 1, 0) == label))
+        correct += int(np.sum(np.where(cos > 0.5, 1, 0) == chunk[:, 2]))
     return correct / len(pairs)

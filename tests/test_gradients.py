@@ -12,8 +12,17 @@ from conftest import (
 )
 from tenbed.audit import load_reference_rows
 from tenbed.errors import ConfigError, WordLookupError
-from tenbed.gradients import _add_rows, backward, backward_batch, finite_diff_check, touched_rows
-from tenbed.layers import LayerConfig, MethodKind, build, forward, forward_batch
+import tenbed.layers
+from tenbed.gradients import (
+    _add_rows,
+    add_batch,
+    backward,
+    backward_batch,
+    finite_diff_check,
+    table_rows,
+    touched_rows,
+)
+from tenbed.layers import LayerConfig, MethodKind, build, forward, forward_batch, forward_record
 from tenbed.morphology import IndexMatrix, MorphemeVocab
 
 
@@ -501,3 +510,70 @@ def test_backward_batch_adds_by_name_whatever_the_key_order_of_into():
         backward_batch(layer, [0, 5, 7], U, into)
         for name in layer.tables:
             assert into[name].tobytes() == expected[name].tobytes(), (names[0], name)
+
+
+def _repeating_layers(kind, rng):
+    """Random layers of ``kind``; for a morphological kind also one whose word 0
+    reads one morpheme in every slot."""
+    layers = [random_layer(kind, rng) for _ in range(3)]
+    if kind in (MethodKind.MORPHTE, MethodKind.MORPHSUM):
+        vocab, index = repeated_morpheme_morphology(12, 5, 3, seed=2)
+        layers.append(build(LayerConfig(kind, 12, 7, order=3, rank=2, subdim=2, seed=3),
+                            vocab=vocab, index=index))
+    elif kind is MethodKind.WORD2KET_RSHARE:
+        rows = np.random.default_rng(4).integers(0, 5, size=(12, 3))
+        rows[0] = 2
+        layers.append(build(LayerConfig(kind, 12, 7, order=3, rank=2, subdim=2,
+                                        morpheme_vocab_size=5, seed=3),
+                            index=IndexMatrix(rows, [f"w{j}" for j in range(12)])))
+    return layers
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_record_fed_adjoint_gives_the_bytes_of_backward_batch(kind, monkeypatch):
+    """``add_batch`` fed the record ``forward_record`` kept leaves ``into`` as
+    ``backward_batch`` on the record's words leaves it, byte for byte, summed
+    tables included: for every word of a batch, for words taken by position,
+    for a batch of several chunks and words taken from one, and for a word
+    that reads one morpheme in several slots.  The adjoint reads no table
+    again: it makes no ``_tt_chain``, ``_read_factors`` or ``_khatri_rao`` call."""
+    calls = {}
+    for name in ("_tt_chain", "_read_factors", "_khatri_rao"):
+        def counted(*args, _name=name, _fn=getattr(tenbed.layers, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(tenbed.layers, name, counted)
+    rng = np.random.default_rng(stable_seed("record-fed", kind.value))
+    repeats = chunked = 0
+    for layer in _repeating_layers(kind, rng):
+        cfg = layer.config
+        words = rng.integers(0, cfg.vocab_size, size=2 * cfg.vocab_size + 10)
+        words[1] = 0
+        if layer.index is not None:
+            repeats += len(set(layer.index.rows[0].tolist())) < cfg.order
+        for chunk_words in (None, 3):
+            with monkeypatch.context() as patch:
+                if chunk_words:
+                    patch.setattr("tenbed.layers.BATCH_FLOATS", 3 * cfg.product_length)
+                    assert cfg.chunk_words() == 3
+                y, record = forward_record(layer, words)
+                assert y.tobytes() == forward_batch(layer, words).tobytes()
+                chunked += len(record.chunks) > 1
+                everything = np.arange(len(words))
+                half = np.sort(rng.choice(everything, len(words) // 2, replace=False))
+                for at in (everything, half):
+                    taken = record if at is everything else record.take(at, cfg.chunk_words())
+                    U = rng.standard_normal((len(at), cfg.embed_dim))
+                    fed = {name: np.zeros_like(t) for name, t in layer.tables.items()}
+                    before = dict(calls)
+                    add_batch(layer, taken, U, fed, table_rows(layer, taken.rows))
+                    assert calls == before, (cfg, calls, before)
+                    expected = {name: np.zeros_like(t) for name, t in layer.tables.items()}
+                    backward_batch(layer, words[at], U, expected)
+                    for name in layer.tables:
+                        assert fed[name].tobytes() == expected[name].tobytes(), (cfg, name, len(at))
+    assert chunked >= 3
+    if kind.value in ("morphte", "morphsum", "word2ket_rshare"):
+        assert repeats >= 1
+    if kind not in (MethodKind.ORIGINAL, MethodKind.MATRIX_FACTOR, MethodKind.MORPHSUM):
+        assert calls, "the forward read nothing through the counted functions"

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 
 import numpy as np
@@ -6,8 +7,10 @@ import pytest
 
 from conftest import ALL_KINDS, random_layer, repeated_morpheme_morphology, stable_seed
 from tenbed.errors import ConfigError
+import tenbed.layers
+import tenbed.training
 from tenbed.gradients import backward_batch
-from tenbed.layers import LayerConfig, MethodKind, build, forward
+from tenbed.layers import LayerConfig, MethodKind, build, forward, forward_batch
 from tenbed.synthetic import make_morphology, make_sharing_pairs, make_sharing_task
 from tenbed.training import (
     ADAM_BETAS,
@@ -15,8 +18,10 @@ from tenbed.training import (
     SLICE_FLOATS,
     OptimizerState,
     TrainTask,
+    _cosines,
     _pair_batch,
     eval_similarity,
+    pair_array,
     train,
 )
 
@@ -571,7 +576,7 @@ def _dense_train_call(layer, pairs, opt, seed):
     ``backward_batch`` into table-shaped zeros, and every row stepped."""
     pairs = np.asarray(pairs)
     batch = np.random.default_rng(seed).permutation(len(pairs))
-    _, words, upstreams = _pair_batch(layer, pairs, batch)
+    _, words, upstreams, _ = _pair_batch(layer, pairs, batch)
     grads = {name: np.zeros((t.shape[0] * t.shape[1], t.shape[2]))
              for name, t in layer.tables.items()}
     backward_batch(layer, words, upstreams, grads)
@@ -614,3 +619,146 @@ def test_train_steps_the_bytes_of_a_dense_step_fed_by_backward_batch(kind):
     assert chunked >= 1
     if kind == "adam":
         assert crossed >= 5 and overflowed >= 5, (crossed, overflowed)
+
+
+def _parent_pair_losses(layer, pairs, batch):
+    """The pair losses as first computed: words a then words b, and broadcast cosines."""
+    a, b, label = pairs[batch].T
+    y = forward_batch(layer, np.concatenate([a, b]))
+    na, nb, cos = _cosines(y[: len(batch)], y[len(batch) :])
+    zero, positive = (na == 0.0) | (nb == 0.0), label == 1
+    hinge = np.where(cos > 0.0, cos, 0.0)
+    return np.where(zero, positive * 1.0, np.where(positive, 1.0 - cos, hinge))
+
+
+def test_pair_upstreams_are_the_closed_form_and_the_loss_s_gradient():
+    """On ``original`` layers, whose rows are the embeddings, the stacked product
+    gives each pair's upstreams the closed form ``dcos * (yb / (na nb) - cos ya /
+    na**2)`` and its mirror to a relative 1e-15, and central differences of the
+    batch's summed loss; a zero-norm pair and a negative pair of cosine <= 0 get
+    none.  The losses are the bytes of the first formulation's."""
+    rng = np.random.default_rng(stable_seed("pair-upstreams"))
+    skipped = 0
+    for trial in range(6):
+        n, d = 24, int(rng.integers(2, 9))
+        layer = build(LayerConfig(MethodKind.ORIGINAL, 2 * n, d, seed=trial))
+        W = layer.params["weight"]
+        W[...] = rng.standard_normal(W.shape)
+        W[2 * int(rng.integers(0, n))] = 0.0  # a zero-norm side
+        pairs = pair_array([(2 * j, 2 * j + 1, int(label))
+                            for j, label in enumerate(rng.integers(0, 2, n))])
+        batch = rng.permutation(n)
+        losses, words, upstreams, _ = _pair_batch(layer, pairs, batch)
+        assert losses.tobytes() == _parent_pair_losses(layer, pairs, batch).tobytes()
+        kept = words.reshape(-1, 2)
+        skipped += n - len(kept)
+        for (a, b), (ua, ub) in zip(kept, upstreams.reshape(-1, 2, d)):
+            ya, yb = W[a], W[b]
+            na, nb = np.linalg.norm(ya), np.linalg.norm(yb)
+            cos = ya @ yb / (na * nb)
+            assert na > 0 and nb > 0 and (pairs[a // 2, 2] == 1 or cos > 0)
+            dcos = -1.0 if pairs[a // 2, 2] == 1 else 1.0
+            for got, want in ((ua, dcos * (yb / (na * nb) - cos * ya / (na * na))),
+                              (ub, dcos * (ya / (na * nb) - cos * yb / (nb * nb)))):
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (got, want)
+        # central differences of the summed loss in every coordinate of every side
+        # of a pair with both norms nonzero; a word with no upstream has derivative 0
+        grad = dict(zip(words.tolist(), upstreams))
+        h = 1e-6
+        for w in range(2 * n):
+            if not (W[w - w % 2].any() and W[w - w % 2 + 1].any()):
+                continue
+            for c in range(d):
+                theta = W[w, c]
+                W[w, c] = theta + h
+                hi = _pair_batch(layer, pairs, batch)[0].sum()
+                W[w, c] = theta - h
+                lo = _pair_batch(layer, pairs, batch)[0].sum()
+                W[w, c] = theta
+                expected = grad[w][c] if w in grad else 0.0
+                assert abs((hi - lo) / (2 * h) - expected) < 1e-6, (w, c)
+    assert skipped >= 6 + 3, skipped  # one zero-norm pair a trial, and some negatives
+
+
+@pytest.mark.parametrize("pairs, named", [
+    ([(1, 2)], "got (1, 2)"),
+    ([(0, 1, 1), (0, 1, 1.0)], "got (0, 1, 1.0)"),
+    ([(0, 1, True)], "got (0, 1, True)"),
+    ([(0, "1", 1)], "got (0, '1', 1)"),
+    ([(0, 1, 1), 7], "got 7"),
+    ([(0, 1, 1), (2, 3, 2)], "pair (2, 3, 2) has label 2"),
+    (np.array([[0, 1, -1]]), "pair (0, 1, -1) has label -1"),
+    ([(0, 2**70, 1)], "beyond the int64 range"),
+    (np.array([[0, 2**64 - 1, 1]], dtype=np.uint64), "beyond the int64 range"),
+    (np.array([[0.0, 1.0, 1.0]]), "got [0.0, 1.0, 1.0]"),
+    (np.array([[0, 1, 1]], dtype=bool), "got [False, True, True]"),
+])
+def test_a_malformed_pair_is_refused_by_name(pairs, named):
+    layer = build(LayerConfig(MethodKind.ORIGINAL, vocab_size=4, embed_dim=3, seed=0))
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        TrainTask("word_similarity", pairs=pairs)
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        eval_similarity(layer, pairs)
+
+
+def test_a_task_checks_and_converts_its_pairs_once(monkeypatch):
+    """A task holds its pairs as one read-only ``(n, 3)`` integer array, made when
+    it is built: ``train`` neither converts nor checks them again."""
+    given = [(0, 1, 1), (np.int64(2), 3, 0), [4, 5, 1]]
+    task = TrainTask("word_similarity", pairs=given)
+    assert len(task.pairs) == 3 and task.pairs.shape == (3, 3)
+    assert task.pairs.dtype == np.intp and not task.pairs.flags.writeable
+    assert task.pairs.tolist() == [[0, 1, 1], [2, 3, 0], [4, 5, 1]]
+    assert TrainTask("word_similarity", pairs=np.array(given)).pairs.tolist() == task.pairs.tolist()
+
+    def refuse(*args):
+        raise AssertionError("pairs checked again")
+
+    monkeypatch.setattr(tenbed.training, "pair_array", refuse)
+    layer = build(LayerConfig(MethodKind.ORIGINAL, vocab_size=6, embed_dim=3, seed=0))
+    train(layer, task, OptimizerState(), epochs=2, batch_size=2)
+
+
+def test_train_gathers_each_batch_s_rows_once(monkeypatch):
+    """One ``gather_batch`` per batch: the backward reads the forward's record."""
+    calls = []
+    gather = tenbed.layers.gather_batch
+    monkeypatch.setattr(tenbed.layers, "gather_batch", lambda *a: calls.append(1) or gather(*a))
+    assert not hasattr(tenbed.training, "gather_batch")
+    for kind in ALL_KINDS:
+        layer = random_layer(kind, np.random.default_rng(stable_seed("one-gather", kind.value)))
+        V = layer.config.vocab_size
+        pairs = [(j % V, (3 * j + 1) % V, j % 2) for j in range(7)]
+        calls.clear()
+        train(layer, TrainTask("word_similarity", pairs=pairs), OptimizerState(), epochs=2,
+              batch_size=3)
+        assert len(calls) == 2 * 3, (kind, len(calls))
+        calls.clear()
+        targets = np.zeros((V, layer.config.embed_dim))
+        train(layer, TrainTask("reconstruct_table", targets=targets), OptimizerState(),
+              epochs=1, batch_size=4)
+        assert len(calls) == -(-V // 4), (kind, len(calls))
+
+
+def test_eval_similarity_keeps_the_accuracy_it_had_in_concatenated_order(monkeypatch):
+    """Pairs embedded in pair order, in chunks of any size, score as when each
+    chunk's a-words and then its b-words were embedded: the recorded accuracies,
+    and the cosines' bytes behind them."""
+    rng = np.random.default_rng(29)
+    vocab, index = make_morphology(60, 12, 3, seed=7)
+    layers = [build(LayerConfig(MethodKind.ORIGINAL, 60, 3, seed=11)),
+              build(LayerConfig(MethodKind.MORPHTE, 60, 5, order=3, rank=2, subdim=2, seed=12),
+                    vocab=vocab, index=index)]
+    pairs = [(int(a), int(b), int(label)) for a, b, label in
+             zip(*rng.integers(0, 60, (2, 500)), rng.integers(0, 2, 500))]
+    array = pair_array(pairs)
+    a, b, label = array.T
+    for layer, recorded in zip(layers, (0.486, 0.496)):
+        _, _, cos = _cosines(forward_batch(layer, a), forward_batch(layer, b))
+        y2 = forward_batch(layer, array[:, :2].reshape(-1)).reshape(len(array), 2, -1)
+        assert _cosines(y2[:, 0], y2[:, 1])[2].tobytes() == cos.tobytes()
+        assert np.sum(np.where(cos > 0.5, 1, 0) == label) / len(pairs) == recorded
+        assert eval_similarity(layer, pairs) == recorded
+        with monkeypatch.context() as patch:
+            patch.setattr("tenbed.layers.BATCH_FLOATS", 7 * layer.config.product_length)
+            assert eval_similarity(layer, pairs) == recorded
