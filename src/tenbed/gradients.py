@@ -8,11 +8,14 @@ returned for the chunk (its ``reads``: matrix_factor's left rows, the
 tensor-train carries, a sum kind's factors and Khatri-Rao prefixes), so it
 computes nothing the forward computed.  It is given two sets of rows: the
 table rows the words read, and the buffer row each one's gradient goes to.
-``backward_batch`` takes a batch of word ids and one upstream row per word
-and, chunk by chunk of ``LayerConfig.chunk_words``, embeds the chunk keeping
-its reads and adds its adjoint, with the table rows as both sets, into
-table-shaped gradients; ``training.train`` calls ``add_batch`` with the
-``Record`` its forward kept and the rows of the optimizer's buffers.  Where
+``add_batch`` walks a batch chunk by chunk of ``LayerConfig.chunk_words``,
+from the ``Record`` of the batch's forward: a one-chunk record's reads feed
+the adjoint, and a chunk of a longer batch, whose record keeps none, is
+embedded again for its reads.  ``backward_batch`` takes a batch of word ids
+and one upstream row per word and calls ``add_batch`` with a record of rows
+only and the table rows as both sets, into table-shaped gradients;
+``training.train`` calls it with the record its forward kept and the rows of
+the optimizer's buffers.  Where
 many words of a chunk write one table row, the chunk's sum is taken by one
 matmul and added once: matrix_factor's right factor, which every word reads
 whole, and each row of a tensor train's middle core, over the words whose
@@ -146,8 +149,8 @@ def backward_batch(
     ``into`` maps each table's name to a gradient of the table's shape or of
     its ``(count * rows, cols)`` rows, in any key order; ``upstream`` is one
     length-d row per word.  Every id is checked first; then words are taken
-    in chunks of ``config.chunk_words()``, each a forward that keeps its
-    reads, then its adjoint.  ``into`` ends as adding each word's
+    in chunks of ``config.chunk_words()`` (``add_batch``), each a forward that
+    keeps its reads, then its adjoint.  ``into`` ends as adding each word's
     ``backward`` in turn would leave it, byte for byte, but for the tables a
     chunk adds as one sum (matrix_factor's right factor, a tensor train's
     middle cores), which match it up to rounding.
@@ -156,29 +159,30 @@ def backward_batch(
     block by block; a row may appear more than once.
     """
     rows = gather_batch(layer, word_ids)
-    B, step = len(rows[0]), layer.config.chunk_words()
+    B = len(rows[0])
     U = np.ascontiguousarray(upstream, dtype=np.float64)
     if U.shape != (B, layer.config.embed_dim):
         raise ValueError(f"upstream must have shape {(B, layer.config.embed_dim)}, got {U.shape}")
     written = table_rows(layer, rows)
-    for lo in range(0, B, step):
-        at = slice(lo, lo + step)
-        chunk = [ids[at] for ids in rows]
-        reads = _combine(layer, chunk)[1]
-        _add_grads(layer, chunk, reads, U[at], into, [ids[at] for ids in written])
+    add_batch(layer, Record(rows, None), U, into, written)
     return [ids.reshape(B, ids.shape[1] * ids.shape[2]) for ids in written]
 
 
 def add_batch(layer: EmbeddingLayer, record: Record, U: np.ndarray,
               into: dict[str, np.ndarray], to: list[np.ndarray]) -> None:
-    """Add the gradient of a batch that ``layers.forward_record`` embedded into
-    ``into``, chunk by chunk of its ``record``: the upstream rows ``U``, and the
-    buffer rows ``to`` (``table_rows``' shape) of the table rows it read."""
+    """Add the gradient of the words whose ``Record`` ``layers.forward_record``
+    kept into ``into``, in chunks of ``config.chunk_words()`` words: the
+    upstream rows ``U``, and the buffer rows ``to`` (``table_rows``' shape) of
+    the table rows they read.  A record with reads, of one chunk, feeds its
+    adjoint; a chunk of one without is combined again for its reads, so a
+    long batch holds one chunk's at a time."""
     step = layer.config.chunk_words()
-    for lo, reads in zip(range(0, len(U), step), record.chunks):
+    for lo in range(0, len(U), step):
         at = slice(lo, lo + step)
-        _add_grads(layer, [ids[at] for ids in record.rows], reads, U[at], into,
-                   [ids[at] for ids in to])
+        rows = [ids[at] for ids in record.rows]
+        # passed, not bound, so a chunk's reads are freed before the next is combined
+        _add_grads(layer, rows, _combine(layer, rows)[1] if record.reads is None else record.reads,
+                   U[at], into, [ids[at] for ids in to])
 
 
 def _add_grads(layer: EmbeddingLayer, rows: list[np.ndarray], reads: list[np.ndarray],

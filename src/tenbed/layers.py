@@ -31,11 +31,11 @@ factor j of product i lives.  ``build``, ``check_parts``, ``gather_batch``
 and the combines derive from it.  ``forward_batch`` embeds a batch through
 ``gather_batch`` and ``_combine``, one read per table; ``forward`` is a
 batch of one.  ``_combine`` also returns what its adjoint reads of each
-chunk; ``forward_batch`` drops it, and ``forward_record`` keeps it with the
-batch's rows as a ``Record``, which the trainer's backward reads instead of
-gathering and computing again.  All three only read the parameters and are
-safe to call concurrently; mutating parameters (training) requires exclusive
-access.
+chunk; ``forward_batch`` drops it, and ``forward_record`` keeps it for a
+batch of one chunk, with the batch's rows, as a ``Record``, which the
+trainer's backward reads instead of gathering and computing again.  All
+three only read the parameters and are safe to call concurrently; mutating
+parameters (training) requires exclusive access.
 """
 
 from __future__ import annotations
@@ -518,23 +518,18 @@ def _by_core_row(x: np.ndarray, core: np.ndarray, ids: np.ndarray) -> np.ndarray
 
 class Record(NamedTuple):
     """What the adjoint of ``_combine`` reads of a batch: every word's
-    ``gather_batch`` rows, and per chunk of ``config.chunk_words()`` words the
-    word-major arrays that chunk's ``_combine`` computed for it (its ``reads``)."""
+    ``gather_batch`` rows and, for a batch of at most ``config.chunk_words()``
+    words, the word-major arrays its one ``_combine`` computed (its ``reads``).
+    A longer batch keeps no reads (None), so a record never outgrows one
+    chunk's temporaries: its adjoint combines each chunk again."""
 
     rows: list[np.ndarray]
-    chunks: list[list[np.ndarray]]
+    reads: list[np.ndarray] | None
 
-    def take(self, at: np.ndarray, step: int) -> Record:
-        """The record of the words at the ascending positions ``at``, in chunks of ``step``:
-        each chunk's arrays at the positions in it, joined when ``at`` spans chunks."""
-        rows = [ids[at] for ids in self.rows]
-        if len(self.chunks) == 1:
-            return Record(rows, [[a[at] for a in self.chunks[0]]] if len(at) else [])
-        cuts = np.searchsorted(at, np.arange(step, step * len(self.chunks), step))
-        parts = [[a[here - c * step] for a in reads]
-                 for c, (reads, here) in enumerate(zip(self.chunks, np.split(at, cuts)))]
-        taken = [np.concatenate(a) for a in zip(*parts)]
-        return Record(rows, [[a[lo : lo + step] for a in taken] for lo in range(0, len(at), step)])
+    def take(self, at: np.ndarray) -> Record:
+        """The record of the words at the positions ``at``."""
+        return Record([ids[at] for ids in self.rows],
+                      None if self.reads is None else [a[at] for a in self.reads])
 
 
 def forward_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> np.ndarray:
@@ -542,34 +537,31 @@ def forward_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> np.ndarray:
 
     One ``gather_batch`` checks every id, then ``_combine`` embeds the words
     in chunks of ``config.chunk_words()`` in batch order, which bounds the
-    temporaries of a long batch: each chunk's reads are dropped.  An empty
-    batch gives shape ``(0, d)``.  A one-chunk batch of a one-factor kind is a
-    view of its ``(products, B, d)`` read buffer (4x the result for morphsum at
-    order 3): a fresh sum is slower.
+    temporaries of a long batch.  An empty batch gives shape ``(0, d)``.
+    A one-chunk batch of a one-factor kind is a view of its ``(products, B, d)``
+    read buffer (4x the result for morphsum at order 3): a fresh sum is slower.
     """
-    return _embed(layer, gather_batch(layer, word_ids), None)
+    return _embed(layer, gather_batch(layer, word_ids))[0]
 
 
 def forward_record(layer: EmbeddingLayer, word_ids: Sequence[int]) -> tuple[np.ndarray, Record]:
     """``forward_batch``, and the ``Record`` of what its adjoint reads: the words'
-    rows from its one ``gather_batch``, and every chunk's reads."""
-    rows, chunks = gather_batch(layer, word_ids), []
-    return _embed(layer, rows, chunks), Record(rows, chunks)
+    rows from its one ``gather_batch`` and, for a one-chunk batch, its reads."""
+    rows = gather_batch(layer, word_ids)
+    y, reads = _embed(layer, rows)
+    return y, Record(rows, reads)
 
 
-def _embed(layer: EmbeddingLayer, rows: list[np.ndarray], chunks: list | None) -> np.ndarray:
-    """The embeddings of the words whose rows ``gather_batch`` gave, chunk by chunk;
-    each chunk's reads are appended to ``chunks`` unless it is None."""
+def _embed(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[np.ndarray, list | None]:
+    """The embeddings of the words whose rows ``gather_batch`` gave and, for a batch
+    of one chunk, its ``_combine``'s reads; a longer batch drops each chunk's (None)."""
     B, step = len(rows[0]), layer.config.chunk_words()
-    out = None if 0 < B <= step else np.empty((B, layer.config.embed_dim))
+    if 0 < B <= step:
+        return _combine(layer, rows)
+    out = np.empty((B, layer.config.embed_dim))
     for lo in range(0, B, step):
-        y, reads = _combine(layer, rows if out is None else [ids[lo : lo + step] for ids in rows])
-        if chunks is not None:
-            chunks.append(reads)
-        if out is None:
-            return y
-        out[lo : lo + step] = y
-    return out
+        out[lo : lo + step] = _combine(layer, [ids[lo : lo + step] for ids in rows])[0]
+    return out, None
 
 
 def _combine(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:

@@ -4,18 +4,21 @@ Two tasks: reproduce a target embedding table under mean squared error, or
 separate labelled word pairs with a cosine contrastive loss.  A task checks
 its pairs once, when it is built, into one ``(n, 3)`` integer array.  Each
 minibatch is one ``forward_record`` over every word its examples read (a
-pair batch in pair order, a0, b0, a1, b1, ...), which keeps the record of
-what the adjoint reads; the per-example losses and upstreams are computed
-for the whole batch at once, a pair's two upstreams as one stacked ``(2, 2)
-@ (2, d)`` product, and the record is taken at the words with a gradient.
-The optimizer gives each row those words read its row in the block's
-gradient buffer (``OptimizerState.take_rows``), in the row order its step
-reads, before ``add_batch`` scatters the batch's gradient there from the
-record, with no second gather or forward; the step scales that sum by the
-batch size and applies it to the rows some batch has written, and only the
-buffer rows the batch wrote are zeroed again, so every buffer is zero
-between batches.  The batch loss is summed example by example, in example
-order.  Everything is deterministic given the seed.
+pair batch in pair order, a0, b0, a1, b1, ...), which keeps the words' rows
+and, for a batch of one chunk, what the adjoint reads; the per-example
+losses and upstreams are computed for the whole batch at once, a pair's two
+upstreams as one stacked ``(2, 2) @ (2, d)`` product, and the record is
+taken at the words with a gradient.  The optimizer gives each row those
+words read its row in the block's gradient buffer
+(``OptimizerState.take_rows``), in the row order its step reads, before
+``add_batch`` scatters the batch's gradient there from the record, with no
+second gather, and no second forward for a batch of one chunk (a longer
+batch's chunks are combined again, so its memory stays bounded by one
+chunk); the step scales that sum by the batch size and applies it to the
+rows some batch has written, and only the buffer rows the batch wrote are
+zeroed again, so every buffer is zero between batches.  The batch loss is
+summed example by example, in example order.  Everything is deterministic
+given the seed.
 """
 
 from __future__ import annotations
@@ -73,19 +76,16 @@ def pair_array(pairs) -> np.ndarray:
 
     A pair that is not three integers (a bool is not one), or whose label is
     not 0 or 1, raises ``ConfigError`` naming it; word ids are checked against
-    a layer where it reads them.  An integer array of shape ``(n, 3)`` that
-    casts safely to intp is taken without a scan of its elements; any other
-    array is scanned as Python numbers, so no value wraps.
+    a layer where it reads them.  An array is scanned as Python numbers (its
+    ``tolist()``), so no value wraps.
     """
-    if isinstance(pairs, np.ndarray) and not (pairs.dtype.kind in "iu"
-                                              and np.can_cast(pairs.dtype, np.intp)):
+    if isinstance(pairs, np.ndarray):
         pairs = pairs.tolist()
-    if not (isinstance(pairs, np.ndarray) and pairs.shape[1:] == (3,)):
-        for pair in pairs:
-            if (not isinstance(pair, (tuple, list, np.ndarray)) or len(pair) != 3
-                    or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                               for v in pair)):
-                raise ConfigError(f"a pair must be three integers (a, b, label), got {pair!r}")
+    for pair in pairs:
+        if (not isinstance(pair, (tuple, list, np.ndarray)) or len(pair) != 3
+                or not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                           for v in pair)):
+            raise ConfigError(f"a pair must be three integers (a, b, label), got {pair!r}")
     try:
         array = np.array(pairs, dtype=np.intp).reshape(-1, 3)
     except OverflowError:
@@ -355,16 +355,16 @@ def _cosines(ya: np.ndarray, yb: np.ndarray):
 
 
 def _reconstruct_batch(layer, task, batch):
-    """Mean squared error per example, and each example's word, upstream and record."""
+    """Mean squared error per example, each example's upstream, and the batch's record."""
     y, record = forward_record(layer, batch)
     diff = y - task.targets[batch]
     d = y.shape[1]
-    return _row_dots(diff, diff) / d, batch, (2.0 / d) * diff, record
+    return _row_dots(diff, diff) / d, (2.0 / d) * diff, record
 
 
 def _pair_batch(layer, pairs, batch):
-    """Contrastive loss on the cosine per pair, and the words, upstreams and record
-    of the pairs with a gradient.
+    """Contrastive loss on the cosine per pair, and the upstreams and record of
+    the words of the pairs with a gradient, word a then word b, in example order.
 
     The batch's words are embedded once, in pair order (a0, b0, a1, b1, ...), so
     the words with a gradient are the embedded words taken by position, and the
@@ -375,8 +375,8 @@ def _pair_batch(layer, pairs, batch):
     ``dcos * (yb / (na nb) - cos ya / na**2)`` and its mirror.
     """
     chosen = pairs[batch]
-    words, positive = chosen[:, :2].reshape(-1), chosen[:, 2] == 1
-    y, record = forward_record(layer, words)
+    positive = chosen[:, 2] == 1
+    y, record = forward_record(layer, chosen[:, :2].reshape(-1))
     y2 = y.reshape(len(batch), 2, -1)
     na, nb, cos = _cosines(y2[:, 0], y2[:, 1])
     zero, above = (na == 0.0) | (nb == 0.0), cos > 0.0
@@ -385,16 +385,15 @@ def _pair_batch(layer, pairs, batch):
     i = np.flatnonzero(~zero & (positive | above))
     if len(i) < len(batch):
         at = (2 * i[:, None] + np.arange(2)).reshape(-1)
-        words, y2 = words[at], y2[i]
-        record = record.take(at, layer.config.chunk_words())
+        y2, record = y2[i], record.take(at)
     coefs, na, nb, cos = np.empty((len(i), 2, 2)), na[i], nb[i], cos[i]
     np.divide(1.0, na * nb, out=coefs[:, 0, 1])
     np.divide(-cos, na * na, out=coefs[:, 0, 0])
     np.divide(-cos, nb * nb, out=coefs[:, 1, 1])
     coefs[:, 1, 0] = coefs[:, 0, 1]
     coefs[positive[i]] *= -1.0  # dcos: -1 for a positive pair, 1 for a negative one
-    upstreams = np.matmul(coefs, y2).reshape(len(words), y.shape[1])
-    return losses, words, upstreams, record
+    upstreams = np.matmul(coefs, y2).reshape(2 * len(i), y.shape[1])
+    return losses, upstreams, record
 
 
 def train(
@@ -431,9 +430,9 @@ def train(
             batch = order[start : start + batch_size]
             with np.errstate(over="ignore", invalid="ignore"):  # the loss is checked below
                 if pairs is None:
-                    losses, _, upstreams, record = _reconstruct_batch(layer, task, batch)
+                    losses, upstreams, record = _reconstruct_batch(layer, task, batch)
                 else:
-                    losses, _, upstreams, record = _pair_batch(layer, pairs, batch)
+                    losses, upstreams, record = _pair_batch(layer, pairs, batch)
             batch_loss = 0.0
             for loss in losses.tolist():
                 batch_loss += loss

@@ -535,8 +535,10 @@ def test_a_record_fed_adjoint_gives_the_bytes_of_backward_batch(kind, monkeypatc
     ``backward_batch`` on the record's words leaves it, byte for byte, summed
     tables included: for every word of a batch, for words taken by position,
     for a batch of several chunks and words taken from one, and for a word
-    that reads one morpheme in several slots.  The adjoint reads no table
-    again: it makes no ``_tt_chain``, ``_read_factors`` or ``_khatri_rao`` call."""
+    that reads one morpheme in several slots.  A one-chunk batch's adjoint
+    reads no table again: it makes no ``_tt_chain``, ``_read_factors`` or
+    ``_khatri_rao`` call.  A longer batch's record keeps no reads, so it
+    holds no more than one chunk's temporaries."""
     calls = {}
     for name in ("_tt_chain", "_read_factors", "_khatri_rao"):
         def counted(*args, _name=name, _fn=getattr(tenbed.layers, name)):
@@ -558,16 +560,17 @@ def test_a_record_fed_adjoint_gives_the_bytes_of_backward_batch(kind, monkeypatc
                     assert cfg.chunk_words() == 3
                 y, record = forward_record(layer, words)
                 assert y.tobytes() == forward_batch(layer, words).tobytes()
-                chunked += len(record.chunks) > 1
+                assert (record.reads is None) == (chunk_words is not None), cfg
+                chunked += record.reads is None
                 everything = np.arange(len(words))
                 half = np.sort(rng.choice(everything, len(words) // 2, replace=False))
                 for at in (everything, half):
-                    taken = record if at is everything else record.take(at, cfg.chunk_words())
+                    taken = record if at is everything else record.take(at)
                     U = rng.standard_normal((len(at), cfg.embed_dim))
                     fed = {name: np.zeros_like(t) for name, t in layer.tables.items()}
                     before = dict(calls)
                     add_batch(layer, taken, U, fed, table_rows(layer, taken.rows))
-                    assert calls == before, (cfg, calls, before)
+                    assert calls == before or taken.reads is None, (cfg, calls, before)
                     expected = {name: np.zeros_like(t) for name, t in layer.tables.items()}
                     backward_batch(layer, words[at], U, expected)
                     for name in layer.tables:

@@ -571,12 +571,21 @@ def _gathered_layers():
     ]
 
 
+def _kept_words(layer, pairs, batch):
+    """The words of the pairs of ``batch`` with a gradient, word a then word b in
+    example order: both norms nonzero, and positive or of cosine > 0."""
+    chosen = pairs[batch]
+    na, nb, cos = _cosines(forward_batch(layer, chosen[:, 0]), forward_batch(layer, chosen[:, 1]))
+    kept = (na > 0.0) & (nb > 0.0) & ((chosen[:, 2] == 1) | (cos > 0.0))
+    return chosen[kept, :2].reshape(-1)
+
+
 def _dense_train_call(layer, pairs, opt, seed):
     """One epoch of ``train`` in one batch, as a dense step: the public
     ``backward_batch`` into table-shaped zeros, and every row stepped."""
     pairs = np.asarray(pairs)
     batch = np.random.default_rng(seed).permutation(len(pairs))
-    _, words, upstreams, _ = _pair_batch(layer, pairs, batch)
+    words, (_, upstreams, _) = _kept_words(layer, pairs, batch), _pair_batch(layer, pairs, batch)
     grads = {name: np.zeros((t.shape[0] * t.shape[1], t.shape[2]))
              for name, t in layer.tables.items()}
     backward_batch(layer, words, upstreams, grads)
@@ -648,7 +657,8 @@ def test_pair_upstreams_are_the_closed_form_and_the_loss_s_gradient():
         pairs = pair_array([(2 * j, 2 * j + 1, int(label))
                             for j, label in enumerate(rng.integers(0, 2, n))])
         batch = rng.permutation(n)
-        losses, words, upstreams, _ = _pair_batch(layer, pairs, batch)
+        losses, upstreams, _ = _pair_batch(layer, pairs, batch)
+        words = _kept_words(layer, pairs, batch)
         assert losses.tobytes() == _parent_pair_losses(layer, pairs, batch).tobytes()
         kept = words.reshape(-1, 2)
         skipped += n - len(kept)
