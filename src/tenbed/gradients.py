@@ -8,14 +8,15 @@ returned for the chunk (its ``reads``: matrix_factor's left rows, the
 tensor-train carries, a sum kind's factors and Khatri-Rao prefixes), so it
 computes nothing the forward computed.  It is given two sets of rows: the
 table rows the words read, and the buffer row each one's gradient goes to.
-``add_batch`` walks a batch chunk by chunk of ``LayerConfig.chunk_words``,
-from the ``Record`` of the batch's forward: a one-chunk record's reads feed
-the adjoint, and a chunk of a longer batch, whose record keeps none, is
-embedded again for its reads.  ``backward_batch`` takes a batch of word ids
-and one upstream row per word and calls ``add_batch`` with a record of rows
-only and the table rows as both sets, into table-shaped gradients;
-``training.train`` calls it with the record its forward kept and the rows of
-the optimizer's buffers.  Where
+``add_batch(layer, rows, reads, U, into, to)`` walks a batch chunk by chunk
+of ``LayerConfig.chunk_words``, from the rows and reads
+``layers.forward_record`` returned: a one-chunk batch's reads feed the
+adjoint, and with ``reads`` None (a longer batch) each chunk is combined
+again for its reads.  ``backward_batch`` takes a batch of word ids and one
+upstream row per word, checks that ``into`` holds a C-contiguous float64
+gradient of each table's shape or rows, and calls ``add_batch`` with no
+reads and the table rows as both sets; ``training.train`` calls it with
+what its forward returned and the rows of the optimizer's buffers.  Where
 many words of a chunk write one table row, the chunk's sum is taken by one
 matmul and added once: matrix_factor's right factor, which every word reads
 whole, and each row of a tensor train's middle core, over the words whose
@@ -42,7 +43,6 @@ from .errors import ConfigError
 from .layers import (
     EmbeddingLayer,
     MethodKind,
-    Record,
     _combine,
     _row_groups,
     forward,
@@ -97,17 +97,17 @@ def _add_rows(target: np.ndarray, to: np.ndarray, grads: np.ndarray) -> None:
     scatter for a table whose rows each word writes apart, by slot gradients of
     its own.
 
-    ``target`` is a buffer of rows: a table's gradient, of its ``(count, rows,
-    cols)`` shape or its ``(count * rows, cols)`` rows, with ``to`` the rows
-    ``i * rows + row`` (``table_rows``), or a compact buffer with ``to`` its
-    rows that hold them.  Either way two slots of a word share a row of
-    ``to`` where they read one row of the table.  A word that reads some row in
-    several slots gets, in every row it reads, the sum of its slot gradients
-    taken in slot order from zero, added once: ``target + (0 + g1 + g2)``.  Any
-    other word adds its slot gradients as they are.  A C-contiguous target is
-    scattered into by element index (``to * cols + col``), which adds the same
-    elements in the same order as adding whole rows, on numpy's fast
-    one-dimensional ``add.at`` path.
+    ``target`` is a C-contiguous buffer of rows: a table's gradient, of its
+    ``(count, rows, cols)`` shape or its ``(count * rows, cols)`` rows, with
+    ``to`` the rows ``i * rows + row`` (``table_rows``), or a compact buffer
+    with ``to`` its rows that hold them.  Either way two slots of a word share
+    a row of ``to`` where they read one row of the table.  A word that reads
+    some row in several slots gets, in every row it reads, the sum of its slot
+    gradients taken in slot order from zero, added once: ``target + (0 + g1 +
+    g2)``.  Any other word adds its slot gradients as they are.  The scatter is
+    by element index (``to * cols + col``), which adds the same elements in the
+    same order as adding whole rows, on numpy's fast one-dimensional
+    ``add.at`` path.
     """
     to = to.transpose(1, 0, 2)  # (count, B, slots), as grads
     if to.shape[2] > 1:  # a word may read a row in several slots
@@ -123,10 +123,6 @@ def _add_rows(target: np.ndarray, to: np.ndarray, grads: np.ndarray) -> None:
                 sums[:, repeats, first[repeats, s]] += grads[:, repeats, s]
             to, grads = to[:, ~later], sums[:, ~later]
     cols = target.shape[-1]
-    if not target.flags.c_contiguous:  # a caller's table-shaped gradient, strided
-        target = target.reshape(len(grads), -1, cols)  # a view: at most the leading axis is split
-        np.add.at(target, np.unravel_index(to, target.shape[:2]), grads)
-        return
     at = to[..., None] * cols + np.arange(cols)
     np.add.at(target.reshape(-1), at.reshape(-1), grads.reshape(-1))
 
@@ -146,14 +142,16 @@ def backward_batch(
 ) -> list[np.ndarray]:
     """Add the gradient of ``sum_b <upstream[b], forward(layer, word_ids[b])>`` into ``into``.
 
-    ``into`` maps each table's name to a gradient of the table's shape or of
-    its ``(count * rows, cols)`` rows, in any key order; ``upstream`` is one
-    length-d row per word.  Every id is checked first; then words are taken
-    in chunks of ``config.chunk_words()`` (``add_batch``), each a forward that
-    keeps its reads, then its adjoint.  ``into`` ends as adding each word's
-    ``backward`` in turn would leave it, byte for byte, but for the tables a
-    chunk adds as one sum (matrix_factor's right factor, a tensor train's
-    middle cores), which match it up to rounding.
+    ``into`` maps exactly the layer's table names, in any order, to C-contiguous
+    float64 gradients, each of its table's ``(count, rows, cols)`` shape or of
+    its ``(count * rows, cols)`` rows; anything else raises ``ValueError``
+    naming the table.  ``upstream`` is one length-d row per word.  Every id,
+    the upstream and ``into`` are checked before anything is written; then
+    words are taken in chunks of ``config.chunk_words()`` (``add_batch``), each
+    a forward that keeps its reads, then its adjoint.  ``into`` ends as adding
+    each word's ``backward`` in turn would leave it, byte for byte, but for the
+    tables a chunk adds as one sum (matrix_factor's right factor, a tensor
+    train's middle cores), which match it up to rounding.
     Returns the rows written per table, in table order: a ``(B, count *
     slots)`` array of rows ``i * rows + k`` (row k of block i), each word's
     block by block; a row may appear more than once.
@@ -163,25 +161,35 @@ def backward_batch(
     U = np.ascontiguousarray(upstream, dtype=np.float64)
     if U.shape != (B, layer.config.embed_dim):
         raise ValueError(f"upstream must have shape {(B, layer.config.embed_dim)}, got {U.shape}")
+    if into.keys() != layer.tables.keys():
+        raise ValueError(f"into has gradients for {list(into)}, not for the "
+                         f"{layer.config.kind.value} tables {list(layer.tables)}")
+    for name, t in layer.tables.items():
+        g, shapes = into[name], (t.shape, (t.shape[0] * t.shape[1], t.shape[2]))
+        if not (isinstance(g, np.ndarray) and g.dtype == np.float64 and g.flags.c_contiguous
+                and g.shape in shapes):
+            raise ValueError(f"the gradient of table {name!r} must be a C-contiguous float64 "
+                             f"array of shape {shapes[0]} or {shapes[1]}, got "
+                             f"{getattr(g, 'dtype', type(g).__name__)} {np.shape(g)}")
     written = table_rows(layer, rows)
-    add_batch(layer, Record(rows, None), U, into, written)
+    add_batch(layer, rows, None, U, into, written)
     return [ids.reshape(B, ids.shape[1] * ids.shape[2]) for ids in written]
 
 
-def add_batch(layer: EmbeddingLayer, record: Record, U: np.ndarray,
-              into: dict[str, np.ndarray], to: list[np.ndarray]) -> None:
-    """Add the gradient of the words whose ``Record`` ``layers.forward_record``
-    kept into ``into``, in chunks of ``config.chunk_words()`` words: the
-    upstream rows ``U``, and the buffer rows ``to`` (``table_rows``' shape) of
-    the table rows they read.  A record with reads, of one chunk, feeds its
-    adjoint; a chunk of one without is combined again for its reads, so a
-    long batch holds one chunk's at a time."""
+def add_batch(layer: EmbeddingLayer, rows: list[np.ndarray], reads: list[np.ndarray] | None,
+              U: np.ndarray, into: dict[str, np.ndarray], to: list[np.ndarray]) -> None:
+    """Add the gradient of the words whose ``rows`` and ``reads``
+    ``layers.forward_record`` returned into ``into``, in chunks of
+    ``config.chunk_words()`` words: the upstream rows ``U``, and the buffer
+    rows ``to`` (``table_rows``' shape) of the table rows they read.  The reads
+    of a one-chunk batch feed its adjoint; with ``reads`` None each chunk is
+    combined again for its reads, so a long batch holds one chunk's at a time."""
     step = layer.config.chunk_words()
     for lo in range(0, len(U), step):
         at = slice(lo, lo + step)
-        rows = [ids[at] for ids in record.rows]
+        chunk = [ids[at] for ids in rows]
         # passed, not bound, so a chunk's reads are freed before the next is combined
-        _add_grads(layer, rows, _combine(layer, rows)[1] if record.reads is None else record.reads,
+        _add_grads(layer, chunk, _combine(layer, chunk)[1] if reads is None else reads,
                    U[at], into, [ids[at] for ids in to])
 
 
@@ -256,7 +264,7 @@ def backward(layer: EmbeddingLayer, word_id: int, upstream: np.ndarray) -> list[
     each a view of its table's gradient.  This is ``backward_batch`` on a
     batch of one, into fresh zeroed tables.
     """
-    grads = {name: np.zeros_like(t) for name, t in layer.tables.items()}
+    grads = {name: np.zeros(t.shape) for name, t in layer.tables.items()}
     backward_batch(layer, [word_id], np.asarray(upstream, dtype=np.float64)[None], grads)
     return [GradSlot(name, g) for name, g in layer.block_views(grads).items()]
 

@@ -31,11 +31,12 @@ factor j of product i lives.  ``build``, ``check_parts``, ``gather_batch``
 and the combines derive from it.  ``forward_batch`` embeds a batch through
 ``gather_batch`` and ``_combine``, one read per table; ``forward`` is a
 batch of one.  ``_combine`` also returns what its adjoint reads of each
-chunk; ``forward_batch`` drops it, and ``forward_record`` keeps it for a
-batch of one chunk, with the batch's rows, as a ``Record``, which the
-trainer's backward reads instead of gathering and computing again.  All
-three only read the parameters and are safe to call concurrently; mutating
-parameters (training) requires exclusive access.
+chunk; ``forward_batch`` drops it, and ``forward_record(layer, ids)``
+returns ``(y, rows, reads)``: the batch's rows and, for a batch of one
+chunk, its reads (else None), which the trainer's backward reads instead of
+gathering and computing again.  All three only read the parameters and are
+safe to call concurrently; mutating parameters (training) requires
+exclusive access.
 """
 
 from __future__ import annotations
@@ -148,12 +149,10 @@ class LayerConfig:
         if self.kind in FACTORED_KINDS:
             if self.vocab_factors is None or self.dim_factors is None:
                 raise ConfigError(f"{self.kind.value} requires vocab_factors and dim_factors")
-            if len(self.vocab_factors) != len(self.dim_factors):
-                raise ConfigError("vocab_factors and dim_factors must have equal length")
-            if len(self.vocab_factors) != self.order:
-                raise ConfigError(
-                    f"order {self.order} != number of factors {len(self.vocab_factors)}"
-                )
+            counts = len(self.vocab_factors), len(self.dim_factors)
+            if counts != (self.order, self.order):
+                raise ConfigError(f"order {self.order} needs {self.order} vocab_factors and "
+                                  f"dim_factors, got {counts[0]} and {counts[1]}")
             if self.order < 2:
                 raise ConfigError(f"{self.kind.value} needs order >= 2")
             if any(v < 1 for v in self.vocab_factors) or any(d < 1 for d in self.dim_factors):
@@ -397,8 +396,7 @@ def build(
             config = replace(config, morpheme_vocab_size=vocab.size)
     elif config.layout.index:  # an index without a vocab: drawn at random when not given
         vocab = None
-        if config.morpheme_vocab_size is None:
-            raise ConfigError(f"{config.kind.value} requires morpheme_vocab_size")
+        table_shapes(config)  # refuses a missing morpheme_vocab_size
         if index is None:
             index = build_rshare_index(
                 config.vocab_size, config.morpheme_vocab_size, config.order, config.seed
@@ -516,22 +514,6 @@ def _by_core_row(x: np.ndarray, core: np.ndarray, ids: np.ndarray) -> np.ndarray
     return out
 
 
-class Record(NamedTuple):
-    """What the adjoint of ``_combine`` reads of a batch: every word's
-    ``gather_batch`` rows and, for a batch of at most ``config.chunk_words()``
-    words, the word-major arrays its one ``_combine`` computed (its ``reads``).
-    A longer batch keeps no reads (None), so a record never outgrows one
-    chunk's temporaries: its adjoint combines each chunk again."""
-
-    rows: list[np.ndarray]
-    reads: list[np.ndarray] | None
-
-    def take(self, at: np.ndarray) -> Record:
-        """The record of the words at the positions ``at``."""
-        return Record([ids[at] for ids in self.rows],
-                      None if self.reads is None else [a[at] for a in self.reads])
-
-
 def forward_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> np.ndarray:
     """Embed a batch of word ids: a ``(B, d)`` float64 array, no view of the parameters.
 
@@ -544,12 +526,14 @@ def forward_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> np.ndarray:
     return _embed(layer, gather_batch(layer, word_ids))[0]
 
 
-def forward_record(layer: EmbeddingLayer, word_ids: Sequence[int]) -> tuple[np.ndarray, Record]:
-    """``forward_batch``, and the ``Record`` of what its adjoint reads: the words'
-    rows from its one ``gather_batch`` and, for a one-chunk batch, its reads."""
+def forward_record(layer: EmbeddingLayer, word_ids: Sequence[int]
+                   ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray] | None]:
+    """``forward_batch``, the words' rows from its one ``gather_batch``, and what the
+    adjoint reads: a one-chunk batch's ``_combine`` reads, or None for a longer
+    batch, which so holds one chunk's temporaries at a time."""
     rows = gather_batch(layer, word_ids)
     y, reads = _embed(layer, rows)
-    return y, Record(rows, reads)
+    return y, rows, reads
 
 
 def _embed(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[np.ndarray, list | None]:

@@ -4,21 +4,21 @@ Two tasks: reproduce a target embedding table under mean squared error, or
 separate labelled word pairs with a cosine contrastive loss.  A task checks
 its pairs once, when it is built, into one ``(n, 3)`` integer array.  Each
 minibatch is one ``forward_record`` over every word its examples read (a
-pair batch in pair order, a0, b0, a1, b1, ...), which keeps the words' rows
-and, for a batch of one chunk, what the adjoint reads; the per-example
+pair batch in pair order, a0, b0, a1, b1, ...), which returns the words'
+rows and, for a batch of one chunk, what the adjoint reads; the per-example
 losses and upstreams are computed for the whole batch at once, a pair's two
-upstreams as one stacked ``(2, 2) @ (2, d)`` product, and the record is
-taken at the words with a gradient.  The optimizer gives each row those
-words read its row in the block's gradient buffer
+upstreams as one stacked ``(2, 2) @ (2, d)`` product, and the rows and
+reads are taken at the words with a gradient.  The optimizer gives each row
+those words read its row in the block's gradient buffer
 (``OptimizerState.take_rows``), in the row order its step reads, before
-``add_batch`` scatters the batch's gradient there from the record, with no
-second gather, and no second forward for a batch of one chunk (a longer
-batch's chunks are combined again, so its memory stays bounded by one
-chunk); the step scales that sum by the batch size and applies it to the
-rows some batch has written, and only the buffer rows the batch wrote are
-zeroed again, so every buffer is zero between batches.  The batch loss is
-summed example by example, in example order.  Everything is deterministic
-given the seed.
+``add_batch`` scatters the batch's gradient there from those rows and
+reads, with no second gather, and no second forward for a batch of one
+chunk (a longer batch's chunks are combined again, so its memory stays
+bounded by one chunk); the step scales that sum by the batch size and
+applies it to the rows some batch has written, and only the buffer rows the
+batch wrote are zeroed again, so every buffer is zero between batches.  The
+batch loss is summed example by example, in example order.  Everything is
+deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -108,6 +108,8 @@ def _gathers(shape: tuple[int, int]) -> bool:
 class OptimizerState:
     """Plain SGD or bias-corrected adaptive moments, keyed by block name (``train``
     steps each table of a layer as one block: its ``(count * rows, cols)`` rows).
+    Only ``kind`` and ``lr`` are given (``OptimizerState(kind, lr)``); every
+    other field is state the steps keep.
 
     A block's gradient comes in the row order of its state.  A block in
     ``live`` is gathered: row i of its gradient is the gradient of row
@@ -130,12 +132,12 @@ class OptimizerState:
 
     kind: str = "adam"  # "sgd" | "adam"
     lr: float = 1e-2
-    step_count: int = 0
-    moments_m: dict[str, np.ndarray] = field(default_factory=dict)
-    moments_v: dict[str, np.ndarray] = field(default_factory=dict)
-    grads: dict[str, np.ndarray] = field(default_factory=dict)
-    live: dict[str, np.ndarray] = field(default_factory=dict)
-    slots: dict[str, np.ndarray] = field(default_factory=dict)
+    step_count: int = field(init=False, default=0)
+    moments_m: dict[str, np.ndarray] = field(init=False, default_factory=dict)
+    moments_v: dict[str, np.ndarray] = field(init=False, default_factory=dict)
+    grads: dict[str, np.ndarray] = field(init=False, default_factory=dict)
+    live: dict[str, np.ndarray] = field(init=False, default_factory=dict)
+    slots: dict[str, np.ndarray] = field(init=False, default_factory=dict)
 
     def __post_init__(self):
         if self.kind not in ("sgd", "adam"):
@@ -355,20 +357,21 @@ def _cosines(ya: np.ndarray, yb: np.ndarray):
 
 
 def _reconstruct_batch(layer, task, batch):
-    """Mean squared error per example, each example's upstream, and the batch's record."""
-    y, record = forward_record(layer, batch)
+    """Mean squared error per example, each example's upstream, and the batch's rows and reads."""
+    y, rows, reads = forward_record(layer, batch)
     diff = y - task.targets[batch]
     d = y.shape[1]
-    return _row_dots(diff, diff) / d, (2.0 / d) * diff, record
+    return _row_dots(diff, diff) / d, (2.0 / d) * diff, rows, reads
 
 
 def _pair_batch(layer, pairs, batch):
-    """Contrastive loss on the cosine per pair, and the upstreams and record of
+    """Contrastive loss on the cosine per pair, and the upstreams, rows and reads of
     the words of the pairs with a gradient, word a then word b, in example order.
 
     The batch's words are embedded once, in pair order (a0, b0, a1, b1, ...), so
-    the words with a gradient are the embedded words taken by position, and the
-    record is taken with them (not copied when every pair has a gradient).
+    the words with a gradient are the embedded words taken by position, and
+    their rows and reads are taken with them (not copied when every pair has a
+    gradient).
     With ``dcos`` the loss's derivative in the cosine, a pair's two upstreams
     are one stacked product ``C @ [ya; yb]`` of its ``(2, 2)`` coefficients
     ``dcos * [[-cos / na**2, 1 / (na nb)], [1 / (na nb), -cos / nb**2]]``:
@@ -376,7 +379,7 @@ def _pair_batch(layer, pairs, batch):
     """
     chosen = pairs[batch]
     positive = chosen[:, 2] == 1
-    y, record = forward_record(layer, chosen[:, :2].reshape(-1))
+    y, rows, reads = forward_record(layer, chosen[:, :2].reshape(-1))
     y2 = y.reshape(len(batch), 2, -1)
     na, nb, cos = _cosines(y2[:, 0], y2[:, 1])
     zero, above = (na == 0.0) | (nb == 0.0), cos > 0.0
@@ -385,7 +388,8 @@ def _pair_batch(layer, pairs, batch):
     i = np.flatnonzero(~zero & (positive | above))
     if len(i) < len(batch):
         at = (2 * i[:, None] + np.arange(2)).reshape(-1)
-        y2, record = y2[i], record.take(at)
+        y2, rows = y2[i], [ids[at] for ids in rows]
+        reads = None if reads is None else [a[at] for a in reads]
     coefs, na, nb, cos = np.empty((len(i), 2, 2)), na[i], nb[i], cos[i]
     np.divide(1.0, na * nb, out=coefs[:, 0, 1])
     np.divide(-cos, na * na, out=coefs[:, 0, 0])
@@ -393,7 +397,7 @@ def _pair_batch(layer, pairs, batch):
     coefs[:, 1, 0] = coefs[:, 0, 1]
     coefs[positive[i]] *= -1.0  # dcos: -1 for a positive pair, 1 for a negative one
     upstreams = np.matmul(coefs, y2).reshape(2 * len(i), y.shape[1])
-    return losses, upstreams, record
+    return losses, upstreams, rows, reads
 
 
 def train(
@@ -430,18 +434,18 @@ def train(
             batch = order[start : start + batch_size]
             with np.errstate(over="ignore", invalid="ignore"):  # the loss is checked below
                 if pairs is None:
-                    losses, upstreams, record = _reconstruct_batch(layer, task, batch)
+                    losses, upstreams, rows, reads = _reconstruct_batch(layer, task, batch)
                 else:
-                    losses, upstreams, record = _pair_batch(layer, pairs, batch)
+                    losses, upstreams, rows, reads = _pair_batch(layer, pairs, batch)
             batch_loss = 0.0
             for loss in losses.tolist():
                 batch_loss += loss
             if not np.isfinite(batch_loss):
                 raise TrainingDivergedError(epoch, batch_loss, batch=k)
             try:
-                written = dict(zip(tables, table_rows(layer, record.rows)))
+                written = dict(zip(tables, table_rows(layer, rows)))
                 grads, to = opt.take_rows(tables, written)
-                add_batch(layer, record, upstreams, grads, list(to.values()))
+                add_batch(layer, rows, reads, upstreams, grads, list(to.values()))
                 opt.apply(tables, grads, scale=1.0 / len(batch))
             except BaseException:
                 opt.grads.clear()  # a buffer left part-summed is not zero: allocate afresh

@@ -96,6 +96,8 @@ def test_missing_morpheme_vocab_size_is_config_error():
     cfg = LayerConfig(MethodKind.MORPHTE, vocab_size=10, embed_dim=8, order=3, subdim=2)
     with pytest.raises(ConfigError):
         count_params(cfg)
+    with pytest.raises(ConfigError, match="morphsum audit requires the morpheme vocabulary size"):
+        count_params(LayerConfig(MethodKind.MORPHSUM, vocab_size=10, embed_dim=8, order=3))
 
 
 def test_savings_ratio_examples():
@@ -104,6 +106,12 @@ def test_savings_ratio_examples():
     assert savings_ratio_vs_word2ket(7, 7, 2) == 2
     # vocabulary-to-morpheme ratio exceeds 2.5 on the de_en pair
     assert Fraction(15480, 5757) > Fraction(5, 2)
+
+
+@pytest.mark.parametrize("args", [(0, 5, 3), (7, 0, 3), (7, 5, 0), (-1, 5, 3)])
+def test_savings_ratio_refuses_a_non_positive_argument(args):
+    with pytest.raises(ValueError, match="all arguments must be positive"):
+        savings_ratio_vs_word2ket(*args)
 
 
 def test_reference_rows_load():

@@ -114,6 +114,16 @@ def test_rejects_meta_that_disagrees_with_blocks(changes, message):
         loads_layer(with_meta(data, **changes))
 
 
+@pytest.mark.parametrize("raw", [b"[1, 2]", b'"original"', b"null", b"3"])
+def test_rejects_meta_that_is_not_a_json_object(raw):
+    data = roundtrip_bytes(build(LayerConfig(MethodKind.ORIGINAL, 5, 3)))
+    start = len(MAGIC) + 8
+    (length,) = struct.unpack("<Q", data[start : start + 8])
+    data = data[:start] + struct.pack("<Q", len(raw)) + raw + data[start + 8 + length :]
+    with pytest.raises(CheckpointError, match="checkpoint metadata is not a JSON object"):
+        loads_layer(data)
+
+
 @pytest.mark.parametrize("kind", ["morphte", "word2ketxs"])
 def test_a_huge_rank_is_refused_before_its_blocks_are_listed(kind):
     """A meta whose rank implies 10**12 blocks is refused at once, in bounded memory."""

@@ -613,11 +613,22 @@ def _build_vocab_args(tmp_path, data: bytes, *flags):
     return ["build-vocab", str(seg), "-o", str(tmp_path / "out"), *flags]
 
 
-def _eval_word_ids_args(tmp_path):
+def _eval_args(tmp_path, *flags):
+    """``eval`` of an exported ``original`` layer, which has no word index."""
     cfg = make_train_config(tmp_path, method="original")
     ckpt = tmp_path / "layer.bin"
     assert CliRunner().invoke(main, ["export", "--config", str(cfg), "--out", str(ckpt)]).exit_code == 0
-    return ["eval", "--checkpoint", str(ckpt), "--word-ids", "0,abc"]
+    return ["eval", "--checkpoint", str(ckpt), *flags]
+
+
+def _eval_word_ids_args(tmp_path):
+    return _eval_args(tmp_path, "--word-ids", "0,abc")
+
+
+def _config_text_args(tmp_path, text):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    return ["train", "--config", str(cfg), "--out", str(tmp_path / "run")]
 
 
 def _non_utf8_config_args(tmp_path):
@@ -664,6 +675,21 @@ MALFORMED_INPUTS = [
     pytest.param(lambda p: _train_args(p, epoch="1"), "epoch", id="misspelt-key-train"),
     pytest.param(lambda p: ["export", "--config", str(make_train_config(p, rnak="2")),
                             "--out", str(p / "l.bin")], "rnak", id="misspelt-key-export"),
+    pytest.param(lambda p: _config_text_args(p, "vocab_size = 30\nepochs = 1\n"),
+                 "config is missing 'method'", id="no-method"),
+    pytest.param(lambda p: _config_text_args(p, "method = original\nepochs 1\n"),
+                 "train.cfg:2: expected key=value", id="no-equals-sign"),
+    pytest.param(lambda p: _train_args(p, **{**SIMILARITY, "morphemes": "0"}),
+                 "similarity task needs a 'morphemes=' config entry", id="similarity-morphemes=0"),
+    pytest.param(lambda p: _train_args(p, morphemes="0"),
+                 "morphte needs either --vocab-dir or a 'morphemes=' config entry",
+                 id="morphte-morphemes=0"),
+    pytest.param(lambda p: ["audit", "--method", "morphlstm", "--vocab-size", "9", "--embed-dim",
+                            "4"], "morphlstm needs --morpheme-vocab-size",
+                 id="morphlstm-no-morpheme-vocab-size"),
+    pytest.param(lambda p: _eval_args(p, "--words", "cook"),
+                 "checkpoint has no word index; use --word-ids", id="words-without-index"),
+    pytest.param(lambda p: _eval_args(p), "nothing to do", id="eval-nothing-to-do"),
 ]
 
 

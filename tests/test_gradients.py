@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -446,6 +447,51 @@ def test_backward_batch_rejects_a_mismatched_upstream():
     assert not grads["weight"].any()
 
 
+def _zeros(layer):
+    return {name: np.zeros(t.shape) for name, t in layer.tables.items()}
+
+
+@pytest.mark.parametrize("make, change, named", [
+    (lambda: build(LayerConfig(MethodKind.MATRIX_FACTOR, 6, 5, rank=2)),
+     lambda into: into.pop("factor_right"), "'factor_right'"),
+    (lambda: build(LayerConfig(MethodKind.ORIGINAL, 5, 3)),
+     lambda into: into.update(bias=np.zeros((5, 3))), "'bias'"),
+    (lambda: build(LayerConfig(MethodKind.ORIGINAL, 5, 3)),
+     lambda into: into.update(wieght=into.pop("weight")), "'wieght'"),
+    (lambda: build(LayerConfig(MethodKind.MATRIX_FACTOR, 6, 5, rank=2)),
+     lambda into: into.update(factor_right=np.zeros((1, 5, 2))), "'factor_right'"),
+    (lambda: build(LayerConfig(MethodKind.TENSOR_TRAIN, 24, 24, order=3, rank=2,
+                               vocab_factors=(2, 3, 4), dim_factors=(2, 3, 4))),
+     lambda into: into.update(tt_core_1=np.zeros((1, 2 * 3 * 2, 3))), "'tt_core_1'"),
+    (lambda: build(LayerConfig(MethodKind.ORIGINAL, 5, 3)),
+     lambda into: into.update(weight=np.zeros((3, 5))), "'weight'"),
+    (lambda: build(LayerConfig(MethodKind.WORD2KETXS, 12, 6, order=2, rank=3,
+                               vocab_factors=(3, 4), dim_factors=(2, 3))),
+     lambda into: into.update({"xs_factor_*_1": into["xs_factor_*_1"].astype(np.float32)}),
+     "'xs_factor_*_1'"),
+    (lambda: build(LayerConfig(MethodKind.ORIGINAL, 5, 3)),
+     lambda into: into.update(weight=np.zeros((5, 6))[:, ::2]), "'weight'"),
+    (lambda: build(LayerConfig(MethodKind.ORIGINAL, 5, 3)),
+     lambda into: into.update(weight=np.asfortranarray(np.zeros((5, 3)))), "'weight'"),
+], ids=["missing", "extra", "misnamed", "matrix-factor-right-transposed",
+        "tt-middle-core-transposed", "original-transposed", "float32", "strided", "fortran"])
+def test_backward_batch_refuses_a_gradient_it_cannot_add_into_by_name(make, change, named):
+    """``into`` holds exactly the layer's tables, each a C-contiguous float64
+    array of the table's shape or rows; anything else is refused naming the
+    table, before any gradient is written."""
+    layer = make()
+    into = _zeros(layer)
+    change(into)
+    before = {name: g.copy() for name, g in into.items()}
+    U = np.ones((3, layer.config.embed_dim))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        backward_batch(layer, [0, 1, 2], U, into)
+    assert into.keys() == before.keys()
+    for name, g in into.items():
+        assert g.tobytes() == before[name].tobytes(), name
+    backward_batch(layer, [0, 1, 2], U, _zeros(layer))  # the layer itself is fine
+
+
 def _add_rows_reference(target, rows, grads):
     """Word by word with 2-D ``np.add.at``: a word that reads a row twice adds
     its slot gradients summed from zero in slot order, any other word adds
@@ -478,11 +524,6 @@ def test_flat_index_scatter_gives_the_bytes_of_a_2d_add_at():
         # a table of one block, scattered to the rows it reads
         _add_rows(flat, rows[:, None], grads[None])
         assert flat.tobytes() == reference.tobytes(), name
-        # a strided target takes the 2-D path, to the same bytes
-        strided = np.repeat(start, 2, axis=1)[:, ::2]
-        assert not strided.flags.c_contiguous
-        _add_rows(strided, rows[:, None], grads[None])
-        assert strided.tobytes() == reference.tobytes(), name
 
 
 def test_backward_batch_returns_the_rows_it_wrote():
@@ -531,13 +572,13 @@ def _repeating_layers(kind, rng):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_a_record_fed_adjoint_gives_the_bytes_of_backward_batch(kind, monkeypatch):
-    """``add_batch`` fed the record ``forward_record`` kept leaves ``into`` as
-    ``backward_batch`` on the record's words leaves it, byte for byte, summed
-    tables included: for every word of a batch, for words taken by position,
-    for a batch of several chunks and words taken from one, and for a word
-    that reads one morpheme in several slots.  A one-chunk batch's adjoint
-    reads no table again: it makes no ``_tt_chain``, ``_read_factors`` or
-    ``_khatri_rao`` call.  A longer batch's record keeps no reads, so it
+    """``add_batch`` fed the rows and reads ``forward_record`` returned leaves
+    ``into`` as ``backward_batch`` on those words leaves it, byte for byte,
+    summed tables included: for every word of a batch, for words taken by
+    position, for a batch of several chunks and words taken from one, and for
+    a word that reads one morpheme in several slots.  A one-chunk batch's
+    adjoint reads no table again: it makes no ``_tt_chain``, ``_read_factors``
+    or ``_khatri_rao`` call.  A longer batch keeps no reads (None), so it
     holds no more than one chunk's temporaries."""
     calls = {}
     for name in ("_tt_chain", "_read_factors", "_khatri_rao"):
@@ -558,19 +599,22 @@ def test_a_record_fed_adjoint_gives_the_bytes_of_backward_batch(kind, monkeypatc
                 if chunk_words:
                     patch.setattr("tenbed.layers.BATCH_FLOATS", 3 * cfg.product_length)
                     assert cfg.chunk_words() == 3
-                y, record = forward_record(layer, words)
+                y, rows, reads = forward_record(layer, words)
                 assert y.tobytes() == forward_batch(layer, words).tobytes()
-                assert (record.reads is None) == (chunk_words is not None), cfg
-                chunked += record.reads is None
+                assert (reads is None) == (chunk_words is not None), cfg
+                chunked += reads is None
                 everything = np.arange(len(words))
                 half = np.sort(rng.choice(everything, len(words) // 2, replace=False))
                 for at in (everything, half):
-                    taken = record if at is everything else record.take(at)
+                    taken, taken_reads = rows, reads
+                    if at is not everything:
+                        taken = [ids[at] for ids in rows]
+                        taken_reads = None if reads is None else [a[at] for a in reads]
                     U = rng.standard_normal((len(at), cfg.embed_dim))
                     fed = {name: np.zeros_like(t) for name, t in layer.tables.items()}
                     before = dict(calls)
-                    add_batch(layer, taken, U, fed, table_rows(layer, taken.rows))
-                    assert calls == before or taken.reads is None, (cfg, calls, before)
+                    add_batch(layer, taken, taken_reads, U, fed, table_rows(layer, taken))
+                    assert calls == before or taken_reads is None, (cfg, calls, before)
                     expected = {name: np.zeros_like(t) for name, t in layer.tables.items()}
                     backward_batch(layer, words[at], U, expected)
                     for name in layer.tables:

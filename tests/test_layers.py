@@ -525,6 +525,44 @@ def test_config_errors():
         ).validate()
 
 
+def _factored(kind=MethodKind.TENSOR_TRAIN, **fields):
+    return LayerConfig(kind, **{"vocab_size": 4, "embed_dim": 4, "order": 2,
+                                "vocab_factors": (2, 2), "dim_factors": (2, 2), **fields})
+
+
+def _rshare(**fields):
+    return LayerConfig(MethodKind.WORD2KET_RSHARE,
+                       **{"vocab_size": 3, "embed_dim": 8, "order": 3, "subdim": 2, **fields})
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: LayerConfig(MethodKind.WORD2KET, 4, 8, subdim=0).validate(),
+     "subdim must be >= 1, got 0"),
+    (lambda: _factored(order=3).validate(),
+     "order 3 needs 3 vocab_factors and dim_factors, got 2 and 2"),
+    (lambda: _factored(dim_factors=(4, 1, 1)).validate(),
+     "order 2 needs 2 vocab_factors and dim_factors, got 2 and 3"),
+    (lambda: _factored(MethodKind.WORD2KETXS, order=1, vocab_factors=(4,),
+                       dim_factors=(4,)).validate(), "word2ketxs needs order >= 2"),
+    (lambda: _factored(vocab_factors=(0, 4)).validate(), "factor sizes must be positive"),
+    (lambda: _factored(embed_dim=5).validate(), "dim_factors (2, 2) cover only 4 < embed_dim 5"),
+    (lambda: _rshare(morpheme_vocab_size=0).validate(), "morpheme_vocab_size must be >= 1, got 0"),
+    (lambda: build(_rshare()), "word2ket_rshare requires morpheme_vocab_size"),
+    (lambda: build_rshare_index(3, 0, 3, seed=0),
+     "vocab_size, morpheme_vocab_size and order must be positive"),
+    (lambda: build(_rshare(morpheme_vocab_size=5),
+                   index=IndexMatrix(np.zeros((3, 2)), ["a", "b", "c"])),
+     "index has shape (3, 2), the config implies (3, 3)"),
+    (lambda: forward_batch(build(_rshare(morpheme_vocab_size=5)), [[0, 1]]),
+     "word ids must be a sequence, got shape (1, 2)"),
+], ids=["subdim=0", "factor-counts", "dim-factor-count", "order=1", "zero-factor",
+        "dim-factors-short", "morpheme-vocab=0", "build-without-morpheme-vocab",
+        "rshare-index-empty", "index-shape", "word-ids-2d"])
+def test_a_config_or_input_the_layer_cannot_use_is_refused_by_message(make, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        make()
+
+
 def test_rshare_index_deterministic_and_uniform():
     a = build_rshare_index(20, 7, 3, seed=5)
     b = build_rshare_index(20, 7, 3, seed=5)

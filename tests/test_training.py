@@ -287,6 +287,66 @@ def test_task_validation_errors():
         )
 
 
+def _tiny_original():
+    return build(LayerConfig(MethodKind.ORIGINAL, vocab_size=4, embed_dim=3, seed=0))
+
+
+@pytest.mark.parametrize("run, message", [
+    (lambda: TrainTask("classify"), "unknown task kind 'classify'"),
+    (lambda: train(_tiny_original(), TrainTask("reconstruct_table", targets=np.zeros((3, 3))),
+                   OptimizerState(), epochs=1), "target table shape (3, 3) != (4, 3)"),
+    (lambda: train(_tiny_original(), TrainTask("word_similarity"), OptimizerState(), epochs=1),
+     "word_similarity needs labelled pairs"),
+    (lambda: train(_tiny_original(), TrainTask("word_similarity", pairs=[]), OptimizerState(),
+                   epochs=1), "word_similarity needs labelled pairs"),
+    (lambda: train(_tiny_original(), TrainTask("reconstruct_table", targets=np.zeros((4, 3))),
+                   OptimizerState(), epochs=1, batch_size=0), "batch_size must be >= 1, got 0"),
+    (lambda: eval_similarity(_tiny_original(), []), "need at least one pair"),
+], ids=["task-kind", "target-shape", "no-pairs", "empty-pairs", "batch_size=0", "eval-no-pairs"])
+def test_a_task_or_call_that_cannot_train_is_refused_by_message(run, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        run()
+
+
+def test_an_epoch_whose_finite_batch_losses_overflow_their_sum_diverges():
+    """Each batch's loss is finite, so every batch steps; their sum is not, and
+    the epoch is refused, naming no batch."""
+    from tenbed.errors import TrainingDivergedError
+
+    layer = build(LayerConfig(MethodKind.ORIGINAL, vocab_size=2, embed_dim=1, seed=0))
+    targets = np.full((2, 1), 1.2e154)  # a loss of about 1.44e308 per word
+    with pytest.raises(TrainingDivergedError) as err:
+        train(layer, TrainTask("reconstruct_table", targets=targets),
+              OptimizerState(kind="sgd", lr=1e-3), epochs=1, batch_size=1)
+    assert (err.value.epoch, err.value.batch, err.value.loss) == (0, None, math.inf)
+    assert np.isfinite(layer.params["weight"]).all()
+
+
+def test_optimizer_state_is_given_only_its_kind_and_rate():
+    """Steps, moments, buffers and row maps are state the steps keep, never given."""
+    with pytest.raises(TypeError):
+        OptimizerState(moments_m={})
+    with pytest.raises(TypeError):
+        OptimizerState("adam", 0.01, 3)
+    opt = OptimizerState("sgd", 0.5)
+    assert (opt.kind, opt.lr, opt.step_count) == ("sgd", 0.5, 0)
+    assert opt.moments_m == opt.moments_v == opt.grads == opt.live == opt.slots == {}
+    assert OptimizerState().moments_m is not OptimizerState().moments_m
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: make_sharing_task(5, 2, 3, seed=0), "need at least one morpheme per slot"),
+    (lambda: make_sharing_task(10, 3, 3, seed=0),
+     "morpheme pools too small for the requested word count"),
+    # every word shares morpheme "m": a positive pair is there, a negative one is not
+    (lambda: make_sharing_pairs([{"m"}, {"m", "a"}, {"m", "b"}], 2, 0, seed=0),
+     "3 words cannot supply 2 train and 0 eval pairs"),
+], ids=["pools<order", "pools-too-small", "no-negative-pair"])
+def test_a_sharing_task_the_morphemes_cannot_make_is_refused(make, message):
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        make()
+
+
 def test_task_loss_defaults_to_the_kind_s_own_loss():
     assert TrainTask("reconstruct_table").loss == "mse"
     assert TrainTask("word_similarity", loss="cosine_contrastive").loss == "cosine_contrastive"
@@ -585,7 +645,7 @@ def _dense_train_call(layer, pairs, opt, seed):
     ``backward_batch`` into table-shaped zeros, and every row stepped."""
     pairs = np.asarray(pairs)
     batch = np.random.default_rng(seed).permutation(len(pairs))
-    words, (_, upstreams, _) = _kept_words(layer, pairs, batch), _pair_batch(layer, pairs, batch)
+    words, upstreams = _kept_words(layer, pairs, batch), _pair_batch(layer, pairs, batch)[1]
     grads = {name: np.zeros((t.shape[0] * t.shape[1], t.shape[2]))
              for name, t in layer.tables.items()}
     backward_batch(layer, words, upstreams, grads)
@@ -657,7 +717,7 @@ def test_pair_upstreams_are_the_closed_form_and_the_loss_s_gradient():
         pairs = pair_array([(2 * j, 2 * j + 1, int(label))
                             for j, label in enumerate(rng.integers(0, 2, n))])
         batch = rng.permutation(n)
-        losses, upstreams, _ = _pair_batch(layer, pairs, batch)
+        losses, upstreams, _, _ = _pair_batch(layer, pairs, batch)
         words = _kept_words(layer, pairs, batch)
         assert losses.tobytes() == _parent_pair_losses(layer, pairs, batch).tobytes()
         kept = words.reshape(-1, 2)
