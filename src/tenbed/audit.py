@@ -79,7 +79,6 @@ def count_params(config: LayerConfig) -> AuditRow:
     sets it on a layer's config from the vocab it reads.  The per-word index
     of the sharing kinds is counted as constant (non-trainable) parameters.
     """
-    config.validate()
     kind = config.kind
     V, d, n, r = config.vocab_size, config.embed_dim, config.order, config.rank
     M = config.morpheme_vocab_size

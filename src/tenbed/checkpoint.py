@@ -17,8 +17,10 @@ Parameters round-trip bit-exactly; arrays are written from their memory, and
 each block is read in place into its slab of the table handed to the layer.
 The loader checks every length against the bytes left in its input before
 it reads or allocates anything, a config's blocks against the whole input.
-It rejects unknown versions, a meta of the wrong type, a meta, block or
-index at odds with the config (``check_parts``), and trailing bytes.
+It rejects, with ``CheckpointError``, unknown versions, a meta of the wrong
+type, a meta, block or index at odds with the config, and trailing bytes: the
+config, index and vocab are checked where ``LayerConfig`` and
+``EmbeddingLayer`` are made, so a load makes the checks a build makes.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import fields
 import numpy as np
 
 from .errors import CheckpointError
-from .layers import EmbeddingLayer, LayerConfig, check_parts, table_shapes
+from .layers import EmbeddingLayer, LayerConfig, table_shapes
 from .morphology import IndexMatrix, MorphemeVocab
 
 MAGIC = b"TENBEDCK"
@@ -152,7 +154,6 @@ def parse_layer(fh, size: int) -> EmbeddingLayer:
             raise CheckpointError(f"checkpoint {key} must be null or a list of strings")
     try:
         config = LayerConfig(**{f.name: meta[f.name] for f in _CONFIG_FIELDS})
-        config.validate()
         tables = table_shapes(config)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint config: {exc}") from exc
@@ -177,19 +178,18 @@ def parse_layer(fh, size: int) -> EmbeddingLayer:
         if not np.isfinite(slab).all():  # the method: np.all's wrapper costs a few us
             raise CheckpointError(f"block {name!r} contains non-finite values")
 
-    index = vocab = None
+    index = None
     if meta["has_index"]:
         reader.shape("index", (config.vocab_size, config.order))
-        ids = reader.read(config.vocab_size * config.order, _I64, "index")
-        ids = ids.reshape(config.vocab_size, config.order)
+        ids = reader.read(config.vocab_size * config.order, _I64, "index").reshape(
+            config.vocab_size, config.order)
     try:
         if meta["has_index"]:
             index = IndexMatrix(ids, meta["words"] or [f"w{j}" for j in range(len(ids))])
-        if meta["morphemes"] is not None:
-            vocab = MorphemeVocab(meta["morphemes"])
-        check_parts(config, vocab, index)
+        vocab = None if meta["morphemes"] is None else MorphemeVocab(meta["morphemes"])
+        layer = EmbeddingLayer(config, tables, index=index, vocab=vocab)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint index or vocab: {exc}") from exc
     if reader.left:
         raise CheckpointError("trailing bytes after the last block")
-    return EmbeddingLayer(config, tables, index=index, vocab=vocab)
+    return layer

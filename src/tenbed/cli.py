@@ -205,14 +205,14 @@ def _build_layer(values: dict, vocab_dir: str | None, seed: int):
 
     ``vocab_dir`` sets every kind's vocab_size to its words; a morphological
     kind also takes its order and, unless the config sets it, its morpheme
-    count, pad included.  The similarity task labels word pairs by the
+    count, pad included, all before the config is checked (it may be valid
+    only at those sizes).  The similarity task labels word pairs by the
     morphemes they share, so its per-word morpheme sets and a morphological
     layer's vocab and index come from one ``make_sharing_task`` draw; for
     other tasks the sets are None.  Other morphological layers read
-    ``vocab_dir`` or draw ``make_morphology``; word2ket_rshare draws its
-    index from the seed either way.
+    ``vocab_dir`` or draw ``make_morphology``; word2ket_rshare draws its index
+    from the seed either way.
     """
-    config = layer_config_from_mapping(values, seed)
     similarity = values.get("task") in SIMILARITY_TASKS
     vocab = index = morph_sets = None
     if vocab_dir is not None:
@@ -222,12 +222,14 @@ def _build_layer(values: dict, vocab_dir: str | None, seed: int):
                 "it cannot train on --vocab-dir"
             )
         vocab, index = load_vocab_dir(vocab_dir)
-        config = replace(config, vocab_size=index.vocab_size)
-        if config.kind in MORPHOLOGICAL_KINDS:
-            M = config.morpheme_vocab_size
-            config = replace(config, order=index.order,
-                             morpheme_vocab_size=vocab.size if M is None else M)
-    config.validate()  # the synthetic draws below read its sizes
+        sizes = {"vocab_size": index.vocab_size}
+        if config_value(values, "method", METHOD_CHOICE) in {k.value for k in MORPHOLOGICAL_KINDS}:
+            M = config_value(values, "morpheme_vocab_size", default=vocab.size)
+            sizes.update(order=index.order, morpheme_vocab_size=M)
+        for key in sizes:  # a malformed value is refused, though the vocab dir's replaces it
+            config_value(values, key)
+        values = {**values, **sizes}
+    config = layer_config_from_mapping(values, seed)
 
     def morphemes(error: str) -> int:
         count = config_value(values, "morphemes", default=0)

@@ -23,20 +23,21 @@ seeded by the config, so identical configs rebuild bit-identical layers.
 
 An ``EmbeddingLayer`` is data: a config, the tables ``build`` or a load hands
 it, a view of its table per block and, for the morphological kinds, a vocab
-and an index.  A table stacks blocks of one shape that are read at the same
-rows: the r rank blocks of one factor, or a lone block.  ``LayerConfig.layout``
-states each kind once: its tables, the row a word reads in each, whether it
-reads a morpheme vocab and, for a kind that sums tensor products, where
-factor j of product i lives.  ``build``, ``check_parts``, ``gather_batch``
-and the combines derive from it.  ``forward_batch`` embeds a batch through
-``gather_batch`` and ``_combine``, one read per table; ``forward`` is a
-batch of one.  ``_combine`` also returns what its adjoint reads of each
-chunk; ``forward_batch`` drops it, and ``forward_record(layer, ids)``
-returns ``(y, rows, reads)``: the batch's rows and, for a batch of one
+and an index.  Both check themselves when made: a ``LayerConfig`` (by
+``replace`` too) refuses a value no layer can have, an ``EmbeddingLayer`` a
+table, vocab or index at odds with its config.  A table stacks blocks of one
+shape that are read at the same rows: the r rank blocks of one factor, or a
+lone block.  ``LayerConfig.layout`` states each kind once: its tables, the row
+a word reads in each, whether it reads a morpheme vocab and, for a kind that
+sums tensor products, where factor j of product i lives.  ``build``, the parts
+check, ``gather_batch`` and the combines derive from it.  ``forward_batch``
+embeds a batch through ``gather_batch`` and ``_combine``, one read per table;
+``forward`` is a batch of one.  ``_combine`` also returns what its adjoint
+reads of each chunk; ``forward_batch`` drops it, and ``forward_record(layer,
+ids)`` returns ``(y, rows, reads)``: the batch's rows and, for a batch of one
 chunk, its reads (else None), which the trainer's backward reads instead of
 gathering and computing again.  All three only read the parameters and are
-safe to call concurrently; mutating parameters (training) requires
-exclusive access.
+safe to call concurrently; training, which writes them, needs exclusive access.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class LayerConfig:
     and ``dim_factors`` are the per-axis splits of the vocabulary size and
     embedding size for ``tensor_train`` / ``word2ketxs``.  A forward builds
     the whole product (``q**order`` or ``prod(dim_factors)`` floats) per word,
-    so ``validate`` bounds it by ``MAX_PRODUCT_PER_DIM * embed_dim``.
+    so the constructor bounds it by ``MAX_PRODUCT_PER_DIM * embed_dim``.
     """
 
     kind: MethodKind
@@ -115,7 +116,8 @@ class LayerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        """Refuse a float, bool or str in an integer field, naming it; numpy integers pass."""
+        """Refuse a float, bool or str in an integer field, then any value no layer can
+        have, each naming it; numpy integers pass.  ``replace`` refuses alike."""
         object.__setattr__(self, "kind", MethodKind(self.kind))
         for f in fields(self)[1:]:  # every field after kind
             value = getattr(self, f.name)
@@ -127,8 +129,6 @@ class LayerConfig:
                     what = "integers" if factors else "an integer"
                     raise ConfigError(f"{f.name} must be {what}, got {v!r}")
             object.__setattr__(self, f.name, tuple(map(int, value)) if factors else int(value))
-
-    def validate(self) -> None:
         lows = {"vocab_size": 1, "embed_dim": 1, "rank": 1, "order": 1, "seed": 0}
         for name, low in lows.items():
             if getattr(self, name) < low:
@@ -139,10 +139,8 @@ class LayerConfig:
             if q < 1:
                 raise ConfigError(f"subdim must be >= 1, got {q}")
             if not _covers(q, self.order, self.embed_dim):
-                raise ConfigError(
-                    f"subdim {q} with order {self.order} covers only "
-                    f"{q ** self.order} < embed_dim {self.embed_dim}"
-                )
+                raise ConfigError(f"subdim {q} with order {self.order} covers only "
+                                  f"{q ** self.order} < embed_dim {self.embed_dim}")
             if _covers(q, self.order, limit + 1):
                 raise ConfigError(f"{q}**{self.order} is more than {MAX_PRODUCT_PER_DIM} * "
                                   f"embed_dim = {limit}")
@@ -157,16 +155,11 @@ class LayerConfig:
                 raise ConfigError(f"{self.kind.value} needs order >= 2")
             if any(v < 1 for v in self.vocab_factors) or any(d < 1 for d in self.dim_factors):
                 raise ConfigError("factor sizes must be positive")
-            if math.prod(self.vocab_factors) < self.vocab_size:
-                raise ConfigError(
-                    f"vocab_factors {self.vocab_factors} cover only "
-                    f"{math.prod(self.vocab_factors)} < vocab_size {self.vocab_size}"
-                )
-            if math.prod(self.dim_factors) < self.embed_dim:
-                raise ConfigError(
-                    f"dim_factors {self.dim_factors} cover only "
-                    f"{math.prod(self.dim_factors)} < embed_dim {self.embed_dim}"
-                )
+            for factors, size in (("vocab_factors", "vocab_size"), ("dim_factors", "embed_dim")):
+                covered = math.prod(getattr(self, factors))
+                if covered < getattr(self, size):
+                    raise ConfigError(f"{factors} {getattr(self, factors)} cover only {covered} "
+                                      f"< {size} {getattr(self, size)}")
             if math.prod(self.dim_factors) > limit:
                 raise ConfigError(f"prod(dim_factors) is more than {MAX_PRODUCT_PER_DIM} * "
                                   f"embed_dim = {limit}")
@@ -305,7 +298,7 @@ class EmbeddingLayer:
     rebinding a block raises instead of leaving its table stale.  A table is kept
     uncopied, given as that array or as its ``(count * rows, cols)`` rows, and must
     be float64; one of more than one block must be C-contiguous, so that its rows
-    are a view too."""
+    are a view too.  The vocab and index must be its layout's, and fit the config."""
 
     config: LayerConfig
     tables: Mapping[str, np.ndarray]
@@ -326,6 +319,7 @@ class EmbeddingLayer:
             if count > 1 and not table.flags.c_contiguous:
                 raise ValueError(f"table {name!r} of {count} blocks is not C-contiguous")
             tables[name] = table if table.ndim == 3 else table.reshape(count, rows, cols)
+        _check_parts(self.config, self.vocab, self.index)
         object.__setattr__(self, "tables", MappingProxyType(tables))
         object.__setattr__(self, "params", MappingProxyType(self.block_views(tables)))
 
@@ -355,24 +349,19 @@ def build_rshare_index(
     return IndexMatrix(rows, words)
 
 
-def check_parts(
-    config: LayerConfig, vocab: MorphemeVocab | None, index: IndexMatrix | None
-) -> None:
+def _check_parts(config: LayerConfig, vocab: MorphemeVocab | None,
+                 index: IndexMatrix | None) -> None:
     """Check that a layer has the vocab and index its layout reads, and that they fit."""
     needs = (config.layout.vocab, config.layout.index)
     if (vocab is not None, index is not None) != needs:
-        raise ConfigError(
-            f"{config.kind.value} requires {'a' if needs[0] else 'no'} morpheme vocab "
-            f"and {'an' if needs[1] else 'no'} index"
-        )
+        raise ConfigError(f"{config.kind.value} requires {'a' if needs[0] else 'no'} morpheme "
+                          f"vocab and {'an' if needs[1] else 'no'} index")
     if index is None:
         return
     M = config.morpheme_vocab_size
     if index.rows.shape != (config.vocab_size, config.order):
-        raise ConfigError(
-            f"index has shape {index.rows.shape}, the config implies "
-            f"{(config.vocab_size, config.order)}"
-        )
+        raise ConfigError(f"index has shape {index.rows.shape}, the config implies "
+                          f"{(config.vocab_size, config.order)}")
     if vocab is not None and vocab.size != M:
         raise ConfigError(f"morpheme_vocab_size {M} != vocab size {vocab.size}")
     if index.rows.size and (int(index.rows.min()) < 0 or int(index.rows.max()) >= M):
@@ -390,7 +379,6 @@ def build(
     synthesises its index from the config seed when none is supplied.  Every
     other kind drops the vocab and index it is given.
     """
-    config.validate()
     if config.layout.vocab:
         if vocab is not None and config.morpheme_vocab_size is None:
             config = replace(config, morpheme_vocab_size=vocab.size)
@@ -404,7 +392,7 @@ def build(
     else:
         index = None
         vocab = None
-    check_parts(config, vocab, index)
+    _check_parts(config, vocab, index)  # before any table is drawn
 
     rng = np.random.default_rng(config.seed)
     slabs: dict[str, list[np.ndarray]] = {}

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, TrainingDivergedError
+from .errors import ConfigError, TrainingDivergedError, WordLookupError
 from .gradients import add_batch, table_rows
 from .layers import EmbeddingLayer, forward_batch, forward_record
 from .gradients import backward  # noqa: F401  (unused; perfbench/tracing.py wraps these names)
@@ -42,8 +42,8 @@ LOSSES = {"reconstruct_table": "mse", "word_similarity": "cosine_contrastive"}
 
 @dataclass
 class TrainTask:
-    """A task ``train`` fits a layer to.  Given pairs are checked once, here, and
-    held as one read-only ``(n, 3)`` integer array (``pair_array``)."""
+    """A task ``train`` fits a layer to.  Given targets (a 2-D real array) and pairs are
+    checked once, here; pairs are held as one read-only ``(n, 3)`` int array (``pair_array``)."""
 
     kind: str  # "reconstruct_table" | "word_similarity"
     targets: np.ndarray | None = None  # (V, d) table for reconstruction
@@ -57,6 +57,11 @@ class TrainTask:
         if self.loss not in (None, own):
             raise ConfigError(f"{self.kind} trains with {own!r} loss, not {self.loss!r}")
         self.loss = own
+        t = self.targets
+        is_array = isinstance(t, np.ndarray)
+        if t is not None and not (is_array and t.ndim == 2 and t.dtype.kind in "iuf"):
+            got = f"a {t.ndim}-D {t.dtype} array" if is_array else type(t).__name__
+            raise ConfigError(f"targets must be a 2-D array of real numbers, got {got}")
         if self.pairs is not None:
             self.pairs = pair_array(self.pairs)
 
@@ -69,14 +74,20 @@ class TrainTask:
                 raise ConfigError(f"target table shape {self.targets.shape} != {expected}")
         elif self.pairs is None or not len(self.pairs):
             raise ConfigError("word_similarity needs labelled pairs")
+        else:  # refused before any step, so a bad pair changes no table
+            ids, V = self.pairs[:, :2], layer.config.vocab_size
+            bad = np.flatnonzero(((ids < 0) | (ids >= V)).any(axis=1))
+            if bad.size:
+                raise WordLookupError(f"pair {tuple(self.pairs[bad[0]].tolist())} has a word id "
+                                      f"out of range [0, {V})")
 
 
 def pair_array(pairs) -> np.ndarray:
     """Labelled pairs ``(a, b, label)`` as one read-only ``(n, 3)`` intp array.
 
     A pair that is not three integers (a bool is not one), or whose label is
-    not 0 or 1, raises ``ConfigError`` naming it; word ids are checked against
-    a layer where it reads them.  An array is scanned as Python numbers (its
+    not 0 or 1, raises ``ConfigError`` naming it; ``TrainTask.validate`` checks
+    word ids against a layer.  An array is scanned as Python numbers (its
     ``tolist()``), so no value wraps.
     """
     if isinstance(pairs, np.ndarray):

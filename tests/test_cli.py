@@ -11,7 +11,7 @@ from click.testing import CliRunner
 import tenbed
 from tenbed.cli import main
 from tenbed.checkpoint import load_layer, save_layer
-from tenbed.layers import EmbeddingLayer, LayerConfig, build_rshare_index, forward
+from tenbed.layers import LayerConfig, build, build_rshare_index, forward
 from tenbed.synthetic import make_sharing_task
 
 
@@ -44,14 +44,14 @@ def test_build_vocab_outputs(runner, tmp_path):
     out = tmp_path / "out"
     res = runner.invoke(main, ["build-vocab", str(seg), "-n", "3", "-o", str(out)])
     assert res.exit_code == 0, res.output + str(res.exception)
-    vocab_lines = (out / "morphemes.tsv").read_text().splitlines()
+    vocab_lines = (out / "morphemes.tsv").read_text(encoding="utf-8").splitlines()
     # un kind ly ness feel ingly cook ing + pad
     assert len(vocab_lines) == 9
     assert vocab_lines[-1].startswith("<pad>\t")
-    index_lines = (out / "index.tsv").read_text().splitlines()
+    index_lines = (out / "index.tsv").read_text(encoding="utf-8").splitlines()
     assert len(index_lines) == 5
     assert index_lines[0].split("\t")[0] == "unkindly"
-    stats = (out / "stats.tsv").read_text().splitlines()
+    stats = (out / "stats.tsv").read_text(encoding="utf-8").splitlines()
     assert stats[0].startswith("segmentation\t")
     assert (out / "manifest.json").exists()
 
@@ -69,7 +69,7 @@ def test_build_vocab_order_one(runner, tmp_path):
     out = tmp_path / "out"
     res = runner.invoke(main, ["build-vocab", str(seg), "-n", "1", "-o", str(out)])
     assert res.exit_code == 0
-    for line in (out / "index.tsv").read_text().splitlines():
+    for line in (out / "index.tsv").read_text(encoding="utf-8").splitlines():
         ids = line.split("\t")[1].split()
         assert len(ids) == 1
 
@@ -95,7 +95,7 @@ def test_build_vocab_random_seg(runner, tmp_path):
         ["build-vocab", str(words), "-n", "3", "-o", str(out), "--use-random-seg", "--seed", "1"],
     )
     assert res.exit_code == 0
-    lines = (out / "index.tsv").read_text().splitlines()
+    lines = (out / "index.tsv").read_text(encoding="utf-8").splitlines()
     assert len(lines) == 3
 
 
@@ -188,7 +188,7 @@ def test_train_writes_history_checkpoint_manifest(runner, tmp_path):
     out = tmp_path / "run"
     res = runner.invoke(main, ["train", "--config", str(cfg), "--out", str(out)])
     assert res.exit_code == 0, res.output + str(res.exception)
-    history = (out / "history.csv").read_text().splitlines()
+    history = (out / "history.csv").read_text(encoding="utf-8").splitlines()
     assert history[0] == "epoch,loss"
     assert len(history) == 6  # header + 5 epochs
     layer = load_layer(out / "checkpoint.bin")
@@ -418,11 +418,17 @@ def test_eval_rejects_checkpoint_lengths_beyond_the_file(runner, tmp_path, case)
 
 
 def test_eval_rejects_a_checkpoint_whose_product_is_too_long(runner, tmp_path):
-    """A 3x2 table with order 40 would embed through 2**40 floats per word."""
-    cfg = LayerConfig("word2ket_rshare", 5, 9, order=40, subdim=2, morpheme_vocab_size=3)
+    """A 3x2 table with order 40 would embed through 2**40 floats per word: an order-4
+    checkpoint whose meta says order 40 (no config of order 40 can be made)."""
+    cfg = LayerConfig("word2ket_rshare", 5, 9, order=4, subdim=2, morpheme_vocab_size=3)
     ckpt = tmp_path / "long.bin"
-    index = build_rshare_index(5, 3, 40, seed=0)
-    save_layer(EmbeddingLayer(cfg, {"morpheme_embed_*": np.zeros((3, 2))}, index=index), ckpt)
+    save_layer(build(cfg), ckpt)
+    data = ckpt.read_bytes()
+    (length,) = struct.unpack_from("<Q", data, 16)
+    meta = json.loads(data[24 : 24 + length])
+    meta["order"] = 40
+    raw = json.dumps(meta, sort_keys=True).encode("utf-8")
+    ckpt.write_bytes(data[:16] + struct.pack("<Q", len(raw)) + raw + data[24 + length :])
     res = runner.invoke(main, ["eval", "--checkpoint", str(ckpt), "--word-ids", "0"])
     assert res.exit_code == 2, res.output + repr(res.exception)
     assert "2**40 is more than 64 * embed_dim = 576" in res.stderr
@@ -534,6 +540,29 @@ def test_every_kind_takes_its_vocab_size_from_the_vocab_dir(runner, tmp_path, mo
         np.testing.assert_array_equal(load_layer(ckpt).index.rows, index.rows)
     else:
         assert config.order == int(VOCAB_DIR_KINDS[method].get("order", 3))
+
+
+@pytest.mark.parametrize("config", [
+    # vocab_size 100, the default, is more than the 6 words vocab_factors cover
+    "method=tensor_train\norder=2\nvocab_factors=2,3\ndim_factors=8,8\n",
+    # at order 3, the default, 40**3 is more than 64 * embed_dim = 4096
+    "method=morphte\nq=40\n",
+], ids=["tensor_train", "morphte"])
+def test_a_config_valid_only_at_the_vocab_dir_s_sizes_exports(runner, tmp_path, config):
+    """The vocab dir's sizes (4 words, 2 slots) are in the config before it is checked."""
+    vocab_dir = tmp_path / "vocab"
+    seg = write_segs(tmp_path, "".join(SEG_TEXT.splitlines(keepends=True)[:4]))
+    res = runner.invoke(main, ["build-vocab", str(seg), "-n", "2", "-o", str(vocab_dir)])
+    assert res.exit_code == 0
+    cfg = tmp_path / "layer.cfg"
+    cfg.write_text(config, encoding="utf-8")
+    ckpt = tmp_path / "l.bin"
+    res = runner.invoke(
+        main, ["export", "--config", str(cfg), "--out", str(ckpt), "--vocab-dir", str(vocab_dir)]
+    )
+    assert res.exit_code == 0, res.output + repr(res.exception)
+    layer_config = load_layer(ckpt).config
+    assert (layer_config.vocab_size, layer_config.order) == (4, 2)
 
 
 def test_vocab_dir_with_a_config_that_does_not_validate_exits_2(runner, tmp_path):

@@ -204,7 +204,8 @@ def golden_hashes(tmp_dir: Path) -> dict[str, str]:
     hashes["train_morphte/eval_all"] = _sha256(res.stdout.encode())
     hashes["audit/paper_tables"] = _sha256(_invoke(["audit", "--paper-tables"]).stdout.encode())
     for kind in ALL_KINDS:
-        config.write_text(f"method={kind.value}\n{EXPORT_CONFIGS[kind.value]}seed=5\n")
+        config.write_text(f"method={kind.value}\n{EXPORT_CONFIGS[kind.value]}seed=5\n",
+                          encoding="utf-8")
         out = tmp_dir / f"export_{kind.value}.bin"
         _invoke(["export", "--config", str(config), "--out", str(out)])
         hashes[f"export/{kind.value}"] = _sha256(out.read_bytes())

@@ -127,11 +127,11 @@ def test_validate_decides_coverage_without_building_the_power():
     Building 2**(10**8) took 0.65 s and about 40 MB."""
     start = time.perf_counter()
     with pytest.raises(ConfigError, match="2\\*\\*100000000 is more than 64 \\* embed_dim = 640"):
-        LayerConfig(MethodKind.WORD2KET, 5, 10, order=10**8, subdim=2).validate()
+        LayerConfig(MethodKind.WORD2KET, 5, 10, order=10**8, subdim=2)
     with pytest.raises(ConfigError, match="covers only 1 < embed_dim 2"):
-        LayerConfig(MethodKind.WORD2KET, 5, 2, order=10**12, subdim=1).validate()
+        LayerConfig(MethodKind.WORD2KET, 5, 2, order=10**12, subdim=1)
     with pytest.raises(ConfigError, match="covers only 8 < embed_dim 9"):
-        LayerConfig(MethodKind.MORPHTE, 5, 9, order=3, subdim=2).validate()
+        LayerConfig(MethodKind.MORPHTE, 5, 9, order=3, subdim=2)
     assert time.perf_counter() - start < 0.1
 
 
@@ -148,11 +148,11 @@ def test_validate_bounds_the_product_length():
     start = time.perf_counter()
     for kind, fields in too_long:
         with pytest.raises(ConfigError, match="is more than 64 \\* embed_dim = 576"):
-            LayerConfig(kind, 5, 9, **fields).validate()
+            LayerConfig(kind, 5, 9, **fields)
     assert time.perf_counter() - start < 0.1
-    LayerConfig(MethodKind.WORD2KET, 5, 9, order=1, subdim=9 * 64).validate()
+    LayerConfig(MethodKind.WORD2KET, 5, 9, order=1, subdim=9 * 64)
     LayerConfig(MethodKind.WORD2KETXS, 5, 9, order=2, vocab_factors=(5, 1),
-                dim_factors=(9, 64)).validate()
+                dim_factors=(9, 64))
 
 
 def test_chunks_hold_a_fixed_number_of_product_floats(monkeypatch):
@@ -522,7 +522,7 @@ def test_config_errors():
             order=3,
             vocab_factors=(2, 2),
             dim_factors=(4, 2),
-        ).validate()
+        )
 
 
 def _factored(kind=MethodKind.TENSOR_TRAIN, **fields):
@@ -535,18 +535,20 @@ def _rshare(**fields):
                        **{"vocab_size": 3, "embed_dim": 8, "order": 3, "subdim": 2, **fields})
 
 
+def _ket(**fields):
+    return LayerConfig(MethodKind.WORD2KET, **{"vocab_size": 4, "embed_dim": 8, **fields})
+
+
 @pytest.mark.parametrize("make, message", [
-    (lambda: LayerConfig(MethodKind.WORD2KET, 4, 8, subdim=0).validate(),
-     "subdim must be >= 1, got 0"),
-    (lambda: _factored(order=3).validate(),
-     "order 3 needs 3 vocab_factors and dim_factors, got 2 and 2"),
-    (lambda: _factored(dim_factors=(4, 1, 1)).validate(),
+    ((_ket, dict(subdim=0)), "subdim must be >= 1, got 0"),
+    ((_factored, dict(order=3)), "order 3 needs 3 vocab_factors and dim_factors, got 2 and 2"),
+    ((_factored, dict(dim_factors=(4, 1, 1))),
      "order 2 needs 2 vocab_factors and dim_factors, got 2 and 3"),
-    (lambda: _factored(MethodKind.WORD2KETXS, order=1, vocab_factors=(4,),
-                       dim_factors=(4,)).validate(), "word2ketxs needs order >= 2"),
-    (lambda: _factored(vocab_factors=(0, 4)).validate(), "factor sizes must be positive"),
-    (lambda: _factored(embed_dim=5).validate(), "dim_factors (2, 2) cover only 4 < embed_dim 5"),
-    (lambda: _rshare(morpheme_vocab_size=0).validate(), "morpheme_vocab_size must be >= 1, got 0"),
+    ((functools.partial(_factored, MethodKind.WORD2KETXS),
+      dict(order=1, vocab_factors=(4,), dim_factors=(4,))), "word2ketxs needs order >= 2"),
+    ((_factored, dict(vocab_factors=(0, 4))), "factor sizes must be positive"),
+    ((_factored, dict(embed_dim=5)), "dim_factors (2, 2) cover only 4 < embed_dim 5"),
+    ((_rshare, dict(morpheme_vocab_size=0)), "morpheme_vocab_size must be >= 1, got 0"),
     (lambda: build(_rshare()), "word2ket_rshare requires morpheme_vocab_size"),
     (lambda: build_rshare_index(3, 0, 3, seed=0),
      "vocab_size, morpheme_vocab_size and order must be positive"),
@@ -555,12 +557,57 @@ def _rshare(**fields):
      "index has shape (3, 2), the config implies (3, 3)"),
     (lambda: forward_batch(build(_rshare(morpheme_vocab_size=5)), [[0, 1]]),
      "word ids must be a sequence, got shape (1, 2)"),
+    ((_ket, dict(vocab_size=0)), "vocab_size must be >= 1, got 0"),
+    ((_ket, dict(seed=-1)), "seed must be >= 0, got -1"),
+    ((_ket, dict(order=3, subdim=1)), "subdim 1 with order 3 covers only 1 < embed_dim 8"),
+    ((_ket, dict(order=4, subdim=5)), "5**4 is more than 64 * embed_dim = 512"),
+    ((_factored, dict(vocab_factors=None)), "tensor_train requires vocab_factors and dim_factors"),
+    ((_factored, dict(vocab_size=5)), "vocab_factors (2, 2) cover only 4 < vocab_size 5"),
+    ((_factored, dict(dim_factors=(16, 17))),
+     "prod(dim_factors) is more than 64 * embed_dim = 256"),
 ], ids=["subdim=0", "factor-counts", "dim-factor-count", "order=1", "zero-factor",
         "dim-factors-short", "morpheme-vocab=0", "build-without-morpheme-vocab",
-        "rshare-index-empty", "index-shape", "word-ids-2d"])
+        "rshare-index-empty", "index-shape", "word-ids-2d", "vocab_size=0", "seed=-1",
+        "subdim-covers-short", "product-too-long", "no-factors", "vocab-factors-short",
+        "dim-product-too-long"])
 def test_a_config_or_input_the_layer_cannot_use_is_refused_by_message(make, message):
+    """A config case ``(make, changes)`` is refused when ``make(**changes)`` makes it and when
+    ``dataclasses.replace`` makes it from the valid ``make()``."""
+    if isinstance(make, tuple):
+        make, changes = make
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            dataclasses.replace(make(), **changes)
+        make = functools.partial(make, **changes)
     with pytest.raises(ValueError, match=re.escape(message)):
         make()
+
+
+@pytest.mark.parametrize("kind, parts, message", [
+    (MethodKind.MORPHTE, lambda vocab, index: dict(
+        vocab=vocab, index=IndexMatrix(index.rows + vocab.size, index.words)),
+     "index references morpheme ids outside [0, 5)"),
+    (MethodKind.MORPHTE, lambda vocab, index: dict(vocab=vocab),
+     "morphte requires a morpheme vocab and an index"),
+    (MethodKind.MORPHTE, lambda vocab, index: dict(index=index),
+     "morphte requires a morpheme vocab and an index"),
+    (MethodKind.ORIGINAL, lambda vocab, index: dict(index=index),
+     "original requires no morpheme vocab and no index"),
+], ids=["index-ids-beyond-M", "morphte-no-index", "morphte-no-vocab", "original-with-index"])
+def test_a_layer_made_with_parts_at_odds_with_its_config_is_refused(kind, parts, message):
+    """``EmbeddingLayer`` itself refuses what ``build`` would: no forward reads clipped
+    rows, and none fails later on a missing index."""
+    vocab, index = two_word_morphology()
+    layer = build(LayerConfig(kind, 2, 8, order=3, subdim=2, morpheme_vocab_size=vocab.size),
+                  vocab=vocab, index=index)
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        EmbeddingLayer(layer.config, dict(layer.tables), **parts(vocab, index))
+
+
+def test_build_refuses_parts_at_odds_with_its_config_before_it_draws_a_table(monkeypatch):
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew a table"))
+    vocab, _ = two_word_morphology()
+    with pytest.raises(ConfigError, match="morphte requires a morpheme vocab and an index"):
+        build(LayerConfig(MethodKind.MORPHTE, 2, 8, order=3, subdim=2), vocab=vocab)
 
 
 def test_rshare_index_deterministic_and_uniform():

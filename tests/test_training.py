@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import ALL_KINDS, random_layer, repeated_morpheme_morphology, stable_seed
-from tenbed.errors import ConfigError
+from tenbed.errors import ConfigError, WordLookupError
 import tenbed.layers
 import tenbed.training
 from tenbed.gradients import backward_batch
@@ -242,7 +242,7 @@ def test_sharing_task_pairs_are_balanced_and_disjoint():
 
 
 def test_sharing_pairs_beyond_what_the_words_allow_raise():
-    from tenbed.errors import ConfigError
+    from tenbed.errors import ConfigError, WordLookupError
 
     _, _, morph_sets = make_sharing_task(5, 8, 3, seed=3)
     start = time.perf_counter()
@@ -291,21 +291,39 @@ def _tiny_original():
     return build(LayerConfig(MethodKind.ORIGINAL, vocab_size=4, embed_dim=3, seed=0))
 
 
-@pytest.mark.parametrize("run, message", [
-    (lambda: TrainTask("classify"), "unknown task kind 'classify'"),
-    (lambda: train(_tiny_original(), TrainTask("reconstruct_table", targets=np.zeros((3, 3))),
-                   OptimizerState(), epochs=1), "target table shape (3, 3) != (4, 3)"),
-    (lambda: train(_tiny_original(), TrainTask("word_similarity"), OptimizerState(), epochs=1),
-     "word_similarity needs labelled pairs"),
-    (lambda: train(_tiny_original(), TrainTask("word_similarity", pairs=[]), OptimizerState(),
-                   epochs=1), "word_similarity needs labelled pairs"),
-    (lambda: train(_tiny_original(), TrainTask("reconstruct_table", targets=np.zeros((4, 3))),
-                   OptimizerState(), epochs=1, batch_size=0), "batch_size must be >= 1, got 0"),
-    (lambda: eval_similarity(_tiny_original(), []), "need at least one pair"),
-], ids=["task-kind", "target-shape", "no-pairs", "empty-pairs", "batch_size=0", "eval-no-pairs"])
-def test_a_task_or_call_that_cannot_train_is_refused_by_message(run, message):
-    with pytest.raises(ConfigError, match=re.escape(message)):
-        run()
+@pytest.mark.parametrize("run, error, message", [
+    (lambda layer: TrainTask("classify"), ConfigError, "unknown task kind 'classify'"),
+    (lambda layer: train(layer, TrainTask("reconstruct_table", targets=np.zeros((3, 3))),
+                         OptimizerState(), epochs=1), ConfigError,
+     "target table shape (3, 3) != (4, 3)"),
+    (lambda layer: train(layer, TrainTask("word_similarity"), OptimizerState(), epochs=1),
+     ConfigError, "word_similarity needs labelled pairs"),
+    (lambda layer: train(layer, TrainTask("word_similarity", pairs=[]), OptimizerState(),
+                         epochs=1), ConfigError, "word_similarity needs labelled pairs"),
+    (lambda layer: train(layer, TrainTask("reconstruct_table", targets=np.zeros((4, 3))),
+                         OptimizerState(), epochs=1, batch_size=0), ConfigError,
+     "batch_size must be >= 1, got 0"),
+    (lambda layer: eval_similarity(layer, []), ConfigError, "need at least one pair"),
+    # seed 0 visits the bad pair last, so a check made per batch would step three times first
+    (lambda layer: train(layer, TrainTask("word_similarity",
+                                          pairs=[(0, 1, 1), (2, 3, 1), (1, 2, 1), (3, 99, 1)]),
+                         OptimizerState("sgd", 0.5), epochs=1, batch_size=1, seed=0),
+     WordLookupError, "pair (3, 99, 1) has a word id out of range [0, 4)"),
+    (lambda layer: TrainTask("reconstruct_table", targets=[[0.0] * 3] * 4), ConfigError,
+     "targets must be a 2-D array of real numbers, got list"),
+    (lambda layer: TrainTask("reconstruct_table", targets=np.zeros((4, 3), complex)),
+     ConfigError, "targets must be a 2-D array of real numbers, got a 2-D complex128 array"),
+    (lambda layer: TrainTask("reconstruct_table", targets=np.zeros(12)), ConfigError,
+     "targets must be a 2-D array of real numbers, got a 1-D float64 array"),
+], ids=["task-kind", "target-shape", "no-pairs", "empty-pairs", "batch_size=0", "eval-no-pairs",
+        "pair-word-id", "targets-list", "targets-complex", "targets-1d"])
+def test_a_task_or_call_that_cannot_train_is_refused_by_message(run, error, message):
+    """Refused before any step: every table is byte-identical afterwards."""
+    layer = _tiny_original()
+    before = {name: t.tobytes() for name, t in layer.tables.items()}
+    with pytest.raises(error, match=re.escape(message)):
+        run(layer)
+    assert {name: t.tobytes() for name, t in layer.tables.items()} == before
 
 
 def test_an_epoch_whose_finite_batch_losses_overflow_their_sum_diverges():
