@@ -6,7 +6,9 @@ Layout (all integers unsigned 64-bit little-endian):
     version u64      currently 1
     meta    u64 length + UTF-8 JSON: every ``LayerConfig`` field (method
                      kind, shape, seed), block names in order, whether an
-                     index follows, optional word list and morpheme token list
+                     index follows, optional word list (null for an index
+                     without names, whose row j is ``w{j}``) and morpheme
+                     token list
     blocks  for each parameter block, in meta order:
                name u64 length + UTF-8 bytes
                rows u64, cols u64
@@ -14,7 +16,9 @@ Layout (all integers unsigned 64-bit little-endian):
     index   only if the meta says so: rows u64, cols u64, int64 LE data
 
 Parameters round-trip bit-exactly; arrays are written from their memory, and
-each block is read in place into its slab of the table handed to the layer.
+each block is read in place into its slab of the table handed to the layer,
+in chunks of ``READ_FLOATS`` floats, each checked for finiteness while it is
+in cache, so a load makes no table-sized temporary.
 The loader checks every length against the bytes left in its input before
 it reads or allocates anything, a config's blocks against the whole input.
 It rejects, with ``CheckpointError``, unknown versions, a meta of the wrong
@@ -44,6 +48,7 @@ _CONFIG_FIELDS = fields(LayerConfig)
 _META_KEYS = [f.name for f in _CONFIG_FIELDS] + ["blocks", "has_index", "words", "morphemes"]
 # the on-disk dtypes, made once: parsing a dtype string costs more than a small read
 _BYTE, _U64, _F64, _I64 = (np.dtype(t) for t in ("u1", "<u8", "<f8", "<i8"))
+READ_FLOATS = 32768  # floats a block is read and checked in: 256 KB, cache-sized
 
 
 def _write_u64(fh, *values: int) -> None:
@@ -78,6 +83,17 @@ class _Reader:
             raise CheckpointError(f"checkpoint shrank while {what} was read")
         return out
 
+    def read_finite(self, out: np.ndarray, scratch: np.ndarray, what: str) -> None:
+        """``read_into`` in chunks of ``scratch.size`` items, each checked finite,
+        with the bool ``scratch``, while it is in cache."""
+        if out.nbytes > self.left:
+            self.read(out.size, out.dtype, what)  # raises, naming the whole length
+        flat = out.reshape(-1)  # a view: ``out`` is C-contiguous
+        for start in range(0, flat.size, scratch.size):
+            chunk = self.read_into(flat[start : start + scratch.size], what)
+            if not np.isfinite(chunk, out=scratch[: chunk.size]).all():
+                raise CheckpointError(f"{what} contains non-finite values")
+
     def chunk(self, what: str) -> bytes:
         """A u64 length and that many bytes."""
         (length,) = self.read(1, _U64, f"{what} length").tolist()
@@ -98,10 +114,11 @@ def save_layer(layer: EmbeddingLayer, path) -> None:
 def dump_layer(layer: EmbeddingLayer, fh) -> None:
     # json writes the str-valued kind as its value and tuples as lists
     meta = {f.name: getattr(layer.config, f.name) for f in _CONFIG_FIELDS}
+    index = layer.index
     meta.update(
         blocks=list(layer.params),
-        has_index=layer.index is not None,
-        words=list(layer.index.words) if layer.index is not None else None,
+        has_index=index is not None,
+        words=list(index.words) if index is not None and index.named else None,
         morphemes=list(layer.vocab.tokens[:-1]) if layer.vocab is not None else None,
     )
     fh.write(MAGIC)
@@ -111,9 +128,9 @@ def dump_layer(layer: EmbeddingLayer, fh) -> None:
         _write_bytes(fh, name.encode("utf-8"))
         _write_u64(fh, *block.shape)
         fh.write(np.ascontiguousarray(block, dtype=_F64))
-    if layer.index is not None:
-        _write_u64(fh, *layer.index.rows.shape)
-        fh.write(np.ascontiguousarray(layer.index.rows, dtype=_I64))
+    if index is not None:
+        _write_u64(fh, *index.rows.shape)
+        fh.write(np.ascontiguousarray(index.rows, dtype=_I64))
 
 
 def load_layer(path) -> EmbeddingLayer:
@@ -167,16 +184,15 @@ def parse_layer(fh, size: int) -> EmbeddingLayer:
         raise CheckpointError(
             f"blocks {meta['blocks']} do not match {config.kind.value}'s {names}"
         )
-    # each block is read in place into its slab of its table
+    # each block is read in place into its slab of its table, one scratch for all
     tables = {name: np.empty(shape, _F64) for name, shape in tables.items()}
+    scratch = np.empty(READ_FLOATS, bool)
     for block in config.layout.blocks:
         name = reader.chunk("block name").decode("utf-8", "replace")
         if name != block.name:
             raise CheckpointError(f"block order mismatch: {name!r} vs {block.name!r}")
         reader.shape(f"block {name!r}", block.shape)
-        slab = reader.read_into(tables[block.table][block.slab], f"block {name!r}")
-        if not np.isfinite(slab).all():  # the method: np.all's wrapper costs a few us
-            raise CheckpointError(f"block {name!r} contains non-finite values")
+        reader.read_finite(tables[block.table][block.slab], scratch, f"block {name!r}")
 
     index = None
     if meta["has_index"]:
@@ -185,7 +201,7 @@ def parse_layer(fh, size: int) -> EmbeddingLayer:
             config.vocab_size, config.order)
     try:
         if meta["has_index"]:
-            index = IndexMatrix(ids, meta["words"] or [f"w{j}" for j in range(len(ids))])
+            index = IndexMatrix(ids, meta["words"])  # null: an index without names
         vocab = None if meta["morphemes"] is None else MorphemeVocab(meta["morphemes"])
         layer = EmbeddingLayer(config, tables, index=index, vocab=vocab)
     except (TypeError, ValueError) as exc:

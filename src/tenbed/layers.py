@@ -339,14 +339,13 @@ def build_rshare_index(
     """Index with every cell drawn uniformly from the morpheme id range.
 
     No pad semantics: each word just references ``order`` random rows of the
-    shared small-vector table.
+    shared small-vector table.  The index has no names: row j is word ``w{j}``.
     """
     if vocab_size < 1 or morpheme_vocab_size < 1 or order < 1:
         raise ConfigError("vocab_size, morpheme_vocab_size and order must be positive")
     rng = np.random.default_rng(seed)
     rows = rng.integers(0, morpheme_vocab_size, size=(vocab_size, order), dtype=np.int64)
-    words = tuple(f"w{j}" for j in range(vocab_size))
-    return IndexMatrix(rows, words)
+    return IndexMatrix(rows, None)
 
 
 def _check_parts(config: LayerConfig, vocab: MorphemeVocab | None,

@@ -85,19 +85,27 @@ class MorphemeVocab:
 
 
 class IndexMatrix:
-    """Per-word morpheme ids: one row of ``n`` ids per word, pad-filled."""
+    """Per-word morpheme ids: one row of ``n`` ids per word, pad-filled.
 
-    def __init__(self, rows: np.ndarray, words: Sequence[str]):
+    ``words`` names the rows, one distinct word each.  ``None`` makes an index
+    without names, such as word2ket_rshare's drawn one: it stores none, and
+    calls row j ``w{j}`` only when ``words`` or ``row_of_word`` is first read.
+    """
+
+    def __init__(self, rows: np.ndarray, words: Sequence[str] | None):
         rows = np.ascontiguousarray(rows, dtype=np.int64)
         if rows.ndim != 2:
             raise ConfigError(f"rows must be 2-D, got shape {rows.shape}")
-        if rows.shape[0] != len(words):
-            raise ConfigError("one word per row required")
         rows.setflags(write=False)  # shared read-only across layers/threads
         self._rows = rows
-        self._words = tuple(words)
-        if len(set(self._words)) != len(self._words):  # an unhashable word raises TypeError
-            twice = next(w for w, count in Counter(self._words).items() if count > 1)
+        self.named = words is not None
+        if words is None:
+            return  # generated names are distinct by construction
+        if rows.shape[0] != len(words):
+            raise ConfigError("one word per row required")
+        self.words = tuple(words)
+        if len(set(self.words)) != len(self.words):  # an unhashable word raises TypeError
+            twice = next(w for w, count in Counter(self.words).items() if count > 1)
             raise DuplicateWordError(f"duplicate word {twice!r} in index")
 
     @property
@@ -112,13 +120,13 @@ class IndexMatrix:
     def rows(self) -> np.ndarray:
         return self._rows
 
-    @property
+    @cached_property  # an index made with names holds them here from ``__init__``
     def words(self) -> tuple[str, ...]:
-        return self._words
+        return tuple(f"w{j}" for j in range(self.vocab_size))
 
     @cached_property  # only ``eval --words`` reads it: a checkpoint load does not build it
     def _row_of_word(self) -> dict[str, int]:
-        return {w: i for i, w in enumerate(self._words)}
+        return {w: i for i, w in enumerate(self.words)}
 
     def row_of_word(self, word: str) -> int:
         try:

@@ -1,22 +1,28 @@
 import io
 import json
+import re
 import struct
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from conftest import ALL_KINDS, random_layer, stable_seed
 from tenbed.checkpoint import (
     FORMAT_VERSION,
     MAGIC,
+    READ_FLOATS,
     dump_layer,
     load_layer,
     loads_layer,
     save_layer,
 )
+from tenbed.cli import main
 from tenbed.errors import CheckpointError
-from tenbed.layers import LayerConfig, MethodKind, build, forward
+from tenbed.layers import LayerConfig, MethodKind, build, forward, forward_batch
+from tenbed.morphology import IndexMatrix, MorphemeVocab
 
 
 def roundtrip_bytes(layer) -> bytes:
@@ -76,25 +82,74 @@ def test_rejects_truncated_block():
         loads_layer(data[:-16])
 
 
+def long_original():
+    """An ``original`` layer whose one block is two full read chunks and a partial one."""
+    layer = build(LayerConfig(MethodKind.ORIGINAL, 2 * READ_FLOATS // 64 + 5, 64, seed=3))
+    assert 2 * READ_FLOATS < layer.params["weight"].size < 3 * READ_FLOATS
+    return layer
+
+
 def test_rejects_non_finite_parameters():
     rng = np.random.default_rng(3)
     layer = random_layer("original", rng)
     layer.params["weight"][0, 0] = np.nan
     with pytest.raises(CheckpointError, match="non-finite"):
         loads_layer(roundtrip_bytes(layer))
+    # at the first float of the second chunk, and at the last of the last, partial one
+    for at, value in ((READ_FLOATS, np.nan), (-1, np.inf)):
+        layer = long_original()
+        layer.tables["weight"].reshape(-1)[at] = value
+        with pytest.raises(CheckpointError, match="block 'weight' contains non-finite"):
+            loads_layer(roundtrip_bytes(layer))
+
+
+def test_a_block_cut_inside_its_second_chunk_is_refused_by_its_whole_length():
+    """A morphsum layer whose long word names make the file outlast its blocks,
+    so the cut is found at the block, which is named with its whole length."""
+    V, M = 2 * READ_FLOATS // 64 + 5, 12
+    rng = np.random.default_rng(stable_seed("cut", "morphsum"))
+    vocab = MorphemeVocab([f"m{i}" for i in range(M - 1)])
+    index = IndexMatrix(rng.integers(0, M, size=(V, 3)), [f"{j:0300d}" for j in range(V)])
+    layer = build(LayerConfig(MethodKind.MORPHSUM, V, 64, order=3), vocab=vocab, index=index)
+    data = roundtrip_bytes(layer)
+    block = layer.params["surface_embed"].nbytes
+    start = data.rindex(b"surface_embed") + len("surface_embed") + 16  # after name and shape
+    left = (READ_FLOATS + 10) * 8
+    message = f"truncated checkpoint: block 'surface_embed' is {block} bytes, {left} left"
+    with pytest.raises(CheckpointError, match=re.escape(message)):
+        loads_layer(data[: start + left])
+
+
+def test_a_load_makes_no_table_sized_temporary(tmp_path):
+    """The blocks are read and checked in chunks: the traced peak of loading a
+    16.8 MB table is less than one chunk above the table."""
+    path = tmp_path / "original.bin"
+    save_layer(build(LayerConfig(MethodKind.ORIGINAL, 32768, 64)), path)
+    tracemalloc.start()
+    try:
+        loaded = load_layer(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - loaded.tables["weight"].nbytes < READ_FLOATS * 8
+
+
+def meta_of(data: bytes) -> tuple[dict, int]:
+    """The JSON meta of the checkpoint ``data`` and the offset of its end."""
+    start = len(MAGIC) + 8
+    (length,) = struct.unpack("<Q", data[start : start + 8])
+    return json.loads(data[start + 8 : start + 8 + length]), start + 8 + length
 
 
 def with_meta(data: bytes, *drop, **changes) -> bytes:
     """The checkpoint ``data`` with the ``drop`` keys deleted from its JSON
     meta and ``changes`` written into it."""
-    start = len(MAGIC) + 8
-    (length,) = struct.unpack("<Q", data[start : start + 8])
-    meta = json.loads(data[start + 8 : start + 8 + length])
+    meta, end = meta_of(data)
     for key in drop:
         del meta[key]
     meta.update(changes)
     raw = json.dumps(meta, sort_keys=True).encode("utf-8")
-    return data[:start] + struct.pack("<Q", len(raw)) + raw + data[start + 8 + length :]
+    return data[: len(MAGIC) + 8] + struct.pack("<Q", len(raw)) + raw + data[end:]
 
 
 @pytest.mark.parametrize(
@@ -199,12 +254,15 @@ def test_rejects_index_ids_outside_the_morpheme_table(morpheme_id):
         ("morphte", lambda layer: {"has_index": False}),
         ("word2ket_rshare", lambda layer: {"has_index": False}),
         ("morphte", lambda layer: {"words": list(layer.index.words[:-1])}),
+        ("morphte", lambda layer: {"words": []}),
+        ("word2ket_rshare", lambda layer: {"words": []}),
         ("morphte", lambda layer: {"words": [layer.index.words[0]] * layer.config.vocab_size}),
         ("morphte", lambda layer: {"words": [[w] for w in layer.index.words]}),
         ("morphte", lambda layer: {"morphemes": list(layer.vocab.tokens[:1])}),
         ("morphte", lambda layer: {"morphemes": None}),
     ],
-    ids=["morphte-no-index", "rshare-no-index", "words-short", "words-repeated",
+    ids=["morphte-no-index", "rshare-no-index", "words-short", "morphte-words-empty",
+         "rshare-words-empty", "words-repeated",
          "words-unhashable", "one-morpheme", "morphemes-null"],
 )
 def test_rejects_index_or_vocab_that_build_would_refuse(kind, changes):
@@ -249,6 +307,44 @@ def test_rejects_trailing_bytes(kind):
         loads_layer(data + b"\0")
 
 
+def test_a_word2ket_rshare_checkpoint_stores_no_names():
+    """Its meta's words are null, and it loads as the same checkpoint with the
+    explicit names ``w0 ...`` that earlier versions wrote."""
+    layer = random_layer("word2ket_rshare", np.random.default_rng(stable_seed("rshare-names")))
+    data = roundtrip_bytes(layer)
+    assert meta_of(data)[0]["words"] is None
+    V = layer.config.vocab_size
+    unnamed = loads_layer(data)
+    named = loads_layer(with_meta(data, words=[f"w{j}" for j in range(V)]))
+    for name, table in unnamed.tables.items():
+        assert table.tobytes() == named.tables[name].tobytes() == layer.tables[name].tobytes()
+    np.testing.assert_array_equal(unnamed.index.rows, named.index.rows)
+    assert unnamed.index.words == named.index.words == tuple(f"w{j}" for j in range(V))
+    ids = list(range(V))
+    assert forward_batch(unnamed, ids).tobytes() == forward_batch(named, ids).tobytes()
+    assert roundtrip_bytes(unnamed) == data
+
+
+def test_eval_reads_generated_and_explicit_names_alike(tmp_path):
+    runner = CliRunner()
+    config = tmp_path / "layer.cfg"
+    config.write_text("method=word2ket_rshare\nvocab_size=30\nembed_dim=8\norder=3\nrank=2\n"
+                      "q=2\nmorphemes=12\nseed=5\n", encoding="utf-8")
+    unnamed, named = tmp_path / "unnamed.bin", tmp_path / "named.bin"
+    res = runner.invoke(main, ["export", "--config", str(config), "--out", str(unnamed)])
+    assert res.exit_code == 0, res.output
+    data = unnamed.read_bytes()
+    assert meta_of(data)[0]["words"] is None
+    named.write_bytes(with_meta(data, words=[f"w{j}" for j in range(30)]))
+    outputs = []
+    for path in (unnamed, named):
+        res = runner.invoke(main, ["eval", "--checkpoint", str(path), "--words", "w3,w7"])
+        assert res.exit_code == 0, res.output
+        outputs.append(res.stdout)
+    assert outputs[0] == outputs[1]
+    assert [line.split("\t")[0] for line in outputs[0].splitlines()] == ["w3", "w7"]
+
+
 def field_offsets(layer, data: bytes) -> tuple[list[int], list[int]]:
     """Where ``data``, the checkpoint of ``layer``, holds a u64 length or
     shape, and the offsets of its block names' bytes."""
@@ -265,14 +361,15 @@ def field_offsets(layer, data: bytes) -> tuple[list[int], list[int]]:
     return u64s, names
 
 
-def test_mutated_checkpoints_load_or_raise_checkpoint_error(tmp_path):
-    """Seeded mutations of a small morphte checkpoint file: a truncation at
-    every offset, every u64 length or shape field set to 0, 2**40 and 2**63,
-    and three random single-byte flips at every offset of the header, the
-    meta and the block names.  Each load either returns a layer or raises
+@pytest.mark.parametrize("kind", ["morphte", "word2ket_rshare"])
+def test_mutated_checkpoints_load_or_raise_checkpoint_error(tmp_path, kind):
+    """Seeded mutations of a small checkpoint file with an index: a truncation
+    at every offset, every u64 length or shape field set to 0, 2**32, 2**40 and
+    2**63, and three random single-byte flips at every offset of the header,
+    the meta and the block names.  Each load either returns a layer or raises
     CheckpointError; anything else, such as a MemoryError from an unchecked
     length or a UnicodeDecodeError from a name, fails."""
-    layer = random_layer("morphte", np.random.default_rng(stable_seed("fuzz")))
+    layer = random_layer(kind, np.random.default_rng(stable_seed("fuzz", kind)))
     data = roundtrip_bytes(layer)
     path = tmp_path / "mutant.bin"
 
@@ -289,7 +386,7 @@ def test_mutated_checkpoints_load_or_raise_checkpoint_error(tmp_path):
     mutants = [
         data[:at] + struct.pack("<Q", value) + data[at + 8 :]
         for at in u64s
-        for value in (0, 2**40, 2**63)
+        for value in (0, 2**32, 2**40, 2**63)
     ]
     rng = np.random.default_rng(stable_seed("fuzz", "flips"))
     (meta_length,) = struct.unpack_from("<Q", data, len(MAGIC) + 8)

@@ -6,6 +6,7 @@ import pytest
 from tenbed.errors import DuplicateWordError, SegmentationParseError, WordLookupError
 from tenbed.morphology import (
     PAD_TOKEN,
+    IndexMatrix,
     Segmentation,
     build_vocab_and_index,
     load_segmentations,
@@ -139,6 +140,19 @@ def test_index_lookup_errors():
     _, index = build_vocab_and_index([Segmentation("ab", ("a", "b"))], 2)
     with pytest.raises(WordLookupError):
         index.row_of_word("missing")
+
+
+def test_an_index_without_names_calls_row_j_wj():
+    index = IndexMatrix(np.arange(8).reshape(4, 2), None)
+    assert not index.named and index.vocab_size == 4
+    assert index.words == ("w0", "w1", "w2", "w3")
+    assert [index.row_of_word(f"w{j}") for j in range(4)] == [0, 1, 2, 3]
+    with pytest.raises(WordLookupError):
+        index.row_of_word("w4")
+    named = IndexMatrix(np.arange(8).reshape(4, 2), ["w0", "w1", "w2", "w3"])
+    assert named.named and named.words == index.words
+    with pytest.raises(DuplicateWordError, match="duplicate word 'w1'"):
+        IndexMatrix(np.arange(8).reshape(4, 2), ["w0", "w1", "w1", "w3"])
 
 
 def test_random_seg_short_words_kept_whole():
