@@ -8,7 +8,10 @@ Lines starting with ``#`` and blank lines are ignored.  Every word's morpheme
 list is normalised to a fixed number of slots ``n``: short lists are padded
 with a reserved sentinel, long lists keep their first ``n-1`` morphemes and
 concatenate the tail into a single synthetic morpheme.  The per-word slot ids
-form the index table used by the sharing-based embedding layers.
+form the index table used by the sharing-based embedding layers; ids follow
+each morpheme's first appearance over all words' slots, which
+``build_vocab_and_index`` finds in one pass.  A real slot spelled like the pad
+sentinel is refused.
 
 A vocab directory stores a vocabulary and its index as two UTF-8 TSV files:
 ``morphemes.tsv`` (``morpheme<TAB>id``, ids dense from 0, the pad last) and
@@ -43,7 +46,7 @@ class Segmentation:
             raise ConfigError("word must be non-empty")
         if len(self.morphemes) == 0:
             raise ConfigError(f"word {self.word!r} has no morphemes")
-        if any(not m for m in self.morphemes):
+        if not all(self.morphemes):
             raise ConfigError(f"word {self.word!r} has an empty morpheme")
 
 
@@ -63,7 +66,6 @@ class MorphemeVocab:
             raise ConfigError(f"duplicate morpheme {twice!r} in vocabulary input")
         tokens.append(PAD_TOKEN)
         self._tokens: tuple[str, ...] = tuple(tokens)
-        self._id_of: dict[str, int] = {m: i for i, m in enumerate(self._tokens)}
 
     @property
     def size(self) -> int:
@@ -76,6 +78,10 @@ class MorphemeVocab:
     @property
     def tokens(self) -> tuple[str, ...]:
         return self._tokens
+
+    @cached_property  # only ``id_of`` reads it: a checkpoint load does not build it
+    def _id_of(self) -> dict[str, int]:
+        return {m: i for i, m in enumerate(self._tokens)}
 
     def id_of(self, morpheme: str) -> int:
         try:
@@ -276,26 +282,28 @@ def build_vocab_and_index(
 
     The vocabulary holds the post-truncation morpheme strings (concatenated
     tails included) plus the pad sentinel; its size therefore counts the pad.
+    A real slot spelled like the pad sentinel raises ``ConfigError``.
     """
     if not segs:
         raise ConfigError("need at least one segmentation")
-    order: list[str] = []
-    seen: set[str] = set()
-    slot_lists: list[list[str]] = []
-    words: list[str] = []
+    if n < 1:
+        raise ConfigError(f"slot count must be >= 1, got {n}")
+    slots: list[str] = []
     for seg in segs:
-        slots = truncate_pad(seg.morphemes, n)
-        slot_lists.append(slots)
-        words.append(seg.word)
-        for m in slots:
-            if m != PAD_TOKEN and m not in seen:
-                seen.add(m)
-                order.append(m)
-    vocab = MorphemeVocab(order)
-    rows = np.empty((len(segs), n), dtype=np.int64)
-    for j, slots in enumerate(slot_lists):
-        rows[j] = [vocab.id_of(m) if m != PAD_TOKEN else vocab.pad_id for m in slots]
-    return vocab, IndexMatrix(rows, words)
+        real = _truncate_no_pad(seg.morphemes, n)
+        if PAD_TOKEN in real:
+            raise ConfigError(
+                f"word {seg.word!r}: {PAD_TOKEN!r} is reserved and cannot be a real morpheme"
+            )
+        slots += real
+        slots += [PAD_TOKEN] * (n - len(real))
+    ids = dict.fromkeys(slots)  # first-appearance order
+    ids.pop(PAD_TOKEN, None)
+    vocab = MorphemeVocab(list(ids))
+    ids = dict(zip(ids, range(len(ids))))
+    ids[PAD_TOKEN] = vocab.pad_id
+    rows = np.fromiter(map(ids.__getitem__, slots), dtype=np.int64, count=len(slots))
+    return vocab, IndexMatrix(rows.reshape(len(segs), n), [seg.word for seg in segs])
 
 
 def random_seg(word: str, rng_seed: int) -> Segmentation:

@@ -3,10 +3,14 @@
 Real corpora are ingested through segmentation files; everything here exists
 so the trainer, the gradient checker, and the test suite can exercise the
 morphological layers without external data.  All generators are pure
-functions of their seed.
+functions of their seed.  ``make_sharing_task`` takes its draws in bulk from
+the same stream that one draw at a time would read, so a seed gives the same
+task either way.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -50,32 +54,51 @@ def make_sharing_task(
 
     The pool is split into one sub-pool per slot (prefixes, roots, suffixes
     style), so a shared morpheme always occupies the same slot in both words.
+    Word j is the j-th distinct candidate tuple, a candidate being one draw
+    per slot in slot order.  Candidates are drawn in bulk, one bound per
+    element, which takes exactly the stream of one scalar draw at a time; a
+    request that the first ``100 * num_words`` candidates cannot meet is
+    refused, and one with more words than distinct tuples before any draw.
     """
+    if num_words < 1:
+        raise ConfigError(f"need at least one word, got {num_words}")
     if num_morphemes < order:
         raise ConfigError("need at least one morpheme per slot")
-    rng = np.random.default_rng(seed)
     base, extra = divmod(num_morphemes, order)
-    pools: list[list[str]] = []
-    start = 0
-    for k in range(order):
-        size = base + (1 if k < extra else 0)
-        pools.append([f"s{k}m{start + i}" for i in range(size)])
-        start += size
-    segs: list[Segmentation] = []
-    seen: set[tuple[str, ...]] = set()
-    attempts = 0
-    while len(segs) < num_words:
-        attempts += 1
-        if attempts > 100 * num_words:
-            raise ConfigError("morpheme pools too small for the requested word count")
-        morphs = tuple(pool[int(rng.integers(0, len(pool)))] for pool in pools)
-        if morphs in seen:
-            continue
-        seen.add(morphs)
-        segs.append(Segmentation(f"w{len(segs)}_" + "-".join(morphs), morphs))
+    sizes = np.array([base + (1 if k < extra else 0) for k in range(order)], dtype=np.int64)
+    too_small = "morpheme pools too small for the requested word count"
+    if num_words > math.prod(sizes.tolist()):
+        raise ConfigError(too_small)
+    rng = np.random.default_rng(seed)
+
+    def draw(count: int) -> np.ndarray:
+        # drawing past the last accepted tuple is harmless: the stream is local
+        return rng.integers(0, np.tile(sizes, count)).reshape(count, order)
+
+    cap = 100 * num_words
+    draws = draw(num_words)
+    first = _first_rows(draws)
+    while len(first) < num_words:
+        if len(draws) == cap:
+            raise ConfigError(too_small)
+        draws = np.concatenate([draws, draw(min(len(draws), cap - len(draws)))])
+        first = _first_rows(draws)
+    slot_of = np.repeat(np.arange(order), sizes).tolist()
+    names = np.array([f"s{k}m{g}" for g, k in enumerate(slot_of)], dtype=object)
+    picked = draws[first[:num_words]] + (np.cumsum(sizes) - sizes)
+    morphs = list(map(tuple, names[picked].tolist()))
+    segs = list(map(Segmentation, [f"w{j}_" + "-".join(m) for j, m in enumerate(morphs)], morphs))
     vocab, index = build_vocab_and_index(segs, order)
-    morph_sets = [set(s.morphemes) for s in segs]
-    return vocab, index, morph_sets
+    return vocab, index, list(map(set, morphs))
+
+
+def _first_rows(rows: np.ndarray) -> np.ndarray:
+    """Ascending positions of each distinct row's first occurrence in ``rows``."""
+    at = np.lexsort(rows.T)  # stable: equal rows keep their draw order
+    ordered = rows[at]
+    new = np.ones(len(rows), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    return np.sort(at[new])
 
 
 def make_sharing_pairs(
@@ -90,10 +113,9 @@ def make_sharing_pairs(
     """
     rng = np.random.default_rng(seed)
     n_words = len(morph_sets)
-    # sorted views keep sampling independent of set iteration order
-    ordered_sets = [sorted(ms) for ms in morph_sets]
+    # each list names its words in ascending order, whatever the set order
     by_morpheme: dict[str, list[int]] = {}
-    for j, ms in enumerate(ordered_sets):
+    for j, ms in enumerate(morph_sets):
         for m in ms:
             by_morpheme.setdefault(m, []).append(j)
 
@@ -106,7 +128,8 @@ def make_sharing_pairs(
     def draw_positive():
         for _ in attempts:
             a = int(rng.integers(0, n_words))
-            m = ordered_sets[a][int(rng.integers(0, len(ordered_sets[a])))]
+            # sorted, so the morpheme drawn does not depend on set iteration order
+            m = sorted(morph_sets[a])[int(rng.integers(0, len(morph_sets[a])))]
             peers = by_morpheme[m]
             b = peers[int(rng.integers(0, len(peers)))]
             key = (min(a, b), max(a, b))

@@ -99,6 +99,18 @@ def test_build_vocab_random_seg(runner, tmp_path):
     assert len(lines) == 3
 
 
+def test_build_vocab_refuses_a_random_piece_spelled_like_the_pad(runner, tmp_path):
+    words = tmp_path / "words.txt"
+    words.write_text("ab<pad>cd\nhello\n", encoding="utf-8")
+    out = tmp_path / "out"
+    res = runner.invoke(
+        main, ["build-vocab", str(words), "-o", str(out), "--use-random-seg", "--seed", "6"]
+    )
+    assert res.exit_code == 2
+    assert "word 'ab<pad>cd'" in res.stderr
+    assert not (out / "index.tsv").exists()
+
+
 def test_audit_paper_tables(runner):
     res = runner.invoke(main, ["audit", "--paper-tables"])
     assert res.exit_code == 0

@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from tenbed.errors import DuplicateWordError, SegmentationParseError, WordLookupError
+from tenbed.errors import ConfigError, DuplicateWordError, SegmentationParseError, WordLookupError
 from tenbed.morphology import (
     PAD_TOKEN,
     IndexMatrix,
@@ -89,6 +89,24 @@ def test_build_vocab_single_word_padding():
     vocab, index = build_vocab_and_index([Segmentation("m", ("m1",))], 2)
     assert vocab.size == 2
     np.testing.assert_array_equal(index.rows[0], [vocab.id_of("m1"), vocab.pad_id])
+
+
+@pytest.mark.parametrize("morphemes, n", [
+    (("un", PAD_TOKEN, "ly"), 3),
+    ((PAD_TOKEN,), 2),
+    (("x", "<pa", "d>"), 2),  # the tail joined by truncation spells the pad
+], ids=["middle", "alone", "joined-tail"])
+def test_a_real_slot_spelled_like_the_pad_is_refused(morphemes, n):
+    with pytest.raises(ConfigError, match=r"word 'w': '<pad>' is reserved"):
+        build_vocab_and_index([Segmentation("ok", ("a",)), Segmentation("w", morphemes)], n)
+
+
+def test_morpheme_vocab_builds_its_id_map_on_first_lookup():
+    vocab, _ = build_vocab_and_index([Segmentation("w", ("a", "b"))], 3)
+    assert "_id_of" not in vocab.__dict__
+    assert (vocab.id_of("b"), vocab.id_of(PAD_TOKEN)) == (1, 2)
+    with pytest.raises(WordLookupError, match="unknown morpheme 'c'"):
+        vocab.id_of("c")
 
 
 def test_vocab_size_counts_file_morphemes_plus_pad(tmp_path):
