@@ -3,32 +3,32 @@
 Each forward map is a shallow fixed-shape multilinear expression, so the
 adjoints are written out instead of built as a general autodiff graph.
 ``_add_grads``, the adjoint of ``layers._combine``, adds a chunk's gradient
-into a caller's gradient dict, keyed by table, from what the combine
-returned for the chunk (its ``reads``: matrix_factor's left rows, the
-tensor-train carries, a sum kind's factors and Khatri-Rao prefixes), so it
-computes nothing the forward computed.  It is given two sets of rows: the
-table rows the words read, and the buffer row each one's gradient goes to.
-``add_batch(layer, rows, reads, U, into, to)`` walks a batch chunk by chunk
-of ``LayerConfig.chunk_words``, from the rows and reads
-``layers.forward_record`` returned: a one-chunk batch's reads feed the
-adjoint, and with ``reads`` None (a longer batch) each chunk is combined
-again for its reads.  ``backward_batch`` takes a batch of word ids and one
-upstream row per word, checks that ``into`` holds a C-contiguous float64
-gradient of each table's shape or rows, and calls ``add_batch`` with no
-reads and the table rows as both sets; ``training.train`` calls it with
-what its forward returned and the rows of the optimizer's buffers.  Where
-many words of a chunk write one table row, the chunk's sum is taken by one
-matmul and added once: matrix_factor's right factor, which every word reads
-whole, and each row of a tensor train's middle core, over the words whose
-digit reads it.  Every other table gets each word's slot gradients, added by
-``_add_rows`` word by word in batch order, one scatter per table; for a sum
-kind ``_slot_grads`` writes them into the buffers ``LayerConfig.layout``
-gives.  The two summed tables so differ from word-by-word adds by rounding
-only.  Truncation to the embedding dimension is adjointed by zero-padding
-the upstream.  A word that reads one row in several slots (repeated
-morphemes) has its slot gradients summed first and the sum added once, the
-correct total derivative.  ``backward`` and ``touched_rows`` are the same for
-a batch of one word.
+into a caller's gradient dict, keyed by table, from what the combine returned
+for the chunk (its ``reads``: a chain's carries and its last core's rows where
+a digit reads them, a sum kind's factors and Khatri-Rao prefixes), so it
+computes nothing the forward computed.  Like the combine it takes a chain's
+path or a sum's, as ``LayerConfig.layout`` says.  It is given two sets of rows:
+the table rows the words read, and the buffer row each one's gradient goes to.
+``add_batch(layer, rows, reads, U, into, to)`` walks a batch chunk by chunk of
+``LayerConfig.chunk_words``, from the rows and reads ``layers.forward_record``
+returned: a one-chunk batch's reads feed the adjoint, and with ``reads`` None
+(a longer batch) each chunk is combined again for its reads.
+``backward_batch`` takes a batch of word ids and one upstream row per word,
+checks that ``into`` holds a C-contiguous float64 gradient of each table's
+shape or rows, and calls ``add_batch`` with no reads and the table rows as both
+sets; ``training.train`` calls it with what its forward returned and the rows
+of the optimizer's buffers.  Where many words of a chunk write one table row,
+the chunk's sum is taken by one matmul and added once: a chain's last core
+where every word reads it whole, and each row of a chain's middle core, over
+the words whose digit reads it.  Every other table gets each word's slot
+gradients, added by ``_add_rows`` word by word in batch order, one scatter per
+table; for a sum kind ``_slot_grads`` writes them into the buffers
+``LayerConfig.layout`` gives.  The summed tables so differ from word-by-word
+adds by rounding only.  Truncation to the embedding dimension is adjointed by
+zero-padding the upstream.  A word that reads one row in several slots
+(repeated morphemes) has its slot gradients summed first and the sum added
+once, the correct total derivative.  ``backward`` and ``touched_rows`` are the
+same for a batch of one word.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .layers import (
+    ALL,
     EmbeddingLayer,
-    MethodKind,
     _combine,
     _row_groups,
     forward,
@@ -150,8 +150,8 @@ def backward_batch(
     words are taken in chunks of ``config.chunk_words()`` (``add_batch``), each
     a forward that keeps its reads, then its adjoint.  ``into`` ends as adding
     each word's ``backward`` in turn would leave it, byte for byte, but for the
-    tables a chunk adds as one sum (matrix_factor's right factor, a tensor
-    train's middle cores), which match it up to rounding.
+    tables a chunk adds as one sum (a chain's last core where every word reads
+    it whole, a chain's middle cores), which match it up to rounding.
     Returns the rows written per table, in table order: a ``(B, count *
     slots)`` array of rows ``i * rows + k`` (row k of block i), each word's
     block by block; a row may appear more than once.
@@ -201,28 +201,27 @@ def _add_grads(layer: EmbeddingLayer, rows: list[np.ndarray], reads: list[np.nda
     table k goes to row ``to[k][b, i, s]`` of its buffer.  Nothing the forward
     computed is computed again.
 
-    A table row that many words read gets the sum over those words from one
-    matmul, added once: matrix_factor's right factor, which every word reads
-    whole, and each row of a tensor train's middle core, for the words whose
-    digit reads it.  Every other table gets each word's slot gradients by
-    ``_add_rows``.
+    A chain (``layout.chain``) is adjointed core by core from the last, a sum
+    kind by ``_slot_grads``.  A table row that many words read gets the sum
+    over those words from one matmul, added once: a chain's last core where
+    ``ALL`` reads it, and each row of a chain's middle core, for the words
+    whose digit reads it.  Every other table gets each word's slot gradients
+    by ``_add_rows``.
     """
     cfg, B = layer.config, len(U)
-    names = list(layer.tables)
-    if cfg.kind is MethodKind.MATRIX_FACTOR:
-        right, (left_rows,) = layer.tables[names[1]][0], reads
-        _add_rows(into[names[0]], to[0], np.matmul(right, U[:, :, None]).reshape(1, B, 1, -1))
-        target = into[names[1]].reshape(-1, right.shape[1])  # a view: its rows
-        target[to[1][0, 0]] += left_rows.reshape(B, -1).T @ U  # every word reads every row
-        return
-
-    if cfg.kind is MethodKind.TENSOR_TRAIN:
-        df, n, r = cfg.dim_factors, cfg.order, cfg.rank
+    layout, names = cfg.layout, list(layer.tables)
+    if layout.chain:
+        df, n, r = layout.chain, len(names), cfg.rank
         cores = [t[0] for t in layer.tables.values()]
-        carries, last = reads[:-1], reads[-1]
-        u_mat = _pad_upstream(U, math.prod(df)).reshape(B, -1, df[n - 1])
-        last_grad = np.matmul(carries[-1].transpose(0, 2, 1), u_mat)
-        _add_rows(into[names[-1]], to[-1], last_grad.reshape(1, B, 1, -1))
+        whole = layout.tables[-1].read == ALL  # every word reads the whole last core
+        carries, last = reads[: n - 1], cores[-1].reshape(1, r, -1) if whole else reads[-1]
+        u_mat = _pad_upstream(U, cfg.product_length).reshape(B, -1, df[-1])
+        if whole:
+            target = into[names[-1]].reshape(-1, df[-1])  # a view: its rows
+            target[to[-1][0, 0]] += carries[-1].reshape(-1, r).T @ u_mat.reshape(-1, df[-1])
+        else:
+            last_grad = np.matmul(carries[-1].transpose(0, 2, 1), u_mat)
+            _add_rows(into[names[-1]], to[-1], last_grad.reshape(1, B, 1, -1))
         grad_carry = np.matmul(u_mat, last.transpose(0, 2, 1))
         for k in range(n - 2, 0, -1):
             grad_flat = grad_carry.reshape(B, -1, df[k] * r)

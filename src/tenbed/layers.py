@@ -3,7 +3,7 @@
 Eight methods share the ``build`` / ``forward`` contract:
 
 * ``original`` - plain lookup table, the uncompressed baseline.
-* ``matrix_factor`` - low-rank product of a tall and a wide factor.
+* ``matrix_factor`` - low-rank product of a tall and a wide factor: two cores.
 * ``tensor_train`` - chain of cores contracted along shared rank edges,
   addressing rows by mixed-radix word-id digits.
 * ``word2ket`` - per-word private small vectors combined by tensor product,
@@ -22,22 +22,24 @@ All parameters are float64 matrices initialised Xavier-uniform with bound
 seeded by the config, so identical configs rebuild bit-identical layers.
 
 An ``EmbeddingLayer`` is data: a config, the tables ``build`` or a load hands
-it, a view of its table per block and, for the morphological kinds, a vocab
-and an index.  Both check themselves when made: a ``LayerConfig`` (by
-``replace`` too) refuses a value no layer can have, an ``EmbeddingLayer`` a
-table, vocab or index at odds with its config.  A table stacks blocks of one
-shape that are read at the same rows: the r rank blocks of one factor, or a
-lone block.  ``LayerConfig.layout`` states each kind once: its tables, the row
-a word reads in each, whether it reads a morpheme vocab and, for a kind that
-sums tensor products, where factor j of product i lives.  ``build``, the parts
-check, ``gather_batch`` and the combines derive from it.  ``forward_batch``
-embeds a batch through ``gather_batch`` and ``_combine``, one read per table;
-``forward`` is a batch of one.  ``_combine`` also returns what its adjoint
-reads of each chunk; ``forward_batch`` drops it, and ``forward_record(layer,
-ids)`` returns ``(y, rows, reads)``: the batch's rows and, for a batch of one
-chunk, its reads (else None), which the trainer's backward reads instead of
-gathering and computing again.  All three only read the parameters and are
-safe to call concurrently; training, which writes them, needs exclusive access.
+it, a view of its table per block and, for the morphological kinds, a vocab and
+an index.  Both check themselves when made: a ``LayerConfig`` (by ``replace``
+too) refuses a value no layer can have, an ``EmbeddingLayer`` a table, vocab or
+index at odds with its config.  A table stacks blocks of one shape that are
+read at the same rows: the r rank blocks of one factor, or a lone block.
+``LayerConfig.layout`` states each kind once: its tables, the row a word reads
+in each, whether it reads a morpheme vocab and either a chain's dim factors or,
+for a kind that sums tensor products, where factor j of product i lives.
+``build``, the parts check, ``gather_batch`` and ``_combine`` derive from it;
+``_combine`` contracts a chain (matrix_factor, tensor_train) or sums products.
+``forward_batch`` embeds a batch through ``gather_batch`` and ``_combine``, one
+read per table; ``forward`` is a batch of one.  ``_combine`` also returns what
+its adjoint reads of each chunk; ``forward_batch`` drops it, and
+``forward_record(layer, ids)`` returns ``(y, rows, reads)``: the batch's rows
+and, for a batch of one chunk, its reads (else None), which the trainer's
+backward reads instead of gathering and computing again.  All three only read
+the parameters and are safe to call concurrently; training, which writes them,
+needs exclusive access.
 """
 
 from __future__ import annotations
@@ -213,15 +215,16 @@ class Block(NamedTuple):
 
 @dataclass(frozen=True)
 class Layout:
-    """A kind's tables, whether it reads a morpheme vocab, and for a kind that
-    sums products ``buffers(B)``: per table the ``(count, slots, B, cols)``
-    array its rows are read into, and per factor j the ``(B, products,
-    len_j)`` view of factor j of every product, sharing memory.
+    """A kind's tables, whether it reads a morpheme vocab, and a chain's dim
+    factors (``chain``) or, for a kind that sums products, ``buffers(B)``: per
+    table the ``(count, slots, B, cols)`` array its rows are read into, and per
+    factor j the ``(B, products, len_j)`` view of factor j of every product.
     """
 
     tables: tuple[Table, ...]
     vocab: bool = False
     buffers: Callable[[int], tuple[list[np.ndarray], list[np.ndarray]]] | None = None
+    chain: tuple[int, ...] = ()
 
     @cached_property  # listed on first use: a checkpoint's config is sized from its tables first
     def blocks(self) -> tuple[Block, ...]:
@@ -240,14 +243,15 @@ def _layout(c: LayerConfig) -> Layout:
     """Each kind's tables, the row a word reads in each, and its factor placement: the
     r rank blocks of a factor are one table, every other block a table of its own."""
     kind, V, d, n, r, M = c.kind, c.vocab_size, c.embed_dim, c.order, c.rank, c.morpheme_vocab_size
-    if kind is MethodKind.MATRIX_FACTOR:
-        return Layout((Table("factor_left", (1, V, r), ID), Table("factor_right", (1, r, d), ALL)))
+    if kind is MethodKind.MATRIX_FACTOR:  # a chain of dim factors (1, d): core 1 is one row
+        return Layout((Table("factor_left", (1, V, r), ID), Table("factor_right", (1, r, d), ALL)),
+                      chain=(1, d))
     if kind is MethodKind.TENSOR_TRAIN:
         # a core row is an (r, d_k, r) slice, without the outer r at either end
         return Layout(tuple(
             Table(f"tt_core_{k}", (1, v, (r if k > 0 else 1) * dk * (r if k < n - 1 else 1)), k)
             for k, (v, dk) in enumerate(zip(c.vocab_factors, c.dim_factors))
-        ))
+        ), chain=c.dim_factors)
     if kind is MethodKind.ORIGINAL:  # one product of one factor
         return Layout((Table("weight", (1, V, d), ID),),
                       buffers=lambda B: _stacked(B, d, [slice(1)]))
@@ -460,22 +464,23 @@ def _khatri_rao(factors: list[np.ndarray]) -> list[np.ndarray]:
     return prefixes
 
 
-def _tt_chain(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[list, np.ndarray]:
-    """A batch's TT carries, and the last core's row per word.
+def _chain(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[list, np.ndarray]:
+    """A batch's chain carries, and its last core as the words read it.
 
-    ``carries[k]`` is the ``(B, d_0 ... d_k, r)`` product of cores 0..k, for
-    k < n - 1; the last core's rows are ``(B, r, d_{n-1})``.  The first and
-    last cores' rows are gathered, the middle cores' are read in place by
-    ``_by_core_row``.  Each word's carry is the lone 2-D product of its rows.
+    ``carries[k]``, k < n - 1, is the ``(B, d_0 ... d_k, r)`` product of cores
+    0..k, each word's the lone 2-D product of its rows: core 0's gathered, the
+    middle cores' read in place (``_by_core_row``).  The last core is per word,
+    ``(B, r, d_{n-1})``, where a digit reads it, or ``(1, r, d_{n-1})`` by ``ALL``.
     """
-    r, B = layer.config.rank, len(rows[0])
+    r, B, layout = layer.config.rank, len(rows[0]), layer.config.layout
     cores = [t[0] for t in layer.tables.values()]
     carry = cores[0][rows[0][:, 0]].reshape(B, -1, r)
     carries = [carry]
     for core, ids in zip(cores[1:-1], rows[1:-1]):
         carry = _by_core_row(carry, core.reshape(len(core), r, -1), ids[:, 0]).reshape(B, -1, r)
         carries.append(carry)
-    return carries, cores[-1][rows[-1][:, 0]].reshape(B, r, -1)
+    last = cores[-1] if layout.tables[-1].read == ALL else cores[-1][rows[-1][:, 0]]
+    return carries, last.reshape(-1, r, layout.chain[-1])
 
 
 def _row_groups(ids: np.ndarray) -> list[tuple[int, np.ndarray]]:
@@ -540,27 +545,22 @@ def _combine(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[np.ndarray,
     gave, and the word-major arrays the adjoint reads (``reads``).
 
     Each row is computed with the arithmetic, in the order, of embedding its
-    word alone: stacked matmuls for matrix_factor and tensor_train (whose
-    middle cores are read in place, one matmul per distinct core row); for a
-    sum kind, one-factor products summed in slot order, a rank-1 product by
-    broadcasting, and otherwise the products contracted over rank by one
-    stacked matmul, ``(B, L', r) @ (B, r, len_{n-1})`` with the row-wise
+    word alone.  A chain (``layout.chain``) is its last carry times its last
+    core (``_chain``).  A sum kind adds one-factor products in slot order,
+    builds a rank-1 product by broadcasting, and otherwise contracts over rank
+    by one stacked matmul, ``(B, L', r) @ (B, r, len_{n-1})`` with the row-wise
     Khatri-Rao product of factors 0..n-2 (Kolda & Bader, SIAM Review 2009).
 
-    The reads are matrix_factor's ``(B, 1, r)`` left rows; tensor_train's
-    carries and last-core rows (``_tt_chain``); for a sum kind of n >= 2
-    factors, factors 0..n-1 (``_read_factors``) then Khatri-Rao prefixes
-    1..n-2 (prefix 0 is factor 0); for a one-factor kind, none.
+    The reads are a chain's carries, then its last core's rows unless ``ALL``
+    reads it; a sum kind's factors 0..n-1 (``_read_factors``) then Khatri-Rao
+    prefixes 1..n-2 (prefix 0 is factor 0), none for a one-factor kind.
     """
     cfg = layer.config
-    B, d, kind = len(rows[0]), cfg.embed_dim, cfg.kind
-    if kind is MethodKind.MATRIX_FACTOR:
-        left, right = (t[0] for t in layer.tables.values())
-        left_rows = left[rows[0]]
-        return np.matmul(left_rows, right).reshape(B, d), [left_rows]
-    if kind is MethodKind.TENSOR_TRAIN:
-        carries, last = _tt_chain(layer, rows)
-        full, reads = np.matmul(carries[-1], last).reshape(B, -1), carries + [last]
+    B, d = len(rows[0]), cfg.embed_dim
+    if cfg.layout.chain:
+        carries, last = _chain(layer, rows)
+        full = np.matmul(carries[-1], last).reshape(B, -1)
+        reads = carries if cfg.layout.tables[-1].read == ALL else carries + [last]
     else:
         factors = _read_factors(layer, rows)
         full, reads = factors[0][:, 0], []  # a view of the fresh buffers, so it may be summed into

@@ -23,7 +23,8 @@ from tenbed.gradients import (
     table_rows,
     touched_rows,
 )
-from tenbed.layers import LayerConfig, MethodKind, build, forward, forward_batch, forward_record
+from tenbed.layers import (EmbeddingLayer, LayerConfig, MethodKind, build, forward, forward_batch,
+                           forward_record)
 from tenbed.morphology import IndexMatrix, MorphemeVocab
 
 
@@ -438,6 +439,35 @@ def test_summed_tables_allocate_no_per_word_gradients(kind):
     assert peak < bound, (peak, bound)
 
 
+@pytest.mark.parametrize("V, d, r", [(37, 9, 3), (500, 64, 1)])
+def test_matrix_factor_is_a_two_core_tensor_train(V, d, r):
+    """A matrix_factor layer's tables, copied into a tensor_train of vocab factors
+    (V, 1) and dim factors (1, d) with the right factor as core 1's one (1, 1, r * d)
+    row, embed byte for byte alike and get the same gradients: the bytes in the
+    left factor / core 0, within ``SUMMED_RTOL`` in the right factor / core 1,
+    which matrix_factor sums over the batch by one matmul.  In a one-word batch
+    the whole right factor and one word's core-1 row have one shape, so the path
+    a chain takes follows its table's read, not the batch."""
+    mf = build(LayerConfig(MethodKind.MATRIX_FACTOR, V, d, rank=r, seed=7))
+    left, right = mf.tables.values()
+    tt = EmbeddingLayer(LayerConfig(MethodKind.TENSOR_TRAIN, V, d, order=2, rank=r,
+                                    vocab_factors=(V, 1), dim_factors=(1, d)),
+                        {"tt_core_0": left, "tt_core_1": right.reshape(1, 1, r * d)})
+    rng = np.random.default_rng(stable_seed("mf-as-tt", V, d, r))
+    for B in (1, 7, 64, 600):
+        words = rng.integers(0, V, size=B)
+        assert forward_batch(mf, words).tobytes() == forward_batch(tt, words).tobytes(), B
+        U = rng.standard_normal((B, d))
+        got = {name: np.zeros_like(t) for name, t in mf.tables.items()}
+        expected = {name: np.zeros_like(t) for name, t in tt.tables.items()}
+        backward_batch(mf, words, U, got)
+        backward_batch(tt, words, U, expected)
+        assert got["factor_left"].tobytes() == expected["tt_core_0"].tobytes(), B
+        want = expected["tt_core_1"].reshape(right.shape)
+        np.testing.assert_allclose(got["factor_right"], want, rtol=0,
+                                   atol=SUMMED_RTOL * np.abs(want).max(), err_msg=str(B))
+
+
 def test_backward_batch_rejects_a_mismatched_upstream():
     layer = build(LayerConfig(MethodKind.ORIGINAL, vocab_size=5, embed_dim=3, seed=0))
     grads = {"weight": np.zeros((5, 3))}
@@ -577,11 +607,11 @@ def test_a_record_fed_adjoint_gives_the_bytes_of_backward_batch(kind, monkeypatc
     summed tables included: for every word of a batch, for words taken by
     position, for a batch of several chunks and words taken from one, and for
     a word that reads one morpheme in several slots.  A one-chunk batch's
-    adjoint reads no table again: it makes no ``_tt_chain``, ``_read_factors``
+    adjoint reads no table again: it makes no ``_chain``, ``_read_factors``
     or ``_khatri_rao`` call.  A longer batch keeps no reads (None), so it
     holds no more than one chunk's temporaries."""
     calls = {}
-    for name in ("_tt_chain", "_read_factors", "_khatri_rao"):
+    for name in ("_chain", "_read_factors", "_khatri_rao"):
         def counted(*args, _name=name, _fn=getattr(tenbed.layers, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _fn(*args)
@@ -622,5 +652,5 @@ def test_a_record_fed_adjoint_gives_the_bytes_of_backward_batch(kind, monkeypatc
     assert chunked >= 3
     if kind.value in ("morphte", "morphsum", "word2ket_rshare"):
         assert repeats >= 1
-    if kind not in (MethodKind.ORIGINAL, MethodKind.MATRIX_FACTOR, MethodKind.MORPHSUM):
+    if kind not in (MethodKind.ORIGINAL, MethodKind.MORPHSUM):
         assert calls, "the forward read nothing through the counted functions"
