@@ -19,8 +19,12 @@ Parameters round-trip bit-exactly; arrays are written from their memory, and
 each block is read in place into its slab of the table handed to the layer,
 in chunks of ``READ_FLOATS`` floats, each checked for finiteness while it is
 in cache, so a load makes no table-sized temporary.
-The loader checks every length against the bytes left in its input before
-it reads or allocates anything, a config's blocks against the whole input.
+The loader reads forward only and checks every length against the bytes left
+in its input before it reads or allocates anything, a config's blocks against
+the whole input.  Fixed-size fields are read as bytes and unpacked with
+``struct``.  A load reuses the config of a meta whose config values, with their
+types, match one of the 64 configs the process's loads used most recently: a
+repeated config costs a lookup.
 It rejects, with ``CheckpointError``, unknown versions, a meta of the wrong
 type, a meta, block or index at odds with the config, and trailing bytes: the
 config, index and vocab are checked where ``LayerConfig`` and
@@ -46,8 +50,9 @@ MAGIC = b"TENBEDCK"
 FORMAT_VERSION = 1
 _CONFIG_FIELDS = fields(LayerConfig)
 _META_KEYS = [f.name for f in _CONFIG_FIELDS] + ["blocks", "has_index", "words", "morphemes"]
-# the on-disk dtypes, made once: parsing a dtype string costs more than a small read
-_BYTE, _U64, _F64, _I64 = (np.dtype(t) for t in ("u1", "<u8", "<f8", "<i8"))
+# on-disk dtypes and fixed-size fields, made once: parsing a format costs more than a small read
+_F64, _I64 = np.dtype("<f8"), np.dtype("<i8")
+_U64, _SHAPE = struct.Struct("<Q"), struct.Struct("<QQ")
 READ_FLOATS = 32768  # floats a block is read and checked in: 256 KB, cache-sized
 
 
@@ -61,23 +66,33 @@ def _write_bytes(fh, data: bytes) -> None:
 
 
 class _Reader:
-    """Reads ``fh``, of which ``left`` bytes remain, checking every length
+    """Reads ``fh`` forward, of which ``left`` bytes remain, checking every length
     against them before anything is allocated or read."""
 
     def __init__(self, fh, left: int):
         self.fh, self.left = fh, left
 
-    def read(self, count: int, dtype: np.dtype, what: str) -> np.ndarray:
-        """The next ``count`` items of ``dtype``, read in place into a new array."""
-        need = count * dtype.itemsize
+    def _check(self, need: int, what: str) -> None:
         if need > self.left:
             raise CheckpointError(f"truncated checkpoint: {what} is {need} bytes, {self.left} left")
+
+    def take(self, count: int, what: str) -> bytes:
+        """The next ``count`` bytes."""
+        self._check(count, what)
+        self.left -= count
+        data = self.fh.read(count)
+        if len(data) != count:
+            raise CheckpointError(f"checkpoint shrank while {what} was read")
+        return data
+
+    def read(self, count: int, dtype: np.dtype, what: str) -> np.ndarray:
+        """The next ``count`` items of ``dtype``, read in place into a new array."""
+        self._check(count * dtype.itemsize, what)
         return self.read_into(np.empty(count, dtype), what)
 
     def read_into(self, out: np.ndarray, what: str) -> np.ndarray:
         """The next ``out.nbytes`` bytes, read in place into the C-contiguous ``out``."""
-        if out.nbytes > self.left:
-            return self.read(out.size, out.dtype, what)  # raises, naming the length
+        self._check(out.nbytes, what)
         self.left -= out.nbytes
         if self.fh.readinto(out) != out.nbytes:
             raise CheckpointError(f"checkpoint shrank while {what} was read")
@@ -86,8 +101,7 @@ class _Reader:
     def read_finite(self, out: np.ndarray, scratch: np.ndarray, what: str) -> None:
         """``read_into`` in chunks of ``scratch.size`` items, each checked finite,
         with the bool ``scratch``, while it is in cache."""
-        if out.nbytes > self.left:
-            self.read(out.size, out.dtype, what)  # raises, naming the whole length
+        self._check(out.nbytes, what)  # names the whole length
         flat = out.reshape(-1)  # a view: ``out`` is C-contiguous
         for start in range(0, flat.size, scratch.size):
             chunk = self.read_into(flat[start : start + scratch.size], what)
@@ -96,14 +110,29 @@ class _Reader:
 
     def chunk(self, what: str) -> bytes:
         """A u64 length and that many bytes."""
-        (length,) = self.read(1, _U64, f"{what} length").tolist()
-        return self.read(length, _BYTE, what).tobytes()
+        (length,) = _U64.unpack(self.take(8, f"{what} length"))
+        return self.take(length, what)
 
     def shape(self, what: str, shape: tuple[int, int]) -> None:
         """A matrix's rows, cols header, checked against ``shape``."""
-        got = tuple(self.read(2, _U64, f"{what} shape").tolist())
+        got = _SHAPE.unpack(self.take(16, f"{what} shape"))
         if got != shape:
             raise CheckpointError(f"{what} has shape {got}, the config implies {shape}")
+
+
+_CONFIGS: dict[str, LayerConfig] = {}  # the 64 most recently used, least recent first
+
+
+def _config(values: list) -> LayerConfig:
+    """The config of a meta's field values, reused while among the 64 most recently used:
+    keyed by their repr, which holds each value's type and each factor's (2, 2.0, "2" and
+    true differ)."""
+    key = repr(values)
+    config = _CONFIGS.pop(key, None) or LayerConfig(*values)
+    _CONFIGS[key] = config
+    if len(_CONFIGS) > 64:
+        del _CONFIGS[next(iter(_CONFIGS))]
+    return config
 
 
 def save_layer(layer: EmbeddingLayer, path) -> None:
@@ -145,10 +174,10 @@ def loads_layer(data: bytes) -> EmbeddingLayer:
 def parse_layer(fh, size: int) -> EmbeddingLayer:
     """The layer in ``fh``, which holds ``size`` bytes from its position on."""
     reader = _Reader(fh, size)
-    magic = reader.read(min(len(MAGIC), size), _BYTE, "magic").tobytes()
+    magic = reader.take(min(len(MAGIC), size), "magic")
     if magic != MAGIC:
         raise CheckpointError(f"not a checkpoint file (magic {magic!r})")
-    (version,) = reader.read(1, _U64, "version").tolist()
+    (version,) = _U64.unpack(reader.take(8, "version"))
     if version != FORMAT_VERSION:
         raise CheckpointError(
             f"unsupported checkpoint format version {version}, expected {FORMAT_VERSION}"
@@ -170,7 +199,7 @@ def parse_layer(fh, size: int) -> EmbeddingLayer:
                 isinstance(meta[key], list) and set(map(type, meta[key])) <= {str}):
             raise CheckpointError(f"checkpoint {key} must be null or a list of strings")
     try:
-        config = LayerConfig(**{f.name: meta[f.name] for f in _CONFIG_FIELDS})
+        config = _config([meta[f.name] for f in _CONFIG_FIELDS])
         tables = table_shapes(config)
     except (TypeError, ValueError) as exc:
         raise CheckpointError(f"invalid checkpoint config: {exc}") from exc

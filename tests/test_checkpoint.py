@@ -17,6 +17,7 @@ from tenbed.checkpoint import (
     dump_layer,
     load_layer,
     loads_layer,
+    parse_layer,
     save_layer,
 )
 from tenbed.cli import main
@@ -238,6 +239,117 @@ def test_rejects_index_header_that_disagrees_with_config():
     bad = data[:at] + struct.pack("<Q", 2**62) + data[at + 8 :]
     with pytest.raises(CheckpointError, match="index has shape"):
         loads_layer(bad)
+
+
+def original_5x8() -> tuple[bytes, int]:
+    """The checkpoint of ``LayerConfig(ORIGINAL, 5, 8)`` and the offset of its block header."""
+    data = roundtrip_bytes(build(LayerConfig(MethodKind.ORIGINAL, 5, 8)))
+    return data, meta_of(data)[1]
+
+
+def with_u64(data: bytes, at: int, value: int) -> bytes:
+    return data[:at] + struct.pack("<Q", value) + data[at + 8 :]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda data, at: with_u64(data, at, 2**40),
+         "truncated checkpoint: block name is 1099511627776 bytes, 342 left"),
+        (lambda data, at: with_u64(data, at, 5), "block order mismatch: 'weigh' vs 'weight'"),
+        (lambda data, at: data[: at + 8] + b"x" + data[at + 9 :],
+         "block order mismatch: 'xeight' vs 'weight'"),
+        (lambda data, at: with_u64(data, at + 14, 6),
+         "block 'weight' has shape (6, 8), the config implies (5, 8)"),
+        (lambda data, at: with_u64(data, at + 22, 9),
+         "block 'weight' has shape (5, 9), the config implies (5, 8)"),
+        (lambda data, at: data[: len(MAGIC) + 12],
+         "truncated checkpoint: metadata length is 8 bytes, 4 left"),
+        (lambda data, at: data[: at + 11],
+         "truncated checkpoint: the config's blocks are 320 bytes, the whole checkpoint {}"),
+        (lambda data, at: data[: at + 20],
+         "truncated checkpoint: the config's blocks are 320 bytes, the whole checkpoint {}"),
+    ],
+    ids=["name-length-huge", "name-length-short", "name-byte", "rows", "cols", "cut-meta-length",
+         "cut-name", "cut-shape"],
+)
+def test_each_header_refusal_names_what_it_read(mutate, message):
+    """The refusals of a block header, and of a cut before it, word for word."""
+    data, at = original_5x8()
+    assert loads_layer(data).config == LayerConfig(MethodKind.ORIGINAL, 5, 8)
+    bad = mutate(data, at)
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message.format(len(bad)))}$"):
+        loads_layer(bad)
+
+
+class ForwardOnly:
+    """A stream with only ``read`` and ``readinto`` that refuses any byte past ``size``."""
+
+    def __init__(self, data: bytes, size: int):
+        self.stream, self.size = io.BytesIO(data), size
+
+    def claim(self, count: int) -> None:
+        assert self.stream.tell() + count <= self.size, "read past the checkpoint"
+
+    def read(self, count: int) -> bytes:
+        self.claim(count)
+        return self.stream.read(count)
+
+    def readinto(self, out) -> int:
+        self.claim(memoryview(out).nbytes)
+        return self.stream.readinto(out)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_a_load_reads_forward_and_stops_at_its_size(kind):
+    """Without seek or tell, and with bytes after the checkpoint: a load reads up to
+    ``size`` and no further, and its layer gives the saved layer's forwards."""
+    layer = random_layer(kind, np.random.default_rng(stable_seed("forward-only", kind)))
+    data = roundtrip_bytes(layer)
+    stream = ForwardOnly(data + b"\xff" * 24, len(data))
+    loaded = parse_layer(stream, len(data))
+    assert stream.stream.tell() == len(data)
+    ids = list(range(layer.config.vocab_size))
+    assert forward_batch(loaded, ids).tobytes() == forward_batch(layer, ids).tobytes()
+
+
+@pytest.mark.parametrize(
+    "config, field, bad",
+    [
+        (LayerConfig(MethodKind.ORIGINAL, 5, 8, rank=2), "rank",
+         [2.0, True, "2", [2], {"a": 1}]),
+        (LayerConfig(MethodKind.TENSOR_TRAIN, 60, 8, order=2, rank=2, vocab_factors=(30, 2),
+                     dim_factors=(2, 4)), "vocab_factors", [[30.0, 2], [True, 2], [[30], 2]]),
+    ],
+    ids=["rank", "vocab_factors"],
+)
+def test_a_loaded_config_is_reused_only_for_values_of_equal_types(config, field, bad):
+    """A load after a valid one of equal values refuses a float, bool, str, list or
+    dict in place of an integer as a first load does; and two loads give one config."""
+    data = roundtrip_bytes(build(config))
+    first = loads_layer(data)
+    for value in bad:
+        got = value[0] if field.endswith("_factors") else value
+        what = "integers" if field.endswith("_factors") else "an integer"
+        with pytest.raises(CheckpointError, match=re.escape(f"{field} must be {what}, got {got!r}")):
+            loads_layer(with_meta(data, **{field: value}))
+    again = loads_layer(data)
+    assert first.config == again.config == config
+    ids = list(range(config.vocab_size))
+    assert forward_batch(first, ids).tobytes() == forward_batch(again, ids).tobytes()
+
+
+def test_the_reused_configs_are_the_64_most_recently_loaded():
+    from tenbed import checkpoint
+
+    data = [roundtrip_bytes(build(LayerConfig(MethodKind.ORIGINAL, 2, 2, seed=s))) for s in range(66)]
+    kept = loads_layer(data[0]).config
+    for blob in data[1:]:
+        loads_layer(blob)
+        assert loads_layer(data[0]).config is kept  # each load of it makes it the most recent
+    assert len(checkpoint._CONFIGS) == 64
+    assert 1 not in {config.seed for config in checkpoint._CONFIGS.values()}  # the least recent went
+    assert loads_layer(data[1]).config == LayerConfig(MethodKind.ORIGINAL, 2, 2, seed=1)
 
 
 @pytest.mark.parametrize("morpheme_id", [999, -1])
