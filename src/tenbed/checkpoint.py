@@ -24,7 +24,7 @@ in its input before it reads or allocates anything, a config's blocks against
 the whole input.  Fixed-size fields are read as bytes and unpacked with
 ``struct``.  A load reuses the config of a meta whose config values, with their
 types, match one of the 64 configs the process's loads used most recently: a
-repeated config costs a lookup.
+repeated config costs a lookup, under a lock, so loads may run in several threads.
 It rejects, with ``CheckpointError``, unknown versions, a meta of the wrong
 type, a meta, block or index at odds with the config, and trailing bytes: the
 config, index and vocab are checked where ``LayerConfig`` and
@@ -38,6 +38,7 @@ import json
 import math
 import os
 import struct
+import threading
 from dataclasses import fields
 
 import numpy as np
@@ -121,6 +122,7 @@ class _Reader:
 
 
 _CONFIGS: dict[str, LayerConfig] = {}  # the 64 most recently used, least recent first
+_CONFIGS_LOCK = threading.Lock()  # loads may run in several threads
 
 
 def _config(values: list) -> LayerConfig:
@@ -128,10 +130,11 @@ def _config(values: list) -> LayerConfig:
     keyed by their repr, which holds each value's type and each factor's (2, 2.0, "2" and
     true differ)."""
     key = repr(values)
-    config = _CONFIGS.pop(key, None) or LayerConfig(*values)
-    _CONFIGS[key] = config
-    if len(_CONFIGS) > 64:
-        del _CONFIGS[next(iter(_CONFIGS))]
+    with _CONFIGS_LOCK:
+        config = _CONFIGS.pop(key, None) or LayerConfig(*values)
+        _CONFIGS[key] = config
+        if len(_CONFIGS) > 64:
+            del _CONFIGS[next(iter(_CONFIGS))]
     return config
 
 

@@ -9,26 +9,23 @@ a digit reads them, a sum kind's factors and Khatri-Rao prefixes), so it
 computes nothing the forward computed.  Like the combine it takes a chain's
 path or a sum's, as ``LayerConfig.layout`` says.  It is given two sets of rows:
 the table rows the words read, and the buffer row each one's gradient goes to.
-``add_batch(layer, rows, reads, U, into, to)`` walks a batch chunk by chunk of
-``LayerConfig.chunk_words``, from the rows and reads ``layers.forward_record``
-returned: a one-chunk batch's reads feed the adjoint, and with ``reads`` None
-(a longer batch) each chunk is combined again for its reads.
 ``backward_batch`` takes a batch of word ids and one upstream row per word,
 checks that ``into`` holds a C-contiguous float64 gradient of each table's
-shape or rows, and calls ``add_batch`` with no reads and the table rows as both
-sets; ``training.train`` calls it with what its forward returned and the rows
-of the optimizer's buffers.  Where many words of a chunk write one table row,
-the chunk's sum is taken by one matmul and added once: a chain's last core
-where every word reads it whole, and each row of a chain's middle core, over
-the words whose digit reads it.  Every other table gets each word's slot
-gradients, added by ``_add_rows`` word by word in batch order, one scatter per
-table; for a sum kind ``_slot_grads`` writes them into the buffers
-``LayerConfig.layout`` gives.  The summed tables so differ from word-by-word
-adds by rounding only.  Truncation to the embedding dimension is adjointed by
-zero-padding the upstream.  A word that reads one row in several slots
-(repeated morphemes) has its slot gradients summed first and the sum added
-once, the correct total derivative.  ``backward`` and ``touched_rows`` are the
-same for a batch of one word.
+shape or rows, then walks the batch in chunks of ``LayerConfig.chunk_words``:
+each chunk's combine feeds that chunk's adjoint, with the table rows as both
+sets.  ``training.train`` runs the same loop on the words of each chunk that
+have a gradient, into the rows of the optimizer's buffers.  Where many words
+of a chunk write one table row, the chunk's sum is taken by one matmul and
+added once: a chain's last core where every word reads it whole, and each row
+of a chain's middle core, over the words whose digit reads it.  Every other
+table gets each word's slot gradients, added by ``_add_rows`` word by word in
+batch order, one scatter per table; for a sum kind ``_slot_grads`` writes them
+into the buffers ``LayerConfig.layout`` gives.  The summed tables so differ
+from word-by-word adds by rounding only.  Truncation to the embedding dimension
+is adjointed by zero-padding the upstream.  A word that reads one row in
+several slots (repeated morphemes) has its slot gradients summed first and the
+sum added once, the correct total derivative.  ``backward`` and
+``touched_rows`` are the same for a batch of one word.
 """
 
 from __future__ import annotations
@@ -147,8 +144,8 @@ def backward_batch(
     its ``(count * rows, cols)`` rows; anything else raises ``ValueError``
     naming the table.  ``upstream`` is one length-d row per word.  Every id,
     the upstream and ``into`` are checked before anything is written; then
-    words are taken in chunks of ``config.chunk_words()`` (``add_batch``), each
-    a forward that keeps its reads, then its adjoint.  ``into`` ends as adding
+    words are taken in chunks of ``config.chunk_words()``, each a combine that
+    keeps its reads, then its adjoint.  ``into`` ends as adding
     each word's ``backward`` in turn would leave it, byte for byte, but for the
     tables a chunk adds as one sum (a chain's last core where every word reads
     it whole, a chain's middle cores), which match it up to rounding.
@@ -171,26 +168,14 @@ def backward_batch(
             raise ValueError(f"the gradient of table {name!r} must be a C-contiguous float64 "
                              f"array of shape {shapes[0]} or {shapes[1]}, got "
                              f"{getattr(g, 'dtype', type(g).__name__)} {np.shape(g)}")
-    written = table_rows(layer, rows)
-    add_batch(layer, rows, None, U, into, written)
-    return [ids.reshape(B, ids.shape[1] * ids.shape[2]) for ids in written]
-
-
-def add_batch(layer: EmbeddingLayer, rows: list[np.ndarray], reads: list[np.ndarray] | None,
-              U: np.ndarray, into: dict[str, np.ndarray], to: list[np.ndarray]) -> None:
-    """Add the gradient of the words whose ``rows`` and ``reads``
-    ``layers.forward_record`` returned into ``into``, in chunks of
-    ``config.chunk_words()`` words: the upstream rows ``U``, and the buffer
-    rows ``to`` (``table_rows``' shape) of the table rows they read.  The reads
-    of a one-chunk batch feed its adjoint; with ``reads`` None each chunk is
-    combined again for its reads, so a long batch holds one chunk's at a time."""
-    step = layer.config.chunk_words()
-    for lo in range(0, len(U), step):
+    written, step = table_rows(layer, rows), layer.config.chunk_words()
+    for lo in range(0, B, step):
         at = slice(lo, lo + step)
         chunk = [ids[at] for ids in rows]
         # passed, not bound, so a chunk's reads are freed before the next is combined
-        _add_grads(layer, chunk, _combine(layer, chunk)[1] if reads is None else reads,
-                   U[at], into, [ids[at] for ids in to])
+        _add_grads(layer, chunk, _combine(layer, chunk)[1], U[at], into,
+                   [ids[at] for ids in written])
+    return [ids.reshape(B, ids.shape[1] * ids.shape[2]) for ids in written]
 
 
 def _add_grads(layer: EmbeddingLayer, rows: list[np.ndarray], reads: list[np.ndarray],

@@ -33,13 +33,12 @@ for a kind that sums tensor products, where factor j of product i lives.
 ``build``, the parts check, ``gather_batch`` and ``_combine`` derive from it;
 ``_combine`` contracts a chain (matrix_factor, tensor_train) or sums products.
 ``forward_batch`` embeds a batch through ``gather_batch`` and ``_combine``, one
-read per table; ``forward`` is a batch of one.  ``_combine`` also returns what
-its adjoint reads of each chunk; ``forward_batch`` drops it, and
-``forward_record(layer, ids)`` returns ``(y, rows, reads)``: the batch's rows
-and, for a batch of one chunk, its reads (else None), which the trainer's
-backward reads instead of gathering and computing again.  All three only read
-the parameters and are safe to call concurrently; training, which writes them,
-needs exclusive access.
+read per table and one combine per chunk of ``LayerConfig.chunk_words`` words;
+``forward`` is a batch of one.  ``_combine`` also returns what its adjoint
+reads of the chunk it embeds; ``forward_batch`` drops it, while the trainer
+and ``gradients.backward_batch`` feed it to that chunk's adjoint.  Both
+forwards only read the parameters and are safe to call concurrently;
+training, which writes them, needs exclusive access.
 """
 
 from __future__ import annotations
@@ -311,10 +310,12 @@ class EmbeddingLayer:
     params: Mapping[str, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kind, shapes, tables = self.config.kind.value, table_shapes(self.config), {}
-        if self.tables.keys() != shapes.keys():
-            raise ValueError(f"{kind} has tables {list(shapes)}, not {list(self.tables)}")
-        for name, (count, rows, cols) in shapes.items():
+        _check_parts(self.config, self.vocab, self.index)  # refuses a missing morpheme size
+        kind, shapes, tables = self.config.kind.value, self.config.layout.tables, {}
+        if self.tables.keys() != {t.name for t in shapes}:
+            raise ValueError(f"{kind} has tables {[t.name for t in shapes]}, "
+                             f"not {list(self.tables)}")
+        for name, (count, rows, cols), _ in shapes:
             table = self.tables[name]
             if table.shape not in ((count, rows, cols), (count * rows, cols)):
                 raise ValueError(f"table {name!r} has shape {table.shape}, not {count, rows, cols}")
@@ -323,7 +324,6 @@ class EmbeddingLayer:
             if count > 1 and not table.flags.c_contiguous:
                 raise ValueError(f"table {name!r} of {count} blocks is not C-contiguous")
             tables[name] = table if table.ndim == 3 else table.reshape(count, rows, cols)
-        _check_parts(self.config, self.vocab, self.index)
         object.__setattr__(self, "tables", MappingProxyType(tables))
         object.__setattr__(self, "params", MappingProxyType(self.block_views(tables)))
 
@@ -362,6 +362,8 @@ def _check_parts(config: LayerConfig, vocab: MorphemeVocab | None,
     if index is None:
         return
     M = config.morpheme_vocab_size
+    if M is None:  # the morpheme table an index reads has M rows
+        raise ConfigError(f"{config.kind.value} requires morpheme_vocab_size")
     if index.rows.shape != (config.vocab_size, config.order):
         raise ConfigError(f"index has shape {index.rows.shape}, the config implies "
                           f"{(config.vocab_size, config.order)}")
@@ -515,29 +517,14 @@ def forward_batch(layer: EmbeddingLayer, word_ids: Sequence[int]) -> np.ndarray:
     A one-chunk batch of a one-factor kind is a view of its ``(products, B, d)``
     read buffer (4x the result for morphsum at order 3): a fresh sum is slower.
     """
-    return _embed(layer, gather_batch(layer, word_ids))[0]
-
-
-def forward_record(layer: EmbeddingLayer, word_ids: Sequence[int]
-                   ) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray] | None]:
-    """``forward_batch``, the words' rows from its one ``gather_batch``, and what the
-    adjoint reads: a one-chunk batch's ``_combine`` reads, or None for a longer
-    batch, which so holds one chunk's temporaries at a time."""
     rows = gather_batch(layer, word_ids)
-    y, reads = _embed(layer, rows)
-    return y, rows, reads
-
-
-def _embed(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[np.ndarray, list | None]:
-    """The embeddings of the words whose rows ``gather_batch`` gave and, for a batch
-    of one chunk, its ``_combine``'s reads; a longer batch drops each chunk's (None)."""
     B, step = len(rows[0]), layer.config.chunk_words()
     if 0 < B <= step:
-        return _combine(layer, rows)
+        return _combine(layer, rows)[0]
     out = np.empty((B, layer.config.embed_dim))
     for lo in range(0, B, step):
         out[lo : lo + step] = _combine(layer, [ids[lo : lo + step] for ids in rows])[0]
-    return out, None
+    return out
 
 
 def _combine(layer: EmbeddingLayer, rows: list[np.ndarray]) -> tuple[np.ndarray, list[np.ndarray]]:

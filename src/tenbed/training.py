@@ -3,22 +3,24 @@
 Two tasks: reproduce a target embedding table under mean squared error, or
 separate labelled word pairs with a cosine contrastive loss.  A task checks
 its pairs once, when it is built, into one ``(n, 3)`` integer array.  Each
-minibatch is one ``forward_record`` over every word its examples read (a
-pair batch in pair order, a0, b0, a1, b1, ...), which returns the words'
-rows and, for a batch of one chunk, what the adjoint reads; the per-example
-losses and upstreams are computed for the whole batch at once, a pair's two
-upstreams as one stacked ``(2, 2) @ (2, d)`` product, and the rows and
-reads are taken at the words with a gradient.  The optimizer gives each row
-those words read its row in the block's gradient buffer
-(``OptimizerState.take_rows``), in the row order its step reads, before
-``add_batch`` scatters the batch's gradient there from those rows and
-reads, with no second gather, and no second forward for a batch of one
-chunk (a longer batch's chunks are combined again, so its memory stays
-bounded by one chunk); the step scales that sum by the batch size and
-applies it to the rows some batch has written, and only the buffer rows the
-batch wrote are zeroed again, so every buffer is zero between batches.  The
-batch loss is summed example by example, in example order.  Everything is
-deterministic given the seed.
+minibatch gathers the rows of every word its examples read once (a pair
+batch in pair order, a0, b0, a1, b1, ...) and then walks them in chunks of
+``LayerConfig.chunk_words`` words, whole pairs and at least one: one
+``_combine`` embeds a chunk, the chunk's per-example losses and upstreams are
+computed at once (a pair's two upstreams as one stacked ``(2, 2) @ (2, d)``
+product) and its losses added to the batch loss in example order, and the
+words with a gradient, with their rows and the reads that combine made, feed
+the chunk's adjoint.  So each embedding is formed once, and a batch holds one
+chunk's reads at a time.  After the first chunk the optimizer gives each row
+the batch may write its row in the block's gradient buffer
+(``OptimizerState.take_rows``), in the row order its step reads: the rows of
+the first chunk's words with a gradient and of every later word (a row taken
+but not written steps to itself).  Each adjoint scatters its chunk's gradient
+there; the step scales the batch's sum by the batch size and applies it to
+the rows some batch has written, and only the buffer rows the batch took are
+zeroed again, so every buffer is zero between batches.  A batch loss that
+turns non-finite stops the batch at that chunk, before anything is applied.
+Everything is deterministic given the seed.
 """
 
 from __future__ import annotations
@@ -28,9 +30,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import layers
 from .errors import ConfigError, TrainingDivergedError, WordLookupError
-from .gradients import add_batch, table_rows
-from .layers import EmbeddingLayer, forward_batch, forward_record
+from .gradients import _add_grads, table_rows
+from .layers import EmbeddingLayer, forward_batch
 from .gradients import backward  # noqa: F401  (unused; perfbench/tracing.py wraps these names)
 from .layers import forward  # noqa: F401
 
@@ -367,40 +370,34 @@ def _cosines(ya: np.ndarray, yb: np.ndarray):
         return na, nb, _row_dots(ya, yb) / (na * nb)
 
 
-def _reconstruct_batch(layer, task, batch):
-    """Mean squared error per example, each example's upstream, and the batch's rows and reads."""
-    y, rows, reads = forward_record(layer, batch)
-    diff = y - task.targets[batch]
+def _reconstruct_batch(y, targets):
+    """Mean squared error of each embedding in ``y`` against its row of ``targets``,
+    each example's upstream, and None: every word has a gradient."""
+    diff = y - targets
     d = y.shape[1]
-    return _row_dots(diff, diff) / d, (2.0 / d) * diff, rows, reads
+    return _row_dots(diff, diff) / d, (2.0 / d) * diff, None
 
 
-def _pair_batch(layer, pairs, batch):
-    """Contrastive loss on the cosine per pair, and the upstreams, rows and reads of
-    the words of the pairs with a gradient, word a then word b, in example order.
+def _pair_batch(y, labels):
+    """Contrastive loss on the cosine per pair of the embeddings ``y``, in pair order
+    (a0, b0, a1, b1, ...), with ``labels``; the upstreams of the words of the pairs
+    with a gradient, word a then word b, in example order; and those words'
+    positions in ``y``, or None when every pair has a gradient.
 
-    The batch's words are embedded once, in pair order (a0, b0, a1, b1, ...), so
-    the words with a gradient are the embedded words taken by position, and
-    their rows and reads are taken with them (not copied when every pair has a
-    gradient).
     With ``dcos`` the loss's derivative in the cosine, a pair's two upstreams
     are one stacked product ``C @ [ya; yb]`` of its ``(2, 2)`` coefficients
     ``dcos * [[-cos / na**2, 1 / (na nb)], [1 / (na nb), -cos / nb**2]]``:
     ``dcos * (yb / (na nb) - cos ya / na**2)`` and its mirror.
     """
-    chosen = pairs[batch]
-    positive = chosen[:, 2] == 1
-    y, rows, reads = forward_record(layer, chosen[:, :2].reshape(-1))
-    y2 = y.reshape(len(batch), 2, -1)
+    positive = labels == 1
+    y2 = y.reshape(len(labels), 2, -1)
     na, nb, cos = _cosines(y2[:, 0], y2[:, 1])
     zero, above = (na == 0.0) | (nb == 0.0), cos > 0.0
     hinge = np.where(above, cos, 0.0)
     losses = np.where(zero, positive * 1.0, np.where(positive, 1.0 - cos, hinge))
-    i = np.flatnonzero(~zero & (positive | above))
-    if len(i) < len(batch):
-        at = (2 * i[:, None] + np.arange(2)).reshape(-1)
-        y2, rows = y2[i], [ids[at] for ids in rows]
-        reads = None if reads is None else [a[at] for a in reads]
+    i, kept = np.flatnonzero(~zero & (positive | above)), None
+    if len(i) < len(labels):
+        y2, kept = y2[i], (2 * i[:, None] + np.arange(2)).reshape(-1)
     coefs, na, nb, cos = np.empty((len(i), 2, 2)), na[i], nb[i], cos[i]
     np.divide(1.0, na * nb, out=coefs[:, 0, 1])
     np.divide(-cos, na * na, out=coefs[:, 0, 0])
@@ -408,7 +405,7 @@ def _pair_batch(layer, pairs, batch):
     coefs[:, 1, 0] = coefs[:, 0, 1]
     coefs[positive[i]] *= -1.0  # dcos: -1 for a positive pair, 1 for a negative one
     upstreams = np.matmul(coefs, y2).reshape(2 * len(i), y.shape[1])
-    return losses, upstreams, rows, reads
+    return losses, upstreams, kept
 
 
 def train(
@@ -423,17 +420,21 @@ def train(
 
     Losses are recorded before each batch's update, so an already-perfect
     model reports zero from the first epoch.  A non-finite batch loss aborts
-    before that batch's update, so the parameters stay as they were.
+    at the chunk that makes it so, before that batch's update, so the
+    parameters and the optimizer's moments stay as they were.
     """
     if epochs < 1:
         raise ConfigError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
         raise ConfigError(f"batch_size must be >= 1, got {batch_size}")
     task.validate(layer)
-    n_examples = (
-        layer.config.vocab_size if task.kind == "reconstruct_table" else len(task.pairs)
-    )
-    pairs = task.pairs if task.kind == "word_similarity" else None
+    step = layer.config.chunk_words()
+    if task.kind == "reconstruct_table":  # an example is one word
+        n_examples, per, given = layer.config.vocab_size, 1, task.targets
+        losses_of = _reconstruct_batch
+    else:  # an example is a pair's two words; a chunk holds whole pairs, at least one
+        n_examples, per, given = len(task.pairs), 2, task.pairs[:, 2]
+        losses_of, step = _pair_batch, max(2, step - step % 2)
     rng = np.random.default_rng(seed)
     # each table as (count * rows, cols): row i * rows + k is row k of block i
     tables = {name: t.reshape(-1, t.shape[-1]) for name, t in layer.tables.items()}
@@ -443,25 +444,38 @@ def train(
         epoch_loss = 0.0
         for k, start in enumerate(range(0, n_examples, batch_size)):
             batch = order[start : start + batch_size]
-            with np.errstate(over="ignore", invalid="ignore"):  # the loss is checked below
-                if pairs is None:
-                    losses, upstreams, rows, reads = _reconstruct_batch(layer, task, batch)
-                else:
-                    losses, upstreams, rows, reads = _pair_batch(layer, pairs, batch)
-            batch_loss = 0.0
-            for loss in losses.tolist():
-                batch_loss += loss
-            if not np.isfinite(batch_loss):
-                raise TrainingDivergedError(epoch, batch_loss, batch=k)
+            rows = layers.gather_batch(layer, batch if per == 1 else task.pairs[batch, :2].ravel())
+            batch_loss, to = 0.0, None
             try:
-                written = dict(zip(tables, table_rows(layer, rows)))
-                grads, to = opt.take_rows(tables, written)
-                add_batch(layer, rows, reads, upstreams, grads, list(to.values()))
+                for lo in range(0, len(rows[0]), step):
+                    chunk = [ids[lo : lo + step] for ids in rows]
+                    with np.errstate(over="ignore", invalid="ignore"):  # the loss is checked below
+                        y, reads = layers._combine(layer, chunk)
+                        losses, upstreams, kept = losses_of(
+                            y, given[batch[lo // per : (lo + step) // per]])
+                    for loss in losses.tolist():
+                        batch_loss += loss
+                    if not np.isfinite(batch_loss):
+                        raise TrainingDivergedError(epoch, batch_loss, batch=k)
+                    if kept is not None:
+                        chunk, reads = [ids[kept] for ids in chunk], [a[kept] for a in reads]
+                    if to is None:  # rows of the first chunk's kept words and of every later word
+                        taken = chunk if len(rows[0]) <= step else [
+                            np.concatenate([c, ids[step:]]) for c, ids in zip(chunk, rows)]
+                        written = dict(zip(tables, table_rows(layer, taken)))
+                        grads, to = opt.take_rows(tables, written)
+                        to, shift = list(to.values()), len(chunk[0]) - step
+                        chunk_to = [t[: len(chunk[0])] for t in to]
+                    else:  # batch word lo + j is taken word shift + lo + j
+                        chunk_to = [t[shift + lo : shift + lo + step] for t in to]
+                        chunk_to = chunk_to if kept is None else [t[kept] for t in chunk_to]
+                    if len(upstreams):
+                        _add_grads(layer, chunk, reads, upstreams, grads, chunk_to)
                 opt.apply(tables, grads, scale=1.0 / len(batch))
             except BaseException:
                 opt.grads.clear()  # a buffer left part-summed is not zero: allocate afresh
                 raise
-            for g, ids in zip(grads.values(), to.values()):
+            for g, ids in zip(grads.values(), to):
                 # a memset beats a row scatter unless the block has many more rows
                 if 4 * ids.size >= len(g):
                     g.fill(0.0)

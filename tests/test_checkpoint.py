@@ -2,6 +2,8 @@ import io
 import json
 import re
 import struct
+import sys
+import threading
 import time
 import tracemalloc
 
@@ -350,6 +352,41 @@ def test_the_reused_configs_are_the_64_most_recently_loaded():
     assert len(checkpoint._CONFIGS) == 64
     assert 1 not in {config.seed for config in checkpoint._CONFIGS.values()}  # the least recent went
     assert loads_layer(data[1]).config == LayerConfig(MethodKind.ORIGINAL, 2, 2, seed=1)
+
+
+def test_loads_in_several_threads_share_the_reused_configs():
+    """4 threads each load 130 checkpoints of distinct configs, twice what is kept,
+    3 times over, the interpreter switching threads every microsecond: no load
+    raises, and every loaded layer gives the bytes of its saved layer's forward."""
+    saved = []
+    for V in range(2, 132):
+        layer = build(LayerConfig(MethodKind.ORIGINAL, V, 2, seed=V))
+        saved.append((roundtrip_bytes(layer), forward_batch(layer, np.arange(V)).tobytes()))
+    errors, mismatched = [], []
+
+    def load_all():
+        try:
+            for _ in range(3):
+                for data, expected in saved:
+                    layer = loads_layer(data)
+                    words = np.arange(layer.config.vocab_size)
+                    if forward_batch(layer, words).tobytes() != expected:
+                        mismatched.append(layer.config)
+        except Exception as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=load_all) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == [] and mismatched == []
 
 
 @pytest.mark.parametrize("morpheme_id", [999, -1])

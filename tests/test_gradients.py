@@ -15,16 +15,16 @@ from tenbed.audit import load_reference_rows
 from tenbed.errors import ConfigError, WordLookupError
 import tenbed.layers
 from tenbed.gradients import (
+    _add_grads,
     _add_rows,
-    add_batch,
     backward,
     backward_batch,
     finite_diff_check,
     table_rows,
     touched_rows,
 )
-from tenbed.layers import (EmbeddingLayer, LayerConfig, MethodKind, build, forward, forward_batch,
-                           forward_record)
+from tenbed.layers import (EmbeddingLayer, LayerConfig, MethodKind, _combine, build, forward,
+                           forward_batch, gather_batch)
 from tenbed.morphology import IndexMatrix, MorphemeVocab
 
 
@@ -602,14 +602,15 @@ def _repeating_layers(kind, rng):
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
 def test_a_record_fed_adjoint_gives_the_bytes_of_backward_batch(kind, monkeypatch):
-    """``add_batch`` fed the rows and reads ``forward_record`` returned leaves
-    ``into`` as ``backward_batch`` on those words leaves it, byte for byte,
-    summed tables included: for every word of a batch, for words taken by
-    position, for a batch of several chunks and words taken from one, and for
-    a word that reads one morpheme in several slots.  A one-chunk batch's
-    adjoint reads no table again: it makes no ``_chain``, ``_read_factors``
-    or ``_khatri_rao`` call.  A longer batch keeps no reads (None), so it
-    holds no more than one chunk's temporaries."""
+    """The trainer's adjoint, ``_add_grads`` fed each chunk's rows and the reads its
+    ``_combine`` returned, for every word or for words taken by position, leaves
+    ``into`` as ``backward_batch`` on each chunk's taken words leaves it, byte for
+    byte, summed tables included: in a batch of one chunk and of several, and
+    for a word that reads one morpheme in several slots.  Against one
+    ``backward_batch`` on every taken word of a batch of several chunks it
+    differs in the summed tables only, by rounding.  The chunks' embeddings are
+    ``forward_batch``'s bytes, and the adjoint reads no table again: it makes
+    no ``_chain``, ``_read_factors`` or ``_khatri_rao`` call."""
     calls = {}
     for name in ("_chain", "_read_factors", "_khatri_rao"):
         def counted(*args, _name=name, _fn=getattr(tenbed.layers, name)):
@@ -629,26 +630,34 @@ def test_a_record_fed_adjoint_gives_the_bytes_of_backward_batch(kind, monkeypatc
                 if chunk_words:
                     patch.setattr("tenbed.layers.BATCH_FLOATS", 3 * cfg.product_length)
                     assert cfg.chunk_words() == 3
-                y, rows, reads = forward_record(layer, words)
-                assert y.tobytes() == forward_batch(layer, words).tobytes()
-                assert (reads is None) == (chunk_words is not None), cfg
-                chunked += reads is None
-                everything = np.arange(len(words))
-                half = np.sort(rng.choice(everything, len(words) // 2, replace=False))
-                for at in (everything, half):
-                    taken, taken_reads = rows, reads
-                    if at is not everything:
-                        taken = [ids[at] for ids in rows]
-                        taken_reads = None if reads is None else [a[at] for a in reads]
-                    U = rng.standard_normal((len(at), cfg.embed_dim))
-                    fed = {name: np.zeros_like(t) for name, t in layer.tables.items()}
-                    before = dict(calls)
-                    add_batch(layer, taken, taken_reads, U, fed, table_rows(layer, taken))
-                    assert calls == before or taken_reads is None, (cfg, calls, before)
-                    expected = {name: np.zeros_like(t) for name, t in layer.tables.items()}
-                    backward_batch(layer, words[at], U, expected)
+                step = cfg.chunk_words()
+                chunked += step < len(words)
+                rows = gather_batch(layer, words)
+                for half in (False, True):
+                    fed, expected, whole = ({name: np.zeros_like(t) for name, t in
+                                             layer.tables.items()} for _ in range(3))
+                    ys, taken_words, taken_U = [], [], []
+                    for lo in range(0, len(words), step):
+                        chunk = [ids[lo : lo + step] for ids in rows]
+                        y, reads = _combine(layer, chunk)
+                        ys.append(y)
+                        at = np.arange(len(y))
+                        if half:
+                            at = np.sort(rng.choice(at, (len(at) + 1) // 2, replace=False))
+                            chunk, reads = [ids[at] for ids in chunk], [a[at] for a in reads]
+                        U = rng.standard_normal((len(at), cfg.embed_dim))
+                        before = dict(calls)
+                        _add_grads(layer, chunk, reads, U, fed, table_rows(layer, chunk))
+                        assert calls == before, (cfg, calls, before)
+                        backward_batch(layer, words[lo : lo + step][at], U, expected)
+                        taken_words.append(words[lo : lo + step][at])
+                        taken_U.append(U)
+                    assert np.concatenate(ys).tobytes() == forward_batch(layer, words).tobytes()
                     for name in layer.tables:
-                        assert fed[name].tobytes() == expected[name].tobytes(), (cfg, name, len(at))
+                        assert fed[name].tobytes() == expected[name].tobytes(), (cfg, name, half)
+                    backward_batch(layer, np.concatenate(taken_words), np.concatenate(taken_U),
+                                   whole)
+                    assert_same_grads(layer, fed, whole)
     assert chunked >= 3
     if kind.value in ("morphte", "morphsum", "word2ket_rshare"):
         assert repeats >= 1

@@ -1,6 +1,9 @@
+import copy
+import hashlib
 import math
 import re
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from tenbed.errors import ConfigError, WordLookupError
 import tenbed.layers
 import tenbed.training
 from tenbed.gradients import backward_batch
-from tenbed.layers import LayerConfig, MethodKind, build, forward, forward_batch
+from tenbed.layers import EmbeddingLayer, LayerConfig, MethodKind, build, forward, forward_batch
 from tenbed.synthetic import make_morphology, make_sharing_pairs, make_sharing_task
 from tenbed.training import (
     ADAM_BETAS,
@@ -658,12 +661,19 @@ def _kept_words(layer, pairs, batch):
     return chosen[kept, :2].reshape(-1)
 
 
+def _embedded_pair_batch(layer, pairs, batch):
+    """``_pair_batch`` on the words of ``batch``'s pairs, embedded in pair order."""
+    chosen = pairs[batch]
+    return _pair_batch(forward_batch(layer, chosen[:, :2].reshape(-1)), chosen[:, 2])
+
+
 def _dense_train_call(layer, pairs, opt, seed):
     """One epoch of ``train`` in one batch, as a dense step: the public
     ``backward_batch`` into table-shaped zeros, and every row stepped."""
     pairs = np.asarray(pairs)
     batch = np.random.default_rng(seed).permutation(len(pairs))
-    words, upstreams = _kept_words(layer, pairs, batch), _pair_batch(layer, pairs, batch)[1]
+    words = _kept_words(layer, pairs, batch)
+    upstreams = _embedded_pair_batch(layer, pairs, batch)[1]
     grads = {name: np.zeros((t.shape[0] * t.shape[1], t.shape[2]))
              for name, t in layer.tables.items()}
     backward_batch(layer, words, upstreams, grads)
@@ -735,7 +745,7 @@ def test_pair_upstreams_are_the_closed_form_and_the_loss_s_gradient():
         pairs = pair_array([(2 * j, 2 * j + 1, int(label))
                             for j, label in enumerate(rng.integers(0, 2, n))])
         batch = rng.permutation(n)
-        losses, upstreams, _, _ = _pair_batch(layer, pairs, batch)
+        losses, upstreams, _ = _embedded_pair_batch(layer, pairs, batch)
         words = _kept_words(layer, pairs, batch)
         assert losses.tobytes() == _parent_pair_losses(layer, pairs, batch).tobytes()
         kept = words.reshape(-1, 2)
@@ -759,9 +769,9 @@ def test_pair_upstreams_are_the_closed_form_and_the_loss_s_gradient():
             for c in range(d):
                 theta = W[w, c]
                 W[w, c] = theta + h
-                hi = _pair_batch(layer, pairs, batch)[0].sum()
+                hi = _embedded_pair_batch(layer, pairs, batch)[0].sum()
                 W[w, c] = theta - h
-                lo = _pair_batch(layer, pairs, batch)[0].sum()
+                lo = _embedded_pair_batch(layer, pairs, batch)[0].sum()
                 W[w, c] = theta
                 expected = grad[w][c] if w in grad else 0.0
                 assert abs((hi - lo) / (2 * h) - expected) < 1e-6, (w, c)
@@ -850,3 +860,208 @@ def test_eval_similarity_keeps_the_accuracy_it_had_in_concatenated_order(monkeyp
         with monkeypatch.context() as patch:
             patch.setattr("tenbed.layers.BATCH_FLOATS", 7 * layer.config.product_length)
             assert eval_similarity(layer, pairs) == recorded
+
+
+def _chunked_layers():
+    """One small layer per kind, of 24 words; word 0 of morphte and morphsum reads
+    one morpheme in all three slots."""
+    vocab, index = repeated_morpheme_morphology(24, 9, 3, seed=6)
+    K = MethodKind
+    return [
+        build(LayerConfig(K.ORIGINAL, 24, 5, seed=1)),
+        build(LayerConfig(K.MATRIX_FACTOR, 24, 6, rank=3, seed=2)),
+        build(LayerConfig(K.TENSOR_TRAIN, 24, 12, order=3, rank=2, vocab_factors=(2, 3, 4),
+                          dim_factors=(2, 3, 2), seed=3)),
+        build(LayerConfig(K.WORD2KET, 24, 7, order=2, rank=2, subdim=3, seed=4)),
+        build(LayerConfig(K.WORD2KETXS, 24, 10, order=2, rank=3, vocab_factors=(4, 6),
+                          dim_factors=(3, 4), seed=5)),
+        build(LayerConfig(K.MORPHTE, 24, 7, order=3, rank=2, subdim=2, seed=6),
+              vocab=vocab, index=index),
+        build(LayerConfig(K.MORPHSUM, 24, 6, order=3, seed=7), vocab=vocab, index=index),
+        build(LayerConfig(K.WORD2KET_RSHARE, 24, 7, order=3, rank=2, subdim=2,
+                          morpheme_vocab_size=9, seed=8)),
+    ]
+
+
+def _chunked_task(layer, task_kind):
+    """A reconstruct task of random targets, or 36 random labelled pairs; at the
+    layers' first parameters 5 to 12 negative pairs have no gradient, most of
+    them after a batch's first two pairs."""
+    rng = np.random.default_rng(stable_seed("chunked-task", layer.config.kind.value, task_kind))
+    V, d = layer.config.vocab_size, layer.config.embed_dim
+    if task_kind == "reconstruct_table":
+        return TrainTask(task_kind, targets=rng.standard_normal((V, d)))
+    return TrainTask(task_kind, pairs=[(int(a), int(b), int(label)) for a, b, label in
+                                       zip(*rng.integers(0, V, (2, 36)), rng.integers(0, 2, 36))])
+
+
+def _chunked_digest(layer, task_kind, opt_kind):
+    """The sha256 of 3 epochs' history, the tables and Adam's moments read
+    table-shaped, trained in batches of 10 examples."""
+    opt = OptimizerState(kind=opt_kind, lr=0.05)
+    history = train(layer, _chunked_task(layer, task_kind), opt, epochs=3, batch_size=10, seed=4)
+    digest = hashlib.sha256(np.array(history).tobytes())
+    for t in layer.tables.values():
+        digest.update(t.tobytes())
+    for moments in opt.table_moments():
+        for name in sorted(moments):
+            digest.update(moments[name].tobytes())
+    return digest.hexdigest()[:16]
+
+
+# recorded when a long batch was embedded whole, then combined again chunk by chunk
+CHUNKED_DIGESTS = {
+    ('reconstruct_table', 'adam'): {'matrix_factor': 'eea49b21febf5f54',
+                                    'morphsum': 'bd7cd239400d5716',
+                                    'morphte': 'dd42c2c2ca3bc232',
+                                    'original': '07e5a041b3bcbab3',
+                                    'tensor_train': '74225454c9565736',
+                                    'word2ket': 'c93d964610ff4aaa',
+                                    'word2ket_rshare': '63c1f209317d67a1',
+                                    'word2ketxs': 'f3226310cd3542c5'},
+    ('reconstruct_table', 'sgd'): {'matrix_factor': '1c473140d6629068',
+                                   'morphsum': 'e103c279a7083618',
+                                   'morphte': 'd3e46119f3f455cd',
+                                   'original': '9daaf7da8d37f96d',
+                                   'tensor_train': 'd19f1d967fdaf1f3',
+                                   'word2ket': '0121f349939ca0bc',
+                                   'word2ket_rshare': 'dd2bcf4b7113167b',
+                                   'word2ketxs': 'b8151f4e1e1a40a0'},
+    ('word_similarity', 'adam'): {'morphsum': 'd59d98cc3472c15b',
+                                  'morphte': '38bcd7831ae29d3b',
+                                  'original': '7f0caa23d01dd70b',
+                                  'word2ket': '6a1b1a0461ebccda',
+                                  'word2ket_rshare': '7ccd729058f37a33',
+                                  'word2ketxs': 'b25e20ada3a5bf9e'},
+    ('word_similarity', 'sgd'): {'morphsum': '69dec7b535b21ba5',
+                                 'morphte': '702592c1d3e1cbe3',
+                                 'original': '130ca0892f33c73e',
+                                 'word2ket': '08da7f34bbfb3cdb',
+                                 'word2ket_rshare': 'd8f5f7559e65f27a',
+                                 'word2ketxs': '506c58212ba3681e'},
+}
+
+
+@pytest.mark.parametrize("task_kind, opt_kind", [
+    ("reconstruct_table", "adam"), ("reconstruct_table", "sgd"),
+    ("word_similarity", "adam"), ("word_similarity", "sgd"),
+])
+def test_batches_of_several_chunks_keep_the_bytes_they_had(task_kind, opt_kind, monkeypatch):
+    """In chunks of 4 words a batch spans 3 chunks (reconstruct: 4 + 4 + 2 words)
+    or 5 (pairs: 2 pairs a chunk), and every kind trains to the tables, moments
+    and history it had when the batch was embedded whole and combined again for
+    its adjoint, recorded as digests.  A pair batch that drops a pair may round
+    the chains' summed tables otherwise (its adjoint sums each chunk's kept
+    words), so only the six kinds that sum products are pinned on pairs."""
+    got = {}
+    for layer in _chunked_layers():
+        if task_kind == "word_similarity" and layer.config.layout.chain:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr("tenbed.layers.BATCH_FLOATS", 4 * layer.config.product_length)
+            assert layer.config.chunk_words() == 4
+            got[layer.config.kind.value] = _chunked_digest(layer, task_kind, opt_kind)
+    assert got == CHUNKED_DIGESTS[task_kind, opt_kind]
+
+
+def test_a_divergence_in_a_later_chunk_applies_nothing(monkeypatch):
+    """A NaN target in the third chunk of the second batch raises at that batch.
+    The parameters, the moments read table-shaped and the step count are those
+    after the first batch, and no gradient buffer is left; two later calls step
+    the bytes of an optimizer that never saw the batch."""
+    from tenbed.errors import TrainingDivergedError
+
+    vocab, index = repeated_morpheme_morphology(600, 500, 3, seed=5)
+    for layer in (build(LayerConfig(MethodKind.ORIGINAL, 3000, 16, seed=1)),
+                  build(LayerConfig(MethodKind.MORPHTE, 600, 64, order=3, rank=2, subdim=4,
+                                    seed=6), vocab=vocab, index=index)):
+        V, d = layer.config.vocab_size, layer.config.embed_dim
+        rng = np.random.default_rng(stable_seed("later-chunk-nan", layer.config.kind.value))
+        targets = rng.standard_normal((V, d))
+        opt = OptimizerState(lr=0.05)
+        train(layer, TrainTask("reconstruct_table", targets=targets), opt, epochs=1,
+              batch_size=V // 3)
+        targets[np.random.default_rng(9).permutation(V)[12 + 9]] = np.nan  # batch 1, chunk 2
+        after_first = []
+        apply = OptimizerState.apply
+
+        def kept_apply(self, *args, **kwargs):
+            apply(self, *args, **kwargs)
+            held = copy.deepcopy(self)
+            held.grads.clear()
+            after_first.append(({n: t.copy() for n, t in layer.tables.items()}, held))
+
+        monkeypatch.setattr(OptimizerState, "apply", kept_apply)
+        monkeypatch.setattr("tenbed.layers.BATCH_FLOATS", 4 * layer.config.product_length)
+        with pytest.raises(TrainingDivergedError) as err:
+            train(layer, TrainTask("reconstruct_table", targets=targets), opt, epochs=1,
+                  batch_size=12, seed=9)
+        monkeypatch.undo()
+        assert (err.value.epoch, err.value.batch) == (0, 1)
+        assert len(after_first) == 1 and opt.grads == {}
+        tables, held = after_first[0]
+        assert opt.step_count == held.step_count
+        for name, t in layer.tables.items():
+            assert t.tobytes() == tables[name].tobytes(), (layer.config.kind, name)
+        for now, then in zip(opt.table_moments(), held.table_moments()):
+            for name in then:
+                assert now[name].tobytes() == then[name].tobytes(), (layer.config.kind, name)
+        clean = EmbeddingLayer(layer.config, tables, index=layer.index, vocab=layer.vocab)
+        task = TrainTask("reconstruct_table", targets=rng.standard_normal((V, d)))
+        for call in range(2):
+            train(layer, task, opt, epochs=1, batch_size=50, seed=call)
+            train(clean, task, held, epochs=1, batch_size=50, seed=call)
+            for name, t in layer.tables.items():
+                assert t.tobytes() == clean.tables[name].tobytes(), (call, name)
+            for now, then in zip(opt.table_moments(), held.table_moments()):
+                for name in then:
+                    assert now[name].tobytes() == then[name].tobytes(), (call, name)
+
+
+def test_train_combines_each_chunk_once(monkeypatch):
+    """One ``_combine`` per chunk of ``chunk_words`` words, a pair chunk of whole
+    pairs: batches of one chunk, of several, and a last chunk that is short."""
+    calls = []
+    combine = tenbed.layers._combine
+    monkeypatch.setattr(tenbed.layers, "_combine",
+                        lambda layer, rows: calls.append(len(rows[0])) or combine(layer, rows))
+    for layer in _chunked_layers():
+        V = layer.config.vocab_size
+        for chunk_words, pair_words in ((None, None), (5, 4), (1, 2)):
+            with monkeypatch.context() as patch:
+                if chunk_words:
+                    patch.setattr("tenbed.layers.BATCH_FLOATS",
+                                  chunk_words * layer.config.product_length)
+                step = layer.config.chunk_words()
+                for task_kind, words, each in (("reconstruct_table", 7, step),
+                                               ("word_similarity", 14, pair_words or step)):
+                    calls.clear()
+                    train(layer, _chunked_task(layer, task_kind), OptimizerState(), epochs=1,
+                          batch_size=7)
+                    n = V if task_kind == "reconstruct_table" else 2 * 36
+                    batches = [min(words, n - lo) for lo in range(0, n, words)]
+                    assert calls == [min(each, b - lo) for b in batches
+                                     for lo in range(0, b, each)], (layer.config, task_kind)
+
+
+def test_train_holds_one_chunk_of_a_long_batch(monkeypatch):
+    """With 64-word chunks, a reconstruct batch of 4x the words stays under 1.5x the
+    peak, for a kind that sums products and for a chain."""
+    for config in (LayerConfig(MethodKind.WORD2KET, 2000, 512, order=3, subdim=32, seed=0),
+                   LayerConfig(MethodKind.TENSOR_TRAIN, 2000, 512, order=3, rank=32,
+                               vocab_factors=(10, 20, 10), dim_factors=(8, 8, 8), seed=0)):
+        layer = build(config)
+        monkeypatch.setattr("tenbed.layers.BATCH_FLOATS", 64 * config.product_length)
+        assert config.chunk_words() == 64
+        task = TrainTask("reconstruct_table",
+                         targets=np.random.default_rng(1).standard_normal((2000, 512)))
+        peaks = {}
+        for size in (500, 2000):
+            opt = OptimizerState(kind="sgd", lr=1e-3)
+            tracemalloc.start()
+            try:
+                train(layer, task, opt, epochs=1, batch_size=size)
+                peaks[size] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[2000] < 1.5 * peaks[500], (config.kind, peaks)
